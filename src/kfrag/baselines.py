@@ -28,7 +28,7 @@ import numpy as np
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .erasure import ParityParams, parity_fragments
+from .erasure import ParityParams, parity_fragments, rs_decode
 from .errors import ParameterError, ThresholdError
 from .gf256 import MUL_TABLE, inv, invert_matrix, mul
 from .erasure import vandermonde
@@ -413,7 +413,7 @@ def aont_rs_reconstruct(
                 f"need at least {k} fragments, got {len(primaries) + len(extras)}"
             )
         rows = [(i, d) for i, d in primaries.items()] + extras
-        recovered = rs_decode_parts(rows, k, n)
+        recovered = rs_decode(rows, ParityParams(k=k, n=n))
         primaries = dict(enumerate(recovered))
     package = b"".join(primaries[i] for i in range(k))
     package = package[: fragments[0].package_length]
@@ -422,9 +422,3 @@ def aont_rs_reconstruct(
     mask = digest(ciphertext)[:key_length]
     key = bytes(a ^ b for a, b in zip(masked_key, mask))
     return cipher.decrypt(key, fragments[0].nonce, ciphertext)
-
-
-def rs_decode_parts(rows: list[tuple[int, bytes]], k: int, n: int) -> list[bytes]:
-    from .erasure import rs_decode
-
-    return rs_decode(rows, ParityParams(k=k, n=n))

@@ -11,9 +11,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import sys
-import time
-import uuid
-from pathlib import Path
+from dataclasses import replace
+from pathlib import Path, PurePosixPath
 
 import click
 
@@ -68,25 +67,20 @@ def main() -> None:
 
 
 def _split_fragments(data: bytes, scheme: str, k: int, c: int, block_size: int, n: int):
-    """Fragment in memory; returns (fragments, parity) for the chosen scheme."""
+    """Fragment in memory; returns the chosen scheme's fragments, without parity."""
     rng = rng_from_env()
     if scheme == SchemeId.PROPOSED.value:
         if k % c != 0:
             raise ParameterError("--k must be a multiple of --c")
-        fragset = encode_data(data, CodecParams(k=k, c=c, block_size=block_size), rng)
-        parity: list[ParityFragment] = []
-        if n > k:
-            blobs = [wire.dump_fragment(f) for f in fragset]
-            parity = parity_fragments(blobs, ParityParams(k=k, n=n))
-        return list(fragset), parity
+        return list(encode_data(data, CodecParams(k=k, c=c, block_size=block_size), rng))
     if scheme == SchemeId.SSS.value:
-        return baselines.sss_split(data, k, n, rng), []
+        return baselines.sss_split(data, k, n, rng)
     if scheme == SchemeId.IDA.value:
-        return baselines.ida_split(data, k, n), []
+        return baselines.ida_split(data, k, n)
     if scheme == SchemeId.SSMS.value:
-        return baselines.ssms_split(data, k, n, rng), []
+        return baselines.ssms_split(data, k, n, rng)
     if scheme == SchemeId.AONT_RS.value:
-        return baselines.aont_rs_split(data, k, n, rng), []
+        return baselines.aont_rs_split(data, k, n, rng)
     raise ParameterError(f"--scheme {scheme!r} is not supported")
 
 
@@ -114,46 +108,29 @@ def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: in
     if n < k:
         raise ParameterError("--n must be at least --k")
     data = in_path.read_bytes()
-    fragments, parity = _split_fragments(data, scheme, k, c, block_size, n)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for frag in fragments:
-        blob = wire.dump_any(frag)
-        name = f"f{frag.index}{wire.extension_for(frag)}"
-        (out_dir / name).write_bytes(blob)
-        entries.append(
-            dispersal.ManifestEntry(
-                index=frag.index, site=None, name=name,
-                sha256=hashlib.sha256(blob).hexdigest(),
-            )
-        )
-    for pf in parity:
-        blob = wire.dump_parity_fragment(pf)
-        name = f"p{pf.row_index}{wire.EXTENSIONS[wire.MAGIC_PARITY]}"
-        (out_dir / name).write_bytes(blob)
-        entries.append(
-            dispersal.ManifestEntry(
-                index=pf.index, site=None, name=name,
-                sha256=hashlib.sha256(blob).hexdigest(), kind="parity",
-            )
-        )
-    manifest = dispersal.Manifest(
-        scheme=scheme,
+    blobs = [wire.dump_any(f) for f in _split_fragments(data, scheme, k, c, block_size, n)]
+    proposed = scheme == SchemeId.PROPOSED.value
+    if proposed and n > k:
+        parity = parity_fragments(blobs, ParityParams(k=k, n=n))
+        blobs.extend(wire.dump_parity_fragment(pf) for pf in parity)
+    manifest = dispersal.build_manifest(
+        scheme,
         k=k,
-        c=c if scheme == SchemeId.PROPOSED.value else 0,
-        block_size=block_size if scheme == SchemeId.PROPOSED.value else 0,
+        c=c if proposed else 0,
+        block_size=block_size if proposed else 0,
         n=n,
         payload_length=len(data),
-        fragments=entries,
-        created=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        run_id=uuid.uuid4().hex[:12],
+        blobs=blobs,
         cipher="aes-128-ctr" if scheme in ("ssms", "aont-rs") else None,
         digest="sha-256" if scheme == "aont-rs" else None,
     )
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for entry, blob in zip(manifest.fragments, blobs):
+        (out_dir / entry.name).write_bytes(blob)
     manifest_path = out_dir / "manifest.json"
     manifest.save(manifest_path)
-    _note(f"wrote {len(entries)} fragment files to {out_dir}")
+    _note(f"wrote {len(blobs)} fragment files to {out_dir}")
     click.echo(str(manifest_path))
 
 
@@ -164,6 +141,8 @@ def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: in
 
 def _join_loaded(loaded: list) -> bytes:
     """Reconstruct from deserialized fragments of any single scheme."""
+    if not loaded:
+        raise ThresholdError("k-of-k threshold not met: no fragments", missing=())
     frags = [f for f in loaded if isinstance(f, Fragment)]
     parity = [f for f in loaded if isinstance(f, ParityFragment)]
     rest = [f for f in loaded if not isinstance(f, (Fragment, ParityFragment))]
@@ -188,12 +167,7 @@ def _join_loaded(loaded: list) -> bytes:
 
 def _join_proposed(frags: list[Fragment], parity: list[ParityFragment]) -> bytes:
     present = {f.index for f in frags}
-    if frags:
-        k = frags[0].params.k
-    elif parity:
-        k = parity[0].k
-    else:
-        raise ThresholdError("k-of-k threshold not met: no fragments", missing=())
+    k = frags[0].params.k if frags else parity[0].k
     missing = sorted(set(range(k)) - present)
     if missing and parity:
         n = parity[0].n
@@ -236,22 +210,14 @@ def cmd_join(
     if manifest_path is not None:
         manifest = dispersal.Manifest.load(manifest_path)
         base = manifest_path.parent
-        missing = []
         for entry in manifest.fragments:
             path = base / entry.name
             if not path.is_file():
-                if entry.kind == "data":
-                    missing.append(entry.index)
-                continue
+                continue  # the scheme's own threshold check decides
             blob = path.read_bytes()
             if hashlib.sha256(blob).hexdigest() != entry.sha256:
                 raise IntegrityError(f"digest mismatch for {entry.name!r}")
             loaded.append(wire.load_any(blob))
-        if missing and not any(isinstance(f, ParityFragment) for f in loaded):
-            raise ThresholdError(
-                f"k-of-k threshold not met: missing fragments {sorted(missing)}",
-                missing=sorted(missing),
-            )
     else:
         for path in frag_paths:
             if not path.is_file():
@@ -297,30 +263,30 @@ def cmd_disperse(manifest_path: Path, sites_spec: str, manifest_out: Path | None
             f"manifest is for {manifest.scheme!r}"
         )
     sites = _parse_sites(sites_spec)
-    has_parity = any(e.kind == "parity" for e in manifest.fragments)
-    expected = manifest.c + (1 if has_parity else 0)
+    expected = dispersal.site_count(manifest)
     if len(sites) != expected:
         raise ParameterError(
             f"--sites must name {expected} directories"
-            f" ({manifest.c} sites{' plus one parity site' if has_parity else ''}),"
+            f" ({manifest.c} sites{' plus one parity site' if expected > manifest.c else ''}),"
             f" got {len(sites)}"
         )
     for site in sites:
         site.backend.root.mkdir(parents=True, exist_ok=True)
 
     base = manifest_path.parent
-    frags, parity = [], []
+    blobs, frags = {}, []
     for entry in manifest.fragments:
         blob = (base / entry.name).read_bytes()
         if hashlib.sha256(blob).hexdigest() != entry.sha256:
             raise IntegrityError(f"digest mismatch for {entry.name!r}")
-        if entry.kind == "parity":
-            parity.append(wire.load_parity_fragment(blob))
-        else:
+        if entry.kind == "data":
             frags.append(wire.load_fragment(blob))
-    fragset = FragmentSet(tuple(sorted(frags, key=lambda f: f.index)))
+        else:
+            wire.load_parity_fragment(blob)  # parse check only
+        blobs[entry] = blob
+    FragmentSet(tuple(sorted(frags, key=lambda f: f.index)))  # completeness check only
 
-    stored = dispersal.store(fragset, sites, parity=parity)
+    stored = dispersal.store(manifest, blobs, sites)
     out_path = manifest_out or (base / "dispersal.json")
     stored.save(out_path)
     _note(f"dispersal manifest written to {out_path}")
@@ -339,35 +305,20 @@ def cmd_fetch(manifest_path: Path, sites_spec: str, out_dir: Path):
     """Retrieve dispersed fragments back into a local directory."""
     manifest = dispersal.Manifest.load(manifest_path)
     sites = _parse_sites(sites_spec)
-    has_parity = any(e.kind == "parity" for e in manifest.fragments)
-    expected = manifest.c + (1 if has_parity else 0)
+    expected = dispersal.site_count(manifest)
     if len(sites) != expected:
         raise ParameterError(f"--sites must name {expected} directories, got {len(sites)}")
-    fragset, parity = dispersal.fetch(manifest, sites)
+    blobs = dispersal.fetch(manifest, sites)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for frag in fragset:
-        blob = wire.dump_fragment(frag)
-        name = f"f{frag.index}{wire.EXTENSIONS[wire.MAGIC_PROPOSED]}"
-        (out_dir / name).write_bytes(blob)
-        entries.append(
-            dispersal.ManifestEntry(
-                index=frag.index, site=None, name=name,
-                sha256=hashlib.sha256(blob).hexdigest(),
-            )
-        )
-    local = dispersal.Manifest(
-        scheme=manifest.scheme,
-        k=manifest.k,
-        c=manifest.c,
-        block_size=manifest.block_size,
-        n=manifest.n,
-        payload_length=manifest.payload_length,
-        fragments=entries,
-        created=manifest.created,
-        run_id=manifest.run_id,
-    )
+    for entry, blob in blobs.items():
+        if entry.kind != "data":
+            continue
+        local_entry = replace(entry, site=None, name=PurePosixPath(entry.name).name)
+        (out_dir / local_entry.name).write_bytes(blob)
+        entries.append(local_entry)
+    local = replace(manifest, fragments=entries)
     local.save(out_dir / "manifest.json")
     _note(f"fetched {len(entries)} fragments into {out_dir}")
     click.echo(str(out_dir / "manifest.json"))
@@ -393,7 +344,7 @@ def cmd_analyze(in_path: Path, scheme: str, k: int, c: int, block_size: int, n: 
         raise StorageError(f"--in file not found: {in_path}")
     data = in_path.read_bytes()
     n = k if n is None else n
-    fragments, _ = _split_fragments(data, scheme, k, c, block_size, n)
+    fragments = _split_fragments(data, scheme, k, c, block_size, n)
     reports = analysis.analyze_fragments(fragments, data, include_recurrence=False)
     params = {"k": k, "c": c, "block_size": block_size, "n": n}
     analysis.write_report_json(report_path, scheme, params, reports)

@@ -7,6 +7,12 @@ shares of any one permutation array land on c distinct sites.  Assignments
 are validated before anything is written, and arbitrary (user-supplied)
 assignments can be checked for the exact violating pairs.
 
+Dispersal moves bytes, not fragments: ``store`` writes the files that
+``split`` serialized, verbatim, and ``fetch`` returns them (lost data files
+rebuilt from parity) after checking each against the SHA-256 digest that
+``build_manifest`` recorded at split time.  The split, dispersal and fetched
+manifests therefore carry the same digest for each fragment.
+
 A local-directory backend ships by default; anything with put/get/delete/
 list_names can stand in for a real object store.  The manifest stays on the
 client: placing it at any provider would hand that provider the layout.
@@ -18,11 +24,10 @@ import hashlib
 import json
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .codec import FragmentSet
-from .erasure import ParityFragment, ParityParams, rs_decode
+from .erasure import ParityParams, rs_decode
 from .errors import IntegrityError, ParameterError, StorageError, ThresholdError
 from . import wire
 
@@ -129,7 +134,7 @@ def validate_assignment(assignment: SiteAssignment, k: int, c: int) -> list[Viol
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ManifestEntry:
     index: int
     site: int | None
@@ -216,120 +221,144 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+def build_manifest(
+    scheme: str,
+    k: int,
+    c: int,
+    block_size: int,
+    n: int,
+    payload_length: int,
+    blobs: list[bytes],
+    cipher: str | None = None,
+    digest: str | None = None,
+) -> Manifest:
+    """The manifest of one split: an entry per serialized file, in order.
+
+    ``blobs`` holds the fragment files with any parity files after them.  The
+    magic of each file gives its kind and its extension: fragment i is named
+    ``f{i}.<ext>`` and parity row r, global index k + r, ``p{r}.kpar``.
+    """
+    entries = []
+    for index, blob in enumerate(blobs):
+        magic = blob[:4]
+        kind = "parity" if magic == wire.MAGIC_PARITY else "data"
+        stem = f"p{index - k}" if kind == "parity" else f"f{index}"
+        entries.append(
+            ManifestEntry(index=index, site=None, name=f"{stem}{wire.EXTENSIONS[magic]}",
+                          sha256=_sha256(blob), kind=kind)
+        )
+    return Manifest(
+        scheme=scheme,
+        k=k,
+        c=c,
+        block_size=block_size,
+        n=n,
+        payload_length=payload_length,
+        fragments=entries,
+        created=_now(),
+        run_id=uuid.uuid4().hex[:12],
+        cipher=cipher,
+        digest=digest,
+    )
+
+
+def site_count(manifest: Manifest) -> int:
+    """The c primary sites, plus one dedicated site when there is parity."""
+    return manifest.c + any(e.kind == "parity" for e in manifest.fragments)
+
+
 def store(
-    fragset: FragmentSet,
+    manifest: Manifest,
+    blobs: dict[ManifestEntry, bytes],
     sites: list[StorageSite],
-    parity: list[ParityFragment] | tuple = (),
     run_id: str | None = None,
 ) -> Manifest:
-    """Write each fragment to its assigned site and return the manifest.
+    """Write each verified file to its site and return the dispersal manifest.
 
-    Parity fragments, when present, all go to one dedicated extra site
-    appended after the c primary sites.  On any backend failure the objects
-    already written are removed and no manifest is produced.
+    ``blobs`` maps every entry of the split manifest to the bytes its digest
+    was checked against; each is written verbatim as ``{run}/{entry.name}``.
+    Data fragment j goes to site j mod c and every parity file to one
+    dedicated extra site appended after the c primary sites.  The returned
+    manifest keeps the split manifest's digests and adds site and run id.
+    On any backend failure the objects already written are removed and no
+    manifest is produced.
     """
-    params = fragset.params
-    expected = params.c + (1 if parity else 0)
+    expected = site_count(manifest)
     if len(sites) != expected:
         raise ParameterError(f"expected {expected} sites, got {len(sites)}")
     if len({s.index for s in sites}) != len(sites):
         raise ParameterError("site indices must be distinct")
-    assignment = assign_sites(params.k, params.c)
+    assignment = assign_sites(manifest.k, manifest.c)
     run = run_id or uuid.uuid4().hex[:12]
 
-    plan: list[tuple[StorageSite, str, bytes, ManifestEntry]] = []
-    for frag in fragset:
-        site = sites[assignment[frag.index]]
-        name = f"{run}/f{frag.index}{wire.EXTENSIONS[wire.MAGIC_PROPOSED]}"
-        blob = wire.dump_fragment(frag)
-        plan.append(
-            (site, name, blob,
-             ManifestEntry(index=frag.index, site=site.index, name=name, sha256=_sha256(blob)))
-        )
-    for pf in parity:
-        site = sites[-1]
-        name = f"{run}/p{pf.row_index}{wire.EXTENSIONS[wire.MAGIC_PARITY]}"
-        blob = wire.dump_parity_fragment(pf)
-        plan.append(
-            (site, name, blob,
-             ManifestEntry(index=pf.index, site=site.index, name=name,
-                           sha256=_sha256(blob), kind="parity"))
-        )
+    plan: list[tuple[StorageSite, ManifestEntry, bytes]] = []
+    for entry in manifest.fragments:
+        site = sites[-1] if entry.kind == "parity" else sites[assignment[entry.index]]
+        placed = replace(entry, site=site.index, name=f"{run}/{entry.name}")
+        plan.append((site, placed, blobs[entry]))
 
     written: list[tuple[StorageSite, str]] = []
-    for site, name, blob, _entry in plan:
+    for site, placed, blob in plan:
         try:
-            site.backend.put(name, blob)
+            site.backend.put(placed.name, blob)
         except StorageError as exc:
             for done_site, done_name in written:
                 done_site.backend.delete(done_name)
             raise StorageError(
                 f"store failed at site {site.index}: {exc}", site=site.index
             ) from exc
-        written.append((site, name))
-    entries = [entry for _, _, _, entry in plan]
+        written.append((site, placed.name))
+    entries = [placed for _, placed, _ in plan]
 
-    return Manifest(
-        scheme="proposed",
-        k=params.k,
-        c=params.c,
-        block_size=params.block_size,
-        n=params.k + len(list(parity)),
-        payload_length=fragset.payload_length,
-        fragments=entries,
-        created=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        run_id=run,
-    )
+    return replace(manifest, fragments=entries, created=_now(), run_id=run)
 
 
-def fetch(
-    manifest: Manifest, sites: list[StorageSite]
-) -> tuple[FragmentSet, list[ParityFragment]]:
-    """Read back, digest-verify, and deserialize every manifest entry.
+def fetch(manifest: Manifest, sites: list[StorageSite]) -> dict[ManifestEntry, bytes]:
+    """Read back and digest-verify every manifest entry, in manifest order.
 
     Lost data fragments are rebuilt from parity rows when enough of the n
-    total rows survive; otherwise the threshold error lists what is gone.
+    total rows survive, and checked against their recorded digests; the
+    result then holds every data entry.  Otherwise the threshold error lists
+    what is gone.  Parity entries that survive are included as well.
     """
     by_index = {s.index: s for s in sites}
-    blobs: dict[int, bytes] = {}
-    parity: list[ParityFragment] = []
-    digests: dict[int, str] = {}
-    missing: list[int] = []
+    blobs: dict[ManifestEntry, bytes] = {}
+    missing: list[ManifestEntry] = []
     for entry in manifest.fragments:
         site = by_index.get(entry.site)
         if site is None:
             raise ParameterError(f"manifest references unknown site {entry.site}")
-        if entry.kind == "data":
-            digests[entry.index] = entry.sha256
         try:
             blob = site.backend.get(entry.name)
         except StorageError:
             if entry.kind == "data":
-                missing.append(entry.index)
+                missing.append(entry)
             continue
         if _sha256(blob) != entry.sha256:
             raise IntegrityError(
                 f"digest mismatch for {entry.name!r} at site {entry.site}"
             )
-        if entry.kind == "parity":
-            parity.append(wire.load_parity_fragment(blob))
-        else:
-            blobs[entry.index] = blob
+        blobs[entry] = blob
 
     if missing:
-        if len(blobs) + len(parity) < manifest.k:
+        lost = [e.index for e in missing]
+        if len(blobs) < manifest.k:
             raise ThresholdError(
-                f"k-of-k threshold not met: missing fragments {sorted(missing)}",
-                missing=sorted(missing),
+                f"k-of-k threshold not met: missing fragments {lost}", missing=lost
             )
-        rows = [(i, b) for i, b in blobs.items()]
-        rows += [(p.index, p.data) for p in parity]
+        # parity rows combine the primary files; the parity files wrap those rows
+        rows = [
+            (e.index, wire.load_parity_fragment(b).data if e.kind == "parity" else b)
+            for e, b in blobs.items()
+        ]
         recovered = rs_decode(rows, ParityParams(k=manifest.k, n=manifest.n))
-        for index in missing:
-            blob = recovered[index]
-            if _sha256(blob) != digests[index]:
-                raise IntegrityError(f"digest mismatch for rebuilt fragment {index}")
-            blobs[index] = blob
-
-    frags = sorted((wire.load_fragment(b) for b in blobs.values()), key=lambda f: f.index)
-    return FragmentSet(tuple(frags)), parity
+        for entry in missing:
+            blob = recovered[entry.index]
+            if _sha256(blob) != entry.sha256:
+                raise IntegrityError(f"digest mismatch for rebuilt fragment {entry.index}")
+            blobs[entry] = blob
+    return {e: blobs[e] for e in manifest.fragments if e in blobs}

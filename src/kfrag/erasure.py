@@ -118,7 +118,6 @@ def rs_decode(available: list[tuple[int, bytes]], params: ParityParams) -> list[
             raise ParameterError(f"duplicate fragment index {index}")
         seen[index] = data
     if len(seen) < params.k:
-        missing = params.k - len(seen)
         raise ThresholdError(
             f"erasure threshold not met: need {params.k} fragments, got {len(seen)}"
         )

@@ -312,12 +312,6 @@ _DUMPERS = {
 }
 
 
-def magic_of(buf: bytes) -> bytes:
-    if len(buf) < 4:
-        raise ParameterError("truncated fragment: no magic")
-    return bytes(buf[:4])
-
-
 def dump_any(frag) -> bytes:
     """Serialize any fragment type to its wire form."""
     dumper = _DUMPERS.get(type(frag))
@@ -329,7 +323,3 @@ def dump_any(frag) -> bytes:
 def load_any(buf: bytes):
     """Deserialize a fragment file of any scheme, dispatching on the magic."""
     return _LOADERS[_unpack_header(buf)[0]](buf)
-
-
-def extension_for(frag) -> str:
-    return EXTENSIONS[magic_of(dump_any(frag)[:4])]

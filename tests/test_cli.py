@@ -89,6 +89,9 @@ def test_join_manifest_digest_mismatch_is_integrity_error(runner, tmp_path):
 def test_join_with_parity_replacing_lost_primary(runner, tmp_path):
     payload = os.urandom(9000)
     _, out = _split(runner, tmp_path, payload, "--n", "6")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "f0.kfrg", "f1.kfrg", "f2.kfrg", "f3.kfrg", "manifest.json", "p0.kpar", "p1.kpar",
+    ]
     (out / "f0.kfrg").unlink()
     (out / "f3.kfrg").unlink()
     joined = tmp_path / "back.bin"
@@ -110,6 +113,32 @@ def test_baseline_split_join(runner, tmp_path):
     _invoke(runner, "join", "--frags", *(str(f) for f in files[2:5]),
             "--out", str(joined))
     assert joined.read_bytes() == payload
+
+
+@pytest.mark.parametrize(
+    "scheme,k,n,lost",
+    [("ida", "3", "5", "f1.kida"), ("sss", "2", "3", "f0.ksss")],
+)
+def test_join_manifest_k_of_n_baseline_after_loss(runner, tmp_path, scheme, k, n, lost):
+    payload = os.urandom(10_000)
+    src = tmp_path / "in.bin"
+    src.write_bytes(payload)
+    out = tmp_path / scheme
+    _invoke(runner, "split", "--in", str(src), "--scheme", scheme,
+            "--k", k, "--n", n, "--out", str(out))
+    (out / lost).unlink()
+    joined = tmp_path / "back.bin"
+    _invoke(runner, "join", "--manifest", str(out / "manifest.json"),
+            "--out", str(joined))
+    assert joined.read_bytes() == payload
+
+
+def test_join_manifest_with_every_fragment_lost_is_threshold_error(runner, tmp_path):
+    _, out = _split(runner, tmp_path, os.urandom(5000))
+    for path in out.glob("f*.kfrg"):
+        path.unlink()
+    _invoke(runner, "join", "--manifest", str(out / "manifest.json"),
+            "--out", str(tmp_path / "x.bin"), code=4)
 
 
 def test_disperse_requires_matching_site_count(runner, tmp_path):
@@ -136,6 +165,19 @@ def test_disperse_fetch_round_trip(runner, tmp_path):
     _invoke(runner, "join", "--manifest", str(fetched / "manifest.json"),
             "--out", str(joined))
     assert joined.read_bytes() == payload
+
+    # disperse and fetch move split's files byte for byte
+    stored = [p for s in ("s0", "s1") for p in (tmp_path / s).rglob("*") if p.is_file()]
+    assert len(stored) == 4
+    for path in stored + sorted(fetched.glob("f*.kfrg")):
+        assert path.read_bytes() == (out / path.name).read_bytes(), path
+    # and all three manifests record the same digest for each index
+    digests = [
+        {e["index"]: e["sha256"] for e in json.loads(m.read_text())["fragments"]}
+        for m in (out / "manifest.json", out / "dispersal.json", fetched / "manifest.json")
+    ]
+    assert len(digests[0]) == 4
+    assert digests[0] == digests[1] == digests[2]
 
 
 def test_analyze_writes_report_and_summary(runner, tmp_path):

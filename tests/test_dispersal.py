@@ -9,6 +9,7 @@ from kfrag.dispersal import (
     StorageSite,
     Violation,
     assign_sites,
+    build_manifest,
     fetch,
     store,
     validate_assignment,
@@ -24,6 +25,23 @@ def _sites(tmp_path, count, offset=0):
         root.mkdir(parents=True, exist_ok=True)
         out.append(StorageSite(index=i, backend=LocalDirectoryBackend(root)))
     return out
+
+
+def _split(fragset, n=None):
+    """The split manifest and its files, keyed by entry, as ``kfrag split`` makes them."""
+    p = fragset.params
+    n = n or p.k
+    blobs = [wire.dump_fragment(f) for f in fragset]
+    if n > p.k:
+        parity = parity_fragments(blobs, ParityParams(p.k, n))
+        blobs += [wire.dump_parity_fragment(pf) for pf in parity]
+    manifest = build_manifest("proposed", p.k, p.c, p.block_size, n,
+                              fragset.payload_length, blobs)
+    return manifest, dict(zip(manifest.fragments, blobs))
+
+
+def _decode(fetched):
+    return decode_data([wire.load_fragment(b) for e, b in fetched.items() if e.kind == "data"])
 
 
 # ---------------------------------------------------------------------------
@@ -91,43 +109,44 @@ def test_store_fetch_round_trip(tmp_path, rng):
     data = rng.randbytes(10_000)
     fragset = encode_data(data, CodecParams(4, 2, 34), rng)
     sites = _sites(tmp_path, 2)
-    manifest = store(fragset, sites, run_id="runA")
+    split, blobs = _split(fragset)
+    manifest = store(split, blobs, sites, run_id="runA")
 
     assert manifest.k == 4 and manifest.c == 2
     assert [e.site for e in manifest.fragments] == [0, 1, 0, 1]
+    assert [e.name for e in manifest.fragments] == [f"runA/f{j}.kfrg" for j in range(4)]
     for i, site in enumerate(sites):
         assert len(site.backend.list_names()) == 2, f"site {i} fragment count"
 
-    fetched, parity = fetch(manifest, sites)
-    assert parity == []
-    assert decode_data(fetched) == data
+    fetched = fetch(manifest, sites)
+    assert [e for e in fetched if e.kind == "parity"] == []
+    assert list(fetched.values()) == list(blobs.values())
+    assert _decode(fetched) == data
 
 
 def test_store_counts_per_site(tmp_path, rng):
     fragset = encode_data(rng.randbytes(600), CodecParams(6, 3, 16), rng)
     sites = _sites(tmp_path, 3)
-    store(fragset, sites)
+    store(*_split(fragset), sites)
     for site in sites:
         assert len(site.backend.list_names()) == 2  # k/c each
 
 
 def test_store_with_parity_dedicated_site(tmp_path, rng):
     fragset = encode_data(rng.randbytes(2000), CodecParams(4, 2, 16), rng)
-    blobs = [wire.dump_fragment(f) for f in fragset]
-    parity = parity_fragments(blobs, ParityParams(4, 6))
     sites = _sites(tmp_path, 3)
-    manifest = store(fragset, sites, parity=parity)
+    manifest = store(*_split(fragset, n=6), sites)
     assert manifest.n == 6
     parity_entries = [e for e in manifest.fragments if e.kind == "parity"]
     assert {e.site for e in parity_entries} == {2}
-    fetched, got_parity = fetch(manifest, sites)
-    assert len(got_parity) == 2
+    fetched = fetch(manifest, sites)
+    assert len([e for e in fetched if e.kind == "parity"]) == 2
 
 
 def test_store_site_count_must_match(tmp_path, rng):
     fragset = encode_data(rng.randbytes(100), CodecParams(4, 2, 16), rng)
     with pytest.raises(ParameterError):
-        store(fragset, _sites(tmp_path, 3))
+        store(*_split(fragset), _sites(tmp_path, 3))
 
 
 def test_store_unwritable_site_cleans_up(tmp_path, rng):
@@ -140,7 +159,7 @@ def test_store_unwritable_site_cleans_up(tmp_path, rng):
         StorageSite(index=1, backend=_ReadOnlyBackend(bad)),
     ]
     with pytest.raises(StorageError) as err:
-        store(fragset, sites, run_id="failrun")
+        store(*_split(fragset), sites, run_id="failrun")
     assert err.value.site == 1
     assert sites[0].backend.list_names() == []  # partial writes removed
 
@@ -153,16 +172,17 @@ class _ReadOnlyBackend(LocalDirectoryBackend):
 def test_store_duplicate_object_name(tmp_path, rng):
     fragset = encode_data(rng.randbytes(100), CodecParams(2, 2, 4), rng)
     sites = _sites(tmp_path, 2)
-    store(fragset, sites, run_id="dup")
+    split, blobs = _split(fragset)
+    store(split, blobs, sites, run_id="dup")
     with pytest.raises(StorageError):
-        store(fragset, sites, run_id="dup")
+        store(split, blobs, sites, run_id="dup")
 
 
 def test_fetch_missing_object_threshold(tmp_path, rng):
     data = rng.randbytes(3000)
     fragset = encode_data(data, CodecParams(4, 2, 16), rng)
     sites = _sites(tmp_path, 2)
-    manifest = store(fragset, sites, run_id="gone")
+    manifest = store(*_split(fragset), sites, run_id="gone")
     victim = manifest.fragments[2]
     sites[victim.site].backend.delete(victim.name)
     with pytest.raises(ThresholdError) as err:
@@ -173,21 +193,21 @@ def test_fetch_missing_object_threshold(tmp_path, rng):
 def test_fetch_missing_object_recovered_by_parity(tmp_path, rng):
     data = rng.randbytes(3000)
     fragset = encode_data(data, CodecParams(4, 2, 16), rng)
-    blobs = [wire.dump_fragment(f) for f in fragset]
-    parity = parity_fragments(blobs, ParityParams(4, 5))
     sites = _sites(tmp_path, 3)
-    manifest = store(fragset, sites, parity=parity)
+    split, blobs = _split(fragset, n=5)
+    manifest = store(split, blobs, sites)
     victim = next(e for e in manifest.fragments if e.index == 1)
     sites[victim.site].backend.delete(victim.name)
-    fetched, _ = fetch(manifest, sites)
-    assert decode_data(fetched) == data
+    fetched = fetch(manifest, sites)
+    assert list(fetched.values()) == list(blobs.values())  # rebuilt bytes included
+    assert _decode(fetched) == data
 
 
 def test_fetch_tampered_object_integrity(tmp_path, rng):
     data = rng.randbytes(3000)
     fragset = encode_data(data, CodecParams(4, 2, 16), rng)
     sites = _sites(tmp_path, 2)
-    manifest = store(fragset, sites)
+    manifest = store(*_split(fragset), sites)
     victim = manifest.fragments[0]
     root = sites[victim.site].backend.root
     path = root / victim.name
@@ -201,7 +221,7 @@ def test_fetch_tampered_object_integrity(tmp_path, rng):
 def test_manifest_json_round_trip(tmp_path, rng):
     fragset = encode_data(rng.randbytes(256), CodecParams(2, 2, 8), rng)
     sites = _sites(tmp_path, 2)
-    manifest = store(fragset, sites)
+    manifest = store(*_split(fragset), sites)
     path = tmp_path / "manifest.json"
     manifest.save(path)
     again = Manifest.load(path)

@@ -3,7 +3,7 @@ import pytest
 
 from kfrag import baselines, wire
 from kfrag.codec import CodecParams, Fragment, encode_data, padded_length
-from kfrag.erasure import ParityFragment, ParityParams, parity_fragments
+from kfrag.erasure import ParityParams, parity_fragments
 from kfrag.errors import ParameterError
 from kfrag.permutation import PermutationShare
 
@@ -93,12 +93,6 @@ def test_load_any_dispatch(rng):
         again = wire.load_any(blob)
         assert type(again) is type(obj)
         assert wire.dump_any(again) == blob
-
-
-def test_extensions():
-    assert wire.extension_for(_tiny_fragment()) == ".kfrg"
-    parity = ParityFragment(0, b"\x01\x01", b"zz", 2, 3, 2)
-    assert wire.extension_for(parity) == ".kpar"
 
 
 def test_sss_x_consistency_check(rng):
