@@ -28,10 +28,9 @@ import numpy as np
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .erasure import ParityParams, parity_fragments, rs_decode
+from .erasure import ParityParams, parity_fragments, rs_decode, vandermonde
 from .errors import ParameterError, ThresholdError
-from .gf256 import MUL_TABLE, inv, invert_matrix, mul
-from .erasure import vandermonde
+from .gf256 import inv, invert_matrix, matmul, mul
 
 
 class SchemeId(str, Enum):
@@ -161,21 +160,15 @@ def sss_split(secret: bytes, k: int, n: int, rng: random.Random) -> list[SssFrag
         raise ParameterError("nothing to share")
     length = len(secret)
     data = np.frombuffer(secret, dtype=np.uint8)
-    shares = [np.empty(length, dtype=np.uint8) for _ in range(n)]
+    shares = np.empty((n, length), dtype=np.uint8)
+    powers = vandermonde(n, k)  # row t holds [1, x, x^2, ...] at x = t + 1
     # chunked so coefficient storage stays bounded for large payloads
     for lo in range(0, length, _SSS_CHUNK):
         hi = min(lo + _SSS_CHUNK, length)
-        span = hi - lo
         coeffs = [
-            np.frombuffer(rng.randbytes(span), dtype=np.uint8) for _ in range(k - 1)
+            np.frombuffer(rng.randbytes(hi - lo), dtype=np.uint8) for _ in range(k - 1)
         ]
-        for t in range(n):
-            x = t + 1
-            acc = np.zeros(span, dtype=np.uint8)
-            for c in reversed(coeffs):
-                acc = MUL_TABLE[x][acc] ^ c
-            acc = MUL_TABLE[x][acc] ^ data[lo:hi]
-            shares[t][lo:hi] = acc
+        shares[:, lo:hi] = matmul(powers, [data[lo:hi], *coeffs])
     return [
         SssFragment(x=t + 1, data=shares[t].tobytes(), k=k, n=n, payload_length=length)
         for t in range(n)
@@ -196,16 +189,16 @@ def sss_reconstruct(fragments: list[SssFragment] | list[tuple[int, bytes]], k: i
     lengths = {len(d) for _, d in pairs}
     if len(lengths) > 1:
         raise ParameterError(f"fragment lengths differ: {sorted(lengths)}")
-    out = np.zeros(lengths.pop(), dtype=np.uint8)
-    for t, (xt, data) in enumerate(pairs):
+    weights = np.zeros((1, len(pairs)), dtype=np.uint8)
+    for t, (xt, _) in enumerate(pairs):
         num, den = 1, 1
-        for u, (xu, _) in enumerate(pairs):
-            if u != t:
+        for xu, _ in pairs:
+            if xu != xt:
                 num = mul(num, xu)
                 den = mul(den, xt ^ xu)
-        weight = mul(num, inv(den))
-        out ^= MUL_TABLE[weight][np.frombuffer(data, dtype=np.uint8)]
-    return out.tobytes()
+        weights[0, t] = mul(num, inv(den))
+    rows = [np.frombuffer(data, dtype=np.uint8) for _, data in pairs]
+    return matmul(weights, rows)[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -249,25 +242,18 @@ def ida_split(data: bytes, k: int, n: int, matrix: IdaMatrix | None = None) -> l
     groups = -(-length // k)
     padded = np.zeros(groups * k, dtype=np.uint8)
     padded[:length] = np.frombuffer(data, dtype=np.uint8)
-    cols = padded.reshape(groups, k)
-    out = []
-    for t in range(n):
-        acc = np.zeros(groups, dtype=np.uint8)
-        for s in range(k):
-            coeff = int(matrix.rows[t, s])
-            if coeff:
-                acc ^= MUL_TABLE[coeff][cols[:, s]]
-        out.append(
-            IdaFragment(
-                index=t,
-                row=matrix.rows[t].tobytes(),
-                data=acc.tobytes(),
-                k=k,
-                n=n,
-                payload_length=length,
-            )
+    rows = matmul(matrix.rows, padded.reshape(groups, k).T)
+    return [
+        IdaFragment(
+            index=t,
+            row=matrix.rows[t].tobytes(),
+            data=rows[t].tobytes(),
+            k=k,
+            n=n,
+            payload_length=length,
         )
-    return out
+        for t in range(n)
+    ]
 
 
 def ida_reconstruct(fragments: list[IdaFragment]) -> bytes:
@@ -281,17 +267,8 @@ def ida_reconstruct(fragments: list[IdaFragment]) -> bytes:
         raise ThresholdError(f"need at least {k} fragments, got {len(fragments)}")
     chosen = fragments[:k]
     matrix = np.stack([np.frombuffer(f.row, dtype=np.uint8) for f in chosen])
-    inverse = invert_matrix(matrix)
     stack = [np.frombuffer(f.data, dtype=np.uint8) for f in chosen]
-    groups = len(stack[0])
-    cols = np.empty((groups, k), dtype=np.uint8)
-    for s in range(k):
-        acc = np.zeros(groups, dtype=np.uint8)
-        for t in range(k):
-            coeff = int(inverse[s, t])
-            if coeff:
-                acc ^= MUL_TABLE[coeff][stack[t]]
-        cols[:, s] = acc
+    cols = matmul(invert_matrix(matrix), stack).T
     return cols.reshape(-1)[: fragments[0].payload_length].tobytes()
 
 

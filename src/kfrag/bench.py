@@ -47,7 +47,6 @@ class BenchConfig:
     grid: list[tuple[int, int, int]] = field(default_factory=lambda: list(DEFAULT_GRID))
     seed: int = 0
     measure_join: bool = True
-    parallel_join_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.repetitions < 3:
@@ -64,7 +63,7 @@ class BenchResult:
     k: int
     c: int
     block_size: int
-    direction: str  # "split" or "join" (join-parallel when threaded)
+    direction: str  # "split" or "join"
     mb_per_s_median: float
     mb_per_s_stddev: float
     repetitions: int
@@ -92,28 +91,28 @@ def _adapters(scheme: SchemeId, k: int, c: int, block_size: int, rng: random.Ran
         params = CodecParams(k=k, c=c, block_size=block_size)
         return (
             lambda d: encode_data(d, params, rng),
-            lambda frags, workers: decode_data(frags, workers=workers),
+            decode_data,
         )
     if scheme is SchemeId.SSS:
         return (
             lambda d: baselines.sss_split(d, k, k, rng),
-            lambda frags, workers: baselines.sss_reconstruct(frags, k),
+            lambda frags: baselines.sss_reconstruct(frags, k),
         )
     if scheme is SchemeId.IDA:
         matrix = baselines.build_ida_matrix(k, k)
         return (
             lambda d: baselines.ida_split(d, k, k, matrix),
-            lambda frags, workers: baselines.ida_reconstruct(frags),
+            baselines.ida_reconstruct,
         )
     if scheme is SchemeId.SSMS:
         return (
             lambda d: baselines.ssms_split(d, k, k, rng),
-            lambda frags, workers: baselines.ssms_reconstruct(frags),
+            baselines.ssms_reconstruct,
         )
     if scheme is SchemeId.AONT_RS:
         return (
             lambda d: baselines.aont_rs_split(d, k, k, rng),
-            lambda frags, workers: baselines.aont_rs_reconstruct(frags),
+            baselines.aont_rs_reconstruct,
         )
     raise ParameterError(f"unknown scheme {scheme}")
 
@@ -131,14 +130,8 @@ def run_bench(cfg: BenchConfig) -> list[BenchResult]:
             results.append(_result(scheme, k, c, block_size, "split", size_mb, times, cfg))
             if cfg.measure_join:
                 frags = split(payload)
-                workers = cfg.parallel_join_workers
-                times = _time_runs(
-                    lambda: join(frags, workers), cfg.warmup, cfg.repetitions
-                )
-                direction = "join-parallel" if workers > 1 else "join"
-                results.append(
-                    _result(scheme, k, c, block_size, direction, size_mb, times, cfg)
-                )
+                times = _time_runs(lambda: join(frags), cfg.warmup, cfg.repetitions)
+                results.append(_result(scheme, k, c, block_size, "join", size_mb, times, cfg))
     return results
 
 

@@ -391,10 +391,9 @@ def _parse_grid(spec: str) -> list[tuple[int, int, int]]:
 @click.option("--payload-mb", default=100, show_default=True)
 @click.option("--reps", default=3, show_default=True)
 @click.option("--warmup", default=1, show_default=True)
-@click.option("--parallel-join", is_flag=True, help="Also exercise the threaded join path.")
 @click.option("--out", "out_path", default=None, type=click.Path(path_type=Path))
 @_guard
-def cmd_bench(grid_spec, schemes_spec, payload_mb, reps, warmup, parallel_join, out_path):
+def cmd_bench(grid_spec, schemes_spec, payload_mb, reps, warmup, out_path):
     """Measure fragmentation/defragmentation throughput on random payloads."""
     try:
         schemes = [SchemeId(s.strip()) for s in schemes_spec.split(",") if s.strip()]
@@ -406,7 +405,6 @@ def cmd_bench(grid_spec, schemes_spec, payload_mb, reps, warmup, parallel_join, 
         repetitions=reps,
         warmup=warmup,
         grid=_parse_grid(grid_spec) if grid_spec else list(bench.DEFAULT_GRID),
-        parallel_join_workers=2 if parallel_join else 1,
     )
     results = bench.run_bench(cfg)
     csv_text = bench.emit_results(

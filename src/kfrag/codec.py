@@ -17,20 +17,21 @@ generally not the array the fragment itself was permuted with.
 Two equivalent encode implementations exist: a vectorized row-serial sweep,
 and a blocked scan for c == 2 that exploits the linearity of the row
 recurrence to run in large batches regardless of k and the block size.  Both
-produce bit-identical fragments; decoding has no cross-row dependency and is
-processed in large chunks (optionally across threads).
+produce bit-identical fragments.  Decoding has no cross-row dependency and
+runs over all rows at once, on one thread: one un-permute gather, then for
+each of the 254 evaluation points one multiply-by-constant table lookup over
+every row that uses it.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ThresholdError
-from .gf256 import MUL_TABLE, horner_eval
+from .gf256 import MUL_TABLE, horner_eval, mul
 from .permutation import (
     MAX_POSITIONS,
     PermutationArray,
@@ -46,7 +47,6 @@ MINI_BLOCK_SIZE = 1
 # so every batch sees the same x sequence.
 _X_PERIOD = 254
 _SCAN_MIN_ROWS = 2 * _X_PERIOD
-_DECODE_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,7 @@ def encode_data(data: bytes, params: CodecParams, rng: random.Random) -> Fragmen
     return _encode_with_permutations(data, params, pas, ps)  # type: ignore[arg-type]
 
 
-def decode_data(
-    fragments: FragmentSet | list[Fragment] | tuple[Fragment, ...],
-    workers: int = 1,
-) -> bytes:
+def decode_data(fragments: FragmentSet | list[Fragment] | tuple[Fragment, ...]) -> bytes:
     """Reconstruct the original payload from all k fragments.
 
     Raises ThresholdError when any fragment is missing, ParameterError on
@@ -253,13 +250,28 @@ def decode_data(
         group = [frags[r * c + z].permutation_share for z in range(c)]
         pas.append(reconstruct_permutation(group, c))
 
-    # slot tensor: row 0 holds the permutation shares, rows 1.. the data shares
-    slots = np.empty((nf + 1, k, bs), dtype=np.uint8)
+    # encoded rows of m = k*bs bytes: row 0 the permutation shares, rows 1.. the data
+    m = params.group_size
+    rows = np.empty((nf + 1, k, bs), dtype=np.uint8)
     for j, frag in enumerate(frags):
-        slots[0, j] = np.frombuffer(frag.permutation_share.entries, dtype=np.uint8)
-        slots[1:, j] = frag.shares
-    out = np.empty((nf, k, bs), dtype=np.uint8)
-    _decode_rows(slots, out, pas, params, workers=workers)
+        rows[0, j] = np.frombuffer(frag.permutation_share.entries, dtype=np.uint8)
+        rows[1:, j] = frag.shares
+    rows = rows.reshape(nf + 1, m)
+
+    # m_i = s_i[pa] ^ sum_t x^t * s_{i-1} rotated left by t fragments, so that
+    # fragment j reads fragment (j+t) % k; rows that share x share one lookup
+    unpermute = np.argsort(_flat_permutation_gather(pas, params))
+    out = _gather_rows(rows[1:], unpermute)
+    for phase in range(min(nf, _X_PERIOD)):
+        x = pick_x(phase + 1)
+        prev = rows[phase:nf:_X_PERIOD]
+        dst = out[phase::_X_PERIOD]
+        xt = 1
+        for t in range(1, c):
+            xt = mul(xt, x)
+            term, cut = MUL_TABLE[xt].take(prev, mode="clip"), t * bs
+            dst[:, : m - cut] ^= term[:, cut:]
+            dst[:, m - cut :] ^= term[:, :cut]
     return out.reshape(-1)[:payload_length].tobytes()
 
 
@@ -387,46 +399,18 @@ def _encode_rows_serial(
 ) -> None:
     """Row-by-row sweep: out[r] = pre[r] ^ sum_t x^t * state[C_t]."""
     nf, m = out.shape
-    nparents = len(parent_idx)
-    if nparents == 1:
-        cidx = parent_idx[0]
-        gbuf = np.empty(m, dtype=np.uint8)
-        mbuf = np.empty(m, dtype=np.uint8)
-        for r in range(start_row, nf):
-            x = pick_x(r + 1)
-            state.take(cidx, out=gbuf, mode="clip")
-            MUL_TABLE[x].take(gbuf, out=mbuf, mode="clip")
-            np.bitwise_xor(pre[r], mbuf, out=out[r])
-            state = out[r]
-        return
-
-    cidx = np.concatenate(parent_idx)
-    gbuf = np.empty(nparents * m, dtype=np.uint8)
-    scalars = _scalar_rows(nparents, m)
+    gbuf = np.empty(m, dtype=np.uint8)
+    mbuf = np.empty(m, dtype=np.uint8)
     for r in range(start_row, nf):
         x = pick_x(r + 1)
-        state.take(cidx, out=gbuf, mode="clip")
-        terms = MUL_TABLE[scalars[x], gbuf].reshape(nparents, m)
-        acc = np.bitwise_xor.reduce(terms, axis=0)
-        np.bitwise_xor(pre[r], acc, out=out[r])
-        state = out[r]
-
-
-_SCALAR_ROW_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _scalar_rows(nparents: int, m: int) -> np.ndarray:
-    """(256, nparents*m) table of [x, x^2, ...] repeated per position."""
-    key = (nparents, m)
-    cached = _SCALAR_ROW_CACHE.get(key)
-    if cached is None:
-        powers = np.empty((256, nparents), dtype=np.uint8)
-        powers[:, 0] = np.arange(256, dtype=np.uint8)
-        for t in range(1, nparents):
-            powers[:, t] = MUL_TABLE[powers[:, t - 1], np.arange(256, dtype=np.uint8)]
-        cached = np.repeat(powers, m, axis=1)
-        _SCALAR_ROW_CACHE[key] = cached
-    return cached
+        row, acc, xt = out[r], pre[r], 1
+        for cidx in parent_idx:
+            xt = mul(xt, x)
+            state.take(cidx, out=gbuf, mode="clip")
+            MUL_TABLE[xt].take(gbuf, out=mbuf, mode="clip")
+            np.bitwise_xor(acc, mbuf, out=row)
+            acc = row
+        state = row
 
 
 def _encode_rows_scan(
@@ -491,43 +475,3 @@ def _encode_rows_scan(
     sweep(store=True)
 
     _encode_rows_serial(pre, out[body - 1], [cidx], out, start_row=body)
-
-
-def _decode_rows(
-    slots: np.ndarray,
-    out: np.ndarray,
-    pas: list[PermutationArray],
-    params: CodecParams,
-    workers: int = 1,
-) -> None:
-    """Decode all rows; rows are independent, so work is chunked (and may
-    be spread over threads)."""
-    k, c, bs = params.k, params.c, params.block_size
-    nf = out.shape[0]
-    per_array = k // c
-    pa_rows = np.empty((1, k, bs), dtype=np.intp)
-    for j in range(k):
-        pa_rows[0, j] = np.frombuffer(pas[j % per_array].entries, dtype=np.uint8)
-    doubled = np.concatenate([slots, slots[:, : c - 1, :]], axis=1)
-
-    chunk = max(1, _DECODE_CHUNK_BYTES // (k * bs))
-    ranges = [(r0, min(r0 + chunk, nf)) for r0 in range(0, nf, chunk)]
-
-    def run(span: tuple[int, int]) -> None:
-        r0, r1 = span
-        xs = (2 + (np.arange(r0 + 1, r1 + 1) % _X_PERIOD)).astype(np.uint8)
-        acc = np.take_along_axis(slots[1 + r0 : 1 + r1], pa_rows, axis=2)
-        xt = xs
-        for t in range(1, c):
-            if t > 1:
-                xt = MUL_TABLE[xt, xs]
-            parents = doubled[r0:r1, t : t + k, :]
-            acc ^= MUL_TABLE[xt[:, None, None], parents]
-        out[r0:r1] = acc
-
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, ranges))
-    else:
-        for span in ranges:
-            run(span)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 import uuid
 from dataclasses import dataclass, replace
@@ -48,10 +49,15 @@ class LocalDirectoryBackend:
         path = self._path(name)
         if path.exists():
             raise StorageError(f"object already exists: {name!r}")
+        # written under a temporary name and moved into place, so a failed
+        # write leaves neither a partial object nor the temporary file
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(data)
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
         except OSError as exc:
+            tmp.unlink(missing_ok=True)
             raise StorageError(f"cannot write {name!r}: {exc}") from exc
 
     def get(self, name: str) -> bytes:

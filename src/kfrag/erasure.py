@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, ThresholdError
-from .gf256 import MUL_TABLE, invert_matrix, matmul, power
+from .gf256 import invert_matrix, matmul, power
 
 
 def vandermonde(n: int, k: int) -> np.ndarray:
@@ -77,15 +77,7 @@ def rs_encode(primary: list[bytes], params: ParityParams) -> list[bytes]:
     if len(lengths) > 1:
         raise ParameterError(f"primary sequences differ in length: {sorted(lengths)}")
     arrays = [np.frombuffer(p, dtype=np.uint8) for p in primary]
-    out = []
-    for p in range(params.n - params.k):
-        acc = np.zeros(len(primary[0]), dtype=np.uint8)
-        for t in range(params.k):
-            coeff = int(params.rows[p, t])
-            if coeff:
-                acc ^= MUL_TABLE[coeff][arrays[t]]
-        out.append(acc.tobytes())
-    return out
+    return [row.tobytes() for row in matmul(params.rows, arrays)]
 
 
 def parity_fragments(primary: list[bytes], params: ParityParams) -> list[ParityFragment]:
@@ -108,7 +100,8 @@ def rs_decode(available: list[tuple[int, bytes]], params: ParityParams) -> list[
     """Recover the k primary sequences from any k of the n rows.
 
     ``available`` holds (index, data) pairs where indices < k name primary
-    rows and indices >= k name parity rows.
+    rows and indices >= k name parity rows.  Surviving primary rows are
+    returned as given.
     """
     seen: dict[int, bytes] = {}
     for index, data in available:
@@ -132,15 +125,9 @@ def rs_decode(available: list[tuple[int, bytes]], params: ParityParams) -> list[
             matrix[row, index] = 1
         else:
             matrix[row] = params.rows[index - params.k]
-    inverse = invert_matrix(matrix)
 
+    # a surviving primary row is its own inverse row: only lost ones are rebuilt
+    lost = [s for s in range(params.k) if s not in seen]
     stack = [np.frombuffer(seen[idx], dtype=np.uint8) for idx in chosen]
-    out = []
-    for s in range(params.k):
-        acc = np.zeros_like(stack[0])
-        for t in range(params.k):
-            coeff = int(inverse[s, t])
-            if coeff:
-                acc ^= MUL_TABLE[coeff][stack[t]]
-        out.append(acc.tobytes())
-    return out
+    rebuilt = dict(zip(lost, matmul(invert_matrix(matrix)[lost], stack)))
+    return [seen[s] if s in seen else rebuilt[s].tobytes() for s in range(params.k)]

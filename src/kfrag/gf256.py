@@ -82,15 +82,31 @@ def horner_eval(coeffs: list[int] | bytes, x: int) -> int:
     return acc
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over the field; small matrices only (n, k <= 255)."""
-    rows, inner = a.shape
-    inner2, cols = b.shape
-    if inner != inner2:
-        raise ParameterError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = np.zeros((rows, cols), dtype=np.uint8)
-    for t in range(inner):
-        out ^= MUL_TABLE[np.ix_(a[:, t], b[t, :])]
+def matmul(a: np.ndarray, rows) -> np.ndarray:
+    """Multiply the (n, k) matrix ``a`` by k equal-length byte rows over the field.
+
+    ``rows`` is a (k, L) uint8 array or a list of k uint8 rows of length L;
+    the result is (n, L).  Each term is one multiply-by-constant table lookup
+    over a whole row, XORed into the output in place; zero coefficients are
+    skipped and unit ones need no lookup.
+    """
+    n, k = a.shape
+    if len(rows) != k:
+        raise ParameterError(f"matmul shape mismatch: {a.shape} x {len(rows)} rows")
+    lengths = {len(row) for row in rows}
+    if len(lengths) > 1:
+        raise ParameterError(f"rows differ in length: {sorted(lengths)}")
+    (length,) = lengths
+    out = np.zeros((n, length), dtype=np.uint8)
+    buf = np.empty(length, dtype=np.uint8)
+    for i in range(n):
+        for t in range(k):
+            coeff = int(a[i, t])
+            if coeff == 1:
+                out[i] ^= rows[t]
+            elif coeff:
+                MUL_TABLE[coeff].take(rows[t], out=buf, mode="clip")
+                out[i] ^= buf
     return out
 
 

@@ -76,12 +76,16 @@ class _Reader:
         self.buf = buf
         self.pos = offset
 
-    def bytes(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Step over the next n bytes and return their offset."""
         if self.pos + n > len(self.buf):
             raise ParameterError("truncated fragment: body incomplete")
-        out = self.buf[self.pos : self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
+
+    def bytes(self, n: int) -> bytes:
+        start = self.skip(n)
+        return self.buf[start : start + n]
 
     def u8(self) -> int:
         return self.bytes(1)[0]
@@ -144,14 +148,15 @@ def load_fragment(buf: bytes) -> Fragment:
     rd = _Reader(buf, HEADER_SIZE)
     entries = rd.bytes(block_size)
     count = rd.u32()
-    raw = rd.bytes(count * block_size)
+    size = count * block_size
+    # a view of buf, not a copy; Fragment makes it read-only
+    shares = np.frombuffer(buf, dtype=np.uint8, count=size, offset=rd.skip(size))
     rd.done()
-    shares = np.frombuffer(raw, dtype=np.uint8).reshape(count, block_size).copy()
     return Fragment(
         index=j,
         params=CodecParams(k=k, c=c, block_size=block_size),
         permutation_share=PermutationShare(entries=entries, array_index=r, share_index=z),
-        shares=shares,
+        shares=shares.reshape(count, block_size),
         payload_length=payload_length,
     )
 

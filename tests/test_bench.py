@@ -71,12 +71,6 @@ def test_run_bench_all_schemes_smoke():
     assert all(r.mb_per_s_median > 0 for r in results)
 
 
-def test_run_bench_parallel_join_direction():
-    cfg = _small_cfg(parallel_join_workers=2)
-    results = run_bench(cfg)
-    assert {r.direction for r in results} == {"split", "join-parallel"}
-
-
 def test_secret_sharing_throughput_decreases_with_k():
     # per-byte work grows linearly with k for polynomial sharing
     cfg = _small_cfg(

@@ -245,6 +245,27 @@ def test_round_trip_reference_decode(rng):
     assert decode_data(fragset) == data
 
 
+@pytest.mark.parametrize("k,c,bs", [(4, 2, 3), (6, 3, 3), (8, 4, 3)])
+@pytest.mark.parametrize("nf", [253, 254, 255, 509])
+def test_codec_matches_oracles_across_the_x_period(k, c, bs, nf, rng):
+    # x repeats every 254 rows: these row counts end just before, on and
+    # after one period, and past two (where c == 2 switches to the scan)
+    params = CodecParams(k, c, bs)
+    data = rng.randbytes(nf * params.group_size - 5)
+    fragset, pas, ps = _forced_encode(data, params, rng)
+    expected = oracles.reference_encode(
+        data, k, c, bs, [pa.entries for pa in pas], [s.entries for s in ps]
+    )
+    got = [
+        [list(f.permutation_share.entries)] + [list(row) for row in f.shares]
+        for f in fragset
+    ]
+    assert got == expected
+    assert decode_data(fragset) == oracles.reference_decode(
+        expected, k, c, bs, [pa.entries for pa in pas], len(data)
+    )
+
+
 def test_zero_data_identity_permutations_is_identity(rng):
     # analytic fixture: zero permutation shares and identity permutations
     # make the first share row a passthrough of the data bytes (rows after
@@ -375,13 +396,6 @@ def test_data_share_bit_flip_changes_output_silently(rng):
     out = decode_data(frags)
     assert out != data
     assert len(out) == len(data)
-
-
-def test_decode_parallel_matches_serial(rng):
-    params = CodecParams(4, 2, 34)
-    data = rng.randbytes(300_000)
-    fragset = encode_data(data, params, rng)
-    assert decode_data(fragset, workers=2) == data
 
 
 def test_scan_and_serial_paths_agree(rng):

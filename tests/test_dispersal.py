@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import kfrag
 from kfrag import wire
 from kfrag.codec import CodecParams, decode_data, encode_data
 from kfrag.dispersal import (
@@ -176,6 +182,36 @@ def test_store_duplicate_object_name(tmp_path, rng):
     store(split, blobs, sites, run_id="dup")
     with pytest.raises(StorageError):
         store(split, blobs, sites, run_id="dup")
+
+
+_REFUSED_PUT = """
+import resource, signal, sys
+from kfrag.dispersal import LocalDirectoryBackend
+from kfrag.errors import StorageError
+backend = LocalDirectoryBackend(sys.argv[1])
+# set after the imports: a limit in force while they run truncates .pyc files
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    backend.put("run/f0.kfrg", bytes(5000))
+except StorageError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_backend_put_cut_short_leaves_nothing(tmp_path):
+    # a file-size limit makes the write fail after 1000 of 5000 bytes
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(kfrag.__file__).resolve().parent.parent)}
+    child = subprocess.run([sys.executable, "-c", _REFUSED_PUT, str(tmp_path)],
+                           env=env, capture_output=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+    backend = LocalDirectoryBackend(tmp_path)
+    backend.put("run/f0.kfrg", bytes(5000))  # a retry is not refused as existing
+    assert backend.get("run/f0.kfrg") == bytes(5000)
+    assert backend.list_names() == ["run/f0.kfrg"]
 
 
 def test_fetch_missing_object_threshold(tmp_path, rng):

@@ -101,3 +101,31 @@ def test_invert_matrix_rejects_singular():
     m = np.array([[1, 1], [1, 1]], dtype=np.uint8)
     with pytest.raises(ParameterError, match="singular"):
         gf256.invert_matrix(m)
+
+
+def test_matmul_matches_oracle_for_arrays_and_row_lists(rng):
+    a = np.array([[rng.randrange(256) for _ in range(4)] for _ in range(3)], dtype=np.uint8)
+    a[0, 1], a[1, 2], a[2, 0] = 0, 1, 0  # zero and unit coefficients take shortcuts
+    rows = np.array([list(rng.randbytes(37)) for _ in range(4)], dtype=np.uint8)
+    expected = [
+        [
+            oracles.gf_mul(int(a[i, 0]), int(rows[0, v]))
+            ^ oracles.gf_mul(int(a[i, 1]), int(rows[1, v]))
+            ^ oracles.gf_mul(int(a[i, 2]), int(rows[2, v]))
+            ^ oracles.gf_mul(int(a[i, 3]), int(rows[3, v]))
+            for v in range(37)
+        ]
+        for i in range(3)
+    ]
+    assert gf256.matmul(a, rows).tolist() == expected
+    assert gf256.matmul(a, list(rows)).tolist() == expected
+    # strided rows (columns of a wider array) are read in place
+    assert gf256.matmul(a, np.ascontiguousarray(rows.T).T).tolist() == expected
+
+
+def test_matmul_rejects_mismatched_rows():
+    a = np.ones((2, 3), dtype=np.uint8)
+    with pytest.raises(ParameterError, match="shape"):
+        gf256.matmul(a, np.zeros((2, 5), dtype=np.uint8))
+    with pytest.raises(ParameterError, match="length"):
+        gf256.matmul(a, [np.zeros(5, np.uint8), np.zeros(5, np.uint8), np.zeros(4, np.uint8)])

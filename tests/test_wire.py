@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,22 @@ def test_truncation_and_bad_magic():
         wire.load_fragment(blob + b"\x00")
     with pytest.raises(ParameterError, match="version"):
         wire.load_fragment(blob[:4] + b"\x02" + blob[5:])
+
+
+def test_load_fragment_views_the_shares_without_copying(rng):
+    params = CodecParams(2, 2, 250)
+    frag = list(encode_data(rng.randbytes(1 << 20), params, rng))[0]
+    blob = wire.dump_fragment(frag)
+    tracemalloc.start()
+    try:
+        again = wire.load_fragment(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(again.shares, np.frombuffer(blob, dtype=np.uint8))
+    assert not again.shares.flags.writeable
+    assert np.array_equal(again.shares, frag.shares)
+    assert peak < frag.shares.nbytes // 4
 
 
 def test_load_any_dispatch(rng):
