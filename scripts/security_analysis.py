@@ -16,23 +16,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kfrag import analysis
-from kfrag.baselines import aont_rs_split, ida_split, sss_split, ssms_split
-from kfrag.codec import CodecParams, encode_data
+from kfrag.baselines import SchemeId
+from kfrag.cli import split
 from kfrag.corpus import text_sample
-
-
-def fragment_with(scheme: str, data: bytes, k: int, c: int, block_size: int, rng):
-    if scheme == "proposed":
-        return list(encode_data(data, CodecParams(k, c, block_size), rng))
-    if scheme == "sss":
-        return sss_split(data, k, k, rng)
-    if scheme == "ida":
-        return ida_split(data, k, k)
-    if scheme == "ssms":
-        return ssms_split(data, k, k, rng)
-    if scheme == "aont-rs":
-        return aont_rs_split(data, k, k, rng)
-    raise ValueError(scheme)
 
 
 def main() -> None:
@@ -56,7 +42,7 @@ def main() -> None:
         for s in range(args.samples):
             data = text_sample(args.size, seed=args.seed + s)
             rng = random.Random(args.seed * 1000 + s)
-            frags = fragment_with(scheme, data, args.k, args.c, args.block_size, rng)
+            frags = split(SchemeId(scheme), data, args.k, args.k, args.c, args.block_size, rng)
             reports = analysis.analyze_fragments(frags, data)
             path = args.out / f"report_{scheme}_s{s}.json"
             analysis.write_report_json(path, scheme, params, reports)

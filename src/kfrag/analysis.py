@@ -137,7 +137,6 @@ def measurable_bytes(fragment) -> bytes:
 def analyze_fragments(
     fragments,
     original: bytes,
-    delay: int = 1,
     include_recurrence: bool = True,
 ) -> list[SchemeReport]:
     """Run every measurement on each fragment's data bytes.
@@ -170,7 +169,7 @@ def analyze_fragments(
                 pdf=pdf(blob),
                 bit_difference=bit_difference(blob[:cut], original[:cut]),
                 correlations=corr[i],
-                recurrence=recurrence(blob, delay) if include_recurrence else None,
+                recurrence=recurrence(blob) if include_recurrence else None,
             )
         )
     return reports

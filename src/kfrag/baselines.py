@@ -13,8 +13,8 @@ Four classic constructions sit behind the same split/reconstruct shape:
   fragment is useful until every ciphertext byte is present; parity rows
   extend the k parts to n.
 
-The cipher and digest are pluggable; the defaults bind AES-128-CTR and
-SHA-256.
+The cipher is pluggable and defaults to AES-128-CTR; the all-or-nothing
+mask is a SHA-256 digest.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .erasure import ParityParams, parity_fragments, rs_decode, vandermonde
-from .errors import ParameterError, ThresholdError
+from .errors import IntegrityError, ParameterError, ThresholdError
 from .gf256 import inv, invert_matrix, matmul, mul
 
 
@@ -42,7 +42,7 @@ class SchemeId(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# cipher / digest plumbing
+# cipher
 # ---------------------------------------------------------------------------
 
 
@@ -61,28 +61,10 @@ class AesCtrCipher:
         return enc.update(data) + enc.finalize(), nonce
 
     def decrypt(self, key: bytes, nonce: bytes, data: bytes) -> bytes:
+        if len(key) != self.key_size or len(nonce) != self.nonce_size:
+            raise IntegrityError("recovered key or nonce has the wrong length")
         dec = Cipher(algorithms.AES(key), modes.CTR(nonce)).decryptor()
         return dec.update(data) + dec.finalize()
-
-
-class NullCipher:
-    """Identity cipher for composition tests; never use outside tests."""
-
-    key_size = 16
-    nonce_size = 0
-
-    def generate_key(self, rng: random.Random) -> bytes:
-        return rng.randbytes(self.key_size)
-
-    def encrypt(self, key: bytes, data: bytes, rng: random.Random) -> tuple[bytes, bytes]:
-        return data, b""
-
-    def decrypt(self, key: bytes, nonce: bytes, data: bytes) -> bytes:
-        return data
-
-
-def sha256_digest(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
 
 
 # ---------------------------------------------------------------------------
@@ -206,47 +188,20 @@ def sss_reconstruct(fragments: list[SssFragment] | list[tuple[int, bytes]], k: i
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdaMatrix:
-    """n x k generator whose every k x k row submatrix is invertible."""
-
-    rows: np.ndarray
-    construction: str = "vandermonde"
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.rows.shape[1]
-
-
-def build_ida_matrix(k: int, n: int) -> IdaMatrix:
-    rows = vandermonde(n, k)
-    rows.setflags(write=False)
-    return IdaMatrix(rows=rows)
-
-
-def ida_split(data: bytes, k: int, n: int, matrix: IdaMatrix | None = None) -> list[IdaFragment]:
+def ida_split(data: bytes, k: int, n: int) -> list[IdaFragment]:
     """Disperse data into n fragments of ceil(|d|/k) bytes, any k recover it."""
-    if matrix is None:
-        matrix = build_ida_matrix(k, n)
-    if matrix.n != n or matrix.k != k:
-        raise ParameterError(
-            f"matrix is {matrix.n}x{matrix.k}, parameters ask {n}x{k}"
-        )
+    matrix = vandermonde(n, k)  # every k x k row submatrix is invertible
     if len(data) == 0:
         raise ParameterError("nothing to disperse")
     length = len(data)
     groups = -(-length // k)
     padded = np.zeros(groups * k, dtype=np.uint8)
     padded[:length] = np.frombuffer(data, dtype=np.uint8)
-    rows = matmul(matrix.rows, padded.reshape(groups, k).T)
+    rows = matmul(matrix, padded.reshape(groups, k).T)
     return [
         IdaFragment(
             index=t,
-            row=matrix.rows[t].tobytes(),
+            row=matrix[t].tobytes(),
             data=rows[t].tobytes(),
             k=k,
             n=n,
@@ -282,7 +237,7 @@ def ssms_split(
     k: int,
     n: int,
     rng: random.Random,
-    cipher: AesCtrCipher | NullCipher | None = None,
+    cipher: AesCtrCipher | None = None,
 ) -> list[SsmsFragment]:
     """Encrypt, disperse the ciphertext, and embed one key share per fragment."""
     cipher = cipher or AesCtrCipher()
@@ -307,7 +262,7 @@ def ssms_split(
 
 
 def ssms_reconstruct(
-    fragments: list[SsmsFragment], cipher: AesCtrCipher | NullCipher | None = None
+    fragments: list[SsmsFragment], cipher: AesCtrCipher | None = None
 ) -> bytes:
     cipher = cipher or AesCtrCipher()
     if not fragments:
@@ -337,16 +292,15 @@ def aont_rs_split(
     k: int,
     n: int,
     rng: random.Random,
-    cipher: AesCtrCipher | NullCipher | None = None,
-    digest=sha256_digest,
+    cipher: AesCtrCipher | None = None,
 ) -> list[AontFragment]:
     """Mask the key with a ciphertext digest, cut into k parts, add parity."""
     cipher = cipher or AesCtrCipher()
     key = cipher.generate_key(rng)
-    if len(digest(b"")) < len(key):
+    if len(key) > hashlib.sha256().digest_size:
         raise ParameterError("digest is shorter than the key")
     ciphertext, nonce = cipher.encrypt(key, data, rng)
-    mask = digest(ciphertext)[: len(key)]
+    mask = hashlib.sha256(ciphertext).digest()[: len(key)]
     masked_key = bytes(a ^ b for a, b in zip(key, mask))
     package = ciphertext + masked_key
     part = -(-len(package) // k)
@@ -370,8 +324,7 @@ def aont_rs_split(
 
 def aont_rs_reconstruct(
     fragments: list[AontFragment],
-    cipher: AesCtrCipher | NullCipher | None = None,
-    digest=sha256_digest,
+    cipher: AesCtrCipher | None = None,
 ) -> bytes:
     cipher = cipher or AesCtrCipher()
     if not fragments:
@@ -396,6 +349,6 @@ def aont_rs_reconstruct(
     package = package[: fragments[0].package_length]
     key_length = fragments[0].key_length
     ciphertext, masked_key = package[:-key_length], package[-key_length:]
-    mask = digest(ciphertext)[:key_length]
+    mask = hashlib.sha256(ciphertext).digest()[:key_length]
     key = bytes(a ^ b for a, b in zip(masked_key, mask))
     return cipher.decrypt(key, fragments[0].nonce, ciphertext)

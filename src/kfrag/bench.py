@@ -20,9 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines
 from .baselines import SchemeId
-from .codec import CodecParams, decode_data, encode_data
+from .cli import join, split
 from .errors import ParameterError
 
 MB = 1 << 20
@@ -74,64 +73,40 @@ def _payload(cfg: BenchConfig) -> bytes:
     return gen.integers(0, 256, size=cfg.payload_mb * MB, dtype=np.uint8).tobytes()
 
 
-def _time_runs(fn, warmup: int, reps: int) -> list[float]:
-    for _ in range(warmup):
-        fn()
-    out = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        out.append(time.perf_counter() - t0)
-    return out
-
-
-def _adapters(scheme: SchemeId, k: int, c: int, block_size: int, rng: random.Random):
-    """(split, join) callables; baselines run at n == k (no redundancy)."""
-    if scheme is SchemeId.PROPOSED:
-        params = CodecParams(k=k, c=c, block_size=block_size)
-        return (
-            lambda d: encode_data(d, params, rng),
-            decode_data,
-        )
-    if scheme is SchemeId.SSS:
-        return (
-            lambda d: baselines.sss_split(d, k, k, rng),
-            lambda frags: baselines.sss_reconstruct(frags, k),
-        )
-    if scheme is SchemeId.IDA:
-        matrix = baselines.build_ida_matrix(k, k)
-        return (
-            lambda d: baselines.ida_split(d, k, k, matrix),
-            baselines.ida_reconstruct,
-        )
-    if scheme is SchemeId.SSMS:
-        return (
-            lambda d: baselines.ssms_split(d, k, k, rng),
-            baselines.ssms_reconstruct,
-        )
-    if scheme is SchemeId.AONT_RS:
-        return (
-            lambda d: baselines.aont_rs_split(d, k, k, rng),
-            baselines.aont_rs_reconstruct,
-        )
-    raise ParameterError(f"unknown scheme {scheme}")
-
-
 def run_bench(cfg: BenchConfig) -> list[BenchResult]:
-    """Measure every (scheme, grid point); split and join timed separately."""
+    """Measure every (scheme, grid point); split and join timed separately.
+
+    Repetitions are interleaved: each round times every point once, so a
+    slow spell of the machine lands on all points alike instead of on one.
+    Each join reassembles the fragments of the split timed just before it.
+    """
     payload = _payload(cfg)
     size_mb = len(payload) / MB
     rng = random.Random(cfg.seed)
+    points = [(scheme, *point) for scheme in cfg.schemes for point in cfg.grid]
+
+    def once(scheme, k, c, block_size) -> tuple[float, float]:
+        t0 = time.perf_counter()
+        frags = split(scheme, payload, k, k, c, block_size, rng)  # baselines at n == k
+        t1 = time.perf_counter()
+        if cfg.measure_join:
+            join(frags)
+        return t1 - t0, time.perf_counter() - t1
+
+    for _ in range(cfg.warmup):
+        for point in points:
+            once(*point)
+    times = {point: [] for point in points}
+    for _ in range(cfg.repetitions):
+        for point in points:
+            times[point].append(once(*point))
+
     results: list[BenchResult] = []
-    for scheme in cfg.schemes:
-        for (k, c, block_size) in cfg.grid:
-            split, join = _adapters(scheme, k, c, block_size, rng)
-            times = _time_runs(lambda: split(payload), cfg.warmup, cfg.repetitions)
-            results.append(_result(scheme, k, c, block_size, "split", size_mb, times, cfg))
-            if cfg.measure_join:
-                frags = split(payload)
-                times = _time_runs(lambda: join(frags), cfg.warmup, cfg.repetitions)
-                results.append(_result(scheme, k, c, block_size, "join", size_mb, times, cfg))
+    for point in points:
+        split_times, join_times = zip(*times[point])
+        results.append(_result(*point, "split", size_mb, split_times, cfg))
+        if cfg.measure_join:
+            results.append(_result(*point, "join", size_mb, join_times, cfg))
     return results
 
 

@@ -11,19 +11,18 @@ from __future__ import annotations
 import functools
 import hashlib
 import sys
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from pathlib import Path, PurePosixPath
 
 import click
 
-from . import analysis, baselines, bench, dispersal, wire
+from . import analysis, baselines, dispersal, wire
 from .baselines import SchemeId
 from .codec import CodecParams, Fragment, FragmentSet, decode_data, encode_data
 from .erasure import ParityFragment, ParityParams, parity_fragments, rs_decode
 from .errors import IntegrityError, ParameterError, StorageError, ThresholdError
 from .rng import rng_from_env
-
-SCHEMES = [s.value for s in SchemeId]
 
 EXIT_PARAMETER = 2
 EXIT_IO = 3
@@ -66,106 +65,15 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _split_fragments(data: bytes, scheme: str, k: int, c: int, block_size: int, n: int):
-    """Fragment in memory; returns the chosen scheme's fragments, without parity."""
-    rng = rng_from_env()
-    if scheme == SchemeId.PROPOSED.value:
-        if k % c != 0:
-            raise ParameterError("--k must be a multiple of --c")
-        return list(encode_data(data, CodecParams(k=k, c=c, block_size=block_size), rng))
-    if scheme == SchemeId.SSS.value:
-        return baselines.sss_split(data, k, n, rng)
-    if scheme == SchemeId.IDA.value:
-        return baselines.ida_split(data, k, n)
-    if scheme == SchemeId.SSMS.value:
-        return baselines.ssms_split(data, k, n, rng)
-    if scheme == SchemeId.AONT_RS.value:
-        return baselines.aont_rs_split(data, k, n, rng)
-    raise ParameterError(f"--scheme {scheme!r} is not supported")
+def _split_proposed(data: bytes, k: int, n: int, c: int, block_size: int, rng) -> list:
+    if k % c != 0:
+        raise ParameterError("--k must be a multiple of --c")
+    return list(encode_data(data, CodecParams(k=k, c=c, block_size=block_size), rng))
 
 
-@main.command("split")
-@click.option("--in", "in_path", required=True, type=click.Path(path_type=Path))
-@click.option("--k", default=4, show_default=True, help="Fragments needed for recovery.")
-@click.option("--c", default=2, show_default=True, help="Independent storage sites.")
-@click.option(
-    "--block-size",
-    default=250,
-    show_default=True,
-    help="Block size in bytes (proposed scheme only).",
-)
-@click.option("--scheme", default="proposed", type=click.Choice(SCHEMES), show_default=True)
-@click.option("--n", default=None, type=int, help="Total fragments incl. redundancy.")
-@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
-@_guard
-def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: int | None, out_dir: Path):
-    """Fragment a file into k (or n) fragment files plus a manifest."""
-    if not in_path.is_file():
-        raise StorageError(f"--in file not found: {in_path}")
-    if k < 1:
-        raise ParameterError("--k must be positive")
-    n = k if n is None else n
-    if n < k:
-        raise ParameterError("--n must be at least --k")
-    data = in_path.read_bytes()
-    blobs = [wire.dump_any(f) for f in _split_fragments(data, scheme, k, c, block_size, n)]
-    proposed = scheme == SchemeId.PROPOSED.value
-    if proposed and n > k:
-        parity = parity_fragments(blobs, ParityParams(k=k, n=n))
-        blobs.extend(wire.dump_parity_fragment(pf) for pf in parity)
-    manifest = dispersal.build_manifest(
-        scheme,
-        k=k,
-        c=c if proposed else 0,
-        block_size=block_size if proposed else 0,
-        n=n,
-        payload_length=len(data),
-        blobs=blobs,
-        cipher="aes-128-ctr" if scheme in ("ssms", "aont-rs") else None,
-        digest="sha-256" if scheme == "aont-rs" else None,
-    )
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for entry, blob in zip(manifest.fragments, blobs):
-        (out_dir / entry.name).write_bytes(blob)
-    manifest_path = out_dir / "manifest.json"
-    manifest.save(manifest_path)
-    _note(f"wrote {len(blobs)} fragment files to {out_dir}")
-    click.echo(str(manifest_path))
-
-
-# ---------------------------------------------------------------------------
-# join
-# ---------------------------------------------------------------------------
-
-
-def _join_loaded(loaded: list) -> bytes:
-    """Reconstruct from deserialized fragments of any single scheme."""
-    if not loaded:
-        raise ThresholdError("k-of-k threshold not met: no fragments", missing=())
+def _join_proposed(loaded: list) -> bytes:
     frags = [f for f in loaded if isinstance(f, Fragment)]
     parity = [f for f in loaded if isinstance(f, ParityFragment)]
-    rest = [f for f in loaded if not isinstance(f, (Fragment, ParityFragment))]
-    if frags or parity:
-        if rest:
-            raise ParameterError("cannot mix schemes in one join")
-        return _join_proposed(frags, parity)
-    kinds = {type(f) for f in rest}
-    if len(kinds) != 1:
-        raise ParameterError("cannot mix schemes in one join")
-    kind = kinds.pop()
-    if kind is baselines.SssFragment:
-        return baselines.sss_reconstruct(rest, rest[0].k)
-    if kind is baselines.IdaFragment:
-        return baselines.ida_reconstruct(rest)
-    if kind is baselines.SsmsFragment:
-        return baselines.ssms_reconstruct(rest)
-    if kind is baselines.AontFragment:
-        return baselines.aont_rs_reconstruct(rest)
-    raise ParameterError(f"cannot join fragments of type {kind.__name__}")
-
-
-def _join_proposed(frags: list[Fragment], parity: list[ParityFragment]) -> bytes:
     present = {f.index for f in frags}
     k = frags[0].params.k if frags else parity[0].k
     missing = sorted(set(range(k)) - present)
@@ -182,6 +90,131 @@ def _join_proposed(frags: list[Fragment], parity: list[ParityFragment]) -> bytes
             f"k-of-k threshold not met: missing fragments {missing}", missing=missing
         )
     return decode_data(sorted(frags, key=lambda f: f.index))
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """How one scheme splits data and joins its fragments back.
+
+    ``split(data, k, n, c, block_size, rng)`` returns the fragments without
+    parity; ``join(fragments)`` takes fragments of type ``fragment`` (for the
+    proposed scheme, with any parity rows) and returns the data.  ``cipher``
+    and ``digest`` name the primitives the manifest records.
+    """
+
+    split: Callable
+    join: Callable
+    fragment: type
+    cipher: str | None = None
+    digest: str | None = None
+
+
+# the baselines run with n fragments of which any k recover; c and the block
+# size belong to the proposed scheme alone
+SCHEMES: dict[SchemeId, Scheme] = {
+    SchemeId.PROPOSED: Scheme(_split_proposed, _join_proposed, Fragment),
+    SchemeId.SSS: Scheme(
+        lambda data, k, n, c, block_size, rng: baselines.sss_split(data, k, n, rng),
+        lambda frags: baselines.sss_reconstruct(frags, frags[0].k),
+        baselines.SssFragment,
+    ),
+    SchemeId.IDA: Scheme(
+        lambda data, k, n, c, block_size, rng: baselines.ida_split(data, k, n),
+        baselines.ida_reconstruct,
+        baselines.IdaFragment,
+    ),
+    SchemeId.SSMS: Scheme(
+        lambda data, k, n, c, block_size, rng: baselines.ssms_split(data, k, n, rng),
+        baselines.ssms_reconstruct,
+        baselines.SsmsFragment,
+        cipher="aes-128-ctr",
+    ),
+    SchemeId.AONT_RS: Scheme(
+        lambda data, k, n, c, block_size, rng: baselines.aont_rs_split(data, k, n, rng),
+        baselines.aont_rs_reconstruct,
+        baselines.AontFragment,
+        cipher="aes-128-ctr",
+        digest="sha-256",
+    ),
+}
+
+
+def split(scheme: SchemeId, data: bytes, k: int, n: int, c: int, block_size: int, rng) -> list:
+    """Fragment data in memory with one scheme; returns its fragments, without parity."""
+    if k < 1:
+        raise ParameterError("--k must be positive")
+    if n < k:
+        raise ParameterError("--n must be at least --k")
+    return SCHEMES[scheme].split(data, k, n, c, block_size, rng)
+
+
+def join(loaded: list) -> bytes:
+    """Reconstruct from deserialized fragments of any single scheme."""
+    if not loaded:
+        raise ThresholdError("k-of-k threshold not met: no fragments", missing=())
+    # parity rows extend the proposed scheme's fragments
+    kinds = {Fragment if isinstance(f, ParityFragment) else type(f) for f in loaded}
+    if len(kinds) != 1:
+        raise ParameterError("cannot mix schemes in one join")
+    (kind,) = kinds
+    for scheme in SCHEMES.values():
+        if scheme.fragment is kind:
+            return scheme.join(loaded)
+    raise ParameterError(f"cannot join fragments of type {kind.__name__}")
+
+
+@main.command("split")
+@click.option("--in", "in_path", required=True, type=click.Path(path_type=Path))
+@click.option("--k", default=4, show_default=True, help="Fragments needed for recovery.")
+@click.option("--c", default=2, show_default=True, help="Independent storage sites.")
+@click.option(
+    "--block-size",
+    default=250,
+    show_default=True,
+    help="Block size in bytes (proposed scheme only).",
+)
+@click.option(
+    "--scheme", default="proposed", type=click.Choice([s.value for s in SchemeId]), show_default=True
+)
+@click.option("--n", default=None, type=int, help="Total fragments incl. redundancy.")
+@click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
+@_guard
+def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: int | None, out_dir: Path):
+    """Fragment a file into k (or n) fragment files plus a manifest."""
+    if not in_path.is_file():
+        raise StorageError(f"--in file not found: {in_path}")
+    n = k if n is None else n
+    data = in_path.read_bytes()
+    chosen = SchemeId(scheme)
+    blobs = [wire.dump_any(f) for f in split(chosen, data, k, n, c, block_size, rng_from_env())]
+    proposed = chosen is SchemeId.PROPOSED
+    if proposed and n > k:
+        parity = parity_fragments(blobs, ParityParams(k=k, n=n))
+        blobs.extend(wire.dump_parity_fragment(pf) for pf in parity)
+    manifest = dispersal.build_manifest(
+        scheme,
+        k=k,
+        c=c if proposed else 0,
+        block_size=block_size if proposed else 0,
+        n=n,
+        payload_length=len(data),
+        blobs=blobs,
+        cipher=SCHEMES[chosen].cipher,
+        digest=SCHEMES[chosen].digest,
+    )
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for entry, blob in zip(manifest.fragments, blobs):
+        (out_dir / entry.name).write_bytes(blob)
+    manifest_path = out_dir / "manifest.json"
+    manifest.save(manifest_path)
+    _note(f"wrote {len(blobs)} fragment files to {out_dir}")
+    click.echo(str(manifest_path))
+
+
+# ---------------------------------------------------------------------------
+# join
+# ---------------------------------------------------------------------------
 
 
 @main.command("join")
@@ -224,7 +257,7 @@ def cmd_join(
                 raise StorageError(f"fragment file not found: {path}")
             loaded.append(wire.load_any(path.read_bytes()))
 
-    data = _join_loaded(loaded)
+    data = join(loaded)
     out_path.write_bytes(data)
     _note(f"wrote {len(data)} bytes to {out_path}")
     click.echo(hashlib.sha256(data).hexdigest())
@@ -331,7 +364,9 @@ def cmd_fetch(manifest_path: Path, sites_spec: str, out_dir: Path):
 
 @main.command("analyze")
 @click.option("--in", "in_path", required=True, type=click.Path(path_type=Path))
-@click.option("--scheme", default="proposed", type=click.Choice(SCHEMES), show_default=True)
+@click.option(
+    "--scheme", default="proposed", type=click.Choice([s.value for s in SchemeId]), show_default=True
+)
 @click.option("--k", default=4, show_default=True)
 @click.option("--c", default=2, show_default=True)
 @click.option("--block-size", default=250, show_default=True)
@@ -344,7 +379,7 @@ def cmd_analyze(in_path: Path, scheme: str, k: int, c: int, block_size: int, n: 
         raise StorageError(f"--in file not found: {in_path}")
     data = in_path.read_bytes()
     n = k if n is None else n
-    fragments = _split_fragments(data, scheme, k, c, block_size, n)
+    fragments = split(SchemeId(scheme), data, k, n, c, block_size, rng_from_env())
     reports = analysis.analyze_fragments(fragments, data, include_recurrence=False)
     params = {"k": k, "c": c, "block_size": block_size, "n": n}
     analysis.write_report_json(report_path, scheme, params, reports)
@@ -395,6 +430,8 @@ def _parse_grid(spec: str) -> list[tuple[int, int, int]]:
 @_guard
 def cmd_bench(grid_spec, schemes_spec, payload_mb, reps, warmup, out_path):
     """Measure fragmentation/defragmentation throughput on random payloads."""
+    from . import bench  # bench reads the scheme table from this module
+
     try:
         schemes = [SchemeId(s.strip()) for s in schemes_spec.split(",") if s.strip()]
     except ValueError as exc:

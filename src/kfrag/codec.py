@@ -18,9 +18,9 @@ Two equivalent encode implementations exist: a vectorized row-serial sweep,
 and a blocked scan for c == 2 that exploits the linearity of the row
 recurrence to run in large batches regardless of k and the block size.  Both
 produce bit-identical fragments.  Decoding has no cross-row dependency and
-runs over all rows at once, on one thread: one un-permute gather, then for
-each of the 254 evaluation points one multiply-by-constant table lookup over
-every row that uses it.
+runs over all rows at once, on one thread: one inverse-permutation gather,
+then for each of the 254 evaluation points one multiply-by-constant table
+lookup over every row that uses it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ThresholdError
-from .gf256 import MUL_TABLE, horner_eval, mul
+from .gf256 import MUL_TABLE, mul
 from .permutation import (
     MAX_POSITIONS,
     PermutationArray,
@@ -40,8 +40,6 @@ from .permutation import (
     reconstruct_permutation,
     split_permutation,
 )
-
-MINI_BLOCK_SIZE = 1
 
 # x values cycle with this period; the blocked scan aligns its batches to it
 # so every batch sees the same x sequence.
@@ -56,7 +54,6 @@ class CodecParams:
     k: int
     c: int
     block_size: int
-    mini_block_size: int = MINI_BLOCK_SIZE
 
     def __post_init__(self) -> None:
         if self.c < 2:
@@ -69,8 +66,6 @@ class CodecParams:
             raise ParameterError(
                 f"block_size must be in [2, {MAX_POSITIONS}], got {self.block_size}"
             )
-        if self.mini_block_size != MINI_BLOCK_SIZE:
-            raise ParameterError("only 1-byte mini-blocks are supported")
 
     @property
     def group_size(self) -> int:
@@ -139,77 +134,10 @@ def pick_x(i: int) -> int:
     return 2 + (i % _X_PERIOD)
 
 
-def encode_mini_block(mb: int, parent_ms: list[int] | bytes, x: int) -> int:
-    """Encode one byte as p(x) with p = mb + a_0*x + ... + a_{c-2}*x^{c-1}."""
-    if len(parent_ms) == 0:
-        raise ParameterError("at least one parent mini-share is required")
-    if not 2 <= x <= 255:
-        raise ParameterError(f"x must be in [2, 255], got {x}")
-    return horner_eval([mb, *parent_ms], x)
-
-
-def decode_mini_block(ms: int, parent_ms: list[int] | bytes, x: int) -> int:
-    """Invert encode_mini_block; identical formula in characteristic 2."""
-    if len(parent_ms) == 0:
-        raise ParameterError("at least one parent mini-share is required")
-    if not 2 <= x <= 255:
-        raise ParameterError(f"x must be in [2, 255], got {x}")
-    return horner_eval([ms, *parent_ms], x)
-
-
-def encode_block(
-    block: bytes, parent_shares: list[bytes], pa: PermutationArray, x: int
-) -> bytes:
-    """Encode a block into a share, permuting each byte to position pa(v)."""
-    n = len(pa)
-    if len(block) != n or any(len(p) != n for p in parent_shares):
-        raise ParameterError("block, parents, and permutation must share one length")
-    if not parent_shares:
-        raise ParameterError("at least one parent share is required")
-    out = bytearray(n)
-    for v in range(n):
-        ms = encode_mini_block(block[v], [p[v] for p in parent_shares], x)
-        out[pa.entries[v]] = ms
-    return bytes(out)
-
-
-def decode_block(
-    share: bytes, parent_shares: list[bytes], pa: PermutationArray, x: int
-) -> bytes:
-    """Invert encode_block given the same parents, permutation, and x."""
-    n = len(pa)
-    if len(share) != n or any(len(p) != n for p in parent_shares):
-        raise ParameterError("share, parents, and permutation must share one length")
-    if not parent_shares:
-        raise ParameterError("at least one parent share is required")
-    out = bytearray(n)
-    for v in range(n):
-        ms = share[pa.entries[v]]
-        out[v] = decode_mini_block(ms, [p[v] for p in parent_shares], x)
-    return bytes(out)
-
-
 def padded_length(data_length: int, params: CodecParams) -> int:
     """Length after zero-padding up to a multiple of k * block_size."""
     group = params.group_size
     return ((data_length + group - 1) // group) * group
-
-
-def form_fragments(data: bytes, params: CodecParams) -> list[list[bytes]]:
-    """Deal blocks round-robin: block i goes to list i % k.
-
-    The data is zero-padded to a whole number of block rows so every list
-    receives the same number of blocks; the caller keeps the true length.
-    """
-    if len(data) == 0:
-        raise ParameterError("nothing to fragment")
-    bs = params.block_size
-    padded = data + b"\x00" * (padded_length(len(data), params) - len(data))
-    blocks = [padded[i : i + bs] for i in range(0, len(padded), bs)]
-    lists: list[list[bytes]] = [[] for _ in range(params.k)]
-    for i, block in enumerate(blocks):
-        lists[i % params.k].append(block)
-    return lists
 
 
 def encode_data(data: bytes, params: CodecParams, rng: random.Random) -> FragmentSet:
@@ -260,8 +188,8 @@ def decode_data(fragments: FragmentSet | list[Fragment] | tuple[Fragment, ...]) 
 
     # m_i = s_i[pa] ^ sum_t x^t * s_{i-1} rotated left by t fragments, so that
     # fragment j reads fragment (j+t) % k; rows that share x share one lookup
-    unpermute = np.argsort(_flat_permutation_gather(pas, params))
-    out = _gather_rows(rows[1:], unpermute)
+    inverse = np.argsort(_flat_permutation_gather(pas, params))
+    out = _gather_rows(rows[1:], inverse)
     for phase in range(min(nf, _X_PERIOD)):
         x = pick_x(phase + 1)
         prev = rows[phase:nf:_X_PERIOD]

@@ -13,9 +13,9 @@ rebuilt from parity) after checking each against the SHA-256 digest that
 ``build_manifest`` recorded at split time.  The split, dispersal and fetched
 manifests therefore carry the same digest for each fragment.
 
-A local-directory backend ships by default; anything with put/get/delete/
-list_names can stand in for a real object store.  The manifest stays on the
-client: placing it at any provider would hand that provider the layout.
+A local-directory backend ships by default; anything with put/get/delete can
+stand in for a real object store.  The manifest stays on the client: placing
+it at any provider would hand that provider the layout.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ class LocalDirectoryBackend:
         path = self._path(name)
         if path.exists():
             path.unlink()
-
-    def list_names(self) -> list[str]:
-        return sorted(
-            str(p.relative_to(self.root)) for p in self.root.rglob("*") if p.is_file()
-        )
 
 
 @dataclass(frozen=True)

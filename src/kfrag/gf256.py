@@ -46,11 +46,6 @@ INV_TABLE[1:] = EXP_TABLE[255 - LOG_TABLE[1:].astype(np.intp)]
 INV_TABLE.setflags(write=False)
 
 
-def add(a: int, b: int) -> int:
-    """Field addition: bitwise XOR (its own inverse)."""
-    return a ^ b
-
-
 def mul(a: int, b: int) -> int:
     """Field multiplication via the log/antilog tables."""
     return int(MUL_TABLE[a, b])
@@ -70,16 +65,6 @@ def power(a: int, e: int) -> int:
     if a == 0:
         return 0
     return int(EXP_TABLE[(int(LOG_TABLE[a]) * e) % 255])
-
-
-def horner_eval(coeffs: list[int] | bytes, x: int) -> int:
-    """Evaluate c_0 + c_1*x + ... + c_m*x^m, coefficients constant-first."""
-    if len(coeffs) == 0:
-        raise ParameterError("empty coefficient list")
-    acc = 0
-    for c in reversed(coeffs):
-        acc = mul(acc, x) ^ c
-    return acc
 
 
 def matmul(a: np.ndarray, rows) -> np.ndarray:

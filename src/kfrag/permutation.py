@@ -33,12 +33,6 @@ class PermutationArray:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def inverse(self) -> bytes:
-        inv = bytearray(len(self.entries))
-        for v, w in enumerate(self.entries):
-            inv[w] = v
-        return bytes(inv)
-
 
 @dataclass(frozen=True)
 class PermutationShare:
@@ -123,17 +117,3 @@ def reconstruct_permutation(shares: list[PermutationShare], c: int) -> Permutati
         return PermutationArray(bytes(acc))
     except IntegrityError:
         raise IntegrityError("corrupted permutation shares") from None
-
-
-def permute(pa: PermutationArray, v: int) -> int:
-    """Position v maps to pa(v)."""
-    if not 0 <= v < len(pa):
-        raise ParameterError(f"position {v} out of range [0, {len(pa)})")
-    return pa.entries[v]
-
-
-def unpermute(pa: PermutationArray, w: int) -> int:
-    """The unique v with pa(v) == w."""
-    if not 0 <= w < len(pa):
-        raise ParameterError(f"position {w} out of range [0, {len(pa)})")
-    return pa.inverse()[w]

@@ -68,6 +68,8 @@ def _unpack_header(buf: bytes, expect_magic: bytes | None = None) -> tuple:
         raise ParameterError(f"unknown magic {magic!r}")
     if version != VERSION:
         raise ParameterError(f"unsupported version {version}")
+    if k < 1:
+        raise ParameterError("k must be positive")
     return magic, k, c, j, block_size, payload_length, r, z
 
 

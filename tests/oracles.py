@@ -40,18 +40,6 @@ def gf_pow(a: int, e: int) -> int:
     return out
 
 
-def poly_eval(coeffs, x: int) -> int:
-    """Naive power-sum evaluation, constant term first."""
-    return _xor_all(gf_mul(c, gf_pow(x, i)) for i, c in enumerate(coeffs))
-
-
-def _xor_all(values) -> int:
-    out = 0
-    for v in values:
-        out ^= v
-    return out
-
-
 def lagrange_at_zero(points: list[tuple[int, int]]) -> int:
     """Brute-force Lagrange interpolation of (x, y) points evaluated at 0."""
     out = 0

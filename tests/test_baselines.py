@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kfrag import baselines as bl
+from kfrag.erasure import vandermonde
 from kfrag.errors import ParameterError, ThresholdError
 from kfrag.gf256 import mul
 
@@ -108,10 +109,11 @@ def test_ida_identity_k_equals_n_reblocking():
 
 
 def test_ida_unit_vector_reveals_matrix_column():
-    matrix = bl.build_ida_matrix(2, 3)
-    frags = bl.ida_split(bytes([1, 0]), 2, 3, matrix)
+    matrix = vandermonde(3, 2)
+    frags = bl.ida_split(bytes([1, 0]), 2, 3)
     for t in range(3):
-        assert frags[t].data == bytes([matrix.rows[t, 0]])
+        assert frags[t].row == matrix[t].tobytes()
+        assert frags[t].data == bytes([matrix[t, 0]])
 
 
 def test_ida_round_trip_any_k_of_n(rng):
@@ -158,9 +160,10 @@ def test_ida_pattern_preservation_on_periodic_input():
 
 
 def test_ida_dimension_mismatch(rng):
-    matrix = bl.build_ida_matrix(2, 3)
     with pytest.raises(ParameterError):
-        bl.ida_split(b"abcd", 3, 5, matrix)
+        bl.ida_split(b"abcd", 3, 2)  # fewer fragments than the threshold
+    with pytest.raises(ParameterError):
+        bl.ida_split(b"abcd", 3, 256)  # more rows than field points
     with pytest.raises(ThresholdError):
         bl.ida_reconstruct(bl.ida_split(b"abcd", 3, 5)[:2])
 
@@ -187,9 +190,25 @@ def test_ssms_fragment_sizes(rng):
         assert len(frag.row) == k  # matrix-row overhead
 
 
+class NullCipher:
+    """Identity cipher, to see the composition through the cipher seam."""
+
+    key_size = 16
+    nonce_size = 0
+
+    def generate_key(self, rng: random.Random) -> bytes:
+        return rng.randbytes(self.key_size)
+
+    def encrypt(self, key: bytes, data: bytes, rng: random.Random) -> tuple[bytes, bytes]:
+        return data, b""
+
+    def decrypt(self, key: bytes, nonce: bytes, data: bytes) -> bytes:
+        return data
+
+
 def test_ssms_null_cipher_composition(rng):
     data = rng.randbytes(512)
-    null = bl.NullCipher()
+    null = NullCipher()
     seed_rng = random.Random(42)
     frags = bl.ssms_split(data, 2, 3, seed_rng, cipher=null)
     plain = bl.ida_split(data, 2, 3)
@@ -252,11 +271,11 @@ def test_aont_storage_is_payload_plus_key(rng):
 
 
 def test_aont_digest_must_cover_key(rng):
-    import hashlib
+    class LongKeyCipher(NullCipher):
+        key_size = 40  # longer than a SHA-256 digest
 
-    short_digest = lambda data: hashlib.sha256(data).digest()[:8]
     with pytest.raises(ParameterError):
-        bl.aont_rs_split(b"x" * 64, 2, 2, rng, digest=short_digest)
+        bl.aont_rs_split(b"x" * 64, 2, 2, rng, cipher=LongKeyCipher())
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,26 @@ def test_join_manifest_k_of_n_baseline_after_loss(runner, tmp_path, scheme, k, n
     assert joined.read_bytes() == payload
 
 
+@pytest.mark.parametrize(
+    "offset,value,code",
+    [(5, b"\x00\x00", 2), (22, b"\x00\x05", 5)],
+    ids=["header-k-zero", "five-byte-aes-key"],
+)
+def test_join_damaged_aont_files_exit_cleanly(runner, tmp_path, offset, value, code):
+    src = tmp_path / "in.bin"
+    src.write_bytes(os.urandom(3000))
+    out = tmp_path / "aont"
+    _invoke(runner, "split", "--in", str(src), "--scheme", "aont-rs",
+            "--k", "2", "--n", "3", "--out", str(out))
+    files = sorted(out.glob("f*.kant"))
+    for path in files:
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + 2] = value
+        path.write_bytes(bytes(raw))
+    _invoke(runner, "join", "--frags", *(str(f) for f in files),
+            "--out", str(tmp_path / "x.bin"), code=code)
+
+
 def test_join_manifest_with_every_fragment_lost_is_threshold_error(runner, tmp_path):
     _, out = _split(runner, tmp_path, os.urandom(5000))
     for path in out.glob("f*.kfrg"):

@@ -9,13 +9,9 @@ from kfrag.codec import (
     CodecParams,
     Fragment,
     FragmentSet,
-    decode_block,
     decode_data,
-    decode_mini_block,
-    encode_block,
     encode_data,
-    encode_mini_block,
-    form_fragments,
+    padded_length,
     pick_x,
 )
 from kfrag.errors import IntegrityError, ParameterError, ThresholdError
@@ -51,122 +47,83 @@ def test_pick_x_examples():
 
 
 # ---------------------------------------------------------------------------
-# mini-block and block operations
+# one block row, by hand
 # ---------------------------------------------------------------------------
+
+
+def _one_row(data, pas, share_rows, params):
+    ps = [PermutationShare(bytes(row), j // params.c, j % params.c)
+          for j, row in enumerate(share_rows)]
+    return codec._encode_with_permutations(data, params, pas, ps)
 
 
 def test_encode_mini_block_examples():
-    assert encode_mini_block(0x00, [0x00], 0x02) == 0x00
-    assert encode_mini_block(0x5A, [0x00, 0x00], 0x07) == 0x5A
-    assert encode_mini_block(0x21, [0x13], 0x02) == 0x21 ^ mul(0x02, 0x13)
-
-
-def test_mini_block_parameter_errors():
-    with pytest.raises(ParameterError):
-        encode_mini_block(0x21, [], 0x02)
-    with pytest.raises(ParameterError):
-        encode_mini_block(0x21, [0x13], 0x01)
-    with pytest.raises(ParameterError):
-        decode_mini_block(0x21, [], 0x02)
+    # row 1 uses x = pick_x(1) = 3 and the neighbour's permutation share as parent
+    params = CodecParams(2, 2, 2)
+    identity = PermutationArray(bytes([0, 1]))
+    fragset = _one_row(bytes([0x21, 0x5A, 0x00, 0x77]), [identity],
+                       [[0x44, 0x00], [0x13, 0x00]], params)
+    f0, f1 = fragset
+    assert bytes(f0.shares[0]) == bytes([0x21 ^ mul(3, 0x13), 0x5A])
+    assert bytes(f1.shares[0]) == bytes([0x00 ^ mul(3, 0x44), 0x77])
 
 
 def test_decode_mini_block_examples():
-    ms = 0x21 ^ mul(0x02, 0x13)
-    assert decode_mini_block(ms, [0x13], 0x02) == 0x21
-    # perturbing a parent bit changes the result
-    assert decode_mini_block(ms, [0x13 ^ 0x01], 0x02) != 0x21
-
-
-@given(
-    st.integers(0, 255),
-    st.lists(st.integers(0, 255), min_size=1, max_size=4),
-    st.integers(2, 255),
-)
-def test_mini_block_round_trip(mb, parents, x):
-    assert decode_mini_block(encode_mini_block(mb, parents, x), parents, x) == mb
-
-
-@given(
-    st.integers(0, 255),
-    st.lists(st.integers(0, 255), min_size=1, max_size=4),
-    st.integers(2, 255),
-)
-def test_encode_mini_block_matches_power_sum_oracle(mb, parents, x):
-    expected = mb
-    for t, a in enumerate(parents, start=1):
-        expected ^= oracles.gf_mul(oracles.gf_pow(x, t), a)
-    assert encode_mini_block(mb, parents, x) == expected
+    params = CodecParams(2, 2, 2)
+    identity = PermutationArray(bytes([0, 1]))
+    data = bytes([0x21, 0x5A, 0x00, 0x77])
+    frags = list(_one_row(data, [identity], [[0x01, 0x00], [0x01, 0x01]], params))
+    assert decode_data(frags) == data
+    # a share one bit off decodes one byte off: no MAC, no diffusion within a row
+    shares = frags[0].shares.copy()
+    shares[0, 0] ^= 0x01
+    frags[0] = Fragment(0, params, frags[0].permutation_share, shares, len(data))
+    assert decode_data(frags) == bytes([0x20, 0x5A, 0x00, 0x77])
 
 
 def test_encode_block_identity_cases():
+    # zero permutation shares make row 1 the permuted blocks: byte v lands at pa[v]
+    params = CodecParams(2, 2, 4)
     identity = PermutationArray(bytes(range(4)))
-    block = bytes([9, 8, 7, 6])
-    assert encode_block(block, [bytes(4)], identity, 0x02) == block
+    block = bytes([9, 8, 7, 6, 5, 4, 3, 2])
+    f0, f1 = _one_row(block, [identity], [bytes(4), bytes(4)], params)
+    assert bytes(f0.shares[0]) + bytes(f1.shares[0]) == block
 
     swap = PermutationArray(bytes([1, 0]))
-    assert encode_block(bytes([0xA0, 0xB0]), [bytes(2)], swap, 0x02) == bytes([0xB0, 0xA0])
+    f0, f1 = _one_row(bytes([0xA0, 0xB0, 0xC0, 0xD0]), [swap], [bytes(2), bytes(2)],
+                      CodecParams(2, 2, 2))
+    assert bytes(f0.shares[0]) == bytes([0xB0, 0xA0])
+    assert bytes(f1.shares[0]) == bytes([0xD0, 0xC0])
 
 
-def test_encode_block_matches_positionwise_oracle(rng):
-    for c in (2, 3):
-        n = 16
-        block = rng.randbytes(n)
-        parents = [rng.randbytes(n) for _ in range(c - 1)]
-        entries = list(range(n))
-        rng.shuffle(entries)
-        pa = PermutationArray(bytes(entries))
-        x = rng.randrange(2, 256)
-        got = encode_block(block, parents, pa, x)
-        expected = bytearray(n)
-        for v in range(n):
-            ms = block[v]
-            for t, parent in enumerate(parents, start=1):
-                ms ^= oracles.gf_mul(oracles.gf_pow(x, t), parent[v])
-            expected[entries[v]] = ms
-        assert got == bytes(expected)
-        assert decode_block(got, parents, pa, x) == block
-
-
-def test_encode_block_length_mismatch():
-    pa = PermutationArray(bytes([0, 1]))
-    with pytest.raises(ParameterError):
-        encode_block(bytes(3), [bytes(2)], pa, 2)
-    with pytest.raises(ParameterError):
-        encode_block(bytes(2), [bytes(3)], pa, 2)
-    with pytest.raises(ParameterError):
-        encode_block(bytes(2), [], pa, 2)
+def test_encode_block_length_mismatch(rng):
+    # a fragment's share rows and permutation share both span one block
+    params = CodecParams(2, 2, 4)
+    frag = encode_data(rng.randbytes(20), params, rng).fragments[0]
+    with pytest.raises(ParameterError, match="wrong shape"):
+        Fragment(0, params, frag.permutation_share, frag.shares[:, :3], frag.payload_length)
+    with pytest.raises(ParameterError, match="differs from block size"):
+        Fragment(0, params, PermutationShare(bytes(3), 0, 0), frag.shares, frag.payload_length)
 
 
 # ---------------------------------------------------------------------------
-# form_fragments
+# dealing blocks over fragments
 # ---------------------------------------------------------------------------
 
 
-def test_form_fragments_round_robin():
-    bs, k = 4, 4
-    data = bytes(range(32))  # exactly 8 blocks
-    lists = form_fragments(data, CodecParams(k, 2, bs))
-    blocks = [data[i : i + bs] for i in range(0, 32, bs)]
-    assert lists[0] == [blocks[0], blocks[4]]
-    assert lists[1] == [blocks[1], blocks[5]]
-    assert lists[2] == [blocks[2], blocks[6]]
-    assert lists[3] == [blocks[3], blocks[7]]
-
-
-def test_form_fragments_exact_fit_no_padding():
+def test_form_fragments_exact_fit_no_padding(rng):
     params = CodecParams(2, 2, 8)
-    data = bytes(range(16))
-    lists = form_fragments(data, params)
-    assert [len(l) for l in lists] == [1, 1]
-    assert b"".join(lists[0] + lists[1]) == data
+    assert padded_length(16, params) == 16
+    fragset = encode_data(bytes(range(16)), params, rng)
+    assert [f.num_shares for f in fragset] == [1, 1]
 
 
-def test_form_fragments_padding_and_empty():
+def test_form_fragments_padding_and_empty(rng):
     params = CodecParams(2, 2, 8)
-    lists = form_fragments(bytes(range(17)), params)
-    assert [len(l) for l in lists] == [2, 2]
+    fragset = encode_data(bytes(range(17)), params, rng)
+    assert [f.num_shares for f in fragset] == [2, 2]
     with pytest.raises(ParameterError, match="nothing to fragment"):
-        form_fragments(b"", params)
+        encode_data(b"", params, rng)
 
 
 def test_balanced_distribution_property(rng):
@@ -174,9 +131,9 @@ def test_balanced_distribution_property(rng):
         k = rng.choice([2, 4, 6])
         params = CodecParams(k, 2, rng.choice([4, 16, 34]))
         data = rng.randbytes(rng.randrange(1, 2000))
-        lists = form_fragments(data, params)
-        sizes = {len(l) for l in lists}
-        assert len(sizes) == 1  # every fragment receives exactly #d/k blocks
+        rows = padded_length(len(data), params) // params.group_size
+        # every fragment receives exactly #d/k blocks
+        assert {f.num_shares for f in encode_data(data, params, rng)} == {rows}
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +166,6 @@ def test_encode_matches_reference_oracle(k, c, bs, rng):
             list(row) for row in frag.shares
         ]
         assert got_rows == expected[j], f"fragment {j} diverges from the oracle"
-
-
-def test_encode_matches_blockwise_composition(rng):
-    # the stream encoder must equal composing the public per-block operation
-    params = CodecParams(4, 2, 8)
-    data = rng.randbytes(4 * 8 * 3)
-    fragset, pas, ps = _forced_encode(data, params, rng)
-    lists = form_fragments(data, params)
-    rows = [[ps[j].entries] for j in range(4)]
-    for i in range(1, 4):
-        x = pick_x(i)
-        for j in range(4):
-            parents = [bytes(rows[(j + t) % 4][i - 1]) for t in range(1, 2)]
-            pa = pas[j % (4 // 2)]
-            rows[j].append(encode_block(lists[j][i - 1], parents, pa, x))
-    for j, frag in enumerate(fragset):
-        assert [bytes(r) for r in frag.shares] == rows[j][1:]
 
 
 def test_round_trip_reference_decode(rng):
@@ -276,16 +216,15 @@ def test_zero_data_identity_permutations_is_identity(rng):
     ps = [PermutationShare(bytes(8), j // 2, j % 2) for j in range(4)]
     one_row = bytes(range(4 * 8))
     fragset = codec._encode_with_permutations(one_row, params, pas, ps)
-    lists = form_fragments(one_row, params)
     for j, frag in enumerate(fragset):
-        assert [bytes(r) for r in frag.shares] == lists[j]
+        assert [bytes(r) for r in frag.shares] == [one_row[j * 8 : (j + 1) * 8]]
 
     two_rows = bytes(range(4 * 8)) * 2
     fragset = codec._encode_with_permutations(two_rows, params, pas, ps)
-    lists = form_fragments(two_rows, params)
     for j, frag in enumerate(fragset):
-        assert bytes(frag.shares[0]) == lists[j][0]
-        assert bytes(frag.shares[1]) != lists[j][1]
+        # block i goes to fragment i % k: fragment j holds blocks j and j + k
+        assert bytes(frag.shares[0]) == two_rows[j * 8 : (j + 1) * 8]
+        assert bytes(frag.shares[1]) != two_rows[(j + 4) * 8 : (j + 5) * 8]
 
 
 def test_all_zero_data_forced_zero_randomness(rng):

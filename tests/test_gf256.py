@@ -8,12 +8,6 @@ from kfrag.errors import ParameterError
 import oracles
 
 
-def test_add_examples():
-    assert gf256.add(0x00, 0x57) == 0x57
-    assert gf256.add(0xA3, 0xA3) == 0x00
-    assert gf256.add(0x57, 0x83) == 0xD4
-
-
 def test_mul_examples():
     assert gf256.mul(0x00, 0xFF) == 0x00
     assert gf256.mul(0x01, 0xC2) == 0xC2
@@ -55,26 +49,6 @@ def test_inv_exhaustive():
 
 def test_inv_of_two_by_exhaustive_search():
     assert next(b for b in range(256) if oracles.gf_mul(0x02, b) == 1) == 0x8D
-
-
-def test_horner_examples():
-    assert gf256.horner_eval([0x2A], 0x07) == 0x2A
-    assert gf256.horner_eval([0x00, 0x01], 0x09) == 0x09
-    expected = 0x11 ^ gf256.mul(0x57, 0x02) ^ gf256.mul(0x13, 0x04)
-    assert gf256.horner_eval([0x11, 0x57, 0x13], 0x02) == expected
-
-
-def test_horner_empty_rejected():
-    with pytest.raises(ParameterError):
-        gf256.horner_eval([], 0x02)
-
-
-@given(
-    st.lists(st.integers(0, 255), min_size=1, max_size=17),
-    st.integers(0, 255),
-)
-def test_horner_matches_power_sum_oracle(coeffs, x):
-    assert gf256.horner_eval(coeffs, x) == oracles.poly_eval(coeffs, x)
 
 
 @given(st.integers(0, 255), st.integers(0, 16))

@@ -3,7 +3,6 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
 
 from kfrag.analysis import CHI2_CRITICAL
 from kfrag.errors import IntegrityError, ParameterError
@@ -11,10 +10,8 @@ from kfrag.permutation import (
     PermutationArray,
     PermutationShare,
     generate_permutations,
-    permute,
     reconstruct_permutation,
     split_permutation,
-    unpermute,
 )
 
 
@@ -103,23 +100,6 @@ def test_reconstruct_threshold_and_mismatches(rng):
     short = PermutationShare(shares[1].entries[:-1], 0, 1)
     with pytest.raises(ParameterError):
         reconstruct_permutation([shares[0], short, shares[2]], 3)
-
-
-def test_permute_examples():
-    pa = PermutationArray(bytes([2, 0, 1]))
-    assert permute(pa, 0) == 2
-    identity = PermutationArray(bytes(range(8)))
-    assert all(permute(identity, v) == v for v in range(8))
-    with pytest.raises(ParameterError):
-        permute(pa, 3)
-    with pytest.raises(ParameterError):
-        unpermute(pa, -1)
-
-
-@given(st.permutations(list(range(12))), st.integers(0, 11))
-def test_unpermute_inverts_permute(entries, v):
-    pa = PermutationArray(bytes(entries))
-    assert unpermute(pa, permute(pa, v)) == v
 
 
 def test_non_bijection_rejected():

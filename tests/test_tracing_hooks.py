@@ -6,7 +6,10 @@ benchmark run.  Installing and removing the wrappers here catches it early.
 """
 
 import importlib.util
+import os
 from pathlib import Path
+
+from click.testing import CliRunner
 
 from kfrag import cli, dispersal, wire
 from kfrag.codec import CodecParams
@@ -34,3 +37,26 @@ def test_tracing_hooks_install_count_and_restore(rng):
     assert rec.calls["digest.sha256"] == 2
     assert rec.bytes["wire.dump"] == sum(len(b) for b in blobs)
     assert (cli.encode_data, cli.hashlib, dispersal.store, dict(wire._DUMPERS)) == before
+
+
+def test_split_and_parity_join_run_through_the_traced_names(tmp_path):
+    # the benchmark times the codec and RS layers at these names only, so a
+    # command that reached them another way would go unmeasured
+    tracing = _tracing()
+    src = tmp_path / "in.bin"
+    src.write_bytes(os.urandom(20_000))
+    out = tmp_path / "frags"
+    runner = CliRunner()
+
+    def kfrag(*args):
+        result = runner.invoke(cli.main, list(args), catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+
+    rec = tracing.Recorder()
+    with tracing.installed(rec):
+        kfrag("split", "--in", str(src), "--out", str(out), "--n", "6")
+        (out / "f1.kfrg").unlink()
+        kfrag("join", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / "back"))
+    assert (tmp_path / "back").read_bytes() == src.read_bytes()
+    for name in ("codec.encode", "codec.decode", "erasure.encode", "erasure.decode"):
+        assert rec.calls[name] == 1, (name, rec.calls)
