@@ -31,6 +31,11 @@ def main() -> None:
     parser.add_argument("--block-size", default=34, type=int)
     parser.add_argument("--seed", default=0, type=int)
     args = parser.parse_args()
+    # IDA and SSMS give the shortest fragments, ceil(size / k) bytes each
+    min_size = (analysis.CHI2_MIN_SAMPLES - 1) * args.k + 1
+    if args.size < min_size:
+        parser.error(f"--size must be at least {min_size} at --k {args.k}, so that every "
+                     f"fragment holds the {analysis.CHI2_MIN_SAMPLES} bytes chi-squared needs")
 
     args.out.mkdir(parents=True, exist_ok=True)
     schemes = ["proposed", "sss", "ida", "ssms", "aont-rs"]

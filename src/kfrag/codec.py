@@ -18,14 +18,22 @@ Two equivalent encode implementations exist: a vectorized row-serial sweep,
 and a blocked scan for c == 2 that exploits the linearity of the row
 recurrence to run in large batches regardless of k and the block size.  Both
 produce bit-identical fragments.  Decoding has no cross-row dependency and
-runs over all rows at once, on one thread: one inverse-permutation gather,
-then for each of the 254 evaluation points one multiply-by-constant table
-lookup over every row that uses it.
+runs over all rows at once: one inverse-permutation gather, then for each of
+the 254 evaluation points one multiply-by-constant table lookup over every
+row that uses it.
+
+The row gathers, the scan's two sweeps and the decode phases split into
+contiguous parts of at least _PART_MIN_BYTES, one thread per usable core
+(numpy releases the interpreter lock inside them); everything else runs on
+the caller's thread.  The bytes do not depend on the number of parts.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +53,17 @@ from .permutation import (
 # so every batch sees the same x sequence.
 _X_PERIOD = 254
 _SCAN_MIN_ROWS = 2 * _X_PERIOD
+
+try:
+    _CORES = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity API on this platform
+    _CORES = os.cpu_count() or 1
+# A part covers at least this many bytes of rows.  Each scan sweep makes 254
+# steps of four numpy calls per part, so a 4 MiB part makes calls of about
+# 16 KiB; with smaller calls the threads wait on the interpreter lock more
+# than they work: on a 2-core host the c == 2 encode of 5-6 MiB ran up to
+# 1.45x slower on two threads than on one.
+_PART_MIN_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -190,16 +209,21 @@ def decode_data(fragments: FragmentSet | list[Fragment] | tuple[Fragment, ...]) 
     # fragment j reads fragment (j+t) % k; rows that share x share one lookup
     inverse = np.argsort(_flat_permutation_gather(pas, params))
     out = _gather_rows(rows[1:], inverse)
-    for phase in range(min(nf, _X_PERIOD)):
-        x = pick_x(phase + 1)
-        prev = rows[phase:nf:_X_PERIOD]
-        dst = out[phase::_X_PERIOD]
-        xt = 1
-        for t in range(1, c):
-            xt = mul(xt, x)
-            term, cut = MUL_TABLE[xt].take(prev, mode="clip"), t * bs
-            dst[:, : m - cut] ^= term[:, cut:]
-            dst[:, m - cut :] ^= term[:, :cut]
+
+    def phases(lo: int, hi: int) -> None:
+        # phase p writes only rows p, p + 254, ...: parts share no output row
+        for phase in range(lo, hi):
+            x = pick_x(phase + 1)
+            prev = rows[phase:nf:_X_PERIOD]
+            dst = out[phase::_X_PERIOD]
+            xt = 1
+            for t in range(1, c):
+                xt = mul(xt, x)
+                term, cut = MUL_TABLE[xt].take(prev, mode="clip"), t * bs
+                dst[:, : m - cut] ^= term[:, cut:]
+                dst[:, m - cut :] ^= term[:, :cut]
+
+    _in_parts(min(nf, _X_PERIOD), out.nbytes, phases)
     return out.reshape(-1)[:payload_length].tobytes()
 
 
@@ -228,10 +252,34 @@ def _check_fragments(frags: tuple[Fragment, ...]) -> None:
         )
 
 
-def _pad_to_array(data: bytes, params: CodecParams) -> np.ndarray:
-    padded = np.zeros(padded_length(len(data), params), dtype=np.uint8)
-    padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    return padded
+def _in_parts(n: int, nbytes: int, fn: Callable[[int, int], None]) -> None:
+    """Run fn(lo, hi) over contiguous parts of range(n), one thread per core.
+
+    A part covers at least _PART_MIN_BYTES of the nbytes the range covers.
+    The caller runs the first part itself and joins every thread before it
+    returns or re-raises the first exception a part raised.
+    """
+    parts = max(1, min(_CORES, n, nbytes // _PART_MIN_BYTES))
+    cuts = [n * i // parts for i in range(parts + 1)]
+    errors: list[BaseException] = []
+
+    def run(lo: int, hi: int) -> None:
+        try:
+            fn(lo, hi)
+        except BaseException as exc:  # re-raised on the caller below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(cuts[i], cuts[i + 1]))
+        for i in range(1, parts)
+    ]
+    for thread in threads:
+        thread.start()
+    run(cuts[0], cuts[1])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _flat_permutation_gather(pas: list[PermutationArray], params: CodecParams) -> np.ndarray:
@@ -264,14 +312,12 @@ def _encode_with_permutations(
 ) -> FragmentSet:
     """Encode with explicit permutations; the seam tests drive directly."""
     k, bs = params.k, params.block_size
-    padded = _pad_to_array(data, params)
+    padded = np.zeros(padded_length(len(data), params), dtype=np.uint8)
+    padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
     m = params.group_size
     nf = padded.size // m
     rows = padded.reshape(nf, m)
-
-    ps_rows = np.empty((k, bs), dtype=np.uint8)
-    for j in range(k):
-        ps_rows[j] = np.frombuffer(ps[j].entries, dtype=np.uint8)
+    ps_row = np.frombuffer(b"".join(p.entries for p in ps), dtype=np.uint8)
 
     pi = _flat_permutation_gather(pas, params)
     parent_idx = _parent_gathers(params, pi)
@@ -279,9 +325,9 @@ def _encode_with_permutations(
     out = np.empty((nf, m), dtype=np.uint8)
 
     if params.c == 2 and nf >= _SCAN_MIN_ROWS:
-        _encode_rows_scan(pre, ps_rows.reshape(-1), parent_idx[0], out)
+        _encode_rows_scan(pre, ps_row, parent_idx[0], out)
     else:
-        _encode_rows_serial(pre, ps_rows.reshape(-1), parent_idx, out, start_row=0)
+        _encode_rows_serial(pre, ps_row, parent_idx, out, start_row=0)
 
     shaped = out.reshape(nf, k, bs)
     frags = tuple(
@@ -309,12 +355,16 @@ def _gather_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
     base = (np.arange(chunk, dtype=np.intp)[:, None] * m + idx).reshape(-1)
     flat_in = rows.reshape(-1)
     flat_out = out.reshape(-1)
-    for r0 in range(0, nf, chunk):
-        r1 = min(r0 + chunk, nf)
-        span = (r1 - r0) * m
-        flat_in[r0 * m : r1 * m].take(
-            base[:span], out=flat_out[r0 * m : r1 * m], mode="clip"
-        )
+
+    def chunks(lo: int, hi: int) -> None:
+        for r0 in range(lo * chunk, min(hi * chunk, nf), chunk):
+            r1 = min(r0 + chunk, nf)
+            span = (r1 - r0) * m
+            flat_in[r0 * m : r1 * m].take(
+                base[:span], out=flat_out[r0 * m : r1 * m], mode="clip"
+            )
+
+    _in_parts(-(-nf // chunk), out.nbytes, chunks)
     return out
 
 
@@ -352,8 +402,9 @@ def _encode_rows_scan(
     is linear over the field, so states superpose); a short serial pass then
     propagates the true state across batch boundaries; a second sweep replays
     the recurrence from the true entry states to produce the output rows.
-    Every gather runs flat over all batches at once, so throughput does not
-    depend on k or the block size.
+    Every gather runs flat over a contiguous range of batches, one range and
+    one slice of the buffers per thread, so throughput does not depend on k
+    or the block size.
     """
     nf, m = out.shape
     b = _X_PERIOD
@@ -364,26 +415,28 @@ def _encode_rows_scan(
     pre3 = pre[:body].reshape(nb, b, m)
     out3 = out[:body].reshape(nb, b, m)
 
-    # flat gather index applying C to every batch at once
+    # flat gather index applying C to every batch of a range at once
     flat_c = (np.arange(nb, dtype=np.intp)[:, None] * m + cidx).reshape(-1)
 
     gbuf = np.empty(nb * m, dtype=np.uint8)
     mbuf = np.empty((nb, m), dtype=np.uint8)
     cur = np.empty((nb, m), dtype=np.uint8)
 
-    def sweep(store: bool) -> None:
+    def sweep(lo: int, hi: int, store: bool) -> None:
         # cur holds the entry state (previous row) and is replaced in place;
         # the gather snapshots it into gbuf first, so aliasing is safe
+        state, g, mb = cur[lo:hi], gbuf[lo * m : hi * m], mbuf[lo:hi]
+        flat_state, flat_mb, idx = state.reshape(-1), mb.reshape(-1), flat_c[: g.size]
         for tau in range(0 if store else 1, b):
-            cur.reshape(-1).take(flat_c, out=gbuf, mode="clip")
-            MUL_TABLE[xs[tau]].take(gbuf, out=mbuf.reshape(-1), mode="clip")
-            np.bitwise_xor(pre3[:, tau, :], mbuf, out=cur)
+            flat_state.take(idx, out=g, mode="clip")
+            MUL_TABLE[xs[tau]].take(g, out=flat_mb, mode="clip")
+            np.bitwise_xor(pre3[lo:hi, tau, :], mb, out=state)
             if store:
-                out3[:, tau, :] = cur
+                out3[lo:hi, tau, :] = state
 
     # sweep 1: batch-local states with zero entry state
     cur[:] = pre3[:, 0, :]
-    sweep(store=False)
+    _in_parts(nb, out.nbytes, lambda lo, hi: sweep(lo, hi, store=False))
 
     # boundary pass: true state entering each batch
     cpow = cidx  # C composed with itself b times
@@ -392,14 +445,11 @@ def _encode_rows_scan(
     xprod = 1
     for x in xs:
         xprod = int(MUL_TABLE[xprod, x])
-    bounds = np.empty((nb, m), dtype=np.uint8)
-    state = np.asarray(initial_state, dtype=np.uint8)
-    for beta in range(nb):
-        bounds[beta] = state
-        state = cur[beta] ^ MUL_TABLE[xprod].take(state.take(cpow))
+    state = initial_state
+    for beta in range(nb):  # cur[beta] becomes the entry state of batch beta
+        state, cur[beta] = cur[beta] ^ MUL_TABLE[xprod].take(state.take(cpow)), state
 
     # sweep 2: replay from the true entry states, storing every row
-    cur[:] = bounds
-    sweep(store=True)
+    _in_parts(nb, out.nbytes, lambda lo, hi: sweep(lo, hi, store=True))
 
     _encode_rows_serial(pre, out[body - 1], [cidx], out, start_row=body)

@@ -4,6 +4,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import random
+import threading
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -19,3 +20,13 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail any test that returns with more live threads than it started with."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"test left {len(left)} thread(s) running: {left}")

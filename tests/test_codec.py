@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -355,3 +357,62 @@ def test_scan_and_serial_paths_agree(rng):
         scan = codec._encode_with_permutations(data, params, pas, ps)
         for fa, fb in zip(serial, scan):
             assert np.array_equal(fa.shares, fb.shares)
+
+
+# ---------------------------------------------------------------------------
+# threads
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "k,c,bs,nf",
+    [
+        (4, 2, 250, 50 * 254 + 17),  # scan path, 50 batches and a tail
+        (72, 2, 250, 700),  # scan path, 2 batches: fewer than the parts
+        (6, 3, 250, 8400),  # serial encode, c = 3 decode phases
+    ],
+)
+def test_threaded_paths_give_the_bytes_of_one_thread(k, c, bs, nf, monkeypatch, rng):
+    params = CodecParams(k, c, bs)
+    # large enough for three parts of _PART_MIN_BYTES, so 3 cores split
+    # every loop unevenly and 1 core runs it on the caller's thread alone
+    assert nf * params.group_size >= 3 * codec._PART_MIN_BYTES
+    data = rng.randbytes(nf * params.group_size - 7)
+    monkeypatch.setattr(codec, "_CORES", 1)
+    serial, pas, ps = _forced_encode(data, params, rng)
+    serial_out = decode_data(serial)
+    monkeypatch.setattr(codec, "_CORES", 3)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the parts as finely as possible
+    try:
+        threaded = codec._encode_with_permutations(data, params, pas, ps)
+        threaded_out = decode_data(threaded)
+    finally:
+        sys.setswitchinterval(switch)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a.shares, b.shares)
+    assert threaded_out == serial_out == data
+
+
+@pytest.mark.parametrize("bad_part", [0, 2])  # the caller's part, a thread's part
+def test_in_parts_covers_the_range_and_reraises_on_the_caller(bad_part, monkeypatch):
+    monkeypatch.setattr(codec, "_CORES", 3)
+    before = threading.active_count()
+    seen = []
+
+    def fn(lo, hi):
+        seen.append((lo, hi))
+        if (lo, hi) == [(0, 3), (3, 6), (6, 10)][bad_part]:
+            raise ValueError(f"part {lo}:{hi}")
+
+    with pytest.raises(ValueError, match="part"):
+        codec._in_parts(10, 3 * codec._PART_MIN_BYTES, fn)
+    assert sorted(seen) == [(0, 3), (3, 6), (6, 10)]
+    assert threading.active_count() == before
+
+    # fewer parts when a part would fall below _PART_MIN_BYTES
+    for nbytes, parts in [(3 * codec._PART_MIN_BYTES - 1, [(0, 5), (5, 10)]),
+                          (2 * codec._PART_MIN_BYTES - 1, [(0, 10)])]:
+        seen.clear()
+        codec._in_parts(10, nbytes, lambda lo, hi: seen.append((lo, hi)))
+        assert sorted(seen) == parts

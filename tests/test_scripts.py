@@ -21,3 +21,16 @@ def test_security_analysis_writes_one_report_per_scheme(tmp_path):
     assert sorted(p.name for p in tmp_path.glob("report_*.json")) == sorted(
         f"report_{s.value}_s0.json" for s in SchemeId
     )
+
+
+def test_security_analysis_rejects_a_size_too_small_for_chi_squared(tmp_path):
+    # at the default k = 4, IDA fragments of a 2000-byte sample hold 500 bytes
+    child = subprocess.run(
+        [sys.executable, str(SCRIPTS / "security_analysis.py"), "--samples", "1",
+         "--size", "2000", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 2, child.stderr
+    assert "--size must be at least 3997" in child.stderr
+    assert "Traceback" not in child.stderr
+    assert not (tmp_path / "out").exists()
