@@ -66,8 +66,6 @@ def main() -> None:
 
 
 def _split_proposed(data: bytes, k: int, n: int, c: int, block_size: int, rng) -> list:
-    if k % c != 0:
-        raise ParameterError("--k must be a multiple of --c")
     return list(encode_data(data, CodecParams(k=k, c=c, block_size=block_size), rng))
 
 

@@ -14,32 +14,32 @@ as coefficient sources and the permutation array indexed j % (k/c).  The
 permutation share carried by fragment j is share j%c of array j//c, which is
 generally not the array the fragment itself was permuted with.
 
-Two equivalent encode implementations exist: a vectorized row-serial sweep,
+Two equivalent encode implementations exist: a row-serial sweep for any c,
 and a blocked scan for c == 2 that exploits the linearity of the row
 recurrence to run in large batches regardless of k and the block size.  Both
-produce bit-identical fragments.  Decoding has no cross-row dependency and
-runs over all rows at once: one inverse-permutation gather, then for each of
-the 254 evaluation points one multiply-by-constant table lookup over every
-row that uses it.
+produce bit-identical fragments.  The serial sweep makes c + 1 numpy calls
+per row, whatever k and the block size: one table lookup scales the previous
+row by every power of x it needs, one flat gather picks the c - 1 terms, and
+c - 1 XORs add them.  Decoding has no cross-row dependency and runs over all
+rows at once: one inverse-permutation gather, then for each of the 254
+evaluation points one multiply-by-constant table lookup over every row that
+uses it.
 
 The row gathers, the scan's two sweeps and the decode phases split into
-contiguous parts of at least _PART_MIN_BYTES, one thread per usable core
-(numpy releases the interpreter lock inside them); everything else runs on
-the caller's thread.  The bytes do not depend on the number of parts.
+parts through gf256._in_parts, one thread per usable core; the serial sweep
+runs row by row on the caller's thread.  The bytes do not depend on the
+number of parts.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import threading
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ThresholdError
-from .gf256 import MUL_TABLE, mul
+from .gf256 import EXP_TABLE, LOG_TABLE, MUL_TABLE, _in_parts, mul
 from .permutation import (
     MAX_POSITIONS,
     PermutationArray,
@@ -53,17 +53,8 @@ from .permutation import (
 # so every batch sees the same x sequence.
 _X_PERIOD = 254
 _SCAN_MIN_ROWS = 2 * _X_PERIOD
-
-try:
-    _CORES = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity API on this platform
-    _CORES = os.cpu_count() or 1
-# A part covers at least this many bytes of rows.  Each scan sweep makes 254
-# steps of four numpy calls per part, so a 4 MiB part makes calls of about
-# 16 KiB; with smaller calls the threads wait on the interpreter lock more
-# than they work: on a 2-core host the c == 2 encode of 5-6 MiB ran up to
-# 1.45x slower on two threads than on one.
-_PART_MIN_BYTES = 4 << 20
+# discrete log of pick_x(t + 1) for t in range(_X_PERIOD)
+_X_LOGS = LOG_TABLE[2 + np.arange(1, _X_PERIOD + 1) % _X_PERIOD].astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -252,36 +243,6 @@ def _check_fragments(frags: tuple[Fragment, ...]) -> None:
         )
 
 
-def _in_parts(n: int, nbytes: int, fn: Callable[[int, int], None]) -> None:
-    """Run fn(lo, hi) over contiguous parts of range(n), one thread per core.
-
-    A part covers at least _PART_MIN_BYTES of the nbytes the range covers.
-    The caller runs the first part itself and joins every thread before it
-    returns or re-raises the first exception a part raised.
-    """
-    parts = max(1, min(_CORES, n, nbytes // _PART_MIN_BYTES))
-    cuts = [n * i // parts for i in range(parts + 1)]
-    errors: list[BaseException] = []
-
-    def run(lo: int, hi: int) -> None:
-        try:
-            fn(lo, hi)
-        except BaseException as exc:  # re-raised on the caller below
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=run, args=(cuts[i], cuts[i + 1]))
-        for i in range(1, parts)
-    ]
-    for thread in threads:
-        thread.start()
-    run(cuts[0], cuts[1])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _flat_permutation_gather(pas: list[PermutationArray], params: CodecParams) -> np.ndarray:
     """Flat index PI with PI[j*bs + w] = j*bs + inverse(pa_j)[w]."""
     k, bs = params.k, params.block_size
@@ -375,19 +336,27 @@ def _encode_rows_serial(
     out: np.ndarray,
     start_row: int,
 ) -> None:
-    """Row-by-row sweep: out[r] = pre[r] ^ sum_t x^t * state[C_t]."""
+    """Row-by-row sweep: out[r] = pre[r] ^ sum_t x^t * state[C_t].
+
+    Each row makes c + 1 numpy calls: one lookup multiplies the state by
+    x, x^2, .., x^(c-1) at once, one flat gather picks every term through
+    the concatenated index [C_1, m + C_2, ..], and c - 1 XORs sum them.
+    """
     nf, m = out.shape
-    gbuf = np.empty(m, dtype=np.uint8)
-    mbuf = np.empty(m, dtype=np.uint8)
-    for r in range(start_row, nf):
-        x = pick_x(r + 1)
-        row, acc, xt = out[r], pre[r], 1
-        for cidx in parent_idx:
-            xt = mul(xt, x)
-            state.take(cidx, out=gbuf, mode="clip")
-            MUL_TABLE[xt].take(gbuf, out=mbuf, mode="clip")
-            np.bitwise_xor(acc, mbuf, out=row)
-            acc = row
+    terms = len(parent_idx)
+    # tables[t][s] multiplies by pick_x(t + 1) ** (s + 1)
+    tables = list(MUL_TABLE[EXP_TABLE[_X_LOGS[:, None] * np.arange(1, terms + 1) % 255]])
+    cat = np.concatenate([s * m + cidx for s, cidx in enumerate(parent_idx)])
+    scaled = np.empty((terms, m), dtype=np.uint8)
+    gathered = np.empty((terms, m), dtype=np.uint8)
+    flat_scaled, flat_gathered = scaled.reshape(-1), gathered.reshape(-1)
+    first, rest = gathered[0], list(gathered[1:])
+    for r, row, pre_row in zip(range(start_row, nf), out[start_row:], pre[start_row:]):
+        tables[r % _X_PERIOD].take(state, axis=1, out=scaled, mode="clip")
+        flat_scaled.take(cat, out=flat_gathered, mode="clip")
+        np.bitwise_xor(pre_row, first, out=row)
+        for term in rest:
+            np.bitwise_xor(row, term, out=row)
         state = row
 
 

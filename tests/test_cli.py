@@ -51,7 +51,22 @@ def test_split_rejects_k_not_multiple_of_c(runner, tmp_path):
         runner, "split", "--in", str(src), "--out", str(tmp_path / "o"),
         "--k", "5", "--c", "2", code=2,
     )
-    assert "--k must be a multiple of --c" in result.output
+    assert "k must be a multiple of c" in result.output
+
+
+@pytest.mark.parametrize("command", ["split", "analyze", "bench"])
+def test_c_below_two_is_a_usage_error_without_traceback(runner, tmp_path, command):
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"data" * 1000)
+    args = {
+        "split": ["split", "--in", str(src), "--out", str(tmp_path / "o"), "--c", "0"],
+        "analyze": ["analyze", "--in", str(src), "--report", str(tmp_path / "r.json"),
+                    "--c", "0"],
+        "bench": ["bench", "--grid", "4,0,250", "--reps", "3", "--payload-mb", "1"],
+    }[command]
+    result = _invoke(runner, *args, code=2)
+    assert "c must be at least 2" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_split_missing_input_is_io_error(runner, tmp_path):

@@ -1,8 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kfrag import gf256
+from kfrag import erasure, gf256
 from kfrag.errors import ParameterError
 
 import oracles
@@ -103,3 +106,66 @@ def test_matmul_rejects_mismatched_rows():
         gf256.matmul(a, np.zeros((2, 5), dtype=np.uint8))
     with pytest.raises(ParameterError, match="length"):
         gf256.matmul(a, [np.zeros(5, np.uint8), np.zeros(5, np.uint8), np.zeros(4, np.uint8)])
+
+
+# ---------------------------------------------------------------------------
+# threads
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad_part", [0, 2])  # the caller's part, a thread's part
+def test_in_parts_covers_the_range_and_reraises_on_the_caller(bad_part, monkeypatch):
+    monkeypatch.setattr(gf256, "_CORES", 3)
+    before = threading.active_count()
+    seen = []
+
+    def fn(lo, hi):
+        seen.append((lo, hi))
+        if (lo, hi) == [(0, 3), (3, 6), (6, 10)][bad_part]:
+            raise ValueError(f"part {lo}:{hi}")
+
+    with pytest.raises(ValueError, match="part"):
+        gf256._in_parts(10, 3 * gf256._PART_MIN_BYTES, fn)
+    assert sorted(seen) == [(0, 3), (3, 6), (6, 10)]
+    assert threading.active_count() == before
+
+    # fewer parts when a part would fall below _PART_MIN_BYTES
+    for nbytes, parts in [(3 * gf256._PART_MIN_BYTES - 1, [(0, 5), (5, 10)]),
+                          (2 * gf256._PART_MIN_BYTES - 1, [(0, 10)])]:
+        seen.clear()
+        gf256._in_parts(10, nbytes, lambda lo, hi: seen.append((lo, hi)))
+        assert sorted(seen) == parts
+
+
+def test_matmul_in_parts_gives_the_bytes_of_one_core(monkeypatch):
+    gen = np.random.default_rng(7)
+    k, n = 6, 3
+    length = -(-3 * gf256._PART_MIN_BYTES // k) + 5  # three uneven parts on 3 cores
+    assert k * length >= 3 * gf256._PART_MIN_BYTES
+    a = gen.integers(0, 256, size=(n, k), dtype=np.uint8)
+    a[0, 1], a[1, 2], a[2, 0], a[2, 3] = 0, 1, 0, 1  # zero and unit coefficients
+    rows = gen.integers(0, 256, size=(k, length), dtype=np.uint8)
+    # the transposed view IDA passes: row t is every k-th byte of the payload
+    ida_rows = rows.reshape(length, k).T
+    inputs = [rows, list(rows), ida_rows]
+    params = erasure.ParityParams(k=k, n=k + 2)
+    primary = [row.tobytes() for row in rows]
+
+    def run_all():
+        parity = erasure.rs_encode(primary, params)
+        lost = [(i, primary[i]) for i in range(2, k)] + list(enumerate(parity, start=k))
+        return [gf256.matmul(a, x) for x in inputs], parity, erasure.rs_decode(lost, params)
+
+    monkeypatch.setattr(gf256, "_CORES", 1)
+    one_core = run_all()
+    monkeypatch.setattr(gf256, "_CORES", 3)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the parts as finely as possible
+    try:
+        in_parts = run_all()
+    finally:
+        sys.setswitchinterval(switch)
+    for x, y in zip(one_core[0], in_parts[0]):
+        assert np.array_equal(x, y)
+    assert one_core[1] == in_parts[1]
+    assert in_parts[2] == primary
