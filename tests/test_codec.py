@@ -153,7 +153,7 @@ def _forced_encode(data, params, rng):
     return fragset, pas, ps
 
 
-@pytest.mark.parametrize("k,c", [(2, 2), (4, 2), (6, 3), (12, 3)])
+@pytest.mark.parametrize("k,c", [(2, 2), (4, 2), (6, 3), (12, 3), (8, 4)])
 @pytest.mark.parametrize("bs", [2, 16, 34])
 def test_encode_matches_reference_oracle(k, c, bs, rng):
     params = CodecParams(k, c, bs)
