@@ -22,6 +22,7 @@ import numpy as np
 
 from .baselines import SchemeId
 from .cli import join, split
+from .codec import CodecParams
 from .errors import ParameterError
 
 MB = 1 << 20
@@ -54,6 +55,9 @@ class BenchConfig:
             raise ParameterError(f"payload must be at least 1 MB, got {self.payload_mb}")
         if not self.grid:
             raise ParameterError("empty grid")
+        if SchemeId.PROPOSED in self.schemes:
+            for k, c, block_size in self.grid:
+                CodecParams(k, c, block_size)  # rejects a bad point before the payload is built
 
 
 @dataclass

@@ -25,7 +25,7 @@ import json
 import os
 import time
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .erasure import ParityParams, rs_decode
@@ -144,6 +144,24 @@ class ManifestEntry:
     kind: str = "data"  # "data" or "parity"
 
 
+# field annotations are strings here (postponed evaluation): each scalar one
+# names its JSON type, and the one other annotation, the fragment list, is a list
+_JSON_TYPES = {"int": int, "str": str, "None": type(None)}
+
+
+def _fields_from(cls, doc: dict) -> dict:
+    """The fields of dataclass ``cls`` in ``doc``, each of its declared type."""
+    values = {}
+    for f in fields(cls):
+        if f.name in doc:
+            value = values[f.name] = doc[f.name]
+            if type(value) not in [_JSON_TYPES.get(t, list) for t in f.type.split(" | ")]:
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        elif f.default is MISSING:
+            raise TypeError(f"no {f.name!r} field")
+    return values
+
+
 @dataclass
 class Manifest:
     scheme: str
@@ -152,70 +170,35 @@ class Manifest:
     block_size: int
     n: int
     payload_length: int
-    fragments: list[ManifestEntry]
     created: str
     run_id: str
+    fragments: list[ManifestEntry]
     cipher: str | None = None
     digest: str | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "scheme": self.scheme,
-            "k": self.k,
-            "c": self.c,
-            "block_size": self.block_size,
-            "n": self.n,
-            "payload_length": self.payload_length,
-            "created": self.created,
-            "run_id": self.run_id,
-            "fragments": [
-                {
-                    "index": e.index,
-                    "site": e.site,
-                    "name": e.name,
-                    "sha256": e.sha256,
-                    "kind": e.kind,
-                }
-                for e in self.fragments
-            ],
-        }
-        if self.cipher:
-            doc["cipher"] = self.cipher
-        if self.digest:
-            doc["digest"] = self.digest
+        doc = asdict(self)
+        for key in ("cipher", "digest"):
+            if not doc[key]:
+                del doc[key]
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Manifest":
-        return cls(
-            scheme=doc["scheme"],
-            k=doc["k"],
-            c=doc["c"],
-            block_size=doc["block_size"],
-            n=doc["n"],
-            payload_length=doc["payload_length"],
-            fragments=[
-                ManifestEntry(
-                    index=e["index"],
-                    site=e["site"],
-                    name=e["name"],
-                    sha256=e["sha256"],
-                    kind=e.get("kind", "data"),
-                )
-                for e in doc["fragments"]
-            ],
-            created=doc["created"],
-            run_id=doc["run_id"],
-            cipher=doc.get("cipher"),
-            digest=doc.get("digest"),
-        )
+        values = _fields_from(cls, doc)
+        entries = [ManifestEntry(**_fields_from(ManifestEntry, e)) for e in values["fragments"]]
+        return cls(**{**values, "fragments": entries})
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))
 
     @classmethod
     def load(cls, path: str | Path) -> "Manifest":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        raw = Path(path).read_bytes()
+        try:
+            return cls.from_dict(json.loads(raw))
+        except (ValueError, TypeError) as exc:
+            raise ParameterError(f"malformed manifest {path}: {exc}") from None
 
 
 def _sha256(data: bytes) -> str:

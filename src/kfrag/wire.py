@@ -5,14 +5,24 @@ Every file starts with the same 22-byte big-endian header:
     magic 4s | version u8 | k u16 | c u8 | j u16 | block_size u16 |
     payload_length u64 | r u8 | z u8
 
-The magic selects the scheme.  For the keyless codec ("KFRG") the header
-fields carry their literal meaning and the body is the permutation share
-followed by a u32 share count and the raw shares.  Baseline schemes reuse
-the header with the c slot carrying the total fragment count n and
-block_size set to zero; their bodies carry scheme-specific trailers
-(x-coordinate, dispersal matrix row, key share, cipher nonce) ahead of a
-u32-length data section.  Parity files ("KPAR") carry the coefficient row
-used to combine the k primary files.
+The magic selects the scheme, and the file extension is "." plus the magic
+in lower case.  For the keyless codec ("KFRG") the header fields carry their
+literal meaning and the body is the permutation share followed by a u32
+share count and the raw shares; ``dump_fragment`` writes it and
+``load_fragment`` reads it back as a view of the file's bytes.
+
+The baseline schemes (SSS, IDA, SSMS, AONT-RS) and the parity files
+("KPAR", the coefficient row that combined the k primary files plus the
+combined bytes) are rows of one table, ``_FORMATS``, read by one ``dump``
+and one ``load``.  Each row names the fragment type, the attribute in the
+header's j slot (``index``, or ``row_index`` for parity) and in its length
+slot (``payload_length``, or ``primary_length`` for parity), and the body
+fields in file order.  The c slot carries the total fragment count n, and
+block_size, r and z are zero.  A body field is one of three kinds:
+
+- ``_ROW``: k raw bytes (the dispersal-matrix row of IDA and SSMS);
+- ``_INT``, w: a w-byte big-endian unsigned integer;
+- ``_BLOB``, w: a byte string after its w-byte length (w = 1, 2 or 4).
 
 All formats are bit-exact: any header deviation inside one fragment set is
 a decode parameter error.
@@ -21,6 +31,8 @@ a decode parameter error.
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,30 +54,14 @@ VERSION = 1
 _HEADER = struct.Struct(">4sBHBHHQBB")
 HEADER_SIZE = _HEADER.size  # 22
 
-EXTENSIONS = {
-    MAGIC_PROPOSED: ".kfrg",
-    MAGIC_SSS: ".ksss",
-    MAGIC_IDA: ".kida",
-    MAGIC_SSMS: ".ksms",
-    MAGIC_AONT: ".kant",
-    MAGIC_PARITY: ".kpar",
-}
 
-
-def _pack_header(
-    magic: bytes, k: int, c: int, j: int, block_size: int, payload_length: int, r: int, z: int
-) -> bytes:
-    return _HEADER.pack(magic, VERSION, k, c, j, block_size, payload_length, r, z)
-
-
-def _unpack_header(buf: bytes, expect_magic: bytes | None = None) -> tuple:
+def _unpack_header(buf: bytes, magics) -> tuple:
     if len(buf) < HEADER_SIZE:
         raise ParameterError("truncated fragment: header incomplete")
     magic, version, k, c, j, block_size, payload_length, r, z = _HEADER.unpack_from(buf)
-    if expect_magic is not None and magic != expect_magic:
-        raise ParameterError(f"bad magic {magic!r}, expected {expect_magic!r}")
-    if magic not in EXTENSIONS:
-        raise ParameterError(f"unknown magic {magic!r}")
+    if magic not in magics:
+        expected = " or ".join(repr(m) for m in magics)
+        raise ParameterError(f"bad magic {magic!r}, expected {expected}")
     if version != VERSION:
         raise ParameterError(f"unsupported version {version}")
     if k < 1:
@@ -89,39 +85,12 @@ class _Reader:
         start = self.skip(n)
         return self.buf[start : start + n]
 
-    def u8(self) -> int:
-        return self.bytes(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self.bytes(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.bytes(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.bytes(8), "big")
-
-    def blob32(self) -> bytes:
-        return self.bytes(self.u32())
-
-    def blob8(self) -> bytes:
-        return self.bytes(self.u8())
+    def uint(self, width: int) -> int:
+        return int.from_bytes(self.bytes(width), "big")
 
     def done(self) -> None:
         if self.pos != len(self.buf):
             raise ParameterError("trailing bytes after fragment body")
-
-
-def _u32(n: int) -> bytes:
-    return n.to_bytes(4, "big")
-
-
-def _u16(n: int) -> bytes:
-    return n.to_bytes(2, "big")
-
-
-def _u8(n: int) -> bytes:
-    return n.to_bytes(1, "big")
 
 
 # -- keyless codec fragments -------------------------------------------------
@@ -130,8 +99,9 @@ def _u8(n: int) -> bytes:
 def dump_fragment(frag: Fragment) -> bytes:
     p = frag.params
     ps = frag.permutation_share
-    head = _pack_header(
+    head = _HEADER.pack(
         MAGIC_PROPOSED,
+        VERSION,
         p.k,
         p.c,
         frag.index,
@@ -141,15 +111,15 @@ def dump_fragment(frag: Fragment) -> bytes:
         ps.share_index,
     )
     return b"".join(
-        [head, ps.entries, _u32(frag.num_shares), frag.shares.tobytes()]
+        [head, ps.entries, frag.num_shares.to_bytes(4, "big"), frag.shares.tobytes()]
     )
 
 
 def load_fragment(buf: bytes) -> Fragment:
-    _, k, c, j, block_size, payload_length, r, z = _unpack_header(buf, MAGIC_PROPOSED)
+    _, k, c, j, block_size, payload_length, r, z = _unpack_header(buf, (MAGIC_PROPOSED,))
     rd = _Reader(buf, HEADER_SIZE)
     entries = rd.bytes(block_size)
-    count = rd.u32()
+    count = rd.uint(4)
     size = count * block_size
     # a view of buf, not a copy; Fragment makes it read-only
     shares = np.frombuffer(buf, dtype=np.uint8, count=size, offset=rd.skip(size))
@@ -163,160 +133,94 @@ def load_fragment(buf: bytes) -> Fragment:
     )
 
 
-# -- baseline fragments -------------------------------------------------------
+# -- baseline and parity fragments: one table --------------------------------
+
+_ROW, _INT, _BLOB = "row", "int", "blob"
 
 
-def dump_sss_fragment(frag: baselines.SssFragment) -> bytes:
-    head = _pack_header(MAGIC_SSS, frag.k, frag.n, frag.x - 1, 0, frag.payload_length, 0, 0)
-    return b"".join([head, _u8(frag.x), _u32(len(frag.data)), frag.data])
+class _Format(NamedTuple):
+    cls: type
+    body: list  # (attribute, kind, width) in file order
+    j: str = "index"  # the attribute in the header's j slot
+    length: str = "payload_length"  # the attribute in the header's length slot
 
 
-def load_sss_fragment(buf: bytes) -> baselines.SssFragment:
-    _, k, n, j, _, payload_length, _, _ = _unpack_header(buf, MAGIC_SSS)
+_DATA = ("data", _BLOB, 4)
+_FORMATS = {
+    MAGIC_SSS: _Format(baselines.SssFragment, [("x", _INT, 1), _DATA]),
+    MAGIC_IDA: _Format(baselines.IdaFragment, [("row", _ROW, 0), _DATA]),
+    MAGIC_SSMS: _Format(
+        baselines.SsmsFragment,
+        [("row", _ROW, 0), ("key_x", _INT, 1), ("key_share", _BLOB, 2), ("nonce", _BLOB, 1), _DATA],
+    ),
+    MAGIC_AONT: _Format(
+        baselines.AontFragment,
+        [("key_length", _INT, 2), ("package_length", _INT, 8), ("nonce", _BLOB, 1), _DATA],
+    ),
+    MAGIC_PARITY: _Format(
+        ParityFragment, [("coefficients", _BLOB, 2), _DATA], "row_index", "primary_length"
+    ),
+}
+_MAGICS = {fmt.cls: magic for magic, fmt in _FORMATS.items()}
+
+
+def dump(frag) -> bytes:
+    """Serialize a baseline or parity fragment through its table row."""
+    magic = _MAGICS[type(frag)]
+    fmt = _FORMATS[magic]
+    parts = [
+        _HEADER.pack(
+            magic, VERSION, frag.k, frag.n, getattr(frag, fmt.j), 0, getattr(frag, fmt.length), 0, 0
+        )
+    ]
+    for name, kind, width in fmt.body:
+        value = getattr(frag, name)
+        if kind == _INT:
+            value = value.to_bytes(width, "big")
+        elif kind == _BLOB:
+            parts.append(len(value).to_bytes(width, "big"))
+        parts.append(value)
+    return b"".join(parts)
+
+
+def load(buf: bytes, magics=_FORMATS):
+    """Deserialize a baseline or parity file whose magic is one of ``magics``."""
+    magic, k, n, j, _, length, _, _ = _unpack_header(buf, magics)
+    fmt = _FORMATS[magic]
     rd = _Reader(buf, HEADER_SIZE)
-    x = rd.u8()
-    data = rd.blob32()
+    values = {"k": k, "n": n, fmt.length: length}
+    for name, kind, width in fmt.body:
+        if kind == _ROW:
+            values[name] = rd.bytes(k)
+        elif kind == _INT:
+            values[name] = rd.uint(width)
+        else:
+            values[name] = rd.bytes(rd.uint(width))
     rd.done()
-    if x != j + 1:
+    if fmt.j in {f.name for f in fields(fmt.cls)}:
+        values[fmt.j] = j
+    frag = fmt.cls(**values)
+    if getattr(frag, fmt.j) != j:  # SSS derives its index from its x coordinate
         raise ParameterError("x coordinate disagrees with fragment index")
-    return baselines.SssFragment(x=x, data=data, k=k, n=n, payload_length=payload_length)
+    return frag
 
 
-def dump_ida_fragment(frag: baselines.IdaFragment) -> bytes:
-    head = _pack_header(MAGIC_IDA, frag.k, frag.n, frag.index, 0, frag.payload_length, 0, 0)
-    return b"".join([head, frag.row, _u32(len(frag.data)), frag.data])
-
-
-def load_ida_fragment(buf: bytes) -> baselines.IdaFragment:
-    _, k, n, j, _, payload_length, _, _ = _unpack_header(buf, MAGIC_IDA)
-    rd = _Reader(buf, HEADER_SIZE)
-    row = rd.bytes(k)
-    data = rd.blob32()
-    rd.done()
-    return baselines.IdaFragment(
-        index=j, row=row, data=data, k=k, n=n, payload_length=payload_length
-    )
-
-
-def dump_ssms_fragment(frag: baselines.SsmsFragment) -> bytes:
-    head = _pack_header(MAGIC_SSMS, frag.k, frag.n, frag.index, 0, frag.payload_length, 0, 0)
-    return b"".join(
-        [
-            head,
-            frag.row,
-            _u8(frag.key_x),
-            _u16(len(frag.key_share)),
-            frag.key_share,
-            _u8(len(frag.nonce)),
-            frag.nonce,
-            _u32(len(frag.data)),
-            frag.data,
-        ]
-    )
-
-
-def load_ssms_fragment(buf: bytes) -> baselines.SsmsFragment:
-    _, k, n, j, _, payload_length, _, _ = _unpack_header(buf, MAGIC_SSMS)
-    rd = _Reader(buf, HEADER_SIZE)
-    row = rd.bytes(k)
-    key_x = rd.u8()
-    key_share = rd.bytes(rd.u16())
-    nonce = rd.blob8()
-    data = rd.blob32()
-    rd.done()
-    return baselines.SsmsFragment(
-        index=j,
-        row=row,
-        key_x=key_x,
-        key_share=key_share,
-        nonce=nonce,
-        data=data,
-        k=k,
-        n=n,
-        payload_length=payload_length,
-    )
-
-
-def dump_aont_fragment(frag: baselines.AontFragment) -> bytes:
-    head = _pack_header(MAGIC_AONT, frag.k, frag.n, frag.index, 0, frag.payload_length, 0, 0)
-    return b"".join(
-        [
-            head,
-            _u16(frag.key_length),
-            frag.package_length.to_bytes(8, "big"),
-            _u8(len(frag.nonce)),
-            frag.nonce,
-            _u32(len(frag.data)),
-            frag.data,
-        ]
-    )
-
-
-def load_aont_fragment(buf: bytes) -> baselines.AontFragment:
-    _, k, n, j, _, payload_length, _, _ = _unpack_header(buf, MAGIC_AONT)
-    rd = _Reader(buf, HEADER_SIZE)
-    key_length = rd.u16()
-    package_length = rd.u64()
-    nonce = rd.blob8()
-    data = rd.blob32()
-    rd.done()
-    return baselines.AontFragment(
-        index=j,
-        data=data,
-        k=k,
-        n=n,
-        payload_length=payload_length,
-        package_length=package_length,
-        key_length=key_length,
-        nonce=nonce,
-    )
-
-
-# -- parity fragments ----------------------------------------------------------
-
-
-def dump_parity_fragment(frag: ParityFragment) -> bytes:
-    head = _pack_header(
-        MAGIC_PARITY, frag.k, frag.n, frag.row_index, 0, frag.primary_length, 0, 0
-    )
-    return b"".join(
-        [head, _u16(len(frag.coefficients)), frag.coefficients, _u32(len(frag.data)), frag.data]
-    )
+dump_parity_fragment = dump
 
 
 def load_parity_fragment(buf: bytes) -> ParityFragment:
-    _, k, n, j, _, primary_length, _, _ = _unpack_header(buf, MAGIC_PARITY)
-    rd = _Reader(buf, HEADER_SIZE)
-    coefficients = rd.bytes(rd.u16())
-    data = rd.blob32()
-    rd.done()
-    return ParityFragment(
-        row_index=j,
-        coefficients=coefficients,
-        data=data,
-        k=k,
-        n=n,
-        primary_length=primary_length,
-    )
+    return load(buf, (MAGIC_PARITY,))
 
 
+# dump_any and load_any look the functions up here, so that replacing an
+# entry reroutes every call of that format
+_DUMPERS = {Fragment: dump_fragment, **dict.fromkeys(_MAGICS, dump)}
 _LOADERS = {
     MAGIC_PROPOSED: load_fragment,
-    MAGIC_SSS: load_sss_fragment,
-    MAGIC_IDA: load_ida_fragment,
-    MAGIC_SSMS: load_ssms_fragment,
-    MAGIC_AONT: load_aont_fragment,
+    **dict.fromkeys(_FORMATS, load),
     MAGIC_PARITY: load_parity_fragment,
 }
-
-_DUMPERS = {
-    Fragment: dump_fragment,
-    baselines.SssFragment: dump_sss_fragment,
-    baselines.IdaFragment: dump_ida_fragment,
-    baselines.SsmsFragment: dump_ssms_fragment,
-    baselines.AontFragment: dump_aont_fragment,
-    ParityFragment: dump_parity_fragment,
-}
+EXTENSIONS = {magic: "." + magic.decode().lower() for magic in _LOADERS}
 
 
 def dump_any(frag) -> bytes:
@@ -329,4 +233,4 @@ def dump_any(frag) -> bytes:
 
 def load_any(buf: bytes):
     """Deserialize a fragment file of any scheme, dispatching on the magic."""
-    return _LOADERS[_unpack_header(buf)[0]](buf)
+    return _LOADERS[_unpack_header(buf, _LOADERS)[0]](buf)

@@ -69,6 +69,39 @@ def test_c_below_two_is_a_usage_error_without_traceback(runner, tmp_path, comman
     assert "Traceback" not in result.output
 
 
+def test_bench_rejects_a_bad_grid_point_before_building_the_payload(runner, monkeypatch):
+    from kfrag import bench
+
+    def no_payload(cfg):
+        raise AssertionError("payload built before the grid was checked")
+
+    monkeypatch.setattr(bench, "_payload", no_payload)
+    result = _invoke(runner, "bench", "--grid", "4,0,250", code=2)
+    assert "c must be at least 2" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["join", "disperse", "fetch"])
+@pytest.mark.parametrize(
+    "content",
+    ["not json", '{"scheme": "proposed"}', '{"scheme": "proposed", "k": "4"}'],
+    ids=["not-json", "no-k", "k-not-int"],
+)
+def test_malformed_manifest_is_a_usage_error_without_traceback(runner, tmp_path, command, content):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(content)
+    sites = f"{tmp_path / 's0'},{tmp_path / 's1'}"
+    args = {
+        "join": ["join", "--manifest", str(manifest), "--out", str(tmp_path / "back")],
+        "disperse": ["disperse", "--manifest", str(manifest), "--sites", sites],
+        "fetch": ["fetch", "--manifest", str(manifest), "--sites", sites,
+                  "--out", str(tmp_path / "o")],
+    }[command]
+    result = _invoke(runner, *args, code=2)
+    assert f"malformed manifest {manifest}" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_split_missing_input_is_io_error(runner, tmp_path):
     _invoke(
         runner, "split", "--in", str(tmp_path / "absent.bin"),

@@ -55,8 +55,13 @@ def test_split_and_parity_join_run_through_the_traced_names(tmp_path):
     rec = tracing.Recorder()
     with tracing.installed(rec):
         kfrag("split", "--in", str(src), "--out", str(out), "--n", "6")
+        # four fragments through dump_any, two parity files by name
+        assert rec.calls["wire.dump"] == 6, rec.calls
         (out / "f1.kfrg").unlink()
         kfrag("join", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / "back"))
     assert (tmp_path / "back").read_bytes() == src.read_bytes()
+    # join loads 3 fragments and 2 parity files, dumps the 3 fragments for the
+    # RS decode and loads the 4 rows it returns
+    assert (rec.calls["wire.dump"], rec.calls["wire.load"]) == (9, 9), rec.calls
     for name in ("codec.encode", "codec.decode", "erasure.encode", "erasure.decode"):
         assert rec.calls[name] == 1, (name, rec.calls)

@@ -5,7 +5,7 @@ import pytest
 
 from kfrag import baselines, wire
 from kfrag.codec import CodecParams, Fragment, encode_data, padded_length
-from kfrag.erasure import ParityParams, parity_fragments
+from kfrag.erasure import ParityFragment, ParityParams, parity_fragments
 from kfrag.errors import ParameterError
 from kfrag.permutation import PermutationShare
 
@@ -47,6 +47,138 @@ def test_golden_bytes_load():
     assert frag.payload_length == 4
     assert frag.permutation_share.entries == bytes([0xAA, 0xBB])
     assert frag.shares.tolist() == [[1, 2]]
+
+
+# one small file of each table format; the header's c slot holds n, and its
+# block size, r and z slots are zero
+GOLDEN_TABLE = {
+    "sss": (
+        baselines.SssFragment(x=2, data=bytes([0x10, 0x20, 0x30]), k=2, n=3, payload_length=3),
+        "4b535353"  # "KSSS"
+        "01"        # version
+        "0002"      # k
+        "03"        # n
+        "0001"      # j = x - 1
+        "0000"      # block size
+        "0000000000000003"  # payload length
+        "00"        # r
+        "00"        # z
+        "02"        # x
+        "00000003"  # data length
+        "102030",   # data
+    ),
+    "ida": (
+        baselines.IdaFragment(
+            index=1, row=bytes([0x01, 0x02]), data=bytes([0xAB, 0xCD]), k=2, n=3, payload_length=4
+        ),
+        "4b494441"  # "KIDA"
+        "01"        # version
+        "0002"      # k
+        "03"        # n
+        "0001"      # j = index
+        "0000"      # block size
+        "0000000000000004"  # payload length
+        "00"        # r
+        "00"        # z
+        "0102"      # matrix row, k bytes
+        "00000002"  # data length
+        "abcd",     # data
+    ),
+    "ssms": (
+        baselines.SsmsFragment(
+            index=0,
+            row=bytes([0x01, 0x00]),
+            key_x=1,
+            key_share=bytes([0x11, 0x22]),
+            nonce=bytes([0x33]),
+            data=bytes([0x44, 0x55]),
+            k=2,
+            n=2,
+            payload_length=2,
+        ),
+        "4b534d53"  # "KSMS"
+        "01"        # version
+        "0002"      # k
+        "02"        # n
+        "0000"      # j = index
+        "0000"      # block size
+        "0000000000000002"  # payload length
+        "00"        # r
+        "00"        # z
+        "0100"      # matrix row, k bytes
+        "01"        # key x
+        "0002"      # key share length
+        "1122"      # key share
+        "01"        # nonce length
+        "33"        # nonce
+        "00000002"  # data length
+        "4455",     # data
+    ),
+    "aont": (
+        baselines.AontFragment(
+            index=2,
+            data=bytes([0x66]),
+            k=2,
+            n=3,
+            payload_length=1,
+            package_length=0x0102,
+            key_length=16,
+            nonce=bytes([0x77, 0x88]),
+        ),
+        "4b414e54"  # "KANT"
+        "01"        # version
+        "0002"      # k
+        "03"        # n
+        "0002"      # j = index
+        "0000"      # block size
+        "0000000000000001"  # payload length
+        "00"        # r
+        "00"        # z
+        "0010"      # key length
+        "0000000000000102"  # package length
+        "02"        # nonce length
+        "7788"      # nonce
+        "00000001"  # data length
+        "66",       # data
+    ),
+    "parity": (
+        ParityFragment(
+            row_index=1,
+            coefficients=bytes([0x03, 0x05]),
+            data=bytes([0x99, 0xAA]),
+            k=2,
+            n=4,
+            primary_length=2,
+        ),
+        "4b504152"  # "KPAR"
+        "01"        # version
+        "0002"      # k
+        "04"        # n
+        "0001"      # j = parity row index
+        "0000"      # block size
+        "0000000000000002"  # primary file length
+        "00"        # r
+        "00"        # z
+        "0002"      # coefficient count
+        "0305"      # coefficients
+        "00000002"  # data length
+        "99aa",     # data
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_TABLE)
+def test_table_format_golden_bytes(name):
+    frag, golden = GOLDEN_TABLE[name]
+    assert wire.dump_any(frag) == bytes.fromhex(golden)
+
+
+@pytest.mark.parametrize("name", GOLDEN_TABLE)
+def test_table_format_golden_load(name):
+    frag, golden = GOLDEN_TABLE[name]
+    again = wire.load_any(bytes.fromhex(golden))
+    assert type(again) is type(frag)
+    assert again == frag
 
 
 def test_round_trip_real_fragments(rng):
@@ -117,4 +249,4 @@ def test_sss_x_consistency_check(rng):
     blob = bytearray(wire.dump_any(baselines.sss_split(b"s", 2, 3, rng)[0]))
     blob[wire.HEADER_SIZE] ^= 0x07  # corrupt the x byte
     with pytest.raises(ParameterError, match="x coordinate"):
-        wire.load_sss_fragment(bytes(blob))
+        wire.load_any(bytes(blob))
