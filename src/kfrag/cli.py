@@ -17,7 +17,7 @@ from pathlib import Path, PurePosixPath
 
 import click
 
-from . import analysis, baselines, dispersal, wire
+from . import analysis, baselines, dispersal, gf256, wire
 from .baselines import SchemeId
 from .codec import CodecParams, Fragment, FragmentSet, decode_data, encode_data
 from .erasure import ParityFragment, ParityParams, parity_fragments, rs_decode
@@ -32,6 +32,23 @@ EXIT_INTEGRITY = 5
 
 def _note(msg: str) -> None:
     click.echo(msg, err=True)
+
+
+def _read_in_parts(paths: list[Path], nbytes: int) -> list[tuple]:
+    """(bytes, SHA-256 hex digest) per path, or (the OSError, None); read in parts.
+
+    The reads and digests run over gf256 parts; the caller checks the results
+    in order, so the first bad path decides the error.
+    """
+
+    def read(path: Path) -> tuple:
+        try:
+            blob = path.read_bytes()
+        except OSError as exc:
+            return exc, None
+        return blob, hashlib.sha256(blob).hexdigest()
+
+    return gf256._map_in_parts(read, paths, nbytes)
 
 
 def _guard(fn):
@@ -241,14 +258,19 @@ def cmd_join(
     if manifest_path is not None:
         manifest = dispersal.Manifest.load(manifest_path)
         base = manifest_path.parent
-        for entry in manifest.fragments:
-            path = base / entry.name
-            if not path.is_file():
-                continue  # the scheme's own threshold check decides
-            blob = path.read_bytes()
-            if hashlib.sha256(blob).hexdigest() != entry.sha256:
-                raise IntegrityError(f"digest mismatch for {entry.name!r}")
+        # a missing file is left to the scheme's own threshold check
+        present = [e for e in manifest.fragments if (base / e.name).is_file()]
+        damaged = []
+        read = _read_in_parts([base / e.name for e in present], manifest.stored_bytes)
+        for entry, (blob, digest) in zip(present, read):
+            if isinstance(blob, OSError):
+                raise blob
+            if digest != entry.sha256:
+                damaged.append(entry)  # set aside like a missing file
+                continue
             loaded.append(wire.load_any(blob))
+        if damaged and len(loaded) < manifest.k:
+            raise IntegrityError(f"digest mismatch for {damaged[0].name!r}")
     else:
         for path in frag_paths:
             if not path.is_file():
@@ -306,9 +328,11 @@ def cmd_disperse(manifest_path: Path, sites_spec: str, manifest_out: Path | None
 
     base = manifest_path.parent
     blobs, frags = {}, []
-    for entry in manifest.fragments:
-        blob = (base / entry.name).read_bytes()
-        if hashlib.sha256(blob).hexdigest() != entry.sha256:
+    read = _read_in_parts([base / e.name for e in manifest.fragments], manifest.stored_bytes)
+    for entry, (blob, digest) in zip(manifest.fragments, read):
+        if isinstance(blob, OSError):
+            raise blob
+        if digest != entry.sha256:
             raise IntegrityError(f"digest mismatch for {entry.name!r}")
         if entry.kind == "data":
             frags.append(wire.load_fragment(blob))

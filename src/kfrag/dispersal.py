@@ -11,10 +11,15 @@ Dispersal moves bytes, not fragments: ``store`` writes the files that
 ``split`` serialized, verbatim, and ``fetch`` returns them (lost data files
 rebuilt from parity) after checking each against the SHA-256 digest that
 ``build_manifest`` recorded at split time.  The split, dispersal and fetched
-manifests therefore carry the same digest for each fragment.
+manifests therefore carry the same digest for each fragment.  With parity
+(n > k), an object whose digest does not match is set aside as if it were
+lost: recovery goes on from the rows that verify, and the damage is an
+integrity error only when fewer than k of them remain.
 
 A local-directory backend ships by default; anything with put/get/delete can
-stand in for a real object store.  The manifest stays on the client: placing
+stand in for a real object store, as long as ``get`` may run on several
+threads at once (``fetch`` reads large sets in parts).  The manifest stays
+on the client: placing
 it at any provider would hand that provider the layout.
 """
 
@@ -30,7 +35,7 @@ from pathlib import Path
 
 from .erasure import ParityParams, rs_decode
 from .errors import IntegrityError, ParameterError, StorageError, ThresholdError
-from . import wire
+from . import gf256, wire
 
 
 class LocalDirectoryBackend:
@@ -176,6 +181,11 @@ class Manifest:
     cipher: str | None = None
     digest: str | None = None
 
+    @property
+    def stored_bytes(self) -> int:
+        """About the bytes of the n files: n / k times the payload."""
+        return self.payload_length * self.n // max(self.k, 1)
+
     def to_dict(self) -> dict:
         doc = asdict(self)
         for key in ("cipher", "digest"):
@@ -226,14 +236,15 @@ def build_manifest(
     magic of each file gives its kind and its extension: fragment i is named
     ``f{i}.<ext>`` and parity row r, global index k + r, ``p{r}.kpar``.
     """
+    digests = gf256._map_in_parts(_sha256, blobs, sum(map(len, blobs)))
     entries = []
-    for index, blob in enumerate(blobs):
+    for index, (blob, digest) in enumerate(zip(blobs, digests)):
         magic = blob[:4]
         kind = "parity" if magic == wire.MAGIC_PARITY else "data"
         stem = f"p{index - k}" if kind == "parity" else f"f{index}"
         entries.append(
             ManifestEntry(index=index, site=None, name=f"{stem}{wire.EXTENSIONS[magic]}",
-                          sha256=_sha256(blob), kind=kind)
+                          sha256=digest, kind=kind)
         )
     return Manifest(
         scheme=scheme,
@@ -302,35 +313,52 @@ def store(
 
 
 def fetch(manifest: Manifest, sites: list[StorageSite]) -> dict[ManifestEntry, bytes]:
-    """Read back and digest-verify every manifest entry, in manifest order.
+    """Read back and digest-verify every manifest entry.
 
-    Lost data fragments are rebuilt from parity rows when enough of the n
-    total rows survive, and checked against their recorded digests; the
-    result then holds every data entry.  Otherwise the threshold error lists
-    what is gone.  Parity entries that survive are included as well.
+    The objects are read and hashed in parts, then checked in manifest order.
+    One whose digest does not match is set aside like a lost one.  Lost data
+    fragments are rebuilt from parity rows when at least k of the n total
+    rows verify, and checked against their recorded digests; the result then
+    holds every data entry.  Otherwise the first damaged object is an
+    integrity error, or, when none is damaged, the threshold error lists
+    what is gone.  Parity entries that verify are included as well.
     """
     by_index = {s.index: s for s in sites}
+
+    def get(entry: ManifestEntry):
+        if entry.site not in by_index:
+            return None
+        try:
+            blob = by_index[entry.site].backend.get(entry.name)
+        except (StorageError, OSError) as exc:
+            return exc
+        return blob, _sha256(blob)
+
+    got = gf256._map_in_parts(get, manifest.fragments, manifest.stored_bytes)
     blobs: dict[ManifestEntry, bytes] = {}
     missing: list[ManifestEntry] = []
-    for entry in manifest.fragments:
-        site = by_index.get(entry.site)
-        if site is None:
+    damaged: list[ManifestEntry] = []
+    for entry, result in zip(manifest.fragments, got):
+        if result is None:
             raise ParameterError(f"manifest references unknown site {entry.site}")
-        try:
-            blob = site.backend.get(entry.name)
-        except StorageError:
-            if entry.kind == "data":
-                missing.append(entry)
-            continue
-        if _sha256(blob) != entry.sha256:
-            raise IntegrityError(
-                f"digest mismatch for {entry.name!r} at site {entry.site}"
-            )
-        blobs[entry] = blob
+        if isinstance(result, OSError):
+            raise result
+        if not isinstance(result, StorageError):
+            blob, digest = result
+            if digest == entry.sha256:
+                blobs[entry] = blob
+                continue
+            damaged.append(entry)
+        if entry.kind == "data":
+            missing.append(entry)
 
     if missing:
-        lost = [e.index for e in missing]
         if len(blobs) < manifest.k:
+            if damaged:
+                raise IntegrityError(
+                    f"digest mismatch for {damaged[0].name!r} at site {damaged[0].site}"
+                )
+            lost = [e.index for e in missing]
             raise ThresholdError(
                 f"k-of-k threshold not met: missing fragments {lost}", missing=lost
             )

@@ -7,6 +7,9 @@ across builds.  Tables are built once at import; all operations are pure.
 ``_in_parts`` splits a loop into parts of at least _PART_MIN_BYTES, one
 thread per usable core (numpy releases the interpreter lock inside its table
 lookups and XORs); ``matmul`` and the codec's row loops use it.
+``_map_in_parts`` maps a function over a list the same way; the file reads
+and SHA-256 digests of ``dispersal`` and ``cli`` use it (both release the
+lock too).
 """
 
 from __future__ import annotations
@@ -94,6 +97,18 @@ def _in_parts(n: int, nbytes: int, fn: Callable[[int, int], None]) -> None:
         thread.join()
     if errors:
         raise errors[0]
+
+
+def _map_in_parts(fn: Callable, items: list, nbytes: int) -> list:
+    """``[fn(x) for x in items]``, with the items split into parts as by _in_parts."""
+    out: list = [None] * len(items)
+
+    def part(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            out[i] = fn(items[i])
+
+    _in_parts(len(items), nbytes, part)
+    return out
 
 
 def mul(a: int, b: int) -> int:

@@ -1,10 +1,14 @@
+import functools
 import hashlib
 import json
 import os
+import re
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+from kfrag import gf256
 from kfrag.cli import main
 from kfrag.corpus import text_sample
 
@@ -248,6 +252,84 @@ def test_disperse_fetch_round_trip(runner, tmp_path):
     assert digests[0] == digests[1] == digests[2]
 
 
+
+# ---------------------------------------------------------------------------
+# damaged files under parity
+# ---------------------------------------------------------------------------
+
+
+def _flip(path):
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def _disperse(runner, tmp_path, out, site_prefix="s"):
+    """Disperse a k = 4, c = 2, n = 6 split; returns the --sites value."""
+    sites = ",".join(str(tmp_path / f"{site_prefix}{i}") for i in range(3))
+    _invoke(runner, "disperse", "--manifest", str(out / "manifest.json"), "--sites", sites)
+    return sites
+
+
+def _stored(tmp_path, name):
+    """The dispersed object of split file ``name``."""
+    (path,) = (p for i in range(3) for p in (tmp_path / f"s{i}").rglob(name))
+    return path
+
+
+def test_fetch_sets_aside_a_damaged_parity_object_it_does_not_need(runner, tmp_path):
+    payload = os.urandom(50_000)
+    _, out = _split(runner, tmp_path, payload, "--n", "6")
+    sites = _disperse(runner, tmp_path, out)
+    _flip(_stored(tmp_path, "p0.kpar"))
+    fetched = tmp_path / "fetched"
+    _invoke(runner, "fetch", "--manifest", str(out / "dispersal.json"),
+            "--sites", sites, "--out", str(fetched))
+    for name in ("f0.kfrg", "f1.kfrg", "f2.kfrg", "f3.kfrg"):
+        assert (fetched / name).read_bytes() == (out / name).read_bytes()
+    joined = tmp_path / "back.bin"
+    _invoke(runner, "join", "--manifest", str(fetched / "manifest.json"),
+            "--out", str(joined))
+    assert joined.read_bytes() == payload
+
+
+def test_join_rebuilds_a_damaged_data_file_from_parity(runner, tmp_path):
+    payload = os.urandom(50_000)
+    _, out = _split(runner, tmp_path, payload, "--n", "6")
+    _flip(out / "f1.kfrg")
+    joined = tmp_path / "back.bin"
+    _invoke(runner, "join", "--manifest", str(out / "manifest.json"), "--out", str(joined))
+    assert joined.read_bytes() == payload
+
+
+@pytest.mark.parametrize("command", ["fetch", "join"])
+def test_damage_beyond_parity_names_the_damaged_file(runner, tmp_path, command):
+    payload = os.urandom(50_000)
+    _, out = _split(runner, tmp_path, payload, "--n", "6")
+    if command == "fetch":
+        sites = _disperse(runner, tmp_path, out)
+        where = functools.partial(_stored, tmp_path)
+        result = tmp_path / "fetched"
+        args = ["fetch", "--manifest", str(out / "dispersal.json"), "--sites", sites,
+                "--out", str(result)]
+    else:
+        where = out.joinpath
+        result = tmp_path / "back.bin"
+        args = ["join", "--manifest", str(out / "manifest.json"), "--out", str(result)]
+    _flip(where("f1.kfrg"))
+    where("f0.kfrg").unlink()
+    # f2, f3 and both parity rows verify: four of six rows rebuild f0 and f1
+    _invoke(runner, *args)
+    if command == "fetch":
+        for name in ("f0.kfrg", "f1.kfrg"):
+            assert (result / name).read_bytes() == (out / name).read_bytes()
+    else:
+        assert result.read_bytes() == payload
+    where("f2.kfrg").unlink()
+    failed = _invoke(runner, *args, code=5)
+    assert "digest mismatch for" in failed.output and "f1.kfrg" in failed.output
+
+
 def test_analyze_writes_report_and_summary(runner, tmp_path):
     src = tmp_path / "text.bin"
     src.write_bytes(text_sample(100_000, seed=77))
@@ -309,3 +391,96 @@ def test_seeded_splits_are_bit_identical(runner, tmp_path):
     _invoke(runner, "split", "--in", str(src), "--out", str(out),
             "--k", "2", "--c", "2", "--block-size", "16")
     assert (out / "f0.kfrg").read_bytes() != (outs[0] / "f0.kfrg").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# threads
+# ---------------------------------------------------------------------------
+
+
+def _named_file(output):
+    """The last line of a command's output and the file name it quotes."""
+    last = output.strip().splitlines()[-1]
+    return last.split(":")[0], re.findall(r"(\w+\.k\w+)'", last)
+
+
+def _cycle_and_damage(runner, tmp_path, payload):
+    """split -> disperse -> fetch -> join at k = 4, n = 6, then again on damaged files."""
+    tmp_path.mkdir()
+    src = tmp_path / "in.bin"
+    src.write_bytes(payload)
+    out = tmp_path / "frags"
+    _invoke(runner, "split", "--in", str(src), "--out", str(out), "--n", "6",
+            env={"FRAG_RNG_SEED": "4242"})
+    sites = _disperse(runner, tmp_path, out)
+    fetched = tmp_path / "fetched"
+    _invoke(runner, "fetch", "--manifest", str(out / "dispersal.json"),
+            "--sites", sites, "--out", str(fetched))
+    joined = tmp_path / "back.bin"
+    _invoke(runner, "join", "--manifest", str(fetched / "manifest.json"),
+            "--out", str(joined))
+    clean = (
+        [json.loads(m.read_text())["fragments"] for m in (out / "manifest.json",
+                                                          out / "dispersal.json")],
+        {p.name: p.read_bytes() for p in fetched.glob("f*.kfrg")},
+        joined.read_bytes(),
+    )
+    for entry in clean[0][1]:
+        entry["name"] = entry["name"].split("/")[-1]  # drop the random run id
+
+    # two damaged files and a missing one, the first bad one in the second part
+    for where in (out.joinpath, functools.partial(_stored, tmp_path)):
+        _flip(where("f2.kfrg"))
+        _flip(where("p1.kpar"))
+        where("f3.kfrg").unlink()
+    runs = [
+        ["disperse", "--manifest", str(out / "manifest.json"),
+         "--sites", ",".join(str(tmp_path / f"t{i}") for i in range(3))],
+        ["fetch", "--manifest", str(out / "dispersal.json"), "--sites", sites,
+         "--out", str(tmp_path / "again")],
+        ["join", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / "x.bin")],
+    ]
+    damaged = []
+    for args in runs:
+        result = runner.invoke(main, args, catch_exceptions=False)
+        damaged.append((result.exit_code, _named_file(result.output)))
+    return clean, damaged
+
+
+def test_file_reads_in_parts_give_the_bytes_and_errors_of_one_core(
+    runner, tmp_path, monkeypatch
+):
+    payload = os.urandom(3 * gf256._PART_MIN_BYTES + 5)
+    monkeypatch.setattr(gf256, "_CORES", 1)
+    one_core = _cycle_and_damage(runner, tmp_path / "one", payload)
+    monkeypatch.setattr(gf256, "_CORES", 3)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the parts as finely as possible
+    try:
+        in_parts = _cycle_and_damage(runner, tmp_path / "three", payload)
+    finally:
+        sys.setswitchinterval(switch)
+    assert in_parts[0] == one_core[0]
+    assert in_parts[0][2] == payload
+    # f2 is the first bad entry in manifest order, so it decides every command
+    assert in_parts[1] == one_core[1] == [(5, ("error", ["f2.kfrg"]))] * 3
+
+
+def test_files_under_8_mib_are_read_on_the_callers_thread(runner, tmp_path, monkeypatch):
+    class NoThreads:
+        def Thread(self, *args, **kwargs):
+            raise AssertionError("a thread was started")
+
+    payload = os.urandom(2 * gf256._PART_MIN_BYTES - (64 << 10))
+    monkeypatch.setattr(gf256, "_CORES", 3)
+    monkeypatch.setattr(gf256, "threading", NoThreads())
+    _, out = _split(runner, tmp_path, payload)
+    sites = f"{tmp_path / 's0'},{tmp_path / 's1'}"
+    _invoke(runner, "disperse", "--manifest", str(out / "manifest.json"), "--sites", sites)
+    fetched = tmp_path / "fetched"
+    _invoke(runner, "fetch", "--manifest", str(out / "dispersal.json"),
+            "--sites", sites, "--out", str(fetched))
+    joined = tmp_path / "back.bin"
+    _invoke(runner, "join", "--manifest", str(fetched / "manifest.json"),
+            "--out", str(joined))
+    assert joined.read_bytes() == payload
