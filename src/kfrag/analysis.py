@@ -179,17 +179,10 @@ def _common(a: bytes, b: bytes) -> int:
     return min(len(a), len(b))
 
 
-def report_document(scheme: str, params: dict, reports: list[SchemeReport]) -> dict:
-    """JSON-ready document: scheme id, parameters, per-fragment metrics."""
-    return {
-        "scheme": scheme,
-        "params": params,
-        "fragments": [r.to_dict() for r in reports],
-    }
-
-
 def write_report_json(path: str | Path, scheme: str, params: dict, reports: list[SchemeReport]) -> None:
-    Path(path).write_text(json.dumps(report_document(scheme, params, reports), indent=2))
+    """A JSON document: scheme id, parameters, per-fragment metrics."""
+    doc = {"scheme": scheme, "params": params, "fragments": [r.to_dict() for r in reports]}
+    Path(path).write_text(json.dumps(doc, indent=2))
 
 
 def write_recurrence_csv(path: str | Path, report: SchemeReport) -> None:

@@ -330,23 +330,14 @@ def aont_rs_reconstruct(
     if not fragments:
         raise ThresholdError("no fragments")
     k, n = fragments[0].k, fragments[0].n
-    primaries: dict[int, bytes] = {}
-    extras: list[tuple[int, bytes]] = []
-    for f in fragments:
-        if f.index < k:
-            primaries[f.index] = f.data
-        else:
-            extras.append((f.index, f.data))
-    if len(primaries) < k:
-        if len(primaries) + len(extras) < k:
-            raise ThresholdError(
-                f"need at least {k} fragments, got {len(primaries) + len(extras)}"
-            )
-        rows = [(i, d) for i, d in primaries.items()] + extras
-        recovered = rs_decode(rows, ParityParams(k=k, n=n))
-        primaries = dict(enumerate(recovered))
-    package = b"".join(primaries[i] for i in range(k))
-    package = package[: fragments[0].package_length]
+    if n > k:
+        primaries = rs_decode([(f.index, f.data) for f in fragments], ParityParams(k=k, n=n))
+    else:
+        given = {f.index: f.data for f in fragments if f.index < k}
+        if len(given) < k:
+            raise ThresholdError(f"need at least {k} fragments, got {len(given)}")
+        primaries = [given[i] for i in range(k)]
+    package = b"".join(primaries)[: fragments[0].package_length]
     key_length = fragments[0].key_length
     ciphertext, masked_key = package[:-key_length], package[-key_length:]
     mask = hashlib.sha256(ciphertext).digest()[:key_length]

@@ -46,6 +46,7 @@ class BenchConfig:
     warmup: int = 1
     grid: list[tuple[int, int, int]] = field(default_factory=lambda: list(DEFAULT_GRID))
     seed: int = 0
+    # off in the split-only acceptance gates: timing their joins too adds 10-13 s to the tests
     measure_join: bool = True
 
     def __post_init__(self) -> None:

@@ -17,10 +17,11 @@ from pathlib import Path, PurePosixPath
 
 import click
 
-from . import analysis, baselines, dispersal, gf256, wire
+from . import analysis, baselines, dispersal, wire
 from .baselines import SchemeId
 from .codec import CodecParams, Fragment, FragmentSet, decode_data, encode_data
-from .erasure import ParityFragment, ParityParams, parity_fragments, rs_decode
+# rs_decode is unused here, but perfbench/tracing.py wraps this name, so it stays importable
+from .erasure import ParityParams, parity_fragments, rs_decode  # noqa: F401
 from .errors import IntegrityError, ParameterError, StorageError, ThresholdError
 from .rng import rng_from_env
 
@@ -34,21 +35,13 @@ def _note(msg: str) -> None:
     click.echo(msg, err=True)
 
 
-def _read_in_parts(paths: list[Path], nbytes: int) -> list[tuple]:
-    """(bytes, SHA-256 hex digest) per path, or (the OSError, None); read in parts.
-
-    The reads and digests run over gf256 parts; the caller checks the results
-    in order, so the first bad path decides the error.
-    """
-
-    def read(path: Path) -> tuple:
-        try:
-            blob = path.read_bytes()
-        except OSError as exc:
-            return exc, None
-        return blob, hashlib.sha256(blob).hexdigest()
-
-    return gf256._map_in_parts(read, paths, nbytes)
+def _reported(recovered: dispersal.Recovered) -> dict:
+    """The recovered bytes, after one stderr line per file set aside or rebuilt from parity."""
+    for entry in sorted({*recovered.damaged, *recovered.rebuilt}, key=lambda e: e.index):
+        fault = "digest mismatch" if entry in recovered.damaged else "missing"
+        done = "rebuilt from parity" if entry in recovered.rebuilt else "set aside"
+        _note(f"{entry.name}: {fault}, {done}")
+    return recovered.blobs
 
 
 def _guard(fn):
@@ -86,35 +79,14 @@ def _split_proposed(data: bytes, k: int, n: int, c: int, block_size: int, rng) -
     return list(encode_data(data, CodecParams(k=k, c=c, block_size=block_size), rng))
 
 
-def _join_proposed(loaded: list) -> bytes:
-    frags = [f for f in loaded if isinstance(f, Fragment)]
-    parity = [f for f in loaded if isinstance(f, ParityFragment)]
-    present = {f.index for f in frags}
-    k = frags[0].params.k if frags else parity[0].k
-    missing = sorted(set(range(k)) - present)
-    if missing and parity:
-        n = parity[0].n
-        rows = [(f.index, wire.dump_fragment(f)) for f in frags]
-        rows += [(p.index, p.data) for p in parity]
-        if len(rows) >= k:
-            recovered = rs_decode(rows, ParityParams(k=k, n=n))
-            frags = [wire.load_fragment(blob) for blob in recovered]
-            missing = []
-    if missing:
-        raise ThresholdError(
-            f"k-of-k threshold not met: missing fragments {missing}", missing=missing
-        )
-    return decode_data(sorted(frags, key=lambda f: f.index))
-
-
 @dataclass(frozen=True)
 class Scheme:
     """How one scheme splits data and joins its fragments back.
 
     ``split(data, k, n, c, block_size, rng)`` returns the fragments without
-    parity; ``join(fragments)`` takes fragments of type ``fragment`` (for the
-    proposed scheme, with any parity rows) and returns the data.  ``cipher``
-    and ``digest`` name the primitives the manifest records.
+    parity; ``join(fragments)`` takes fragments of type ``fragment`` and
+    returns the data.  ``cipher`` and ``digest`` name the primitives the
+    manifest records.
     """
 
     split: Callable
@@ -127,7 +99,8 @@ class Scheme:
 # the baselines run with n fragments of which any k recover; c and the block
 # size belong to the proposed scheme alone
 SCHEMES: dict[SchemeId, Scheme] = {
-    SchemeId.PROPOSED: Scheme(_split_proposed, _join_proposed, Fragment),
+    # decode_data is looked up here at each call, where the traced benchmark wraps it
+    SchemeId.PROPOSED: Scheme(_split_proposed, lambda frags: decode_data(frags), Fragment),
     SchemeId.SSS: Scheme(
         lambda data, k, n, c, block_size, rng: baselines.sss_split(data, k, n, rng),
         lambda frags: baselines.sss_reconstruct(frags, frags[0].k),
@@ -167,8 +140,7 @@ def join(loaded: list) -> bytes:
     """Reconstruct from deserialized fragments of any single scheme."""
     if not loaded:
         raise ThresholdError("k-of-k threshold not met: no fragments", missing=())
-    # parity rows extend the proposed scheme's fragments
-    kinds = {Fragment if isinstance(f, ParityFragment) else type(f) for f in loaded}
+    kinds = {type(f) for f in loaded}
     if len(kinds) != 1:
         raise ParameterError("cannot mix schemes in one join")
     (kind,) = kinds
@@ -176,6 +148,21 @@ def join(loaded: list) -> bytes:
         if scheme.fragment is kind:
             return scheme.join(loaded)
     raise ParameterError(f"cannot join fragments of type {kind.__name__}")
+
+
+def join_files(blobs: list[bytes]) -> bytes:
+    """Reconstruct from the raw files of one scheme, as ``kfrag join --frags`` does;
+    parity files first rebuild the proposed scheme's lost fragment files."""
+    parity = [blob for blob in blobs if blob[:4] == wire.MAGIC_PARITY]
+    files = [blob for blob in blobs if blob[:4] != wire.MAGIC_PARITY]
+    loaded = [wire.load_any(blob) for blob in files]
+    if parity:
+        if not all(isinstance(f, Fragment) for f in loaded):
+            raise ParameterError("cannot mix schemes in one join")
+        present = {f.index for f in loaded}
+        rebuilt = dispersal.rebuild([(f.index, b) for f, b in zip(loaded, files)], parity)
+        loaded += [wire.load_fragment(b) for i, b in enumerate(rebuilt) if i not in present]
+    return join(loaded)
 
 
 @main.command("split")
@@ -254,30 +241,12 @@ def cmd_join(
     if manifest_path is not None and frag_paths:
         raise ParameterError("--manifest and --frags are mutually exclusive")
 
-    loaded = []
     if manifest_path is not None:
         manifest = dispersal.Manifest.load(manifest_path)
-        base = manifest_path.parent
-        # a missing file is left to the scheme's own threshold check
-        present = [e for e in manifest.fragments if (base / e.name).is_file()]
-        damaged = []
-        read = _read_in_parts([base / e.name for e in present], manifest.stored_bytes)
-        for entry, (blob, digest) in zip(present, read):
-            if isinstance(blob, OSError):
-                raise blob
-            if digest != entry.sha256:
-                damaged.append(entry)  # set aside like a missing file
-                continue
-            loaded.append(wire.load_any(blob))
-        if damaged and len(loaded) < manifest.k:
-            raise IntegrityError(f"digest mismatch for {damaged[0].name!r}")
+        blobs = _reported(dispersal.recover(manifest, dispersal.local_files(manifest_path.parent)))
+        data = join([wire.load_any(b) for e, b in blobs.items() if e.kind == "data"])
     else:
-        for path in frag_paths:
-            if not path.is_file():
-                raise StorageError(f"fragment file not found: {path}")
-            loaded.append(wire.load_any(path.read_bytes()))
-
-    data = join(loaded)
+        data = join_files([path.read_bytes() for path in frag_paths])
     out_path.write_bytes(data)
     _note(f"wrote {len(data)} bytes to {out_path}")
     click.echo(hashlib.sha256(data).hexdigest())
@@ -328,12 +297,10 @@ def cmd_disperse(manifest_path: Path, sites_spec: str, manifest_out: Path | None
 
     base = manifest_path.parent
     blobs, frags = {}, []
-    read = _read_in_parts([base / e.name for e in manifest.fragments], manifest.stored_bytes)
-    for entry, (blob, digest) in zip(manifest.fragments, read):
-        if isinstance(blob, OSError):
-            raise blob
-        if digest != entry.sha256:
-            raise IntegrityError(f"digest mismatch for {entry.name!r}")
+    read = dispersal.read(manifest, dispersal.local_files(base))
+    for entry, blob in zip(manifest.fragments, read):
+        if isinstance(blob, Exception):
+            raise blob  # any lost, unreadable or damaged file
         if entry.kind == "data":
             frags.append(wire.load_fragment(blob))
         else:
@@ -363,7 +330,7 @@ def cmd_fetch(manifest_path: Path, sites_spec: str, out_dir: Path):
     expected = dispersal.site_count(manifest)
     if len(sites) != expected:
         raise ParameterError(f"--sites must name {expected} directories, got {len(sites)}")
-    blobs = dispersal.fetch(manifest, sites)
+    blobs = _reported(dispersal.fetch(manifest, sites))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []

@@ -8,19 +8,21 @@ are validated before anything is written, and arbitrary (user-supplied)
 assignments can be checked for the exact violating pairs.
 
 Dispersal moves bytes, not fragments: ``store`` writes the files that
-``split`` serialized, verbatim, and ``fetch`` returns them (lost data files
-rebuilt from parity) after checking each against the SHA-256 digest that
-``build_manifest`` recorded at split time.  The split, dispersal and fetched
-manifests therefore carry the same digest for each fragment.  With parity
-(n > k), an object whose digest does not match is set aside as if it were
-lost: recovery goes on from the rows that verify, and the damage is an
-integrity error only when fewer than k of them remain.
+``split`` serialized, verbatim, and ``recover`` reads them back, from the
+sites (``fetch``) or a local directory (``kfrag join --manifest``), checking
+each against the SHA-256 digest recorded at split time; so the split,
+dispersal and fetched manifests carry the same digests.  One rule serves
+``fetch`` and ``join``: a damaged file is set aside as if lost, lost data
+files are rebuilt from parity (n > k) and digest-checked too, and the damage
+is an integrity error only when fewer than k of the n files verify.  Both
+commands name each file set aside or rebuilt on stderr.  ``disperse`` reads
+the same way but refuses any lost or damaged file.
 
 A local-directory backend ships by default; anything with put/get/delete can
 stand in for a real object store, as long as ``get`` may run on several
 threads at once (``fetch`` reads large sets in parts).  The manifest stays
-on the client: placing
-it at any provider would hand that provider the layout.
+on the client: placing it at any provider would hand that provider the
+layout.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import json
 import os
 import time
 import uuid
+from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -312,65 +315,87 @@ def store(
     return replace(manifest, fragments=entries, created=_now(), run_id=run)
 
 
-def fetch(manifest: Manifest, sites: list[StorageSite]) -> dict[ManifestEntry, bytes]:
-    """Read back and digest-verify every manifest entry.
+def read(manifest: Manifest, get: Callable[[ManifestEntry], bytes]) -> list:
+    """Each entry's bytes, or the error reading it gave: a damaged one gives an IntegrityError.
 
-    The objects are read and hashed in parts, then checked in manifest order.
-    One whose digest does not match is set aside like a lost one.  Lost data
-    fragments are rebuilt from parity rows when at least k of the n total
-    rows verify, and checked against their recorded digests; the result then
-    holds every data entry.  Otherwise the first damaged object is an
-    integrity error, or, when none is damaged, the threshold error lists
-    what is gone.  Parity entries that verify are included as well.
+    ``get(entry)`` raises StorageError or FileNotFoundError for a lost object.  The
+    reads and digests run in parts; the caller checks the results in manifest order.
     """
-    by_index = {s.index: s for s in sites}
 
-    def get(entry: ManifestEntry):
-        if entry.site not in by_index:
-            return None
+    def one(entry: ManifestEntry):
         try:
-            blob = by_index[entry.site].backend.get(entry.name)
+            blob = get(entry)
         except (StorageError, OSError) as exc:
             return exc
-        return blob, _sha256(blob)
+        if _sha256(blob) == entry.sha256:
+            return blob
+        site = "" if entry.site is None else f" at site {entry.site}"
+        return IntegrityError(f"digest mismatch for {entry.name!r}{site}")
 
-    got = gf256._map_in_parts(get, manifest.fragments, manifest.stored_bytes)
+    return gf256._map_in_parts(one, manifest.fragments, manifest.stored_bytes)
+
+
+def local_files(base: Path) -> Callable[[ManifestEntry], bytes]:
+    """``get`` for the files a manifest names in directory ``base``."""
+    return lambda entry: (base / entry.name).read_bytes()
+
+
+def rebuild(data: list[tuple[int, bytes]], parity: list[bytes]) -> list[bytes]:
+    """The k data files of a parity set from any k of its files, data ones as (index, bytes).
+
+    Each parity file names k and n; the data files given come back as they are."""
+    rows = [wire.load_parity_fragment(blob) for blob in parity]
+    params = ParityParams(k=rows[0].k, n=rows[0].n)
+    return rs_decode([*data, *((row.index, row.data) for row in rows)], params)
+
+
+@dataclass(frozen=True)
+class Recovered:
+    """Each entry that verified or was rebuilt, with its bytes, in manifest order;
+    the entries set aside for a digest mismatch, with that error; the ones rebuilt."""
+
+    blobs: dict[ManifestEntry, bytes]
+    damaged: dict[ManifestEntry, IntegrityError]
+    rebuilt: list[ManifestEntry]
+
+
+def recover(manifest: Manifest, get: Callable[[ManifestEntry], bytes]) -> Recovered:
+    """Read back every entry, setting damaged ones aside and rebuilding lost data from parity.
+
+    When fewer than k entries verify, the first damaged one is an integrity
+    error, or, when none is damaged, the threshold error lists the data
+    entries that are gone.  Each rebuilt file is checked against its digest.
+    """
     blobs: dict[ManifestEntry, bytes] = {}
-    missing: list[ManifestEntry] = []
-    damaged: list[ManifestEntry] = []
-    for entry, result in zip(manifest.fragments, got):
-        if result is None:
-            raise ParameterError(f"manifest references unknown site {entry.site}")
-        if isinstance(result, OSError):
-            raise result
-        if not isinstance(result, StorageError):
-            blob, digest = result
-            if digest == entry.sha256:
-                blobs[entry] = blob
-                continue
-            damaged.append(entry)
-        if entry.kind == "data":
-            missing.append(entry)
+    damaged: dict[ManifestEntry, IntegrityError] = {}
+    for entry, got in zip(manifest.fragments, read(manifest, get)):
+        if isinstance(got, IntegrityError):
+            damaged[entry] = got
+        elif not isinstance(got, Exception):
+            blobs[entry] = got
+        elif not isinstance(got, (StorageError, FileNotFoundError)):
+            raise got  # neither lost nor damaged
+    missing = [e for e in manifest.fragments if e.kind == "data" and e not in blobs]
+    if missing and len(blobs) < manifest.k:
+        if damaged:
+            raise next(iter(damaged.values()))
+        lost = [e.index for e in missing]
+        raise ThresholdError(f"threshold not met: missing fragments {lost}", missing=lost)
+    parity = [blob for entry, blob in blobs.items() if entry.kind == "parity"]
+    if not (missing and parity):
+        return Recovered(blobs, damaged, [])
+    files = rebuild([(e.index, b) for e, b in blobs.items() if e.kind == "data"], parity)
+    for entry in missing:
+        if _sha256(files[entry.index]) != entry.sha256:
+            raise IntegrityError(f"digest mismatch for rebuilt {entry.name!r}")
+        blobs[entry] = files[entry.index]
+    return Recovered({e: blobs[e] for e in manifest.fragments if e in blobs}, damaged, missing)
 
-    if missing:
-        if len(blobs) < manifest.k:
-            if damaged:
-                raise IntegrityError(
-                    f"digest mismatch for {damaged[0].name!r} at site {damaged[0].site}"
-                )
-            lost = [e.index for e in missing]
-            raise ThresholdError(
-                f"k-of-k threshold not met: missing fragments {lost}", missing=lost
-            )
-        # parity rows combine the primary files; the parity files wrap those rows
-        rows = [
-            (e.index, wire.load_parity_fragment(b).data if e.kind == "parity" else b)
-            for e, b in blobs.items()
-        ]
-        recovered = rs_decode(rows, ParityParams(k=manifest.k, n=manifest.n))
-        for entry in missing:
-            blob = recovered[entry.index]
-            if _sha256(blob) != entry.sha256:
-                raise IntegrityError(f"digest mismatch for rebuilt fragment {entry.index}")
-            blobs[entry] = blob
-    return {e: blobs[e] for e in manifest.fragments if e in blobs}
+
+def fetch(manifest: Manifest, sites: list[StorageSite]) -> Recovered:
+    """``recover`` from the sites the manifest places its entries on."""
+    backends = {s.index: s.backend for s in sites}
+    for entry in manifest.fragments:
+        if entry.site not in backends:
+            raise ParameterError(f"manifest references unknown site {entry.site}")
+    return recover(manifest, lambda entry: backends[entry.site].get(entry.name))

@@ -8,8 +8,7 @@ across builds.  Tables are built once at import; all operations are pure.
 thread per usable core (numpy releases the interpreter lock inside its table
 lookups and XORs); ``matmul`` and the codec's row loops use it.
 ``_map_in_parts`` maps a function over a list the same way; the file reads
-and SHA-256 digests of ``dispersal`` and ``cli`` use it (both release the
-lock too).
+and SHA-256 digests of ``dispersal`` use it (both release the lock too).
 """
 
 from __future__ import annotations

@@ -14,16 +14,7 @@ import random
 ENV_SEED = "FRAG_RNG_SEED"
 
 
-def make_rng(seed: int | None = None) -> random.Random:
-    """Return a CSPRNG, or a seeded PRNG when a seed is given (test-only)."""
-    if seed is None:
-        return random.SystemRandom()
-    return random.Random(seed)
-
-
 def rng_from_env() -> random.Random:
-    """Honor FRAG_RNG_SEED if set, otherwise return the system CSPRNG."""
+    """The system CSPRNG, or a seeded PRNG when FRAG_RNG_SEED is set (test-only)."""
     raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return make_rng()
-    return make_rng(int(raw))
+    return random.SystemRandom() if raw is None else random.Random(int(raw))

@@ -145,8 +145,13 @@ def test_join_with_parity_replacing_lost_primary(runner, tmp_path):
         "f0.kfrg", "f1.kfrg", "f2.kfrg", "f3.kfrg", "manifest.json", "p0.kpar", "p1.kpar",
     ]
     (out / "f0.kfrg").unlink()
-    (out / "f3.kfrg").unlink()
     joined = tmp_path / "back.bin"
+    _invoke(runner, "join", "--frags",
+            *(str(out / name) for name in ("f1.kfrg", "f2.kfrg", "f3.kfrg", "p0.kpar")),
+            "--out", str(joined))
+    assert joined.read_bytes() == payload
+    (out / "f3.kfrg").unlink()
+    joined.unlink()
     _invoke(runner, "join", "--manifest", str(out / "manifest.json"),
             "--out", str(joined))
     assert joined.read_bytes() == payload
@@ -283,8 +288,9 @@ def test_fetch_sets_aside_a_damaged_parity_object_it_does_not_need(runner, tmp_p
     sites = _disperse(runner, tmp_path, out)
     _flip(_stored(tmp_path, "p0.kpar"))
     fetched = tmp_path / "fetched"
-    _invoke(runner, "fetch", "--manifest", str(out / "dispersal.json"),
-            "--sites", sites, "--out", str(fetched))
+    result = _invoke(runner, "fetch", "--manifest", str(out / "dispersal.json"),
+                     "--sites", sites, "--out", str(fetched))
+    assert "p0.kpar: digest mismatch, set aside" in result.stderr
     for name in ("f0.kfrg", "f1.kfrg", "f2.kfrg", "f3.kfrg"):
         assert (fetched / name).read_bytes() == (out / name).read_bytes()
     joined = tmp_path / "back.bin"
@@ -298,8 +304,10 @@ def test_join_rebuilds_a_damaged_data_file_from_parity(runner, tmp_path):
     _, out = _split(runner, tmp_path, payload, "--n", "6")
     _flip(out / "f1.kfrg")
     joined = tmp_path / "back.bin"
-    _invoke(runner, "join", "--manifest", str(out / "manifest.json"), "--out", str(joined))
+    result = _invoke(runner, "join", "--manifest", str(out / "manifest.json"),
+                     "--out", str(joined))
     assert joined.read_bytes() == payload
+    assert "f1.kfrg: digest mismatch, rebuilt from parity" in result.stderr
 
 
 @pytest.mark.parametrize("command", ["fetch", "join"])
@@ -328,6 +336,27 @@ def test_damage_beyond_parity_names_the_damaged_file(runner, tmp_path, command):
     where("f2.kfrg").unlink()
     failed = _invoke(runner, *args, code=5)
     assert "digest mismatch for" in failed.output and "f1.kfrg" in failed.output
+
+
+@pytest.mark.parametrize("command", ["fetch", "join"])
+def test_a_rebuilt_file_must_match_its_recorded_digest(runner, tmp_path, command):
+    payload = os.urandom(50_000)
+    _, out = _split(runner, tmp_path, payload, "--n", "6")
+    if command == "fetch":
+        sites = _disperse(runner, tmp_path, out)
+        manifest = out / "dispersal.json"
+        _stored(tmp_path, "f0.kfrg").unlink()
+        args = ["fetch", "--sites", sites, "--out", str(tmp_path / "fetched")]
+    else:
+        manifest = out / "manifest.json"
+        (out / "f0.kfrg").unlink()
+        args = ["join", "--out", str(tmp_path / "back.bin")]
+    doc = json.loads(manifest.read_text())
+    doc["fragments"][0]["sha256"] = hashlib.sha256(b"not f0").hexdigest()
+    manifest.write_text(json.dumps(doc))
+    # the other five files verify, so parity rebuilds f0, but not to that digest
+    failed = _invoke(runner, *args, "--manifest", str(manifest), code=5)
+    assert "digest mismatch for rebuilt" in failed.output and "f0.kfrg" in failed.output
 
 
 def test_analyze_writes_report_and_summary(runner, tmp_path):

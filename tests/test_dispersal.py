@@ -129,7 +129,7 @@ def test_store_fetch_round_trip(tmp_path, rng):
     for i, site in enumerate(sites):
         assert len(_objects(site.backend.root)) == 2, f"site {i} fragment count"
 
-    fetched = fetch(manifest, sites)
+    fetched = fetch(manifest, sites).blobs
     assert [e for e in fetched if e.kind == "parity"] == []
     assert list(fetched.values()) == list(blobs.values())
     assert _decode(fetched) == data
@@ -150,7 +150,7 @@ def test_store_with_parity_dedicated_site(tmp_path, rng):
     assert manifest.n == 6
     parity_entries = [e for e in manifest.fragments if e.kind == "parity"]
     assert {e.site for e in parity_entries} == {2}
-    fetched = fetch(manifest, sites)
+    fetched = fetch(manifest, sites).blobs
     assert len([e for e in fetched if e.kind == "parity"]) == 2
 
 
@@ -239,7 +239,7 @@ def test_fetch_missing_object_recovered_by_parity(tmp_path, rng):
     manifest = store(split, blobs, sites)
     victim = next(e for e in manifest.fragments if e.index == 1)
     sites[victim.site].backend.delete(victim.name)
-    fetched = fetch(manifest, sites)
+    fetched = fetch(manifest, sites).blobs
     assert list(fetched.values()) == list(blobs.values())  # rebuilt bytes included
     assert _decode(fetched) == data
 

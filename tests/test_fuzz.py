@@ -2,9 +2,11 @@
 
 Every scheme's files, and the proposed scheme's parity files, are damaged by
 bit flips, truncation, header-byte overwrites, appended bytes and dropped
-files, then parsed with ``wire.load_any`` and joined through the scheme
-table, as ``kfrag join`` does.  Files that no longer parse are left out of
-the join, so the join also sees sets short of their threshold.  A damaged
+files, then joined with ``cli.join_files``, as ``kfrag join --frags`` does:
+the parity files rebuild lost fragment files through ``dispersal.rebuild``,
+and the fragments join through the scheme table.  Files that no longer
+parse with ``wire.load_any`` are left out of the join, so the join also sees
+sets short of their threshold.  A damaged
 set may still join to wrong bytes: only fragments with a digest in the
 manifest are checked for that.
 """
@@ -61,13 +63,14 @@ def damaged_sets(draw) -> list[bytes]:
 @settings(max_examples=500)
 @given(damaged_sets())
 def test_damaged_files_raise_only_fragmentation_errors(blobs):
-    loaded = []
+    parsed = []
     for blob in blobs:
         try:
-            loaded.append(wire.load_any(blob))
+            wire.load_any(blob)
         except FragmentationError:
-            pass
+            continue
+        parsed.append(blob)
     try:
-        cli.join(loaded)
+        cli.join_files(parsed)
     except FragmentationError:
         pass
