@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import Fragment, FragmentSet
+from .dispersal import write_files
 from .errors import ParameterError
 
 # chi-squared critical value at 255 degrees of freedom, alpha = 0.05;
@@ -182,7 +183,7 @@ def _common(a: bytes, b: bytes) -> int:
 def write_report_json(path: str | Path, scheme: str, params: dict, reports: list[SchemeReport]) -> None:
     """A JSON document: scheme id, parameters, per-fragment metrics."""
     doc = {"scheme": scheme, "params": params, "fragments": [r.to_dict() for r in reports]}
-    Path(path).write_text(json.dumps(doc, indent=2))
+    write_files({Path(path): json.dumps(doc, indent=2).encode()})
 
 
 def write_recurrence_csv(path: str | Path, report: SchemeReport) -> None:
@@ -190,10 +191,10 @@ def write_recurrence_csv(path: str | Path, report: SchemeReport) -> None:
         raise ParameterError("report carries no recurrence pairs")
     lines = ["value,delayed_value"]
     lines += [f"{x},{y}" for x, y in report.recurrence]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_files({Path(path): ("\n".join(lines) + "\n").encode()})
 
 
 def write_pdf_csv(path: str | Path, report: SchemeReport) -> None:
     lines = ["byte,probability"]
     lines += [f"{i},{p:.10g}" for i, p in enumerate(report.pdf)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_files({Path(path): ("\n".join(lines) + "\n").encode()})

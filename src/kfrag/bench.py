@@ -23,6 +23,7 @@ import numpy as np
 from .baselines import SchemeId
 from .cli import join, split
 from .codec import CodecParams
+from .dispersal import write_files
 from .errors import ParameterError
 
 MB = 1 << 20
@@ -145,9 +146,6 @@ def emit_results(
             f"{r.mb_per_s_median:.3f},{r.mb_per_s_stddev:.3f},{r.direction}"
         )
     csv_text = "\n".join(lines) + "\n"
-    if csv_path is not None:
-        Path(csv_path).write_text(csv_text)
-    if json_path is not None:
-        doc = [r.__dict__ for r in results]
-        Path(json_path).write_text(json.dumps(doc, indent=2))
+    files = {csv_path: csv_text, json_path: json.dumps([r.__dict__ for r in results], indent=2)}
+    write_files({Path(path): text.encode() for path, text in files.items() if path is not None})
     return csv_text

@@ -165,6 +165,18 @@ def join_files(blobs: list[bytes]) -> bytes:
     return join(loaded)
 
 
+def _write_split(out_dir: Path, manifest: dispersal.Manifest, blobs: list[bytes]) -> None:
+    """Write the manifest's files, then the manifest, into ``out_dir``; refuses a
+    directory holding fragment files the manifest does not list."""
+    names = [entry.name for entry in manifest.fragments]
+    stale = sorted(p.name for p in out_dir.glob("*")
+                   if p.suffix in wire.EXTENSIONS.values() and p.name not in names)
+    if stale:
+        raise ParameterError(f"{out_dir} holds fragment files of another split: {', '.join(stale)}")
+    files = {out_dir / name: blob for name, blob in zip(names, blobs)}
+    dispersal.write_files({**files, out_dir / "manifest.json": manifest.to_json()})
+
+
 @main.command("split")
 @click.option("--in", "in_path", required=True, type=click.Path(path_type=Path))
 @click.option("--k", default=4, show_default=True, help="Fragments needed for recovery.")
@@ -183,8 +195,6 @@ def join_files(blobs: list[bytes]) -> bytes:
 @_guard
 def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: int | None, out_dir: Path):
     """Fragment a file into k (or n) fragment files plus a manifest."""
-    if not in_path.is_file():
-        raise StorageError(f"--in file not found: {in_path}")
     n = k if n is None else n
     data = in_path.read_bytes()
     chosen = SchemeId(scheme)
@@ -204,14 +214,9 @@ def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: in
         cipher=SCHEMES[chosen].cipher,
         digest=SCHEMES[chosen].digest,
     )
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for entry, blob in zip(manifest.fragments, blobs):
-        (out_dir / entry.name).write_bytes(blob)
-    manifest_path = out_dir / "manifest.json"
-    manifest.save(manifest_path)
+    _write_split(out_dir, manifest, blobs)
     _note(f"wrote {len(blobs)} fragment files to {out_dir}")
-    click.echo(str(manifest_path))
+    click.echo(str(out_dir / "manifest.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +252,7 @@ def cmd_join(
         data = join([wire.load_any(b) for e, b in blobs.items() if e.kind == "data"])
     else:
         data = join_files([path.read_bytes() for path in frag_paths])
-    out_path.write_bytes(data)
+    dispersal.write_files({out_path: data})
     _note(f"wrote {len(data)} bytes to {out_path}")
     click.echo(hashlib.sha256(data).hexdigest())
 
@@ -292,8 +297,6 @@ def cmd_disperse(manifest_path: Path, sites_spec: str, manifest_out: Path | None
             f" ({manifest.c} sites{' plus one parity site' if expected > manifest.c else ''}),"
             f" got {len(sites)}"
         )
-    for site in sites:
-        site.backend.root.mkdir(parents=True, exist_ok=True)
 
     base = manifest_path.parent
     blobs, frags = {}, []
@@ -310,7 +313,7 @@ def cmd_disperse(manifest_path: Path, sites_spec: str, manifest_out: Path | None
 
     stored = dispersal.store(manifest, blobs, sites)
     out_path = manifest_out or (base / "dispersal.json")
-    stored.save(out_path)
+    dispersal.write_files({out_path: stored.to_json()})
     _note(f"dispersal manifest written to {out_path}")
     click.echo("fragment\tsite")
     for entry in stored.fragments:
@@ -331,17 +334,10 @@ def cmd_fetch(manifest_path: Path, sites_spec: str, out_dir: Path):
     if len(sites) != expected:
         raise ParameterError(f"--sites must name {expected} directories, got {len(sites)}")
     blobs = _reported(dispersal.fetch(manifest, sites))
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for entry, blob in blobs.items():
-        if entry.kind != "data":
-            continue
-        local_entry = replace(entry, site=None, name=PurePosixPath(entry.name).name)
-        (out_dir / local_entry.name).write_bytes(blob)
-        entries.append(local_entry)
+    data = [entry for entry in blobs if entry.kind == "data"]
+    entries = [replace(e, site=None, name=PurePosixPath(e.name).name) for e in data]
     local = replace(manifest, fragments=entries)
-    local.save(out_dir / "manifest.json")
+    _write_split(out_dir, local, [blobs[entry] for entry in data])
     _note(f"fetched {len(entries)} fragments into {out_dir}")
     click.echo(str(out_dir / "manifest.json"))
 
@@ -364,8 +360,6 @@ def cmd_fetch(manifest_path: Path, sites_spec: str, out_dir: Path):
 @_guard
 def cmd_analyze(in_path: Path, scheme: str, k: int, c: int, block_size: int, n: int | None, report_path: Path):
     """Fragment a file in memory and measure fragment statistics."""
-    if not in_path.is_file():
-        raise StorageError(f"--in file not found: {in_path}")
     data = in_path.read_bytes()
     n = k if n is None else n
     fragments = split(SchemeId(scheme), data, k, n, c, block_size, rng_from_env())

@@ -1,6 +1,6 @@
 """Deterministic low-entropy sample data for analysis runs and tests.
 
-Real corpora cannot ship with the toolkit, so these generators produce
+Real corpora cannot ship with the toolkit, so this generator produces
 text-like byte streams with the statistical profile that matters for the
 security measurements: a small alphabet, strong letter-frequency skew, and
 repeating structure.  Everything is seeded and reproducible.
@@ -32,10 +32,3 @@ def text_sample(size: int, seed: int = 0) -> bytes:
         total += len(piece)
     return "".join(parts).encode("ascii")[:size]
 
-
-def periodic_sample(size: int, period: int = 32, seed: int = 0) -> bytes:
-    """A strictly periodic sample: one random motif repeated to length."""
-    rng = random.Random(seed)
-    motif = bytes(rng.randrange(32, 127) for _ in range(period))
-    reps = -(-size // period)
-    return (motif * reps)[:size]

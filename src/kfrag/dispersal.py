@@ -16,7 +16,8 @@ dispersal and fetched manifests carry the same digests.  One rule serves
 files are rebuilt from parity (n > k) and digest-checked too, and the damage
 is an integrity error only when fewer than k of the n files verify.  Both
 commands name each file set aside or rebuilt on stderr.  ``disperse`` reads
-the same way but refuses any lost or damaged file.
+the same way but refuses any lost or damaged file.  Every file kfrag writes
+goes through ``write_files``: all of a set or none, a command's manifest last.
 
 A local-directory backend ships by default; anything with put/get/delete can
 stand in for a real object store, as long as ``get`` may run on several
@@ -41,6 +42,23 @@ from .errors import IntegrityError, ParameterError, StorageError, ThresholdError
 from . import gf256, wire
 
 
+def write_files(files: dict[Path, bytes]) -> None:
+    """Write every file, creating missing directories, or leave all as they were: each
+    goes to a temporary name in its own directory, and only once all are written is
+    each renamed into place, in order, so the last one commits the set."""
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
+    try:
+        for path, data in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temps[path].write_bytes(data)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
+        raise
+
+
 class LocalDirectoryBackend:
     """Object store on a local directory; object names may contain slashes."""
 
@@ -57,15 +75,9 @@ class LocalDirectoryBackend:
         path = self._path(name)
         if path.exists():
             raise StorageError(f"object already exists: {name!r}")
-        # written under a temporary name and moved into place, so a failed
-        # write leaves neither a partial object nor the temporary file
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+            write_files({path: data})
         except OSError as exc:
-            tmp.unlink(missing_ok=True)
             raise StorageError(f"cannot write {name!r}: {exc}") from exc
 
     def get(self, name: str) -> bytes:
@@ -202,8 +214,8 @@ class Manifest:
         entries = [ManifestEntry(**_fields_from(ManifestEntry, e)) for e in values["fragments"]]
         return cls(**{**values, "fragments": entries})
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
+    def to_json(self) -> bytes:
+        return json.dumps(self.to_dict(), indent=2).encode()
 
     @classmethod
     def load(cls, path: str | Path) -> "Manifest":

@@ -3,10 +3,13 @@
 Nothing here imports the package under test: field arithmetic is carry-less
 "peasant" multiplication with explicit modular reduction, inverses come from
 exhaustive search, and the reference codec is a direct byte-at-a-time
-transcription of the scheme's definitions.
+transcription of the scheme's definitions.  ``periodic_sample`` is the
+worst-case input of the statistical tests.
 """
 
 from __future__ import annotations
+
+import random
 
 POLY = 0x11B
 
@@ -144,3 +147,11 @@ def reference_decode(
                     ms ^= gf_mul(xt, parent[v])
                 out.append(ms)
     return bytes(out[:payload_length])
+
+
+def periodic_sample(size: int, period: int = 32, seed: int = 0) -> bytes:
+    """A strictly periodic sample: one random motif repeated to length."""
+    rng = random.Random(seed)
+    motif = bytes(rng.randrange(32, 127) for _ in range(period))
+    reps = -(-size // period)
+    return (motif * reps)[:size]

@@ -27,7 +27,7 @@ from kfrag.analysis import (
 from kfrag.baselines import SchemeId, ida_split, sss_split
 from kfrag.bench import BenchConfig, run_bench
 from kfrag.codec import CodecParams, decode_data, encode_data, padded_length
-from kfrag.corpus import periodic_sample, text_sample
+from kfrag.corpus import text_sample
 from kfrag.dispersal import SiteAssignment, Violation, assign_sites, validate_assignment
 from kfrag.erasure import ParityParams, rs_decode, rs_encode
 from kfrag.errors import ThresholdError
@@ -196,7 +196,7 @@ def test_c07_pairwise_correlation_small():
 
 def test_c08_periodic_input_ida_fails_ours_passes():
     with criterion(8, "periodic input: matrix dispersal fails chi-squared, ours passes"):
-        data = periodic_sample(60_000, period=32, seed=4)
+        data = oracles.periodic_sample(60_000, period=32, seed=4)
         for frag in ida_split(data, 4, 4):
             stat, ok = chi_squared(frag.data)
             assert not ok, f"matrix-dispersal fragment unexpectedly uniform: {stat:.1f}"

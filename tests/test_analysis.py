@@ -18,8 +18,10 @@ from kfrag.analysis import (
 )
 from kfrag.baselines import ida_split
 from kfrag.codec import CodecParams, encode_data
-from kfrag.corpus import periodic_sample, text_sample
+from kfrag.corpus import text_sample
 from kfrag.errors import ParameterError
+
+from oracles import periodic_sample
 
 
 # ---------------------------------------------------------------------------

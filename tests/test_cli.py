@@ -3,11 +3,14 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import kfrag
 from kfrag import gf256
 from kfrag.cli import main
 from kfrag.corpus import text_sample
@@ -377,7 +380,7 @@ def test_analyze_writes_report_and_summary(runner, tmp_path):
 
 
 def test_analyze_ida_on_periodic_text_fails_chi2(runner, tmp_path):
-    from kfrag.corpus import periodic_sample
+    from oracles import periodic_sample
 
     src = tmp_path / "per.bin"
     src.write_bytes(periodic_sample(60_000, period=32, seed=3))
@@ -420,6 +423,68 @@ def test_seeded_splits_are_bit_identical(runner, tmp_path):
     _invoke(runner, "split", "--in", str(src), "--out", str(out),
             "--k", "2", "--c", "2", "--block-size", "16")
     assert (out / "f0.kfrg").read_bytes() != (outs[0] / "f0.kfrg").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# failed writes
+# ---------------------------------------------------------------------------
+
+_LIMITED = """
+import resource, signal, sys
+from kfrag.cli import main
+# set after the imports: a limit in force while they run truncates .pyc files
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (20000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+main(sys.argv[1:], prog_name="kfrag")
+"""
+
+_SPLIT = ["split", "--in", "in.bin", "--out", "frags"]
+_SPLIT_N6 = [*_SPLIT, "--n", "6"]
+_DISPERSE = ["disperse", "--manifest", "frags/manifest.json", "--sites"]
+_FETCH = ["fetch", "--manifest", "frags/dispersal.json", "--sites"]
+
+
+def _tree(root):
+    """Every path under ``root``: a file's bytes, or None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("setup, command, code, created", [
+    pytest.param([], _SPLIT, 3, ["frags"], id="split"),
+    pytest.param([["split", "--in", "old.bin", "--out", "frags"]], _SPLIT, 3, [],
+                 id="split-over-an-older-split"),
+    pytest.param([_SPLIT], ["join", "--manifest", "frags/manifest.json", "--out", "out.bin"],
+                 3, [], id="join-over-an-older-file"),
+    pytest.param([_SPLIT, [*_DISPERSE, "t0,t1"]], [*_FETCH, "t0,t1", "--out", "back"],
+                 3, ["back"], id="fetch"),
+    pytest.param([_SPLIT_N6, "frags/f2.kfrg"], [*_DISPERSE, "t0,t1,t2"], 3, [],
+                 id="disperse-with-a-lost-file"),
+    pytest.param([_SPLIT_N6], _SPLIT, 2, [], id="split-over-stale-parity"),
+    pytest.param([_SPLIT, [*_DISPERSE, "t0,t1"], ["split", "--in", "old.bin", "--out", "back",
+                                                  "--n", "6"]],
+                 [*_FETCH, "t0,t1", "--out", "back"], 2, [], id="fetch-over-stale-parity"),
+])
+def test_a_failed_command_leaves_the_files_as_they_were(
+    runner, tmp_path, monkeypatch, setup, command, code, created
+):
+    # the command runs under a 20000-byte file-size limit, below the size of
+    # each file it would write; a str step of the setup deletes that file
+    monkeypatch.chdir(tmp_path)
+    for name, size in (("in.bin", 100_000), ("old.bin", 100_000), ("out.bin", 50_000)):
+        (tmp_path / name).write_bytes(os.urandom(size))
+    for step in setup:
+        if isinstance(step, str):
+            (tmp_path / step).unlink()
+        else:
+            _invoke(runner, *step)
+    before = _tree(tmp_path)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(kfrag.__file__).resolve().parent.parent)}
+    child = subprocess.run([sys.executable, "-c", _LIMITED, *command], cwd=tmp_path,
+                           env=env, capture_output=True, timeout=120)
+    assert child.returncode == code, child.stderr
+    assert _tree(tmp_path) == {**before, **dict.fromkeys(created)}
 
 
 # ---------------------------------------------------------------------------

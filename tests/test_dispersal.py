@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from kfrag.dispersal import (
     fetch,
     store,
     validate_assignment,
+    write_files,
 )
 from kfrag.erasure import ParityParams, parity_fragments
 from kfrag.errors import IntegrityError, ParameterError, StorageError, ThresholdError
@@ -219,6 +221,58 @@ def test_backend_put_cut_short_leaves_nothing(tmp_path):
     assert _objects(tmp_path) == ["run/f0.kfrg"]
 
 
+def test_write_files_writes_all_or_none(tmp_path):
+    old = tmp_path / "a" / "f0.kfrg"
+    old.parent.mkdir()
+    old.write_bytes(b"old")
+    (tmp_path / "b").write_bytes(b"a file where a directory is wanted")
+    with pytest.raises(OSError):
+        write_files({old: b"new", tmp_path / "b" / "manifest.json": b"{}"})
+    assert old.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "f0.kfrg"]
+    write_files({old: b"new", tmp_path / "c" / "manifest.json": b"{}"})
+    assert old.read_bytes() == b"new" and (tmp_path / "c" / "manifest.json").read_bytes() == b"{}"
+
+
+_DISK_WRITES = {"write_bytes", "write_text", "mkdir", "makedirs"}
+
+
+def _disk_writes(source: str, allowed: str | None = None) -> list[int]:
+    """Lines of ``source`` that write to disk outside the function named ``allowed``.
+
+    An ``open`` counts unless every mode it is given is a literal without w, a, x or +.
+    """
+    tree = ast.parse(source)
+    inside = {line for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == allowed
+              for line in range(node.lineno, node.end_lineno + 1)}
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or node.lineno in inside:
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        # the mode of open(path, mode) or of path.open(mode)
+        modes = node.args[isinstance(node.func, ast.Name):][:1]
+        modes += [k.value for k in node.keywords if k.arg == "mode"]
+        writes_open = name == "open" and any(
+            not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+        if name in _DISK_WRITES or writes_open:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_every_file_is_written_by_write_files():
+    package = Path(kfrag.__file__).parent
+    found = {path.name: _disk_writes(path.read_text(), allowed="write_files")
+             for path in package.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    sample = ("Path(p).write_text('x')\nopen(p, 'wb')\nopen(p)\np.open('r+b')\n"
+              "open(p, mode=m)\nos.makedirs(d)\np.open()\nd.mkdir()\n"
+              "def write_files(f):\n    f.write_bytes(b'')\n")
+    assert _disk_writes(sample, allowed="write_files") == [1, 2, 4, 5, 6, 8]
+    assert _disk_writes(sample) == [1, 2, 4, 5, 6, 8, 10]
+
+
 def test_fetch_missing_object_threshold(tmp_path, rng):
     data = rng.randbytes(3000)
     fragset = encode_data(data, CodecParams(4, 2, 16), rng)
@@ -264,7 +318,7 @@ def test_manifest_json_round_trip(tmp_path, rng):
     sites = _sites(tmp_path, 2)
     manifest = store(*_split(fragset), sites)
     path = tmp_path / "manifest.json"
-    manifest.save(path)
+    path.write_bytes(manifest.to_json())
     again = Manifest.load(path)
     assert again == manifest
 
