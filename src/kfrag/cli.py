@@ -311,9 +311,10 @@ def cmd_disperse(manifest_path: Path, sites_spec: str, manifest_out: Path | None
         blobs[entry] = blob
     FragmentSet(tuple(sorted(frags, key=lambda f: f.index)))  # completeness check only
 
-    stored = dispersal.store(manifest, blobs, sites)
     out_path = manifest_out or (base / "dispersal.json")
-    dispersal.write_files({out_path: stored.to_json()})
+    stored = dispersal.store(
+        manifest, blobs, sites, record=lambda m: dispersal.write_files({out_path: m.to_json()})
+    )
     _note(f"dispersal manifest written to {out_path}")
     click.echo("fragment\tsite")
     for entry in stored.fragments:

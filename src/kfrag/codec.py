@@ -14,21 +14,26 @@ as coefficient sources and the permutation array indexed j % (k/c).  The
 permutation share carried by fragment j is share j%c of array j//c, which is
 generally not the array the fragment itself was permuted with.
 
-Two equivalent encode implementations exist: a row-serial sweep for any c,
-and a blocked scan for c == 2 that exploits the linearity of the row
-recurrence to run in large batches regardless of k and the block size.  Both
-produce bit-identical fragments.  The serial sweep makes c + 1 numpy calls
-per row, whatever k and the block size: one table lookup scales the previous
-row by every power of x it needs, one flat gather picks the c - 1 terms, and
-c - 1 XORs add them.  Decoding has no cross-row dependency and runs over all
-rows at once: one inverse-permutation gather, then for each of the 254
-evaluation points one multiply-by-constant table lookup over every row that
-uses it.
+Encoding runs in the data frame: the payload is copied once into a
+zero-padded buffer of rows of m = k*bs bytes, and the recurrence overwrites
+each row in place with u_r = rows_r ^ sum_t x_r^t * u_{r-1}[D_t], where u_r
+is the encoded row before its permutation and D_t composes the permutation
+with the rotation by t fragments.  One gather per fragment then writes its
+shares, u_r permuted, into the fragment's own array.  Two equivalent
+recurrence implementations exist: a row-serial sweep for any c, and a
+blocked scan for c == 2 that exploits the linearity of the recurrence to run
+in large batches regardless of k and the block size.  Both produce
+bit-identical fragments.  The serial sweep makes c + 1 numpy calls per row,
+whatever k and the block size: one table lookup scales the previous row by
+every power of x it needs, one flat gather picks the c - 1 terms, and c - 1
+XORs add them.  Decoding mirrors this with one gather per fragment from its
+shares straight into the output rows, then adds the neighbor terms, which
+have no cross-row dependency, over many rows per numpy call.
 
-The row gathers, the scan's two sweeps and the decode phases split into
-parts through gf256._in_parts, one thread per usable core; the serial sweep
-runs row by row on the caller's thread.  The bytes do not depend on the
-number of parts.
+The scan's two sweeps and the gathers of both directions split into parts
+through gf256._in_parts, one thread per usable core; the serial sweep runs
+row by row on the caller's thread.  The bytes do not depend on the number of
+parts.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ThresholdError
-from .gf256 import EXP_TABLE, LOG_TABLE, MUL_TABLE, _in_parts, mul
+from .gf256 import EXP_TABLE, LOG_TABLE, MUL_TABLE, _in_parts
 from .permutation import (
     MAX_POSITIONS,
     PermutationArray,
@@ -162,8 +167,8 @@ def encode_data(data: bytes, params: CodecParams, rng: random.Random) -> Fragmen
     return _encode_with_permutations(data, params, pas, ps)  # type: ignore[arg-type]
 
 
-def decode_data(fragments: FragmentSet | list[Fragment] | tuple[Fragment, ...]) -> bytes:
-    """Reconstruct the original payload from all k fragments.
+def decode_data(fragments: FragmentSet | list[Fragment] | tuple[Fragment, ...]) -> bytearray:
+    """Reconstruct the original payload, as a bytearray, from all k fragments.
 
     Raises ThresholdError when any fragment is missing, ParameterError on
     inconsistent fragment sets, and IntegrityError when the permutation
@@ -172,7 +177,7 @@ def decode_data(fragments: FragmentSet | list[Fragment] | tuple[Fragment, ...]) 
     frags = tuple(fragments)
     _check_fragments(frags)
     params = frags[0].params
-    k, c, bs = params.k, params.c, params.block_size
+    k, c = params.k, params.c
     frags = tuple(sorted(frags, key=lambda f: f.index))
     payload_length = frags[0].payload_length
 
@@ -188,34 +193,10 @@ def decode_data(fragments: FragmentSet | list[Fragment] | tuple[Fragment, ...]) 
         group = [frags[r * c + z].permutation_share for z in range(c)]
         pas.append(reconstruct_permutation(group, c))
 
-    # encoded rows of m = k*bs bytes: row 0 the permutation shares, rows 1.. the data
-    m = params.group_size
-    rows = np.empty((nf + 1, k, bs), dtype=np.uint8)
-    for j, frag in enumerate(frags):
-        rows[0, j] = np.frombuffer(frag.permutation_share.entries, dtype=np.uint8)
-        rows[1:, j] = frag.shares
-    rows = rows.reshape(nf + 1, m)
-
-    # m_i = s_i[pa] ^ sum_t x^t * s_{i-1} rotated left by t fragments, so that
-    # fragment j reads fragment (j+t) % k; rows that share x share one lookup
-    inverse = np.argsort(_flat_permutation_gather(pas, params))
-    out = _gather_rows(rows[1:], inverse)
-
-    def phases(lo: int, hi: int) -> None:
-        # phase p writes only rows p, p + 254, ...: parts share no output row
-        for phase in range(lo, hi):
-            x = pick_x(phase + 1)
-            prev = rows[phase:nf:_X_PERIOD]
-            dst = out[phase::_X_PERIOD]
-            xt = 1
-            for t in range(1, c):
-                xt = mul(xt, x)
-                term, cut = MUL_TABLE[xt].take(prev, mode="clip"), t * bs
-                dst[:, : m - cut] ^= term[:, cut:]
-                dst[:, m - cut :] ^= term[:, :cut]
-
-    _in_parts(min(nf, _X_PERIOD), out.nbytes, phases)
-    return out.reshape(-1)[:payload_length].tobytes()
+    out = bytearray(nf * params.group_size)
+    _decode_rows(frags, pas, np.frombuffer(out, dtype=np.uint8).reshape(nf, k, -1))
+    del out[payload_length:]  # no view of it is left, so it shrinks in place
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +235,6 @@ def _flat_permutation_gather(pas: list[PermutationArray], params: CodecParams) -
     return (np.arange(k, dtype=np.intp)[:, None] * bs + inv).reshape(-1)
 
 
-def _parent_gathers(params: CodecParams, pi: np.ndarray) -> list[np.ndarray]:
-    """Composed indices C_t with s_i = m'_i ^ sum_t x^t * s_{i-1}[C_t]."""
-    k, bs = params.k, params.block_size
-    v = np.arange(bs, dtype=np.intp)[None, :]
-    out = []
-    for t in range(1, params.c):
-        pt = (((np.arange(k, dtype=np.intp)[:, None] + t) % k) * bs + v).reshape(-1)
-        out.append(pt.take(pi))
-    return out
-
-
 def _encode_with_permutations(
     data: bytes,
     params: CodecParams,
@@ -272,120 +242,138 @@ def _encode_with_permutations(
     ps: list[PermutationShare],
 ) -> FragmentSet:
     """Encode with explicit permutations; the seam tests drive directly."""
-    k, bs = params.k, params.block_size
-    padded = np.zeros(padded_length(len(data), params), dtype=np.uint8)
-    padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    m = params.group_size
-    nf = padded.size // m
-    rows = padded.reshape(nf, m)
-    ps_row = np.frombuffer(b"".join(p.entries for p in ps), dtype=np.uint8)
+    k, bs, m = params.k, params.block_size, params.group_size
+    nf = padded_length(len(data), params) // m
+    u = np.zeros((nf, m), dtype=np.uint8)  # the block rows, encoded in place
+    u.reshape(-1)[: len(data)] = np.frombuffer(data, dtype=np.uint8)
 
     pi = _flat_permutation_gather(pas, params)
-    parent_idx = _parent_gathers(params, pi)
-    pre = _gather_rows(rows, pi)  # m'_i: block rows pre-permuted into the output frame
-    out = np.empty((nf, m), dtype=np.uint8)
+    state = np.empty(m, dtype=np.uint8)  # u_{-1}: the permutation shares in the data frame
+    state[pi] = np.frombuffer(b"".join(p.entries for p in ps), dtype=np.uint8)
+    # D_t: position q of fragment j reads the previous row of fragment (j+t) % k at pi[q + t*bs]
+    parent_idx = [np.roll(pi, -t * bs) for t in range(1, params.c)]
 
     if params.c == 2 and nf >= _SCAN_MIN_ROWS:
-        _encode_rows_scan(pre, ps_row, parent_idx[0], out)
+        _encode_rows_scan(u, state, parent_idx[0])
     else:
-        _encode_rows_serial(pre, ps_row, parent_idx, out, start_row=0)
+        _encode_rows_serial(u, state, parent_idx, start_row=0)
 
-    shaped = out.reshape(nf, k, bs)
-    frags = tuple(
-        Fragment(
-            index=j,
-            params=params,
-            permutation_share=ps[j],
-            shares=np.ascontiguousarray(shaped[:, j, :]),
-            payload_length=len(data),
-        )
-        for j in range(k)
-    )
-    return FragmentSet(frags)
+    shares = _fragment_shares(u, pi, k)
+    return FragmentSet(tuple(Fragment(j, params, ps[j], s, len(data)) for j, s in enumerate(shares)))
 
 
-def _gather_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Apply one in-row gather to every row, in flat chunks.
+def _fragment_shares(u: np.ndarray, pi: np.ndarray, k: int) -> list[np.ndarray]:
+    """Each fragment's shares u[:, pi_j], gathered into its own contiguous array.
 
-    Equivalent to rows[:, idx] but runs as flat takes with a reusable chunk
-    index, which is both faster and insensitive to the row width.
+    The gathers run over chunks of about 1 MiB of rows, one take per fragment
+    with its bs-entry index, so they need no index array as long as the chunk.
     """
-    nf, m = rows.shape
-    out = np.empty_like(rows)
-    chunk = max(1, (1 << 18) // m)
-    base = (np.arange(chunk, dtype=np.intp)[:, None] * m + idx).reshape(-1)
-    flat_in = rows.reshape(-1)
-    flat_out = out.reshape(-1)
+    nf, m = u.shape
+    shares = [np.empty((nf, m // k), dtype=np.uint8) for _ in range(k)]
+    chunk = max(1, (1 << 20) // m)
 
     def chunks(lo: int, hi: int) -> None:
         for r0 in range(lo * chunk, min(hi * chunk, nf), chunk):
             r1 = min(r0 + chunk, nf)
-            span = (r1 - r0) * m
-            flat_in[r0 * m : r1 * m].take(
-                base[:span], out=flat_out[r0 * m : r1 * m], mode="clip"
-            )
+            for pij, dst in zip(pi.reshape(k, -1), shares):
+                u[r0:r1].take(pij, axis=1, out=dst[r0:r1], mode="clip")
+
+    _in_parts(-(-nf // chunk), u.nbytes, chunks)
+    return shares
+
+
+def _decode_rows(frags: tuple[Fragment, ...], pas: list[PermutationArray], out: np.ndarray) -> None:
+    """Write the (nf, k, bs) block rows: out[r, j] = s_j[r, pa_j] ^ sum_t x_r^t * s_{j+t}[r - 1].
+
+    The row before the first is each fragment's permutation share.  Each
+    chunk of rows takes one gather per fragment from its share view, and one
+    lookup per neighbor term into the flat product table, indexed
+    x_r^t * 256 + s, since x changes from row to row.
+    """
+    nf, k, bs = out.shape
+    c = frags[0].params.c
+    shares = [np.ascontiguousarray(f.shares) for f in frags]
+    entries = [np.frombuffer(f.permutation_share.entries, dtype=np.uint8) for f in frags]
+    perms = [np.frombuffer(pas[j % (k // c)].entries, dtype=np.uint8) for j in range(k)]
+    chunk = max(1, (1 << 18) // (k * bs))
+    # scales[t - 1][r % 254 + i] = 256 * x_{r+i}^t, for any chunk start r
+    scales = [
+        np.resize(EXP_TABLE[_X_LOGS * t % 255].astype(np.uint16) << 8, _X_PERIOD + chunk)
+        for t in range(1, c)
+    ]
+    products = MUL_TABLE.reshape(-1)
+
+    def chunks(lo: int, hi: int) -> None:
+        rows = np.empty((chunk, bs), dtype=np.uint8)
+        term = np.empty((chunk, bs), dtype=np.uint8)
+        lut = np.empty((chunk, bs), dtype=np.uint16)
+        for r0 in range(lo * chunk, min(hi * chunk, nf), chunk):
+            r1 = min(r0 + chunk, nf)
+            a = max(r0, 1)  # the first row whose previous row is a share row
+            n, na = r1 - r0, r1 - a
+            for j in range(k):
+                shares[j][r0:r1].take(perms[j], axis=1, out=rows[:n], mode="clip")
+                for t, scale in enumerate(scales, 1):
+                    parent = (j + t) % k
+                    if r0 == 0:
+                        rows[0] ^= MUL_TABLE[scale[0] >> 8].take(entries[parent])
+                    np.add(scale[a % _X_PERIOD :][:na, None], shares[parent][a - 1 : r1 - 1],
+                           out=lut[:na])
+                    products.take(lut[:na], out=term[:na], mode="clip")
+                    rows[a - r0 : n] ^= term[:na]
+                out[r0:r1, j] = rows[:n]
 
     _in_parts(-(-nf // chunk), out.nbytes, chunks)
-    return out
 
 
 def _encode_rows_serial(
-    pre: np.ndarray,
-    state: np.ndarray,
-    parent_idx: list[np.ndarray],
-    out: np.ndarray,
-    start_row: int,
+    rows: np.ndarray, state: np.ndarray, parent_idx: list[np.ndarray], start_row: int
 ) -> None:
-    """Row-by-row sweep: out[r] = pre[r] ^ sum_t x^t * state[C_t].
+    """Row-by-row sweep in place: rows[r] ^= sum_t x^t * state[D_t], state = rows[r - 1].
 
     Each row makes c + 1 numpy calls: one lookup multiplies the state by
     x, x^2, .., x^(c-1) at once, one flat gather picks every term through
-    the concatenated index [C_1, m + C_2, ..], and c - 1 XORs sum them.
+    the concatenated index [D_1, m + D_2, ..], and c - 1 XORs sum them.
     """
-    nf, m = out.shape
+    nf, m = rows.shape
     terms = len(parent_idx)
     # tables[t][s] multiplies by pick_x(t + 1) ** (s + 1)
     tables = list(MUL_TABLE[EXP_TABLE[_X_LOGS[:, None] * np.arange(1, terms + 1) % 255]])
-    cat = np.concatenate([s * m + cidx for s, cidx in enumerate(parent_idx)])
+    cat = np.concatenate([s * m + idx for s, idx in enumerate(parent_idx)])
     scaled = np.empty((terms, m), dtype=np.uint8)
     gathered = np.empty((terms, m), dtype=np.uint8)
-    flat_scaled, flat_gathered = scaled.reshape(-1), gathered.reshape(-1)
-    first, rest = gathered[0], list(gathered[1:])
-    for r, row, pre_row in zip(range(start_row, nf), out[start_row:], pre[start_row:]):
+    flat_scaled, flat_gathered, each = scaled.reshape(-1), gathered.reshape(-1), list(gathered)
+    for r, row in zip(range(start_row, nf), rows[start_row:]):
         tables[r % _X_PERIOD].take(state, axis=1, out=scaled, mode="clip")
         flat_scaled.take(cat, out=flat_gathered, mode="clip")
-        np.bitwise_xor(pre_row, first, out=row)
-        for term in rest:
+        for term in each:
             np.bitwise_xor(row, term, out=row)
         state = row
 
 
-def _encode_rows_scan(
-    pre: np.ndarray, initial_state: np.ndarray, cidx: np.ndarray, out: np.ndarray
-) -> None:
-    """Blocked scan for the c == 2 recurrence s_r = pre[r] ^ x_r * s_{r-1}[C].
+def _encode_rows_scan(rows: np.ndarray, initial_state: np.ndarray, didx: np.ndarray) -> None:
+    """Blocked scan for the c == 2 recurrence u_r = rows[r] ^ x_r * u_{r-1}[D], in place.
 
     Rows are grouped into batches of one full x period so every batch sees
     the same x sequence and batches can advance in lockstep.  A first sweep
     computes the batch-local recurrence from a zero entry state (the mixing
     is linear over the field, so states superpose); a short serial pass then
     propagates the true state across batch boundaries; a second sweep replays
-    the recurrence from the true entry states to produce the output rows.
+    the recurrence from the true entry states and overwrites every row.
     Every gather runs flat over a contiguous range of batches, one range and
     one slice of the buffers per thread, so throughput does not depend on k
     or the block size.
     """
-    nf, m = out.shape
+    nf, m = rows.shape
     b = _X_PERIOD
     nb = nf // b
     body = nb * b
 
     xs = [pick_x(tau + 1) for tau in range(b)]
-    pre3 = pre[:body].reshape(nb, b, m)
-    out3 = out[:body].reshape(nb, b, m)
+    rows3 = rows[:body].reshape(nb, b, m)
 
-    # flat gather index applying C to every batch of a range at once
-    flat_c = (np.arange(nb, dtype=np.intp)[:, None] * m + cidx).reshape(-1)
+    # flat gather index applying D to every batch of a range at once
+    flat_d = (np.arange(nb, dtype=np.intp)[:, None] * m + didx).reshape(-1)
 
     gbuf = np.empty(nb * m, dtype=np.uint8)
     mbuf = np.empty((nb, m), dtype=np.uint8)
@@ -395,30 +383,30 @@ def _encode_rows_scan(
         # cur holds the entry state (previous row) and is replaced in place;
         # the gather snapshots it into gbuf first, so aliasing is safe
         state, g, mb = cur[lo:hi], gbuf[lo * m : hi * m], mbuf[lo:hi]
-        flat_state, flat_mb, idx = state.reshape(-1), mb.reshape(-1), flat_c[: g.size]
+        flat_state, flat_mb, idx = state.reshape(-1), mb.reshape(-1), flat_d[: g.size]
         for tau in range(0 if store else 1, b):
             flat_state.take(idx, out=g, mode="clip")
             MUL_TABLE[xs[tau]].take(g, out=flat_mb, mode="clip")
-            np.bitwise_xor(pre3[lo:hi, tau, :], mb, out=state)
+            np.bitwise_xor(rows3[lo:hi, tau, :], mb, out=state)
             if store:
-                out3[lo:hi, tau, :] = state
+                rows3[lo:hi, tau, :] = state
 
     # sweep 1: batch-local states with zero entry state
-    cur[:] = pre3[:, 0, :]
-    _in_parts(nb, out.nbytes, lambda lo, hi: sweep(lo, hi, store=False))
+    cur[:] = rows3[:, 0, :]
+    _in_parts(nb, rows.nbytes, lambda lo, hi: sweep(lo, hi, store=False))
 
     # boundary pass: true state entering each batch
-    cpow = cidx  # C composed with itself b times
+    dpow = didx  # D composed with itself b times
     for _ in range(b - 1):
-        cpow = cpow.take(cidx)
+        dpow = dpow.take(didx)
     xprod = 1
     for x in xs:
         xprod = int(MUL_TABLE[xprod, x])
     state = initial_state
     for beta in range(nb):  # cur[beta] becomes the entry state of batch beta
-        state, cur[beta] = cur[beta] ^ MUL_TABLE[xprod].take(state.take(cpow)), state
+        state, cur[beta] = cur[beta] ^ MUL_TABLE[xprod].take(state.take(dpow)), state
 
-    # sweep 2: replay from the true entry states, storing every row
-    _in_parts(nb, out.nbytes, lambda lo, hi: sweep(lo, hi, store=True))
+    # sweep 2: replay from the true entry states, overwriting every row
+    _in_parts(nb, rows.nbytes, lambda lo, hi: sweep(lo, hi, store=True))
 
-    _encode_rows_serial(pre, out[body - 1], [cidx], out, start_row=body)
+    _encode_rows_serial(rows, rows[body - 1], [didx], start_row=body)

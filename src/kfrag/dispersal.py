@@ -28,6 +28,7 @@ layout.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -42,21 +43,39 @@ from .errors import IntegrityError, ParameterError, StorageError, ThresholdError
 from . import gf256, wire
 
 
-def write_files(files: dict[Path, bytes]) -> None:
+def write_files(files: dict[Path, bytes]) -> list[Path]:
     """Write every file, creating missing directories, or leave all as they were: each
     goes to a temporary name in its own directory, and only once all are written is
-    each renamed into place, in order, so the last one commits the set."""
+    each renamed into place, in order, so the last one commits the set.  Returns the
+    directories it created, innermost first.  On failure it removes them again, and
+    the OSError names the file that could not be written, not its temporary name."""
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
+    made: list[Path] = []
     try:
         for path, data in files.items():
-            path.parent.mkdir(parents=True, exist_ok=True)
+            missing = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
+            for directory in reversed(missing):
+                directory.mkdir()
+                made.insert(0, directory)
             temps[path].write_bytes(data)
         for path, tmp in temps.items():
             os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         for tmp in temps.values():
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):  # NotADirectoryError too, under a file
+                tmp.unlink()
+        _remove_dirs(made)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
+    return made
+
+
+def _remove_dirs(dirs: list[Path]) -> None:
+    """Remove each directory, innermost first, that is still empty."""
+    for directory in dirs:
+        with contextlib.suppress(OSError):
+            directory.rmdir()
 
 
 class LocalDirectoryBackend:
@@ -64,6 +83,7 @@ class LocalDirectoryBackend:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self._made: dict[str, list[Path]] = {}  # the directories each put created
 
     def _path(self, name: str) -> Path:
         path = (self.root / name).resolve()
@@ -76,7 +96,7 @@ class LocalDirectoryBackend:
         if path.exists():
             raise StorageError(f"object already exists: {name!r}")
         try:
-            write_files({path: data})
+            self._made[name] = write_files({path: data})
         except OSError as exc:
             raise StorageError(f"cannot write {name!r}: {exc}") from exc
 
@@ -87,9 +107,11 @@ class LocalDirectoryBackend:
         return path.read_bytes()
 
     def delete(self, name: str) -> None:
+        """Remove the object, and any directory its put created that is now empty."""
         path = self._path(name)
         if path.exists():
             path.unlink()
+        _remove_dirs(self._made.pop(name, []))
 
 
 @dataclass(frozen=True)
@@ -286,6 +308,7 @@ def store(
     blobs: dict[ManifestEntry, bytes],
     sites: list[StorageSite],
     run_id: str | None = None,
+    record: Callable[[Manifest], None] = lambda stored: None,
 ) -> Manifest:
     """Write each verified file to its site and return the dispersal manifest.
 
@@ -293,9 +316,10 @@ def store(
     was checked against; each is written verbatim as ``{run}/{entry.name}``.
     Data fragment j goes to site j mod c and every parity file to one
     dedicated extra site appended after the c primary sites.  The returned
-    manifest keeps the split manifest's digests and adds site and run id.
-    On any backend failure the objects already written are removed and no
-    manifest is produced.
+    manifest keeps the split manifest's digests and adds site and run id;
+    ``record`` is handed it to save it.  When a put or ``record`` fails, the
+    objects already written are removed, last first, with the directories
+    their puts created, and no manifest is produced.
     """
     expected = site_count(manifest)
     if len(sites) != expected:
@@ -312,19 +336,23 @@ def store(
         plan.append((site, placed, blobs[entry]))
 
     written: list[tuple[StorageSite, str]] = []
-    for site, placed, blob in plan:
-        try:
-            site.backend.put(placed.name, blob)
-        except StorageError as exc:
-            for done_site, done_name in written:
-                done_site.backend.delete(done_name)
-            raise StorageError(
-                f"store failed at site {site.index}: {exc}", site=site.index
-            ) from exc
-        written.append((site, placed.name))
-    entries = [placed for _, placed, _ in plan]
-
-    return replace(manifest, fragments=entries, created=_now(), run_id=run)
+    try:
+        for site, placed, blob in plan:
+            try:
+                site.backend.put(placed.name, blob)
+            except StorageError as exc:
+                raise StorageError(
+                    f"store failed at site {site.index}: {exc}", site=site.index
+                ) from exc
+            written.append((site, placed.name))
+        stored = replace(manifest, fragments=[placed for _, placed, _ in plan],
+                         created=_now(), run_id=run)
+        record(stored)
+    except BaseException:
+        for done_site, done_name in reversed(written):
+            done_site.backend.delete(done_name)
+        raise
+    return stored
 
 
 def read(manifest: Manifest, get: Callable[[ManifestEntry], bytes]) -> list:

@@ -110,9 +110,9 @@ def dump_fragment(frag: Fragment) -> bytes:
         ps.array_index,
         ps.share_index,
     )
-    return b"".join(
-        [head, ps.entries, frag.num_shares.to_bytes(4, "big"), frag.shares.tobytes()]
-    )
+    # the shares go in as a buffer, not a tobytes() copy
+    shares = np.ascontiguousarray(frag.shares).data
+    return b"".join([head, ps.entries, frag.num_shares.to_bytes(4, "big"), shares])
 
 
 def load_fragment(buf: bytes) -> Fragment:

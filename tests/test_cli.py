@@ -451,15 +451,19 @@ def _tree(root):
 
 
 @pytest.mark.parametrize("setup, command, code, created", [
-    pytest.param([], _SPLIT, 3, ["frags"], id="split"),
+    pytest.param([], _SPLIT, 3, [], id="split"),
     pytest.param([["split", "--in", "old.bin", "--out", "frags"]], _SPLIT, 3, [],
                  id="split-over-an-older-split"),
     pytest.param([_SPLIT], ["join", "--manifest", "frags/manifest.json", "--out", "out.bin"],
                  3, [], id="join-over-an-older-file"),
     pytest.param([_SPLIT, [*_DISPERSE, "t0,t1"]], [*_FETCH, "t0,t1", "--out", "back"],
-                 3, ["back"], id="fetch"),
+                 3, [], id="fetch"),
     pytest.param([_SPLIT_N6, "frags/f2.kfrg"], [*_DISPERSE, "t0,t1,t2"], 3, [],
                  id="disperse-with-a-lost-file"),
+    # files of 12.5 kB fit under the limit; the dispersal manifest cannot go into a file
+    pytest.param([[*_SPLIT, "--k", "8"]],
+                 [*_DISPERSE, "t0,t1", "--manifest-out", "old.bin/dispersal.json"], 3, [],
+                 id="disperse-without-its-manifest"),
     pytest.param([_SPLIT_N6], _SPLIT, 2, [], id="split-over-stale-parity"),
     pytest.param([_SPLIT, [*_DISPERSE, "t0,t1"], ["split", "--in", "old.bin", "--out", "back",
                                                   "--n", "6"]],
@@ -485,6 +489,18 @@ def test_a_failed_command_leaves_the_files_as_they_were(
                            env=env, capture_output=True, timeout=120)
     assert child.returncode == code, child.stderr
     assert _tree(tmp_path) == {**before, **dict.fromkeys(created)}
+
+
+def test_a_failed_write_names_its_target_not_its_temporary_file(runner, tmp_path):
+    _, out = _split(runner, tmp_path, os.urandom(30_000))
+    (tmp_path / "blocker").write_bytes(b"")
+    result = runner.invoke(main, ["disperse", "--manifest", str(out / "manifest.json"),
+                                  "--sites", f"{tmp_path / 's0'},{tmp_path / 's1'}",
+                                  "--manifest-out", str(tmp_path / "blocker" / "dispersal.json")])
+    assert result.exit_code == 3
+    assert f"{os.sep.join(['blocker', 'dispersal.json'])}'" in result.stderr
+    assert ".tmp" not in result.stderr
+    assert not (tmp_path / "s0").exists() and not (tmp_path / "s1").exists()
 
 
 # ---------------------------------------------------------------------------

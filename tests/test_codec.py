@@ -1,11 +1,12 @@
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kfrag import codec, gf256
+from kfrag import codec, gf256, wire
 from kfrag.codec import (
     CodecParams,
     Fragment,
@@ -192,7 +193,24 @@ def test_codec_matches_oracles_across_the_x_period(k, c, bs, nf, rng):
     # x repeats every 254 rows: these row counts end just before, on and
     # after one period, and past two (where c == 2 switches to the scan)
     params = CodecParams(k, c, bs)
-    data = rng.randbytes(nf * params.group_size - 5)
+    _check_against_oracles(rng.randbytes(nf * params.group_size - 5), params, rng)
+
+
+@pytest.mark.parametrize("k,c,bs,serial", [
+    (4, 2, 3, False), (4, 2, 3, True), (6, 3, 3, False),
+], ids=["c2", "c2-serial", "c3"])
+@pytest.mark.parametrize("nf", [254, 508, 762])
+def test_exact_fill_payloads_match_the_oracles(k, c, bs, serial, nf, monkeypatch, rng):
+    # nf * k * bs bytes: no padding, and at c = 2 from 508 rows the scan's
+    # batches cover every row, leaving no serial tail
+    params = CodecParams(k, c, bs)
+    if serial:
+        monkeypatch.setattr(codec, "_SCAN_MIN_ROWS", 10**9)
+    _check_against_oracles(rng.randbytes(nf * params.group_size), params, rng)
+
+
+def _check_against_oracles(data, params, rng):
+    k, c, bs = params.k, params.c, params.block_size
     fragset, pas, ps = _forced_encode(data, params, rng)
     expected = oracles.reference_encode(
         data, k, c, bs, [pa.entries for pa in pas], [s.entries for s in ps]
@@ -356,6 +374,30 @@ def test_scan_and_serial_paths_agree(rng):
         scan = codec._encode_with_permutations(data, params, pas, ps)
         for fa, fb in zip(serial, scan):
             assert np.array_equal(fa.shares, fb.shares)
+
+
+@pytest.mark.parametrize("k,c", [(4, 2), (6, 3)])
+def test_encode_and_decode_hold_few_copies_of_the_payload(k, c, rng):
+    # 6 MiB runs as one part on any host; at c = 2 its 6291 rows take the scan
+    params = CodecParams(k, c, 250)
+    data = rng.randbytes(6 << 20)
+    assert len(data) // params.group_size >= codec._SCAN_MIN_ROWS
+    tracemalloc.start()
+    try:
+        blobs = [wire.dump_any(f) for f in encode_data(data, params, rng)]
+        encode_peak = tracemalloc.get_traced_memory()[1]
+        frags = [wire.load_any(blob) for blob in blobs]  # views of the blobs
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = decode_data(frags)
+        decode_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert out == data
+    # the encoded rows and the fragments' shares, then the shares and the files
+    assert encode_peak <= 2.25 * len(data)
+    # the output and the scratch rows of one part
+    assert decode_peak <= 1.25 * len(data)
 
 
 # ---------------------------------------------------------------------------

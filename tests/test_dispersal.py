@@ -177,6 +177,21 @@ def test_store_unwritable_site_cleans_up(tmp_path, rng):
     assert _objects(sites[0].backend.root) == []  # partial writes removed
 
 
+def test_store_removes_its_objects_and_run_directories_when_record_fails(tmp_path, rng):
+    fragset = encode_data(rng.randbytes(500), CodecParams(4, 2, 16), rng)
+    sites = _sites(tmp_path, 2)
+    recorded = []
+
+    def refuse(stored):
+        recorded.append(stored)
+        raise OSError(28, "No space left on device", "dispersal.json")
+
+    with pytest.raises(OSError):
+        store(*_split(fragset), sites, run_id="norecord", record=refuse)
+    assert [e.name for e in recorded[0].fragments] == [f"norecord/f{j}.kfrg" for j in range(4)]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["site0", "site1"]
+
+
 class _ReadOnlyBackend(LocalDirectoryBackend):
     def put(self, name, data):
         raise StorageError("backend is read-only", site=1)
@@ -232,6 +247,15 @@ def test_write_files_writes_all_or_none(tmp_path):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "f0.kfrg"]
     write_files({old: b"new", tmp_path / "c" / "manifest.json": b"{}"})
     assert old.read_bytes() == b"new" and (tmp_path / "c" / "manifest.json").read_bytes() == b"{}"
+
+
+def test_a_failed_write_files_removes_its_directories_and_names_its_target(tmp_path):
+    (tmp_path / "b").write_bytes(b"a file where a directory is wanted")
+    target = tmp_path / "b" / "manifest.json"
+    with pytest.raises(NotADirectoryError) as err:
+        write_files({tmp_path / "d" / "e" / "f0.kfrg": b"new", target: b"{}"})
+    assert err.value.filename == str(target)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["b"]
 
 
 _DISK_WRITES = {"write_bytes", "write_text", "mkdir", "makedirs"}
