@@ -498,7 +498,7 @@ def test_a_failed_write_names_its_target_not_its_temporary_file(runner, tmp_path
                                   "--sites", f"{tmp_path / 's0'},{tmp_path / 's1'}",
                                   "--manifest-out", str(tmp_path / "blocker" / "dispersal.json")])
     assert result.exit_code == 3
-    assert f"{os.sep.join(['blocker', 'dispersal.json'])}'" in result.stderr
+    assert f"{Path('blocker', 'dispersal.json')}'" in result.stderr
     assert ".tmp" not in result.stderr
     assert not (tmp_path / "s0").exists() and not (tmp_path / "s1").exists()
 
