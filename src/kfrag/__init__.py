@@ -8,7 +8,7 @@ and a throughput harness, all behind one CLI (``kfrag``).
 """
 
 from .baselines import SchemeId
-from .codec import CodecParams, Fragment, FragmentSet, decode_data, encode_data
+from .codec import CodecParams, Fragment, decode_data, encode_data
 from .errors import (
     FragmentationError,
     IntegrityError,
@@ -20,7 +20,6 @@ from .errors import (
 __all__ = [
     "CodecParams",
     "Fragment",
-    "FragmentSet",
     "SchemeId",
     "decode_data",
     "encode_data",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import Fragment, FragmentSet
+from .codec import Fragment
 from .dispersal import write_files
 from .errors import ParameterError
 
@@ -145,7 +145,7 @@ def analyze_fragments(
     Bit difference against the original compares over the common prefix, as
     fragments are shorter than the payload they came from.
     """
-    frags = list(fragments.fragments) if isinstance(fragments, FragmentSet) else list(fragments)
+    frags = list(fragments)
     if not frags:
         raise ParameterError("no fragments to analyze")
     blobs = [measurable_bytes(f) for f in frags]

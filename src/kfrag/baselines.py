@@ -265,20 +265,12 @@ def ssms_reconstruct(
     fragments: list[SsmsFragment], cipher: AesCtrCipher | None = None
 ) -> bytes:
     cipher = cipher or AesCtrCipher()
-    if not fragments:
-        raise ThresholdError("no fragments")
-    k = fragments[0].k
-    if len(fragments) < k:
-        raise ThresholdError(f"need at least {k} fragments, got {len(fragments)}")
-    length = fragments[0].payload_length
-    body = [
-        IdaFragment(
-            index=f.index, row=f.row, data=f.data, k=f.k, n=f.n, payload_length=length
-        )
+    ciphertext = ida_reconstruct([
+        IdaFragment(index=f.index, row=f.row, data=f.data, k=f.k, n=f.n,
+                    payload_length=f.payload_length)
         for f in fragments
-    ]
-    ciphertext = ida_reconstruct(body)
-    key = sss_reconstruct([(f.key_x, f.key_share) for f in fragments], k)
+    ])  # checks the set, so fragments[0] exists
+    key = sss_reconstruct([(f.key_x, f.key_share) for f in fragments], fragments[0].k)
     return cipher.decrypt(key, fragments[0].nonce, ciphertext)
 
 

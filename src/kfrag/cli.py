@@ -19,7 +19,7 @@ import click
 
 from . import analysis, baselines, dispersal, wire
 from .baselines import SchemeId
-from .codec import CodecParams, Fragment, FragmentSet, decode_data, encode_data
+from .codec import CodecParams, Fragment, check_fragments, decode_data, encode_data
 # rs_decode is unused here, but perfbench/tracing.py wraps this name, so it stays importable
 from .erasure import ParityParams, parity_fragments, rs_decode  # noqa: F401
 from .errors import IntegrityError, ParameterError, StorageError, ThresholdError
@@ -262,12 +262,17 @@ def cmd_join(
 # ---------------------------------------------------------------------------
 
 
-def _parse_sites(spec: str) -> list[dispersal.StorageSite]:
-    dirs = [d for d in spec.split(",") if d]
-    return [
-        dispersal.StorageSite(index=i, backend=dispersal.LocalDirectoryBackend(Path(d)))
-        for i, d in enumerate(dirs)
-    ]
+def _parse_sites(spec: str, manifest: dispersal.Manifest) -> list[dispersal.LocalDirectoryBackend]:
+    """The directories ``--sites`` names, site i the i-th; as many as the manifest uses."""
+    sites = [dispersal.LocalDirectoryBackend(Path(d)) for d in spec.split(",") if d]
+    expected = dispersal.site_count(manifest)
+    if len(sites) != expected:
+        raise ParameterError(
+            f"--sites must name {expected} directories"
+            f" ({manifest.c} sites{' plus one parity site' if expected > manifest.c else ''}),"
+            f" got {len(sites)}"
+        )
+    return sites
 
 
 @main.command("disperse")
@@ -289,15 +294,7 @@ def cmd_disperse(manifest_path: Path, sites_spec: str, manifest_out: Path | None
             f"disperse applies the neighbor-separation rules of the proposed scheme; "
             f"manifest is for {manifest.scheme!r}"
         )
-    sites = _parse_sites(sites_spec)
-    expected = dispersal.site_count(manifest)
-    if len(sites) != expected:
-        raise ParameterError(
-            f"--sites must name {expected} directories"
-            f" ({manifest.c} sites{' plus one parity site' if expected > manifest.c else ''}),"
-            f" got {len(sites)}"
-        )
-
+    sites = _parse_sites(sites_spec, manifest)
     base = manifest_path.parent
     blobs, frags = {}, []
     read = dispersal.read(manifest, dispersal.local_files(base))
@@ -309,7 +306,7 @@ def cmd_disperse(manifest_path: Path, sites_spec: str, manifest_out: Path | None
         else:
             wire.load_parity_fragment(blob)  # parse check only
         blobs[entry] = blob
-    FragmentSet(tuple(sorted(frags, key=lambda f: f.index)))  # completeness check only
+    check_fragments(frags)
 
     out_path = manifest_out or (base / "dispersal.json")
     stored = dispersal.store(
@@ -330,11 +327,7 @@ def cmd_disperse(manifest_path: Path, sites_spec: str, manifest_out: Path | None
 def cmd_fetch(manifest_path: Path, sites_spec: str, out_dir: Path):
     """Retrieve dispersed fragments back into a local directory."""
     manifest = dispersal.Manifest.load(manifest_path)
-    sites = _parse_sites(sites_spec)
-    expected = dispersal.site_count(manifest)
-    if len(sites) != expected:
-        raise ParameterError(f"--sites must name {expected} directories, got {len(sites)}")
-    blobs = _reported(dispersal.fetch(manifest, sites))
+    blobs = _reported(dispersal.fetch(manifest, _parse_sites(sites_spec, manifest)))
     data = [entry for entry in blobs if entry.kind == "data"]
     entries = [replace(e, site=None, name=PurePosixPath(e.name).name) for e in data]
     local = replace(manifest, fragments=entries)

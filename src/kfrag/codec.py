@@ -39,6 +39,7 @@ parts.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,30 +121,6 @@ class Fragment:
         return self.shares.shape[0]
 
 
-@dataclass(frozen=True)
-class FragmentSet:
-    """The complete k fragments of one fragmentation run."""
-
-    fragments: tuple[Fragment, ...]
-
-    def __post_init__(self) -> None:
-        _check_fragments(self.fragments)
-
-    @property
-    def params(self) -> CodecParams:
-        return self.fragments[0].params
-
-    @property
-    def payload_length(self) -> int:
-        return self.fragments[0].payload_length
-
-    def __iter__(self):
-        return iter(self.fragments)
-
-    def __len__(self) -> int:
-        return len(self.fragments)
-
-
 def pick_x(i: int) -> int:
     """Deterministic evaluation point for block row i, always in [2, 255]."""
     return 2 + (i % _X_PERIOD)
@@ -155,19 +132,18 @@ def padded_length(data_length: int, params: CodecParams) -> int:
     return ((data_length + group - 1) // group) * group
 
 
-def encode_data(data: bytes, params: CodecParams, rng: random.Random) -> FragmentSet:
-    """Transform data into k fragments; all k are needed to get it back."""
+def encode_data(data: bytes, params: CodecParams, rng: random.Random) -> tuple[Fragment, ...]:
+    """Transform data into the k fragments, in index order; all k are needed to get it back."""
     if len(data) == 0:
         raise ParameterError("nothing to fragment")
     pas = generate_permutations(params.k, params.c, params.block_size, rng)
-    ps: list[PermutationShare | None] = [None] * params.k
-    for r, pa in enumerate(pas):
-        for share in split_permutation(pa, params.c, rng, array_index=r):
-            ps[r * params.c + share.share_index] = share
-    return _encode_with_permutations(data, params, pas, ps)  # type: ignore[arg-type]
+    # shares come back in share_index order, so share z of array r is fragment r*c + z's
+    ps = [share for r, pa in enumerate(pas)
+          for share in split_permutation(pa, params.c, rng, array_index=r)]
+    return _encode_with_permutations(data, params, pas, ps)
 
 
-def decode_data(fragments: FragmentSet | list[Fragment] | tuple[Fragment, ...]) -> bytearray:
+def decode_data(fragments: Iterable[Fragment]) -> bytearray:
     """Reconstruct the original payload, as a bytearray, from all k fragments.
 
     Raises ThresholdError when any fragment is missing, ParameterError on
@@ -175,7 +151,7 @@ def decode_data(fragments: FragmentSet | list[Fragment] | tuple[Fragment, ...]) 
     shares do not XOR back into valid permutations.
     """
     frags = tuple(fragments)
-    _check_fragments(frags)
+    check_fragments(frags)
     params = frags[0].params
     k, c = params.k, params.c
     frags = tuple(sorted(frags, key=lambda f: f.index))
@@ -199,12 +175,8 @@ def decode_data(fragments: FragmentSet | list[Fragment] | tuple[Fragment, ...]) 
     return out
 
 
-# ---------------------------------------------------------------------------
-# internals
-# ---------------------------------------------------------------------------
-
-
-def _check_fragments(frags: tuple[Fragment, ...]) -> None:
+def check_fragments(frags: Sequence[Fragment]) -> None:
+    """Raise unless ``frags`` are the k fragments of one run, each once, in any order."""
     if not frags:
         raise ThresholdError("k-of-k threshold not met: no fragments", missing=())
     params = frags[0].params
@@ -224,6 +196,11 @@ def _check_fragments(frags: tuple[Fragment, ...]) -> None:
         )
 
 
+# ---------------------------------------------------------------------------
+# internals
+# ---------------------------------------------------------------------------
+
+
 def _flat_permutation_gather(pas: list[PermutationArray], params: CodecParams) -> np.ndarray:
     """Flat index PI with PI[j*bs + w] = j*bs + inverse(pa_j)[w]."""
     k, bs = params.k, params.block_size
@@ -240,7 +217,7 @@ def _encode_with_permutations(
     params: CodecParams,
     pas: list[PermutationArray],
     ps: list[PermutationShare],
-) -> FragmentSet:
+) -> tuple[Fragment, ...]:
     """Encode with explicit permutations; the seam tests drive directly."""
     k, bs, m = params.k, params.block_size, params.group_size
     nf = padded_length(len(data), params) // m
@@ -259,7 +236,7 @@ def _encode_with_permutations(
         _encode_rows_serial(u, state, parent_idx, start_row=0)
 
     shares = _fragment_shares(u, pi, k)
-    return FragmentSet(tuple(Fragment(j, params, ps[j], s, len(data)) for j, s in enumerate(shares)))
+    return tuple(Fragment(j, params, ps[j], s, len(data)) for j, s in enumerate(shares))
 
 
 def _fragment_shares(u: np.ndarray, pi: np.ndarray, k: int) -> list[np.ndarray]:

@@ -19,8 +19,9 @@ commands name each file set aside or rebuilt on stderr.  ``disperse`` reads
 the same way but refuses any lost or damaged file.  Every file kfrag writes
 goes through ``write_files``: all of a set or none, a command's manifest last.
 
-A local-directory backend ships by default; anything with put/get/delete can
-stand in for a real object store, as long as ``get`` may run on several
+A site is its backend, and its index is its position in the list of sites.
+A local-directory backend ships by default; any object with put/get/delete
+can stand in for a real object store, as long as ``get`` may run on several
 threads at once (``fetch`` reads large sets in parts).  The manifest stays
 on the client: placing it at any provider would hand that provider the
 layout.
@@ -38,6 +39,7 @@ from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
+from .baselines import SchemeId
 from .erasure import ParityParams, rs_decode
 from .errors import IntegrityError, ParameterError, StorageError, ThresholdError
 from . import gf256, wire
@@ -115,44 +117,25 @@ class LocalDirectoryBackend:
 
 
 @dataclass(frozen=True)
-class StorageSite:
-    index: int
-    backend: LocalDirectoryBackend
-
-
-@dataclass(frozen=True)
-class SiteAssignment:
-    """Fragment index -> site index."""
-
-    sites: tuple[int, ...]
-
-    def __getitem__(self, j: int) -> int:
-        return self.sites[j]
-
-    def __len__(self) -> int:
-        return len(self.sites)
-
-
-@dataclass(frozen=True)
 class Violation:
     kind: str  # "neighbor" or "permutation-group"
     fragments: tuple[int, ...]
     site: int
 
 
-def assign_sites(k: int, c: int) -> SiteAssignment:
-    """The j mod c rule, checked against all separation invariants."""
+def assign_sites(k: int, c: int) -> tuple[int, ...]:
+    """The site of each fragment by the j mod c rule, checked against all separation invariants."""
     if c < 2 or k < c or k % c != 0:
         raise ParameterError(f"k must be a positive multiple of c >= 2, got k={k}, c={c}")
-    assignment = SiteAssignment(tuple(j % c for j in range(k)))
+    assignment = tuple(j % c for j in range(k))
     violations = validate_assignment(assignment, k, c)
     if violations:
         raise RuntimeError(f"internal error: rule produced violations {violations}")
     return assignment
 
 
-def validate_assignment(assignment: SiteAssignment, k: int, c: int) -> list[Violation]:
-    """Check neighbor separation and permutation-share separation.
+def validate_assignment(assignment: tuple[int, ...], k: int, c: int) -> list[Violation]:
+    """Check neighbor and permutation-share separation, fragment j being on site assignment[j].
 
     Violations are data, not errors: the list is empty for a good assignment
     and names the exact offending fragment groups otherwise.
@@ -232,8 +215,17 @@ class Manifest:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Manifest":
+        """The manifest ``doc`` holds; entries are n distinct indices, parity from k on."""
         values = _fields_from(cls, doc)
         entries = [ManifestEntry(**_fields_from(ManifestEntry, e)) for e in values["fragments"]]
+        k, n = values["k"], values["n"]
+        indices = [e.index for e in entries]
+        if len(set(indices)) != len(indices) or any(not 0 <= i < n for i in indices):
+            raise ValueError(f"fragment indices {indices} must be distinct and in [0, {n})")
+        parity_from = k if values["scheme"] == SchemeId.PROPOSED else n  # the one with parity
+        for e in entries:
+            if e.kind != ("parity" if e.index >= parity_from else "data"):
+                raise ValueError(f"fragment {e.index} cannot be of kind {e.kind!r}")
         return cls(**{**values, "fragments": entries})
 
     def to_json(self) -> bytes:
@@ -306,7 +298,7 @@ def site_count(manifest: Manifest) -> int:
 def store(
     manifest: Manifest,
     blobs: dict[ManifestEntry, bytes],
-    sites: list[StorageSite],
+    sites: list[LocalDirectoryBackend],
     run_id: str | None = None,
     record: Callable[[Manifest], None] = lambda stored: None,
 ) -> Manifest:
@@ -324,33 +316,29 @@ def store(
     expected = site_count(manifest)
     if len(sites) != expected:
         raise ParameterError(f"expected {expected} sites, got {len(sites)}")
-    if len({s.index for s in sites}) != len(sites):
-        raise ParameterError("site indices must be distinct")
     assignment = assign_sites(manifest.k, manifest.c)
     run = run_id or uuid.uuid4().hex[:12]
+    placed = [
+        replace(entry, name=f"{run}/{entry.name}",
+                site=manifest.c if entry.kind == "parity" else assignment[entry.index])
+        for entry in manifest.fragments
+    ]
 
-    plan: list[tuple[StorageSite, ManifestEntry, bytes]] = []
-    for entry in manifest.fragments:
-        site = sites[-1] if entry.kind == "parity" else sites[assignment[entry.index]]
-        placed = replace(entry, site=site.index, name=f"{run}/{entry.name}")
-        plan.append((site, placed, blobs[entry]))
-
-    written: list[tuple[StorageSite, str]] = []
+    written: list[ManifestEntry] = []
     try:
-        for site, placed, blob in plan:
+        for entry, dest in zip(manifest.fragments, placed):
             try:
-                site.backend.put(placed.name, blob)
+                sites[dest.site].put(dest.name, blobs[entry])
             except StorageError as exc:
                 raise StorageError(
-                    f"store failed at site {site.index}: {exc}", site=site.index
+                    f"store failed at site {dest.site}: {exc}", site=dest.site
                 ) from exc
-            written.append((site, placed.name))
-        stored = replace(manifest, fragments=[placed for _, placed, _ in plan],
-                         created=_now(), run_id=run)
+            written.append(dest)
+        stored = replace(manifest, fragments=placed, created=_now(), run_id=run)
         record(stored)
     except BaseException:
-        for done_site, done_name in reversed(written):
-            done_site.backend.delete(done_name)
+        for dest in reversed(written):
+            sites[dest.site].delete(dest.name)
         raise
     return stored
 
@@ -432,10 +420,9 @@ def recover(manifest: Manifest, get: Callable[[ManifestEntry], bytes]) -> Recove
     return Recovered({e: blobs[e] for e in manifest.fragments if e in blobs}, damaged, missing)
 
 
-def fetch(manifest: Manifest, sites: list[StorageSite]) -> Recovered:
-    """``recover`` from the sites the manifest places its entries on."""
-    backends = {s.index: s.backend for s in sites}
+def fetch(manifest: Manifest, sites: list[LocalDirectoryBackend]) -> Recovered:
+    """``recover`` from the sites the manifest places its entries on, site i being ``sites[i]``."""
     for entry in manifest.fragments:
-        if entry.site not in backends:
+        if entry.site not in range(len(sites)):  # a negative index would pick a site from the end
             raise ParameterError(f"manifest references unknown site {entry.site}")
-    return recover(manifest, lambda entry: backends[entry.site].get(entry.name))
+    return recover(manifest, lambda entry: sites[entry.site].get(entry.name))

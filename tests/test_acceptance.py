@@ -28,7 +28,7 @@ from kfrag.baselines import SchemeId, ida_split, sss_split
 from kfrag.bench import BenchConfig, run_bench
 from kfrag.codec import CodecParams, decode_data, encode_data, padded_length
 from kfrag.corpus import text_sample
-from kfrag.dispersal import SiteAssignment, Violation, assign_sites, validate_assignment
+from kfrag.dispersal import Violation, assign_sites, validate_assignment
 from kfrag.erasure import ParityParams, rs_decode, rs_encode
 from kfrag.errors import ThresholdError
 from kfrag.gf256 import mul
@@ -351,7 +351,7 @@ def test_c14_dispersal_rules():
             for c in range(2, k + 1):
                 if k % c == 0:
                     assert validate_assignment(assign_sites(k, c), k, c) == []
-        bad = SiteAssignment((0, 1, 1, 0))
+        bad = (0, 1, 1, 0)
         violations = validate_assignment(bad, 4, 2)
         assert set(violations) == {
             Violation(kind="neighbor", fragments=(1, 2), site=1),

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -220,6 +221,15 @@ def test_ssms_threshold(rng):
     frags = bl.ssms_split(b"payload bytes", 3, 4, rng)
     with pytest.raises(ThresholdError):
         bl.ssms_reconstruct(frags[:2])
+    with pytest.raises(ThresholdError):
+        bl.ssms_reconstruct([])
+
+
+def test_ssms_rejects_fragments_of_different_payload_lengths(rng):
+    frags = bl.ssms_split(rng.randbytes(5000), 2, 3, rng)
+    frags[1] = replace(frags[1], payload_length=frags[1].payload_length - 1)
+    with pytest.raises(ParameterError):
+        bl.ssms_reconstruct(frags)
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,23 @@ def test_bench_rejects_a_bad_grid_point_before_building_the_payload(runner, monk
     assert "Traceback" not in result.output
 
 
+def _manifest_json(**change) -> str:
+    """A k = 4, n = 6 split manifest, with fragment 1's entry changed as given."""
+    entries = [{"index": i, "site": None, "name": f"f{i}.kfrg" if i < 4 else f"p{i - 4}.kpar",
+                "sha256": "0" * 64, "kind": "data" if i < 4 else "parity"} for i in range(6)]
+    entries[1].update(change)
+    return json.dumps({"scheme": "proposed", "k": 4, "c": 2, "block_size": 34, "n": 6,
+                       "payload_length": 5000, "created": "", "run_id": "", "fragments": entries})
+
+
 @pytest.mark.parametrize("command", ["join", "disperse", "fetch"])
 @pytest.mark.parametrize(
     "content",
-    ["not json", '{"scheme": "proposed"}', '{"scheme": "proposed", "k": "4"}'],
-    ids=["not-json", "no-k", "k-not-int"],
+    ["not json", '{"scheme": "proposed"}', '{"scheme": "proposed", "k": "4"}',
+     _manifest_json(index=9), _manifest_json(index=-1), _manifest_json(index=0),
+     _manifest_json(kind="extra"), _manifest_json(kind="parity"), _manifest_json(index=4)],
+    ids=["not-json", "no-k", "k-not-int", "index-past-n", "index-negative", "index-repeated",
+         "kind-unknown", "parity-below-k", "data-from-k"],
 )
 def test_malformed_manifest_is_a_usage_error_without_traceback(runner, tmp_path, command, content):
     manifest = tmp_path / "manifest.json"
@@ -259,6 +271,20 @@ def test_disperse_fetch_round_trip(runner, tmp_path):
     assert len(digests[0]) == 4
     assert digests[0] == digests[1] == digests[2]
 
+
+
+@pytest.mark.parametrize("site", [7, -1])
+def test_fetch_rejects_an_entry_on_a_site_outside_the_list(runner, tmp_path, site):
+    _, out = _split(runner, tmp_path, os.urandom(3000))
+    sites = f"{tmp_path / 's0'},{tmp_path / 's1'}"
+    _invoke(runner, "disperse", "--manifest", str(out / "manifest.json"), "--sites", sites)
+    doc = json.loads((out / "dispersal.json").read_text())
+    doc["fragments"][1]["site"] = site
+    (out / "dispersal.json").write_text(json.dumps(doc))
+    result = _invoke(runner, "fetch", "--manifest", str(out / "dispersal.json"),
+                     "--sites", sites, "--out", str(tmp_path / "fetched"), code=2)
+    assert f"manifest references unknown site {site}" in result.output
+    assert not (tmp_path / "fetched").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from kfrag import codec, gf256, wire
 from kfrag.codec import (
     CodecParams,
     Fragment,
-    FragmentSet,
+    check_fragments,
     decode_data,
     encode_data,
     padded_length,
@@ -101,7 +101,7 @@ def test_encode_block_identity_cases():
 def test_encode_block_length_mismatch(rng):
     # a fragment's share rows and permutation share both span one block
     params = CodecParams(2, 2, 4)
-    frag = encode_data(rng.randbytes(20), params, rng).fragments[0]
+    frag = encode_data(rng.randbytes(20), params, rng)[0]
     with pytest.raises(ParameterError, match="wrong shape"):
         Fragment(0, params, frag.permutation_share, frag.shares[:, :3], frag.payload_length)
     with pytest.raises(ParameterError, match="differs from block size"):
@@ -311,7 +311,7 @@ def test_threshold_errors(rng):
 def test_incomplete_set_cannot_be_constructed(rng):
     fragset = encode_data(rng.randbytes(100), CodecParams(2, 2, 4), rng)
     with pytest.raises(ThresholdError):
-        FragmentSet(tuple(list(fragset)[:1]))
+        check_fragments(fragset[:1])
 
 
 def test_mismatched_params_rejected(rng):

@@ -12,8 +12,6 @@ from kfrag.codec import CodecParams, decode_data, encode_data
 from kfrag.dispersal import (
     LocalDirectoryBackend,
     Manifest,
-    SiteAssignment,
-    StorageSite,
     Violation,
     assign_sites,
     build_manifest,
@@ -31,7 +29,7 @@ def _sites(tmp_path, count, offset=0):
     for i in range(count):
         root = tmp_path / f"site{i + offset}"
         root.mkdir(parents=True, exist_ok=True)
-        out.append(StorageSite(index=i, backend=LocalDirectoryBackend(root)))
+        out.append(LocalDirectoryBackend(root))
     return out
 
 
@@ -42,14 +40,14 @@ def _objects(root):
 
 def _split(fragset, n=None):
     """The split manifest and its files, keyed by entry, as ``kfrag split`` makes them."""
-    p = fragset.params
+    p = fragset[0].params
     n = n or p.k
     blobs = [wire.dump_fragment(f) for f in fragset]
     if n > p.k:
         parity = parity_fragments(blobs, ParityParams(p.k, n))
         blobs += [wire.dump_parity_fragment(pf) for pf in parity]
     manifest = build_manifest("proposed", p.k, p.c, p.block_size, n,
-                              fragset.payload_length, blobs)
+                              fragset[0].payload_length, blobs)
     return manifest, dict(zip(manifest.fragments, blobs))
 
 
@@ -63,9 +61,9 @@ def _decode(fetched):
 
 
 def test_assign_sites_examples():
-    assert assign_sites(4, 2).sites == (0, 1, 0, 1)
-    assert assign_sites(2, 2).sites == (0, 1)  # k == c: identity
-    assert assign_sites(6, 3).sites == (0, 1, 2, 0, 1, 2)
+    assert assign_sites(4, 2) == (0, 1, 0, 1)
+    assert assign_sites(2, 2) == (0, 1)  # k == c: identity
+    assert assign_sites(6, 3) == (0, 1, 2, 0, 1, 2)
 
 
 def test_assign_sites_neighbor_rule_holds():
@@ -90,7 +88,7 @@ def test_validate_assignment_all_good():
 
 
 def test_validate_assignment_everything_on_one_site():
-    a = SiteAssignment((0, 0, 0, 0))
+    a = (0, 0, 0, 0)
     violations = validate_assignment(a, 4, 2)
     neighbor_pairs = {v.fragments for v in violations if v.kind == "neighbor"}
     assert neighbor_pairs == {(0, 1), (1, 2), (2, 3), (0, 3)}
@@ -100,7 +98,7 @@ def test_validate_assignment_everything_on_one_site():
 
 def test_validate_assignment_exact_violating_pairs():
     # neighbors wrap around: f1/f2 collide on site 1 and f3/f0 on site 0
-    a = SiteAssignment((0, 1, 1, 0))
+    a = (0, 1, 1, 0)
     violations = validate_assignment(a, 4, 2)
     assert set(violations) == {
         Violation(kind="neighbor", fragments=(1, 2), site=1),
@@ -110,7 +108,7 @@ def test_validate_assignment_exact_violating_pairs():
 
 def test_validate_assignment_wrong_length():
     with pytest.raises(ParameterError):
-        validate_assignment(SiteAssignment((0, 1)), 4, 2)
+        validate_assignment((0, 1), 4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +127,7 @@ def test_store_fetch_round_trip(tmp_path, rng):
     assert [e.site for e in manifest.fragments] == [0, 1, 0, 1]
     assert [e.name for e in manifest.fragments] == [f"runA/f{j}.kfrg" for j in range(4)]
     for i, site in enumerate(sites):
-        assert len(_objects(site.backend.root)) == 2, f"site {i} fragment count"
+        assert len(_objects(site.root)) == 2, f"site {i} fragment count"
 
     fetched = fetch(manifest, sites).blobs
     assert [e for e in fetched if e.kind == "parity"] == []
@@ -142,7 +140,7 @@ def test_store_counts_per_site(tmp_path, rng):
     sites = _sites(tmp_path, 3)
     store(*_split(fragset), sites)
     for site in sites:
-        assert len(_objects(site.backend.root)) == 2  # k/c each
+        assert len(_objects(site.root)) == 2  # k/c each
 
 
 def test_store_with_parity_dedicated_site(tmp_path, rng):
@@ -168,13 +166,13 @@ def test_store_unwritable_site_cleans_up(tmp_path, rng):
     good.mkdir()
     bad = tmp_path / "missing-parent" / "nope"
     sites = [
-        StorageSite(index=0, backend=LocalDirectoryBackend(good)),
-        StorageSite(index=1, backend=_ReadOnlyBackend(bad)),
+        LocalDirectoryBackend(good),
+        _ReadOnlyBackend(bad),
     ]
     with pytest.raises(StorageError) as err:
         store(*_split(fragset), sites, run_id="failrun")
     assert err.value.site == 1
-    assert _objects(sites[0].backend.root) == []  # partial writes removed
+    assert _objects(sites[0].root) == []  # partial writes removed
 
 
 def test_store_removes_its_objects_and_run_directories_when_record_fails(tmp_path, rng):
@@ -303,7 +301,7 @@ def test_fetch_missing_object_threshold(tmp_path, rng):
     sites = _sites(tmp_path, 2)
     manifest = store(*_split(fragset), sites, run_id="gone")
     victim = manifest.fragments[2]
-    sites[victim.site].backend.delete(victim.name)
+    sites[victim.site].delete(victim.name)
     with pytest.raises(ThresholdError) as err:
         fetch(manifest, sites)
     assert err.value.missing == (2,)
@@ -316,7 +314,7 @@ def test_fetch_missing_object_recovered_by_parity(tmp_path, rng):
     split, blobs = _split(fragset, n=5)
     manifest = store(split, blobs, sites)
     victim = next(e for e in manifest.fragments if e.index == 1)
-    sites[victim.site].backend.delete(victim.name)
+    sites[victim.site].delete(victim.name)
     fetched = fetch(manifest, sites).blobs
     assert list(fetched.values()) == list(blobs.values())  # rebuilt bytes included
     assert _decode(fetched) == data
@@ -328,7 +326,7 @@ def test_fetch_tampered_object_integrity(tmp_path, rng):
     sites = _sites(tmp_path, 2)
     manifest = store(*_split(fragset), sites)
     victim = manifest.fragments[0]
-    root = sites[victim.site].backend.root
+    root = sites[victim.site].root
     path = root / victim.name
     raw = bytearray(path.read_bytes())
     raw[-1] ^= 0x80
