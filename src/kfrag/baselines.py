@@ -26,8 +26,6 @@ from enum import Enum
 
 import numpy as np
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-
 from .erasure import ParityParams, parity_fragments, rs_decode, vandermonde
 from .errors import IntegrityError, ParameterError, ThresholdError
 from .gf256 import inv, invert_matrix, matmul, mul
@@ -47,23 +45,33 @@ class SchemeId(str, Enum):
 
 
 class AesCtrCipher:
-    """AES-128 in CTR mode; the nonce travels with each fragment."""
+    """AES-128 in CTR mode; the nonce travels with each fragment.
+
+    ``cryptography`` is imported on first use, so commands of the other schemes
+    do not load it.
+    """
 
     key_size = 16
     nonce_size = 16
+
+    @staticmethod
+    def _cipher(key: bytes, nonce: bytes):
+        from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+        return Cipher(algorithms.AES(key), modes.CTR(nonce))
 
     def generate_key(self, rng: random.Random) -> bytes:
         return rng.randbytes(self.key_size)
 
     def encrypt(self, key: bytes, data: bytes, rng: random.Random) -> tuple[bytes, bytes]:
         nonce = rng.randbytes(self.nonce_size)
-        enc = Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor()
+        enc = self._cipher(key, nonce).encryptor()
         return enc.update(data) + enc.finalize(), nonce
 
     def decrypt(self, key: bytes, nonce: bytes, data: bytes) -> bytes:
         if len(key) != self.key_size or len(nonce) != self.nonce_size:
             raise IntegrityError("recovered key or nonce has the wrong length")
-        dec = Cipher(algorithms.AES(key), modes.CTR(nonce)).decryptor()
+        dec = self._cipher(key, nonce).decryptor()
         return dec.update(data) + dec.finalize()
 
 

@@ -17,7 +17,7 @@ from pathlib import Path, PurePosixPath
 
 import click
 
-from . import analysis, baselines, dispersal, wire
+from . import analysis, baselines, dispersal, gf256, wire
 from .baselines import SchemeId
 from .codec import CodecParams, Fragment, check_fragments, decode_data, encode_data
 # rs_decode is unused here, but perfbench/tracing.py wraps this name, so it stays importable
@@ -196,7 +196,7 @@ def _write_split(out_dir: Path, manifest: dispersal.Manifest, blobs: list[bytes]
 def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: int | None, out_dir: Path):
     """Fragment a file into k (or n) fragment files plus a manifest."""
     n = k if n is None else n
-    data = in_path.read_bytes()
+    data = dispersal.read_file(in_path)
     chosen = SchemeId(scheme)
     blobs = [wire.dump_any(f) for f in split(chosen, data, k, n, c, block_size, rng_from_env())]
     proposed = chosen is SchemeId.PROPOSED
@@ -251,10 +251,13 @@ def cmd_join(
         blobs = _reported(dispersal.recover(manifest, dispersal.local_files(manifest_path.parent)))
         data = join([wire.load_any(b) for e, b in blobs.items() if e.kind == "data"])
     else:
-        data = join_files([path.read_bytes() for path in frag_paths])
-    dispersal.write_files({out_path: data})
+        data = join_files([dispersal.read_file(path) for path in frag_paths])
+    # from 8 MiB the digest runs on this thread while a second one writes the file
+    jobs = [lambda: hashlib.sha256(data).hexdigest(),
+            lambda: dispersal.write_files({out_path: data})]
+    digest, _ = gf256._map_in_parts(lambda job: job(), jobs, len(data))
     _note(f"wrote {len(data)} bytes to {out_path}")
-    click.echo(hashlib.sha256(data).hexdigest())
+    click.echo(digest)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +357,7 @@ def cmd_fetch(manifest_path: Path, sites_spec: str, out_dir: Path):
 @_guard
 def cmd_analyze(in_path: Path, scheme: str, k: int, c: int, block_size: int, n: int | None, report_path: Path):
     """Fragment a file in memory and measure fragment statistics."""
-    data = in_path.read_bytes()
+    data = dispersal.read_file(in_path)
     n = k if n is None else n
     fragments = split(SchemeId(scheme), data, k, n, c, block_size, rng_from_env())
     reports = analysis.analyze_fragments(fragments, data, include_recurrence=False)

@@ -143,8 +143,9 @@ def encode_data(data: bytes, params: CodecParams, rng: random.Random) -> tuple[F
     return _encode_with_permutations(data, params, pas, ps)
 
 
-def decode_data(fragments: Iterable[Fragment]) -> bytearray:
-    """Reconstruct the original payload, as a bytearray, from all k fragments.
+def decode_data(fragments: Iterable[Fragment]) -> memoryview:
+    """Reconstruct the original payload from all k fragments, as a read-only
+    memoryview of bytes decoded in place into one numpy buffer.
 
     Raises ThresholdError when any fragment is missing, ParameterError on
     inconsistent fragment sets, and IntegrityError when the permutation
@@ -169,10 +170,11 @@ def decode_data(fragments: Iterable[Fragment]) -> bytearray:
         group = [frags[r * c + z].permutation_share for z in range(c)]
         pas.append(reconstruct_permutation(group, c))
 
-    out = bytearray(nf * params.group_size)
-    _decode_rows(frags, pas, np.frombuffer(out, dtype=np.uint8).reshape(nf, k, -1))
-    del out[payload_length:]  # no view of it is left, so it shrinks in place
-    return out
+    out = np.empty(nf * params.group_size, dtype=np.uint8)
+    _decode_rows(frags, pas, out.reshape(nf, k, -1))
+    out = out[:payload_length]
+    out.setflags(write=False)
+    return memoryview(out)
 
 
 def check_fragments(frags: Sequence[Fragment]) -> None:

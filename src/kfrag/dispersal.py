@@ -18,6 +18,8 @@ is an integrity error only when fewer than k of the n files verify.  Both
 commands name each file set aside or rebuilt on stderr.  ``disperse`` reads
 the same way but refuses any lost or damaged file.  Every file kfrag writes
 goes through ``write_files``: all of a set or none, a command's manifest last.
+Every file it reads, but for the JSON manifests, comes in through ``read_file``:
+into one numpy buffer, filled in place and returned read-only.
 
 A site is its backend, and its index is its position in the list of sites.
 A local-directory backend ships by default; any object with put/get/delete
@@ -33,11 +35,14 @@ import contextlib
 import hashlib
 import json
 import os
+import stat
 import time
 import uuid
 from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from .baselines import SchemeId
 from .erasure import ParityParams, rs_decode
@@ -73,6 +78,24 @@ def write_files(files: dict[Path, bytes]) -> list[Path]:
     return made
 
 
+def read_file(path: Path) -> memoryview:
+    """The bytes of the file at ``path``, read-only.
+
+    A regular file is read into one numpy buffer sized from ``fstat``: numpy
+    asks for huge pages for a large array where ``bytes`` would fault in 4 KiB
+    at a time.  A pipe or other non-regular file is read to its end."""
+    with open(path, "rb", buffering=0) as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return memoryview(fh.read())
+        buf, got = np.empty(info.st_size, dtype=np.uint8), 0
+        while got < len(buf) and (n := fh.readinto(buf[got:])):
+            got += n
+    buf = buf[:got]  # shorter if the file shrank since fstat
+    buf.setflags(write=False)
+    return memoryview(buf)
+
+
 def _remove_dirs(dirs: list[Path]) -> None:
     """Remove each directory, innermost first, that is still empty."""
     for directory in dirs:
@@ -102,11 +125,11 @@ class LocalDirectoryBackend:
         except OSError as exc:
             raise StorageError(f"cannot write {name!r}: {exc}") from exc
 
-    def get(self, name: str) -> bytes:
+    def get(self, name: str) -> memoryview:
         path = self._path(name)
         if not path.exists():
             raise StorageError(f"object not found: {name!r}")
-        return path.read_bytes()
+        return read_file(path)
 
     def delete(self, name: str) -> None:
         """Remove the object, and any directory its put created that is now empty."""
@@ -268,7 +291,7 @@ def build_manifest(
     digests = gf256._map_in_parts(_sha256, blobs, sum(map(len, blobs)))
     entries = []
     for index, (blob, digest) in enumerate(zip(blobs, digests)):
-        magic = blob[:4]
+        magic = bytes(blob[:4])
         kind = "parity" if magic == wire.MAGIC_PARITY else "data"
         stem = f"p{index - k}" if kind == "parity" else f"f{index}"
         entries.append(
@@ -365,7 +388,7 @@ def read(manifest: Manifest, get: Callable[[ManifestEntry], bytes]) -> list:
 
 def local_files(base: Path) -> Callable[[ManifestEntry], bytes]:
     """``get`` for the files a manifest names in directory ``base``."""
-    return lambda entry: (base / entry.name).read_bytes()
+    return lambda entry: read_file(base / entry.name)
 
 
 def rebuild(data: list[tuple[int, bytes]], parity: list[bytes]) -> list[bytes]:

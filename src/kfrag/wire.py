@@ -83,7 +83,7 @@ class _Reader:
 
     def bytes(self, n: int) -> bytes:
         start = self.skip(n)
-        return self.buf[start : start + n]
+        return bytes(self.buf[start : start + n])  # bytes of any buffer kind
 
     def uint(self, width: int) -> int:
         return int.from_bytes(self.bytes(width), "big")
@@ -96,7 +96,8 @@ class _Reader:
 # -- keyless codec fragments -------------------------------------------------
 
 
-def dump_fragment(frag: Fragment) -> bytes:
+def dump_fragment(frag: Fragment) -> memoryview:
+    """The fragment's file, read-only, in one numpy buffer filled in place."""
     p = frag.params
     ps = frag.permutation_share
     head = _HEADER.pack(
@@ -110,9 +111,12 @@ def dump_fragment(frag: Fragment) -> bytes:
         ps.array_index,
         ps.share_index,
     )
-    # the shares go in as a buffer, not a tobytes() copy
-    shares = np.ascontiguousarray(frag.shares).data
-    return b"".join([head, ps.entries, frag.num_shares.to_bytes(4, "big"), shares])
+    prefix = b"".join([head, ps.entries, frag.num_shares.to_bytes(4, "big")])
+    out = np.empty(len(prefix) + frag.shares.size, dtype=np.uint8)
+    out[: len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    out[len(prefix) :].reshape(frag.shares.shape)[...] = frag.shares
+    out.setflags(write=False)
+    return memoryview(out)
 
 
 def load_fragment(buf: bytes) -> Fragment:
@@ -223,7 +227,7 @@ _LOADERS = {
 EXTENSIONS = {magic: "." + magic.decode().lower() for magic in _LOADERS}
 
 
-def dump_any(frag) -> bytes:
+def dump_any(frag) -> bytes | memoryview:
     """Serialize any fragment type to its wire form."""
     dumper = _DUMPERS.get(type(frag))
     if dumper is None:

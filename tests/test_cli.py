@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import json
@@ -5,13 +6,15 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
 import kfrag
-from kfrag import gf256
+from kfrag import cli, dispersal, gf256
 from kfrag.cli import main
 from kfrag.corpus import text_sample
 
@@ -49,6 +52,39 @@ def test_split_join_round_trip(runner, tmp_path):
                      "--out", str(joined))
     assert joined.read_bytes() == payload
     assert result.output.strip().splitlines()[-1] == hashlib.sha256(payload).hexdigest()
+
+
+@contextlib.contextmanager
+def _piped(data: bytes):
+    """A /dev/fd path to a pipe that a thread fills with ``data`` and then closes."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(write_end, "wb", buffering=0) as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)  # a writer still blocked on a full pipe gets EPIPE
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_input_is_read_to_its_end_from_a_pipe(runner, tmp_path):
+    # 200 kB fill a pipe's buffer several times over; fstat gives a pipe size 0
+    payload = os.urandom(200_000)
+    with _piped(payload) as path:
+        assert dispersal.read_file(Path(path)) == payload
+    with _piped(payload) as path:
+        _invoke(runner, "split", "--in", path, "--out", str(tmp_path / "frags"))
+    _invoke(runner, "join", "--manifest", str(tmp_path / "frags" / "manifest.json"),
+            "--out", str(tmp_path / "back.bin"))
+    assert (tmp_path / "back.bin").read_bytes() == payload
+    (tmp_path / "empty.bin").write_bytes(b"")
+    assert len(dispersal.read_file(tmp_path / "empty.bin")) == 0
 
 
 def test_split_rejects_k_not_multiple_of_c(runner, tmp_path):
@@ -482,6 +518,10 @@ def _tree(root):
                  id="split-over-an-older-split"),
     pytest.param([_SPLIT], ["join", "--manifest", "frags/manifest.json", "--out", "out.bin"],
                  3, [], id="join-over-an-older-file"),
+    # from 8 MiB of output the digest runs while a second thread writes the file
+    pytest.param([["split", "--in", "big.bin", "--out", "frags"]],
+                 ["join", "--manifest", "frags/manifest.json", "--out", "out.bin"],
+                 3, [], id="join-of-8-mib-over-an-older-file"),
     pytest.param([_SPLIT, [*_DISPERSE, "t0,t1"]], [*_FETCH, "t0,t1", "--out", "back"],
                  3, [], id="fetch"),
     pytest.param([_SPLIT_N6, "frags/f2.kfrg"], [*_DISPERSE, "t0,t1,t2"], 3, [],
@@ -501,7 +541,8 @@ def test_a_failed_command_leaves_the_files_as_they_were(
     # the command runs under a 20000-byte file-size limit, below the size of
     # each file it would write; a str step of the setup deletes that file
     monkeypatch.chdir(tmp_path)
-    for name, size in (("in.bin", 100_000), ("old.bin", 100_000), ("out.bin", 50_000)):
+    for name, size in (("in.bin", 100_000), ("old.bin", 100_000), ("out.bin", 50_000),
+                       ("big.bin", 8 << 20)):
         (tmp_path / name).write_bytes(os.urandom(size))
     for step in setup:
         if isinstance(step, str):
@@ -514,7 +555,33 @@ def test_a_failed_command_leaves_the_files_as_they_were(
     child = subprocess.run([sys.executable, "-c", _LIMITED, *command], cwd=tmp_path,
                            env=env, capture_output=True, timeout=120)
     assert child.returncode == code, child.stderr
+    assert child.stdout == b""  # no manifest path, table or digest
     assert _tree(tmp_path) == {**before, **dict.fromkeys(created)}
+
+
+def test_a_join_from_8_mib_hashes_on_its_thread_while_another_writes(
+    runner, tmp_path, monkeypatch
+):
+    payload = os.urandom(2 * gf256._PART_MIN_BYTES + 5)
+    monkeypatch.setattr(gf256, "_CORES", 2)
+    _, out = _split(runner, tmp_path, payload)
+    threads = {}
+
+    def on_thread(name, fn):
+        def wrapper(*args):
+            threads[name] = threading.current_thread()
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "hashlib", SimpleNamespace(sha256=on_thread("hash", hashlib.sha256)))
+    monkeypatch.setattr(dispersal, "write_files", on_thread("write", dispersal.write_files))
+    joined = tmp_path / "back.bin"
+    result = _invoke(runner, "join", "--manifest", str(out / "manifest.json"),
+                     "--out", str(joined))
+    assert result.stdout.strip() == hashlib.sha256(payload).hexdigest()
+    assert joined.read_bytes() == payload
+    assert threads["hash"] is threading.main_thread()
+    assert threads["write"] is not threading.main_thread()
 
 
 def test_a_failed_write_names_its_target_not_its_temporary_file(runner, tmp_path):

@@ -257,16 +257,15 @@ def test_a_failed_write_files_removes_its_directories_and_names_its_target(tmp_p
 
 
 _DISK_WRITES = {"write_bytes", "write_text", "mkdir", "makedirs"}
+_DISK_READS = {"read_bytes", "read_text"}
 
 
-def _disk_writes(source: str, allowed: str | None = None) -> list[int]:
-    """Lines of ``source`` that write to disk outside the function named ``allowed``.
-
-    An ``open`` counts unless every mode it is given is a literal without w, a, x or +.
-    """
+def _disk_calls(source: str, allowed: set, counts) -> list[int]:
+    """Lines of ``source`` with a call for which ``counts(name, modes)`` holds, outside
+    the functions named in ``allowed``; ``modes`` are the mode arguments it is given."""
     tree = ast.parse(source)
     inside = {line for node in ast.walk(tree)
-              if isinstance(node, ast.FunctionDef) and node.name == allowed
+              if isinstance(node, ast.FunctionDef) and node.name in allowed
               for line in range(node.lineno, node.end_lineno + 1)}
     found = set()
     for node in ast.walk(tree):
@@ -276,11 +275,29 @@ def _disk_writes(source: str, allowed: str | None = None) -> list[int]:
         # the mode of open(path, mode) or of path.open(mode)
         modes = node.args[isinstance(node.func, ast.Name):][:1]
         modes += [k.value for k in node.keywords if k.arg == "mode"]
-        writes_open = name == "open" and any(
-            not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
-        if name in _DISK_WRITES or writes_open:
+        if counts(name, [m.value if isinstance(m, ast.Constant) else None for m in modes]):
             found.add(node.lineno)
     return sorted(found)
+
+
+def _disk_writes(source: str, allowed: str | None = None) -> list[int]:
+    """Lines of ``source`` that write to disk outside the function named ``allowed``.
+
+    An ``open`` counts unless every mode it is given is a literal without w, a, x or +.
+    """
+    return _disk_calls(source, {allowed}, lambda name, modes: name in _DISK_WRITES or (
+        name == "open" and any(m is None or set(str(m)) & set("wax+") for m in modes)))
+
+
+def _disk_reads(source: str, allowed: set) -> list[int]:
+    """Lines of ``source`` that read a file outside the functions named in ``allowed``.
+
+    An ``open`` counts unless it is given a mode and every mode is a literal with w, a
+    or x and without +.
+    """
+    return _disk_calls(source, allowed, lambda name, modes: name in _DISK_READS or (
+        name == "open" and not (modes and all(
+            m is not None and set(str(m)) & set("wax") and "+" not in str(m) for m in modes))))
 
 
 def test_every_file_is_written_by_write_files():
@@ -293,6 +310,20 @@ def test_every_file_is_written_by_write_files():
               "def write_files(f):\n    f.write_bytes(b'')\n")
     assert _disk_writes(sample, allowed="write_files") == [1, 2, 4, 5, 6, 8]
     assert _disk_writes(sample) == [1, 2, 4, 5, 6, 8, 10]
+
+
+def test_every_file_is_read_by_read_file():
+    # the one exception: Manifest.load reads a manifest's JSON whole, for json.loads
+    allowed = {"dispersal.py": {"read_file", "load"}}
+    package = Path(kfrag.__file__).parent
+    found = {path.name: _disk_reads(path.read_text(), allowed.get(path.name, set()))
+             for path in package.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    sample = ("Path(p).read_bytes()\nopen(p)\nopen(p, 'wb')\np.open('rb')\n"
+              "open(p, mode=m)\np.read_text()\nopen(p, 'w+b')\np.write_bytes(b'')\n"
+              "def read_file(f):\n    open(f, 'rb', buffering=0)\n")
+    assert _disk_reads(sample, {"read_file"}) == [1, 2, 4, 5, 6, 7]
+    assert _disk_reads(sample, set()) == [1, 2, 4, 5, 6, 7, 10]
 
 
 def test_fetch_missing_object_threshold(tmp_path, rng):

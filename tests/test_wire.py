@@ -202,7 +202,7 @@ def test_serialized_payload_size_accounting(rng):
 
 
 def test_truncation_and_bad_magic():
-    blob = wire.dump_fragment(_tiny_fragment())
+    blob = bytes(wire.dump_fragment(_tiny_fragment()))
     with pytest.raises(ParameterError, match="truncated"):
         wire.load_fragment(blob[:10])
     with pytest.raises(ParameterError, match="truncated"):
