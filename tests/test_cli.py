@@ -518,7 +518,7 @@ def _tree(root):
                  id="split-over-an-older-split"),
     pytest.param([_SPLIT], ["join", "--manifest", "frags/manifest.json", "--out", "out.bin"],
                  3, [], id="join-over-an-older-file"),
-    # from 8 MiB of output the digest runs while a second thread writes the file
+    # from 8 MiB of output, on two or more cores, a second thread writes the file
     pytest.param([["split", "--in", "big.bin", "--out", "frags"]],
                  ["join", "--manifest", "frags/manifest.json", "--out", "out.bin"],
                  3, [], id="join-of-8-mib-over-an-older-file"),
