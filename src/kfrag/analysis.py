@@ -10,6 +10,7 @@ headers are excluded so random filler cannot flatter a scheme.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -149,14 +150,10 @@ def analyze_fragments(
     if not frags:
         raise ParameterError("no fragments to analyze")
     blobs = [measurable_bytes(f) for f in frags]
-    corr = [
-        [
-            1.0 if i == j else correlation(blobs[i][: _common(blobs[i], blobs[j])],
-                                           blobs[j][: _common(blobs[i], blobs[j])])
-            for j in range(len(blobs))
-        ]
-        for i in range(len(blobs))
-    ]
+    corr = [[1.0] * len(blobs) for _ in blobs]
+    for i, j in itertools.combinations(range(len(blobs)), 2):  # Pearson is symmetric
+        cut = min(len(blobs[i]), len(blobs[j]))
+        corr[i][j] = corr[j][i] = correlation(blobs[i][:cut], blobs[j][:cut])
     reports = []
     for i, (frag, blob) in enumerate(zip(frags, blobs)):
         stat, ok = chi_squared(blob)
@@ -174,10 +171,6 @@ def analyze_fragments(
             )
         )
     return reports
-
-
-def _common(a: bytes, b: bytes) -> int:
-    return min(len(a), len(b))
 
 
 def write_report_json(path: str | Path, scheme: str, params: dict, reports: list[SchemeReport]) -> None:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .baselines import SchemeId
 from .cli import join, split
-from .codec import CodecParams
 from .dispersal import write_files
 from .errors import ParameterError
 
@@ -57,9 +56,10 @@ class BenchConfig:
             raise ParameterError(f"payload must be at least 1 MB, got {self.payload_mb}")
         if not self.grid:
             raise ParameterError("empty grid")
-        if SchemeId.PROPOSED in self.schemes:
+        # one byte through every (scheme, point) rejects a bad point before the payload is built
+        for scheme in self.schemes:
             for k, c, block_size in self.grid:
-                CodecParams(k, c, block_size)  # rejects a bad point before the payload is built
+                split(scheme, b"\0", k, k, c, block_size, random.Random(0))
 
 
 @dataclass

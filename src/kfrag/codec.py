@@ -19,20 +19,19 @@ zero-padded buffer of rows of m = k*bs bytes, and the recurrence overwrites
 each row in place with u_r = rows_r ^ sum_t x_r^t * u_{r-1}[D_t], where u_r
 is the encoded row before its permutation and D_t composes the permutation
 with the rotation by t fragments.  One gather per fragment then writes its
-shares, u_r permuted, into the fragment's own array.  Two equivalent
-recurrence implementations exist: a row-serial sweep for any c, and a
-blocked scan for c == 2 that exploits the linearity of the recurrence to run
-in large batches regardless of k and the block size.  Both produce
-bit-identical fragments.  The serial sweep makes c + 1 numpy calls per row,
-whatever k and the block size: one table lookup scales the previous row by
-every power of x it needs, one flat gather picks the c - 1 terms, and c - 1
-XORs add them.  Decoding mirrors this with one gather per fragment from its
-shares straight into the output rows, then adds the neighbor terms, which
-have no cross-row dependency, over many rows per numpy call.
+shares, u_r permuted, into the fragment's own array.  One step, _sweep,
+computes every encoded row, advancing any number of row ranges in lockstep
+with c + 1 numpy calls per row whatever k and the block size.  Two drivers
+run it: one range of every row for any c, and for c == 2 a blocked scan
+that exploits the linearity of the recurrence to advance batches of rows
+at once; only its boundary pass is specific to c == 2.  Both produce
+bit-identical fragments.  Decoding mirrors this with one gather per fragment
+from its shares straight into the output rows, then adds the neighbor
+terms, which have no cross-row dependency, over many rows per numpy call.
 
 The scan's two sweeps and the gathers of both directions split into parts
-through gf256._in_parts, one thread per usable core; the serial sweep runs
-row by row on the caller's thread.  The bytes do not depend on the number of
+through gf256._in_parts, one thread per usable core; the one-range driver
+runs on the caller's thread.  The bytes do not depend on the number of
 parts.
 """
 
@@ -230,12 +229,12 @@ def _encode_with_permutations(
     state = np.empty(m, dtype=np.uint8)  # u_{-1}: the permutation shares in the data frame
     state[pi] = np.frombuffer(b"".join(p.entries for p in ps), dtype=np.uint8)
     # D_t: position q of fragment j reads the previous row of fragment (j+t) % k at pi[q + t*bs]
-    parent_idx = [np.roll(pi, -t * bs) for t in range(1, params.c)]
+    parent_idx = np.stack([np.roll(pi, -t * bs) for t in range(1, params.c)])
 
     if params.c == 2 and nf >= _SCAN_MIN_ROWS:
-        _encode_rows_scan(u, state, parent_idx[0])
+        _encode_rows_scan(u, state, parent_idx)
     else:
-        _encode_rows_serial(u, state, parent_idx, start_row=0)
+        _sweep(u[None], state[None], parent_idx, 0)
 
     shares = _fragment_shares(u, pi, k)
     return tuple(Fragment(j, params, ps[j], s, len(data)) for j, s in enumerate(shares))
@@ -305,32 +304,40 @@ def _decode_rows(frags: tuple[Fragment, ...], pas: list[PermutationArray], out: 
     _in_parts(-(-nf // chunk), out.nbytes, chunks)
 
 
-def _encode_rows_serial(
-    rows: np.ndarray, state: np.ndarray, parent_idx: list[np.ndarray], start_row: int
-) -> None:
-    """Row-by-row sweep in place: rows[r] ^= sum_t x^t * state[D_t], state = rows[r - 1].
+def _sweep(rows: np.ndarray, state: np.ndarray, parent_idx: np.ndarray, start: int,
+           out: np.ndarray | None = None) -> None:
+    """Advance nb batches of the recurrence in lockstep over a (nb, n, m) view.
 
-    Each row makes c + 1 numpy calls: one lookup multiplies the state by
-    x, x^2, .., x^(c-1) at once, one flat gather picks every term through
-    the concatenated index [D_1, m + D_2, ..], and c - 1 XORs sum them.
+    Row i of every batch becomes u = rows[:, i] ^ sum_t x^t * state[:, D_t],
+    with x = pick_x(start + i + 1), and u is the state of the next row.  The
+    state enters as (nb, m).  Without ``out`` each row is overwritten with
+    its u; with ``out`` the rows stay untouched and ``out`` ends holding the
+    last u.  Each row makes c + 1 numpy calls: one lookup multiplies the
+    states by x, x^2, .., x^(c-1) at once, one flat gather picks every term
+    of every batch, and c - 1 XORs sum them.
     """
-    nf, m = rows.shape
+    nb, _, m = rows.shape
     terms = len(parent_idx)
     # tables[t][s] multiplies by pick_x(t + 1) ** (s + 1)
     tables = list(MUL_TABLE[EXP_TABLE[_X_LOGS[:, None] * np.arange(1, terms + 1) % 255]])
-    cat = np.concatenate([s * m + idx for s, idx in enumerate(parent_idx)])
-    scaled = np.empty((terms, m), dtype=np.uint8)
-    gathered = np.empty((terms, m), dtype=np.uint8)
-    flat_scaled, flat_gathered, each = scaled.reshape(-1), gathered.reshape(-1), list(gathered)
-    for r, row in zip(range(start_row, nf), rows[start_row:]):
-        tables[r % _X_PERIOD].take(state, axis=1, out=scaled, mode="clip")
-        flat_scaled.take(cat, out=flat_gathered, mode="clip")
-        for term in each:
-            np.bitwise_xor(row, term, out=row)
-        state = row
+    # term s of batch beta at position q reads scaled[s, beta, D_s[q]]
+    flat_idx = (np.arange(terms * nb, dtype=np.intp).reshape(terms, nb, 1) * m
+                + parent_idx[:, None, :]).reshape(-1)
+    scaled = np.empty((terms, nb, m), dtype=np.uint8)
+    gathered = np.empty((terms, nb, m), dtype=np.uint8)
+    flat_scaled, flat_gathered = scaled.reshape(-1), gathered.reshape(-1)
+    first, *rest = gathered
+    for i, row in enumerate(rows.swapaxes(0, 1), start):
+        # the lookup reads the state before the XORs write, so out may alias it
+        tables[i % _X_PERIOD].take(state, axis=1, out=scaled, mode="clip")
+        flat_scaled.take(flat_idx, out=flat_gathered, mode="clip")
+        state = row if out is None else out
+        np.bitwise_xor(row, first, out=state)
+        for term in rest:
+            np.bitwise_xor(state, term, out=state)
 
 
-def _encode_rows_scan(rows: np.ndarray, initial_state: np.ndarray, didx: np.ndarray) -> None:
+def _encode_rows_scan(rows: np.ndarray, initial_state: np.ndarray, parent_idx: np.ndarray) -> None:
     """Blocked scan for the c == 2 recurrence u_r = rows[r] ^ x_r * u_{r-1}[D], in place.
 
     Rows are grouped into batches of one full x period so every batch sees
@@ -339,53 +346,31 @@ def _encode_rows_scan(rows: np.ndarray, initial_state: np.ndarray, didx: np.ndar
     is linear over the field, so states superpose); a short serial pass then
     propagates the true state across batch boundaries; a second sweep replays
     the recurrence from the true entry states and overwrites every row.
-    Every gather runs flat over a contiguous range of batches, one range and
-    one slice of the buffers per thread, so throughput does not depend on k
-    or the block size.
+    Both sweeps run through _sweep over a contiguous range of batches, one
+    range per thread, so throughput does not depend on k or the block size.
     """
     nf, m = rows.shape
     b = _X_PERIOD
     nb = nf // b
     body = nb * b
-
-    xs = [pick_x(tau + 1) for tau in range(b)]
     rows3 = rows[:body].reshape(nb, b, m)
-
-    # flat gather index applying D to every batch of a range at once
-    flat_d = (np.arange(nb, dtype=np.intp)[:, None] * m + didx).reshape(-1)
-
-    gbuf = np.empty(nb * m, dtype=np.uint8)
-    mbuf = np.empty((nb, m), dtype=np.uint8)
     cur = np.empty((nb, m), dtype=np.uint8)
 
-    def sweep(lo: int, hi: int, store: bool) -> None:
-        # cur holds the entry state (previous row) and is replaced in place;
-        # the gather snapshots it into gbuf first, so aliasing is safe
-        state, g, mb = cur[lo:hi], gbuf[lo * m : hi * m], mbuf[lo:hi]
-        flat_state, flat_mb, idx = state.reshape(-1), mb.reshape(-1), flat_d[: g.size]
-        for tau in range(0 if store else 1, b):
-            flat_state.take(idx, out=g, mode="clip")
-            MUL_TABLE[xs[tau]].take(g, out=flat_mb, mode="clip")
-            np.bitwise_xor(rows3[lo:hi, tau, :], mb, out=state)
-            if store:
-                rows3[lo:hi, tau, :] = state
-
-    # sweep 1: batch-local states with zero entry state
-    cur[:] = rows3[:, 0, :]
-    _in_parts(nb, rows.nbytes, lambda lo, hi: sweep(lo, hi, store=False))
+    # sweep 1: each batch's last state from a zero entry state, whose first u is its first row
+    _in_parts(nb, rows.nbytes,
+              lambda lo, hi: _sweep(rows3[lo:hi, 1:], rows3[lo:hi, 0], parent_idx, 1, out=cur[lo:hi]))
 
     # boundary pass: true state entering each batch
+    didx = parent_idx[0]
     dpow = didx  # D composed with itself b times
     for _ in range(b - 1):
         dpow = dpow.take(didx)
-    xprod = 1
-    for x in xs:
-        xprod = int(MUL_TABLE[xprod, x])
+    scale = MUL_TABLE[EXP_TABLE[_X_LOGS.sum() % 255]]  # times the product of the b x values
     state = initial_state
     for beta in range(nb):  # cur[beta] becomes the entry state of batch beta
-        state, cur[beta] = cur[beta] ^ MUL_TABLE[xprod].take(state.take(dpow)), state
+        state, cur[beta] = cur[beta] ^ scale.take(state.take(dpow)), state
 
     # sweep 2: replay from the true entry states, overwriting every row
-    _in_parts(nb, rows.nbytes, lambda lo, hi: sweep(lo, hi, store=True))
+    _in_parts(nb, rows.nbytes, lambda lo, hi: _sweep(rows3[lo:hi], cur[lo:hi], parent_idx, 0))
 
-    _encode_rows_serial(rows, rows[body - 1], [didx], start_row=body)
+    _sweep(rows[None, body:], rows[None, body - 1], parent_idx, body)

@@ -61,10 +61,10 @@ try:
 except AttributeError:  # no affinity API on this platform
     _CORES = os.cpu_count() or 1
 # A part covers at least this many bytes of rows.  Each codec scan sweep makes
-# 254 steps of four numpy calls per part, so a 4 MiB part makes calls of about
+# 254 steps of three numpy calls per part, so a 4 MiB part makes calls of about
 # 16 KiB; with smaller calls the threads wait on the interpreter lock more
 # than they work: on a 2-core host the c == 2 encode of 5-6 MiB ran up to
-# 1.45x slower on two threads than on one.
+# 1.45x slower on two threads than on one (when each step made four calls).
 _PART_MIN_BYTES = 4 << 20
 
 

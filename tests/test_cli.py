@@ -119,9 +119,15 @@ def test_bench_rejects_a_bad_grid_point_before_building_the_payload(runner, monk
         raise AssertionError("payload built before the grid was checked")
 
     monkeypatch.setattr(bench, "_payload", no_payload)
-    result = _invoke(runner, "bench", "--grid", "4,0,250", code=2)
-    assert "c must be at least 2" in result.output
-    assert "Traceback" not in result.output
+    # each scheme's own limits: the baselines take any c but at most 255 fragments
+    for scheme, grid, message in [
+        ("proposed", "4,0,250", "c must be at least 2"),
+        ("ida", "300,2,16", "need 1 <= k <= n <= 255"),
+        ("sss", "256,2,16", "n must be at most 255"),
+    ]:
+        result = _invoke(runner, "bench", "--schemes", scheme, "--grid", grid, code=2)
+        assert message in result.output
+        assert "Traceback" not in result.output
 
 
 def _manifest_json(**change) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import tracemalloc
@@ -356,24 +357,45 @@ def test_data_share_bit_flip_changes_output_silently(rng):
     assert len(out) == len(data)
 
 
-def test_scan_and_serial_paths_agree(rng):
+def test_scan_and_serial_paths_agree(monkeypatch, rng):
     params = CodecParams(4, 2, 3)
     for nf in (507, 508, 509, 510, 1016, 1017):
         data = rng.randbytes(nf * params.group_size - 5)
-        pas = generate_permutations(params.k, params.c, params.block_size, rng)
-        ps = [None] * params.k
-        for r, pa in enumerate(pas):
-            for share in split_permutation(pa, params.c, rng, array_index=r):
-                ps[r * params.c + share.share_index] = share
-        saved = codec._SCAN_MIN_ROWS
-        try:
-            codec._SCAN_MIN_ROWS = 10**9
+        scan, pas, ps = _forced_encode(data, params, rng)
+        with monkeypatch.context() as serial_only:
+            serial_only.setattr(codec, "_SCAN_MIN_ROWS", 10**9)
             serial = codec._encode_with_permutations(data, params, pas, ps)
-        finally:
-            codec._SCAN_MIN_ROWS = saved
-        scan = codec._encode_with_permutations(data, params, pas, ps)
         for fa, fb in zip(serial, scan):
             assert np.array_equal(fa.shares, fb.shares)
+
+
+# SHA-256 of each fragment's shares, recorded from the encoder when its serial and scan
+# paths were separate loops: every restructuring of the encoder must reproduce them
+_ENCODER_DIGESTS = {
+    (4, 2): [  # the scan: 11 batches of 254 rows and a tail of 207
+        "5effe260122fb4686e7c15c898cf944652b785beff46c220ceaf0a84656a7431",
+        "6da7da0848db78c59abcbb93cdf791fa4d2fb806d5861be9bf56173e4775d869",
+        "854b625e8595d9cc0894eab1c91f27582fcb3fb68bc55f0ac0af11125a8b0476",
+        "c37372cf6731a234a7e70d950cf8b85c27ecb94572344c7314a3f91f8bb21d6b",
+    ],
+    (6, 3): [  # the one-range path at c = 3
+        "81b270e454328ee42be24fbf1082f2716234ed1a7c56ef18b0315c37be2fa966",
+        "3618d6d27fac9cf880385dbd376b8c5d68060dcc960e789e051f230a63b187b2",
+        "e8d815fd6bfa1e0cad515d6174d7ef81fd677fcdcbb7151d227765674fbb6302",
+        "d776f66604a1670fafbfe0b2bcf38f01443308c70e3135b2c934e06612562fcc",
+        "d100550679aefa15f1b7736bb3b3e1155051c957127d8e866f5b6623f6a3bbd7",
+        "a2fd552f986949d3d3d3b82f7cc989e45f64955e2e4b397790a5cca6d3aef03c",
+    ],
+}
+
+
+@pytest.mark.parametrize("k,c", list(_ENCODER_DIGESTS))
+def test_seeded_encode_matches_its_recorded_digests(k, c):
+    # a SHA-256 counter stream: the same bytes on every Python and numpy version
+    n = 3_000_007
+    data = b"".join(hashlib.sha256(i.to_bytes(8, "big")).digest() for i in range(-(-n // 32)))[:n]
+    frags = encode_data(data, CodecParams(k, c, 250), random.Random(7))
+    assert [hashlib.sha256(f.shares).hexdigest() for f in frags] == _ENCODER_DIGESTS[k, c]
 
 
 @pytest.mark.parametrize("k,c", [(4, 2), (6, 3)])
