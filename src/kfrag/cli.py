@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes form the scripting contract: 0 success, 2 parameter errors,
-3 I/O and backend errors, 4 threshold (missing fragments), 5 integrity
-failures.  Data goes to stdout, diagnostics to stderr.  Setting
-FRAG_RNG_SEED forces deterministic randomness (golden-file tests only).
+3 I/O and backend errors and payloads that do not fit in memory, 4 threshold
+(missing fragments), 5 integrity failures.  Data goes to stdout, diagnostics
+to stderr.  Setting FRAG_RNG_SEED forces deterministic randomness
+(golden-file tests only).
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from .baselines import SchemeId
 from .codec import CodecParams, Fragment, check_fragments, decode_data, encode_data
 # rs_decode is unused here, but perfbench/tracing.py wraps this name, so it stays importable
 from .erasure import ParityParams, parity_fragments, rs_decode  # noqa: F401
-from .errors import IntegrityError, ParameterError, StorageError, ThresholdError
+from .errors import (
+    FragmentationError, IntegrityError, ParameterError, StorageError, ThresholdError,
+)
 from .rng import rng_from_env
 
 EXIT_PARAMETER = 2
@@ -44,6 +47,18 @@ def _reported(recovered: dispersal.Recovered) -> dict:
     return recovered.blobs
 
 
+def _payload_size(params: dict) -> str:
+    """The size of the payload a command was given, for an out-of-memory message."""
+    try:
+        if params.get("in_path"):
+            return f"{params['in_path'].stat().st_size} bytes"
+        if params.get("manifest_path"):
+            return f"{dispersal.Manifest.load(params['manifest_path']).payload_length} bytes"
+    except (OSError, FragmentationError):
+        pass
+    return "unknown size"
+
+
 def _guard(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -61,6 +76,11 @@ def _guard(fn):
         except (StorageError, OSError) as exc:
             _note(f"error: {exc}")
             sys.exit(EXIT_IO)
+        except MemoryError:
+            pass  # reported below, once the traceback has let go of the command's buffers
+        command = click.get_current_context().info_name
+        _note(f"error: out of memory in {command} on a payload of {_payload_size(kwargs)}")
+        sys.exit(EXIT_IO)
 
     return wrapper
 
@@ -198,7 +218,13 @@ def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: in
     n = k if n is None else n
     data = dispersal.read_file(in_path)
     chosen = SchemeId(scheme)
-    blobs = [wire.dump_any(f) for f in split(chosen, data, k, n, c, block_size, rng_from_env())]
+    frags = split(chosen, data, k, n, c, block_size, rng_from_env())
+    # the fragments hold the payload now: free the input before the files are
+    # dumped, and the fragments once they are
+    payload_length = len(data)
+    del data
+    blobs = [wire.dump_any(f) for f in frags]
+    del frags
     proposed = chosen is SchemeId.PROPOSED
     if proposed and n > k:
         parity = parity_fragments(blobs, ParityParams(k=k, n=n))
@@ -209,7 +235,7 @@ def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: in
         c=c if proposed else 0,
         block_size=block_size if proposed else 0,
         n=n,
-        payload_length=len(data),
+        payload_length=payload_length,
         blobs=blobs,
         cipher=SCHEMES[chosen].cipher,
         digest=SCHEMES[chosen].digest,

@@ -14,20 +14,24 @@ as coefficient sources and the permutation array indexed j % (k/c).  The
 permutation share carried by fragment j is share j%c of array j//c, which is
 generally not the array the fragment itself was permuted with.
 
-Encoding runs in the data frame: the payload is copied once into a
-zero-padded buffer of rows of m = k*bs bytes, and the recurrence overwrites
-each row in place with u_r = rows_r ^ sum_t x_r^t * u_{r-1}[D_t], where u_r
-is the encoded row before its permutation and D_t composes the permutation
-with the rotation by t fragments.  One gather per fragment then writes its
-shares, u_r permuted, into the fragment's own array.  One step, _sweep,
-computes every encoded row, advancing any number of row ranges in lockstep
-with c + 1 numpy calls per row whatever k and the block size.  Two drivers
-run it: one range of every row for any c, and for c == 2 a blocked scan
-that exploits the linearity of the recurrence to advance batches of rows
-at once; only its boundary pass is specific to c == 2.  Both produce
-bit-identical fragments.  Decoding mirrors this with one gather per fragment
-from its shares straight into the output rows, then adds the neighbor
-terms, which have no cross-row dependency, over many rows per numpy call.
+Encoding runs in the fragment frame.  One gather per chunk of rows copies
+the payload into a buffer y of rows of m = k*bs bytes, y_r[q] = rows_r[pi[q]]
+with the last row zero-padded: pi maps position w of fragment j's shares to
+the byte of block j that its permutation puts there.  The recurrence then
+overwrites each row in place, y_r ^= sum_t x_r^t * y_{r-1}[D_t], where
+D_t[q] = (pi[q] + t*bs) % m: the byte at position v of block j reads the
+previous share row of fragment (j+t) % k at the same position v.  The row
+before the first is the permutation shares.  Fragment j's shares are the
+column block j of y, a strided view, so the payload is held once.  One step,
+_sweep, computes every encoded row, advancing any number of row ranges in
+lockstep with c + 1 numpy calls per row whatever k and the block size.  Two
+drivers run it: one range of every row for any c, and for c == 2 a blocked
+scan that exploits the linearity of the recurrence to advance batches of
+rows at once; only its boundary pass is specific to c == 2.  Both produce
+bit-identical fragments.  Decoding runs in the data frame, with one gather
+per fragment from its shares straight into the output rows, then adds the
+neighbor terms, which have no cross-row dependency, over many rows per
+numpy call.
 
 The scan's two sweeps and the gathers of both directions split into parts
 through gf256._in_parts, one thread per usable core; the one-range driver
@@ -90,7 +94,11 @@ class CodecParams:
 
 @dataclass(frozen=True)
 class Fragment:
-    """One of the k outputs: a permutation share plus a column of data shares."""
+    """One of the k outputs: a permutation share plus a column of data shares.
+
+    ``shares`` may be a strided view (encode_data returns column blocks of
+    one buffer), so take its bytes with ``shares.tobytes()``.
+    """
 
     index: int
     params: CodecParams
@@ -222,42 +230,45 @@ def _encode_with_permutations(
     """Encode with explicit permutations; the seam tests drive directly."""
     k, bs, m = params.k, params.block_size, params.group_size
     nf = padded_length(len(data), params) // m
-    u = np.zeros((nf, m), dtype=np.uint8)  # the block rows, encoded in place
-    u.reshape(-1)[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-
     pi = _flat_permutation_gather(pas, params)
-    state = np.empty(m, dtype=np.uint8)  # u_{-1}: the permutation shares in the data frame
-    state[pi] = np.frombuffer(b"".join(p.entries for p in ps), dtype=np.uint8)
-    # D_t: position q of fragment j reads the previous row of fragment (j+t) % k at pi[q + t*bs]
-    parent_idx = np.stack([np.roll(pi, -t * bs) for t in range(1, params.c)])
+    y = _fragment_rows(np.frombuffer(data, dtype=np.uint8), pi, nf)  # encoded in place
+    # the row before the first: the permutation shares
+    state = np.frombuffer(b"".join(p.entries for p in ps), dtype=np.uint8)
+    # D_t: the byte at position v of block j reads fragment (j+t) % k at position v
+    parent_idx = np.stack([(pi + t * bs) % m for t in range(1, params.c)])
 
     if params.c == 2 and nf >= _SCAN_MIN_ROWS:
-        _encode_rows_scan(u, state, parent_idx)
+        _encode_rows_scan(y, state, parent_idx)
     else:
-        _sweep(u[None], state[None], parent_idx, 0)
+        _sweep(y[None], state[None], parent_idx, 0)
 
-    shares = _fragment_shares(u, pi, k)
-    return tuple(Fragment(j, params, ps[j], s, len(data)) for j, s in enumerate(shares))
+    return tuple(Fragment(j, params, ps[j], y[:, j * bs : (j + 1) * bs], len(data))
+                 for j in range(k))
 
 
-def _fragment_shares(u: np.ndarray, pi: np.ndarray, k: int) -> list[np.ndarray]:
-    """Each fragment's shares u[:, pi_j], gathered into its own contiguous array.
+def _fragment_rows(data: np.ndarray, pi: np.ndarray, nf: int) -> np.ndarray:
+    """The (nf, m) rows y[r, q] = row_r[pi[q]] of the payload, the last row zero-padded.
 
-    The gathers run over chunks of about 1 MiB of rows, one take per fragment
-    with its bs-entry index, so they need no index array as long as the chunk.
+    The gathers run over chunks of about 1 MiB of rows, one take per chunk
+    straight from the payload, so y is the only copy of it.
     """
-    nf, m = u.shape
-    shares = [np.empty((nf, m // k), dtype=np.uint8) for _ in range(k)]
+    m = len(pi)
+    y = np.empty((nf, m), dtype=np.uint8)
+    full = len(data) // m
+    rows = data[: full * m].reshape(full, m)
     chunk = max(1, (1 << 20) // m)
 
     def chunks(lo: int, hi: int) -> None:
-        for r0 in range(lo * chunk, min(hi * chunk, nf), chunk):
-            r1 = min(r0 + chunk, nf)
-            for pij, dst in zip(pi.reshape(k, -1), shares):
-                u[r0:r1].take(pij, axis=1, out=dst[r0:r1], mode="clip")
+        for r0 in range(lo * chunk, min(hi * chunk, full), chunk):
+            r1 = min(r0 + chunk, full)
+            rows[r0:r1].take(pi, axis=1, out=y[r0:r1], mode="clip")
 
-    _in_parts(-(-nf // chunk), u.nbytes, chunks)
-    return shares
+    _in_parts(-(-full // chunk), y.nbytes, chunks)
+    if full < nf:
+        last = np.zeros(m, dtype=np.uint8)
+        last[: len(data) - full * m] = data[full * m :]
+        last.take(pi, out=y[full], mode="clip")
+    return y
 
 
 def _decode_rows(frags: tuple[Fragment, ...], pas: list[PermutationArray], out: np.ndarray) -> None:
@@ -270,7 +281,7 @@ def _decode_rows(frags: tuple[Fragment, ...], pas: list[PermutationArray], out: 
     """
     nf, k, bs = out.shape
     c = frags[0].params.c
-    shares = [np.ascontiguousarray(f.shares) for f in frags]
+    shares = [f.shares for f in frags]
     entries = [np.frombuffer(f.permutation_share.entries, dtype=np.uint8) for f in frags]
     perms = [np.frombuffer(pas[j % (k // c)].entries, dtype=np.uint8) for j in range(k)]
     chunk = max(1, (1 << 18) // (k * bs))

@@ -66,6 +66,18 @@ except AttributeError:  # no affinity API on this platform
 # than they work: on a 2-core host the c == 2 encode of 5-6 MiB ran up to
 # 1.45x slower on two threads than on one (when each step made four calls).
 _PART_MIN_BYTES = 4 << 20
+# matmul's column chunk.  Medians of 9 interleaved calls in one process on a
+# 2-core Xeon, ms, for chunks of 8/16/32/64 KiB against the unblocked kernel
+# (which widened each whole row once per output row):
+#   2x6 on 8 MiB (RS parity at k = 6):  one core 22.3/20.6/21.4/20.5 vs 33.8,
+#                                       two cores 30.0/21.6/22.0/21.5 vs 37.8
+#   1x6 on 8 MiB (one row rebuilt):     one core 11.6/10.3/10.3/11.2 vs 16.6,
+#                                       two cores 13.7/12.7/11.3/13.0 vs 20.5
+#   4x4 on 32 MiB:                      one core 173/147/146/177 vs 481,
+#                                       two cores 214/148/128/119 vs 275
+# From 16 KiB the chunk hardly matters; 32 KiB keeps each part's scratch
+# at k * 256 KiB of widened indices plus one chunk.
+_MATMUL_CHUNK = 32 << 10
 
 
 def _in_parts(n: int, nbytes: int, fn: Callable[[int, int], None]) -> None:
@@ -135,10 +147,12 @@ def matmul(a: np.ndarray, rows) -> np.ndarray:
     """Multiply the (n, k) matrix ``a`` by k equal-length byte rows over the field.
 
     ``rows`` is a (k, L) uint8 array or a list of k uint8 rows of length L;
-    the result is (n, L).  Each term is one multiply-by-constant table lookup
-    over a whole row, XORed into the output in place; zero coefficients are
-    skipped and unit ones need no lookup.  The columns split into parts, each
-    with its own scratch row.
+    the result is (n, L).  Each term is one multiply-by-constant table lookup,
+    XORed into the output in place; zero coefficients are skipped and unit
+    ones need no lookup.  The columns split into parts, and each part walks
+    them in chunks of _MATMUL_CHUNK: it widens each input row's chunk to the
+    lookup's index type once and reuses it for every output row, so its
+    scratch is k + 1 chunks whatever L.
     """
     n, k = a.shape
     if len(rows) != k:
@@ -149,18 +163,25 @@ def matmul(a: np.ndarray, rows) -> np.ndarray:
     (length,) = lengths
     out = np.zeros((n, length), dtype=np.uint8)
     coeffs = a.tolist()
+    looked_up = [t for t in range(k) if any(row[t] > 1 for row in coeffs)]
 
     def columns(lo: int, hi: int) -> None:
-        buf = np.empty(hi - lo, dtype=np.uint8)
-        for i in range(n):
-            dst = out[i, lo:hi]
-            for t in range(k):
-                coeff = coeffs[i][t]
-                if coeff == 1:
-                    dst ^= rows[t][lo:hi]
-                elif coeff:
-                    MUL_TABLE[coeff].take(rows[t][lo:hi], out=buf, mode="clip")
-                    dst ^= buf
+        wide = np.empty((k, min(_MATMUL_CHUNK, hi - lo)), dtype=np.intp)
+        buf = np.empty(wide.shape[1], dtype=np.uint8)
+        for c0 in range(lo, hi, _MATMUL_CHUNK):
+            c1 = min(c0 + _MATMUL_CHUNK, hi)
+            w = c1 - c0
+            for t in looked_up:
+                wide[t, :w] = rows[t][c0:c1]
+            for i in range(n):
+                dst = out[i, c0:c1]
+                for t in range(k):
+                    coeff = coeffs[i][t]
+                    if coeff == 1:
+                        dst ^= rows[t][c0:c1]
+                    elif coeff:
+                        MUL_TABLE[coeff].take(wide[t, :w], out=buf[:w], mode="clip")
+                        dst ^= buf[:w]
 
     _in_parts(length, k * length, columns)
     return out

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -563,6 +564,57 @@ def test_a_failed_command_leaves_the_files_as_they_were(
     assert child.returncode == code, child.stderr
     assert child.stdout == b""  # no manifest path, table or digest
     assert _tree(tmp_path) == {**before, **dict.fromkeys(created)}
+
+
+
+@pytest.mark.parametrize("k,c,n", [(4, 2, 4), (6, 3, 8)])
+def test_split_holds_two_copies_of_the_payload(runner, tmp_path, k, c, n):
+    # 6 MiB runs as one part on any host; the peak is the input and the encoded
+    # rows, then the rows and the files, then the files, the parity and its scratch
+    size = 6 << 20
+    (tmp_path / "in.bin").write_bytes(os.urandom(size))
+    tracemalloc.start()
+    try:
+        _invoke(runner, "split", "--in", str(tmp_path / "in.bin"),
+                "--out", str(tmp_path / "frags"), "--k", str(k), "--c", str(c), "--n", str(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * size
+
+
+_OUT_OF_MEMORY = """
+import resource, sys
+from kfrag.cli import main
+# set after the imports: room for a few MiB more than the interpreter holds now
+held = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS,
+                   (held + (6 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+main(sys.argv[1:], prog_name="kfrag")
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+def test_a_payload_that_does_not_fit_in_memory_exits_3_without_a_traceback(
+    runner, tmp_path, monkeypatch
+):
+    # 7 MiB: below the 8 MiB from which a second thread would start
+    monkeypatch.chdir(tmp_path)
+    size = 7 << 20
+    (tmp_path / "in.bin").write_bytes(os.urandom(size))
+    _invoke(runner, *_SPLIT)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(kfrag.__file__).resolve().parent.parent)}
+    for command in (["split", "--in", "in.bin", "--out", "again"],
+                    ["join", "--manifest", "frags/manifest.json", "--out", "out.bin"]):
+        child = subprocess.run([sys.executable, "-c", _OUT_OF_MEMORY, *command], cwd=tmp_path,
+                               env=env, capture_output=True, timeout=120)
+        assert child.returncode == 3, child.stderr
+        assert child.stderr.decode() == (
+            f"error: out of memory in {command[0]} on a payload of {size} bytes\n"
+        )
+        assert child.stdout == b""
+    assert not (tmp_path / "again").exists() and not (tmp_path / "out.bin").exists()
 
 
 def test_a_join_from_8_mib_hashes_on_its_thread_while_another_writes(

@@ -83,21 +83,21 @@ def test_invert_matrix_rejects_singular():
 def test_matmul_matches_oracle_for_arrays_and_row_lists(rng):
     a = np.array([[rng.randrange(256) for _ in range(4)] for _ in range(3)], dtype=np.uint8)
     a[0, 1], a[1, 2], a[2, 0] = 0, 1, 0  # zero and unit coefficients take shortcuts
-    rows = np.array([list(rng.randbytes(37)) for _ in range(4)], dtype=np.uint8)
-    expected = [
-        [
-            oracles.gf_mul(int(a[i, 0]), int(rows[0, v]))
-            ^ oracles.gf_mul(int(a[i, 1]), int(rows[1, v]))
-            ^ oracles.gf_mul(int(a[i, 2]), int(rows[2, v]))
-            ^ oracles.gf_mul(int(a[i, 3]), int(rows[3, v]))
-            for v in range(37)
+    # the products by each coefficient, from the peasant oracle
+    times = {c: np.array([oracles.gf_mul(c, b) for b in range(256)], dtype=np.uint8)
+             for c in set(a.reshape(-1).tolist())}
+    chunk = gf256._MATMUL_CHUNK
+    for length in (37, 1, chunk - 1, chunk, chunk + 1):  # and the edges of the column chunk
+        rows = np.array([list(rng.randbytes(length)) for _ in range(4)], dtype=np.uint8)
+        expected = [
+            (times[int(a[i, 0])][rows[0]] ^ times[int(a[i, 1])][rows[1]]
+             ^ times[int(a[i, 2])][rows[2]] ^ times[int(a[i, 3])][rows[3]]).tolist()
+            for i in range(3)
         ]
-        for i in range(3)
-    ]
-    assert gf256.matmul(a, rows).tolist() == expected
-    assert gf256.matmul(a, list(rows)).tolist() == expected
-    # strided rows (columns of a wider array) are read in place
-    assert gf256.matmul(a, np.ascontiguousarray(rows.T).T).tolist() == expected
+        assert gf256.matmul(a, rows).tolist() == expected
+        assert gf256.matmul(a, list(rows)).tolist() == expected
+        # strided rows (columns of a wider array) are read in place
+        assert gf256.matmul(a, np.ascontiguousarray(rows.T).T).tolist() == expected
 
 
 def test_matmul_rejects_mismatched_rows():
@@ -147,7 +147,10 @@ def test_matmul_in_parts_gives_the_bytes_of_one_core(monkeypatch):
     rows = gen.integers(0, 256, size=(k, length), dtype=np.uint8)
     # the transposed view IDA passes: row t is every k-th byte of the payload
     ida_rows = rows.reshape(length, k).T
-    inputs = [rows, list(rows), ida_rows]
+    chunk = gf256._MATMUL_CHUNK
+    # and rows ending at the edges of the column chunk, short enough for one part
+    inputs = [rows, list(rows), ida_rows,
+              *(rows[:, :edge] for edge in (1, chunk - 1, chunk, chunk + 1))]
     params = erasure.ParityParams(k=k, n=k + 2)
     primary = [row.tobytes() for row in rows]
 
