@@ -566,7 +566,6 @@ def test_a_failed_command_leaves_the_files_as_they_were(
     assert _tree(tmp_path) == {**before, **dict.fromkeys(created)}
 
 
-
 @pytest.mark.parametrize("k,c,n", [(4, 2, 4), (6, 3, 8)])
 def test_split_holds_two_copies_of_the_payload(runner, tmp_path, k, c, n):
     # 6 MiB runs as one part on any host; the peak is the input and the encoded

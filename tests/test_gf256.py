@@ -84,14 +84,14 @@ def test_matmul_matches_oracle_for_arrays_and_row_lists(rng):
     a = np.array([[rng.randrange(256) for _ in range(4)] for _ in range(3)], dtype=np.uint8)
     a[0, 1], a[1, 2], a[2, 0] = 0, 1, 0  # zero and unit coefficients take shortcuts
     # the products by each coefficient, from the peasant oracle
-    times = {c: np.array([oracles.gf_mul(c, b) for b in range(256)], dtype=np.uint8)
-             for c in set(a.reshape(-1).tolist())}
+    products = {c: np.array([oracles.gf_mul(c, b) for b in range(256)], dtype=np.uint8)
+                for c in set(a.reshape(-1).tolist())}
     chunk = gf256._MATMUL_CHUNK
     for length in (37, 1, chunk - 1, chunk, chunk + 1):  # and the edges of the column chunk
         rows = np.array([list(rng.randbytes(length)) for _ in range(4)], dtype=np.uint8)
         expected = [
-            (times[int(a[i, 0])][rows[0]] ^ times[int(a[i, 1])][rows[1]]
-             ^ times[int(a[i, 2])][rows[2]] ^ times[int(a[i, 3])][rows[3]]).tolist()
+            (products[int(a[i, 0])][rows[0]] ^ products[int(a[i, 1])][rows[1]]
+             ^ products[int(a[i, 2])][rows[2]] ^ products[int(a[i, 3])][rows[3]]).tolist()
             for i in range(3)
         ]
         assert gf256.matmul(a, rows).tolist() == expected
