@@ -20,22 +20,27 @@ with the last row zero-padded: pi maps position w of fragment j's shares to
 the byte of block j that its permutation puts there.  The recurrence then
 overwrites each row in place, y_r ^= sum_t x_r^t * y_{r-1}[D_t], where
 D_t[q] = (pi[q] + t*bs) % m: the byte at position v of block j reads the
-previous share row of fragment (j+t) % k at the same position v.  The row
-before the first is the permutation shares.  Fragment j's shares are the
-column block j of y, a strided view, so the payload is held once.  One step,
-_sweep, computes every encoded row, advancing any number of row ranges in
-lockstep with c + 1 numpy calls per row whatever k and the block size.  Two
-drivers run it: one range of every row for any c, and for c == 2 a blocked
-scan that exploits the linearity of the recurrence to advance batches of
-rows at once; only its boundary pass is specific to c == 2.  Both produce
-bit-identical fragments.  Decoding runs in the data frame, with one gather
-per fragment from its shares straight into the output rows, then adds the
-neighbor terms, which have no cross-row dependency, over many rows per
-numpy call.
+previous share row of fragment (j+t) % k at position v.  The row before the
+first is the permutation shares.  Fragment j's shares are the column block j
+of y, a strided view, so the payload is held once.  One step, _sweep, runs
+the recurrence over one range of rows with c + 1 numpy calls per row
+whatever k and the block size, for any c.
+For c == 2 from 508 rows, a blocked scan encodes the whole batches of 254
+payload rows instead, exploiting the linearity of the recurrence to advance
+the batches at once.  It holds row i of a batch in the drifted frame
+Q_i = D^-(i+1), D = D_1, where the recurrence is elementwise, so each byte
+is gathered once from the payload and once back to the fragment frame, with
+no gather between rows; the boundary between batches is the one step
+specific to c == 2.  The rows after the last whole batch run through the
+gather and _sweep as one range.  Both paths produce bit-identical fragments.
+
+Decoding runs in the data frame, with one gather per fragment from its
+shares straight into the output rows, then adds the neighbor terms, which
+have no cross-row dependency, over many rows per numpy call.
 
 The scan's two sweeps and the gathers of both directions split into parts
-through gf256._in_parts, one thread per usable core; the one-range driver
-runs on the caller's thread.  The bytes do not depend on the number of
+through gf256._in_parts, one thread per usable core (the decode from
+_DECODE_PART_MIN_BYTES); the one-range sweep runs on the caller's thread.  The bytes do not depend on the number of
 parts.
 """
 
@@ -64,6 +69,19 @@ _X_PERIOD = 254
 _SCAN_MIN_ROWS = 2 * _X_PERIOD
 # discrete log of pick_x(t + 1) for t in range(_X_PERIOD)
 _X_LOGS = LOG_TABLE[2 + np.arange(1, _X_PERIOD + 1) % _X_PERIOD].astype(np.intp)
+# A decode part covers at least this many bytes.  Its calls cover chunks of
+# 256 KiB of rows whatever the part count, so two threads win from a few
+# chunks.  Medians of 41 interleaved decodes in one process on a 2-core Xeon,
+# ms, one thread vs two (parts forced):
+#   (4,2,250): 1 MiB 4.3 vs 3.0, 2 MiB 9.4 vs 5.7, 4 MiB 18.5 vs 10.7,
+#              8 MiB 35.4 vs 20.3
+#   (8,4,16):  1 MiB 14.1 vs 8.4, 2 MiB 26.1 vs 15.4, 4 MiB 49.4 vs 28.8,
+#              8 MiB 72.2 vs 49.0
+_DECODE_PART_MIN_BYTES = 1 << 20
+# Indices per take of the scan's drifted gather.  From 16 Ki to 64 Ki the
+# gather ran as fast as the fragment-frame gather at m = 64, 1000 and 4000
+# (32 MiB, one core); at 4 Ki it was up to 1.5x slower.
+_GATHER_INDICES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -231,29 +249,33 @@ def _encode_with_permutations(
     k, bs, m = params.k, params.block_size, params.group_size
     nf = padded_length(len(data), params) // m
     pi = _flat_permutation_gather(pas, params)
-    y = _fragment_rows(np.frombuffer(data, dtype=np.uint8), pi, nf)  # encoded in place
+    payload = np.frombuffer(data, dtype=np.uint8)
+    y = np.empty((nf, m), dtype=np.uint8)  # encoded in place
     # the row before the first: the permutation shares
     state = np.frombuffer(b"".join(p.entries for p in ps), dtype=np.uint8)
     # D_t: the byte at position v of block j reads fragment (j+t) % k at position v
     parent_idx = np.stack([(pi + t * bs) % m for t in range(1, params.c)])
 
+    # the scan runs over whole batches of payload rows, the rest as one range
+    body = 0
     if params.c == 2 and nf >= _SCAN_MIN_ROWS:
-        _encode_rows_scan(y, state, parent_idx)
-    else:
-        _sweep(y[None], state[None], parent_idx, 0)
+        body = len(data) // (_X_PERIOD * m) * _X_PERIOD
+        _encode_rows_scan(payload[: body * m], pi, y[:body], state, parent_idx[0])
+        state = y[body - 1]
+    _fragment_rows(payload[body * m :], pi, y[body:])
+    _sweep(y[body:], state, parent_idx, body)
 
     return tuple(Fragment(j, params, ps[j], y[:, j * bs : (j + 1) * bs], len(data))
                  for j in range(k))
 
 
-def _fragment_rows(data: np.ndarray, pi: np.ndarray, nf: int) -> np.ndarray:
-    """The (nf, m) rows y[r, q] = row_r[pi[q]] of the payload, the last row zero-padded.
+def _fragment_rows(data: np.ndarray, pi: np.ndarray, y: np.ndarray) -> None:
+    """Fill the rows y[r, q] = row_r[pi[q]] of the payload, the last row zero-padded.
 
     The gathers run over chunks of about 1 MiB of rows, one take per chunk
     straight from the payload, so y is the only copy of it.
     """
-    m = len(pi)
-    y = np.empty((nf, m), dtype=np.uint8)
+    nf, m = y.shape
     full = len(data) // m
     rows = data[: full * m].reshape(full, m)
     chunk = max(1, (1 << 20) // m)
@@ -268,7 +290,6 @@ def _fragment_rows(data: np.ndarray, pi: np.ndarray, nf: int) -> np.ndarray:
         last = np.zeros(m, dtype=np.uint8)
         last[: len(data) - full * m] = data[full * m :]
         last.take(pi, out=y[full], mode="clip")
-    return y
 
 
 def _decode_rows(frags: tuple[Fragment, ...], pas: list[PermutationArray], out: np.ndarray) -> None:
@@ -295,7 +316,7 @@ def _decode_rows(frags: tuple[Fragment, ...], pas: list[PermutationArray], out: 
     def chunks(lo: int, hi: int) -> None:
         rows = np.empty((chunk, bs), dtype=np.uint8)
         term = np.empty((chunk, bs), dtype=np.uint8)
-        lut = np.empty((chunk, bs), dtype=np.uint16)
+        lut = np.empty((chunk, bs), dtype=np.intp)  # the lookup's own index type
         for r0 in range(lo * chunk, min(hi * chunk, nf), chunk):
             r1 = min(r0 + chunk, nf)
             a = max(r0, 1)  # the first row whose previous row is a share row
@@ -312,76 +333,107 @@ def _decode_rows(frags: tuple[Fragment, ...], pas: list[PermutationArray], out: 
                     rows[a - r0 : n] ^= term[:na]
                 out[r0:r1, j] = rows[:n]
 
-    _in_parts(-(-nf // chunk), out.nbytes, chunks)
+    _in_parts(-(-nf // chunk), out.nbytes, chunks, _DECODE_PART_MIN_BYTES)
 
 
-def _sweep(rows: np.ndarray, state: np.ndarray, parent_idx: np.ndarray, start: int,
-           out: np.ndarray | None = None) -> None:
-    """Advance nb batches of the recurrence in lockstep over a (nb, n, m) view.
+def _sweep(rows: np.ndarray, state: np.ndarray, parent_idx: np.ndarray, start: int) -> None:
+    """Run the recurrence in place over the (n, m) rows, from the state row before them.
 
-    Row i of every batch becomes u = rows[:, i] ^ sum_t x^t * state[:, D_t],
-    with x = pick_x(start + i + 1), and u is the state of the next row.  The
-    state enters as (nb, m).  Without ``out`` each row is overwritten with
-    its u; with ``out`` the rows stay untouched and ``out`` ends holding the
-    last u.  Each row makes c + 1 numpy calls: one lookup multiplies the
-    states by x, x^2, .., x^(c-1) at once, one flat gather picks every term
-    of every batch, and c - 1 XORs sum them.
+    Row i becomes u = rows[i] ^ sum_t x^t * state[D_t], with
+    x = pick_x(start + i + 1), and u is the state of the next row.  Each row
+    makes c + 1 numpy calls: one lookup multiplies the state by x, x^2, ..,
+    x^(c-1) at once, one flat gather picks every term, and c - 1 XORs sum
+    them.
     """
-    nb, _, m = rows.shape
+    m = rows.shape[1]
     terms = len(parent_idx)
     # tables[t][s] multiplies by pick_x(t + 1) ** (s + 1)
     tables = list(MUL_TABLE[EXP_TABLE[_X_LOGS[:, None] * np.arange(1, terms + 1) % 255]])
-    # term s of batch beta at position q reads scaled[s, beta, D_s[q]]
-    flat_idx = (np.arange(terms * nb, dtype=np.intp).reshape(terms, nb, 1) * m
-                + parent_idx[:, None, :]).reshape(-1)
-    scaled = np.empty((terms, nb, m), dtype=np.uint8)
-    gathered = np.empty((terms, nb, m), dtype=np.uint8)
+    # term s at position q reads scaled[s, D_s[q]]
+    flat_idx = (np.arange(terms, dtype=np.intp)[:, None] * m + parent_idx).reshape(-1)
+    scaled = np.empty((terms, m), dtype=np.uint8)
+    gathered = np.empty((terms, m), dtype=np.uint8)
     flat_scaled, flat_gathered = scaled.reshape(-1), gathered.reshape(-1)
     first, *rest = gathered
-    for i, row in enumerate(rows.swapaxes(0, 1), start):
-        # the lookup reads the state before the XORs write, so out may alias it
+    for i, row in enumerate(rows, start):
         tables[i % _X_PERIOD].take(state, axis=1, out=scaled, mode="clip")
         flat_scaled.take(flat_idx, out=flat_gathered, mode="clip")
-        state = row if out is None else out
-        np.bitwise_xor(row, first, out=state)
+        np.bitwise_xor(row, first, out=row)
         for term in rest:
-            np.bitwise_xor(state, term, out=state)
+            np.bitwise_xor(row, term, out=row)
+        state = row
 
 
-def _encode_rows_scan(rows: np.ndarray, initial_state: np.ndarray, parent_idx: np.ndarray) -> None:
-    """Blocked scan for the c == 2 recurrence u_r = rows[r] ^ x_r * u_{r-1}[D], in place.
+def _encode_rows_scan(data: np.ndarray, pi: np.ndarray, rows: np.ndarray,
+                      initial_state: np.ndarray, didx: np.ndarray) -> None:
+    """Blocked scan for the c == 2 recurrence u_r = y_r ^ x_r * u_{r-1}[D]: fill the
+    (nf, m) ``rows`` with the encoded rows of the payload ``data``, nf a multiple of 254.
 
     Rows are grouped into batches of one full x period so every batch sees
-    the same x sequence and batches can advance in lockstep.  A first sweep
-    computes the batch-local recurrence from a zero entry state (the mixing
-    is linear over the field, so states superpose); a short serial pass then
-    propagates the true state across batch boundaries; a second sweep replays
-    the recurrence from the true entry states and overwrites every row.
-    Both sweeps run through _sweep over a contiguous range of batches, one
-    range per thread, so throughput does not depend on k or the block size.
+    the same x sequence and batches can advance in lockstep.  Row i of a
+    batch is held in the drifted frame Q_i = D^-(i+1), in which the
+    recurrence is elementwise: u~_i = y~_i ^ x_i * u~_{i-1}, where
+    u~_i = u_i[Q_i] and y~_i = row_i[pi[Q_i]] is gathered straight from the
+    payload.  A first sweep computes each batch's last state Z from a zero
+    entry state (the mixing is linear over the field, so states superpose);
+    a short serial pass then propagates the true entry state E of each batch,
+    E_{b+1} = (Z_b ^ prod(x) * E_b)[D^254]; a second sweep replays the
+    recurrence from the true entry states and writes each row back to the
+    fragment frame with one gather by D^(i+1).  Q_i and D^(i+1) advance one
+    m-element take per step.  Both sweeps run over a contiguous range of
+    batches, one range per thread, so throughput does not depend on k or
+    the block size.
     """
     nf, m = rows.shape
     b = _X_PERIOD
     nb = nf // b
-    body = nb * b
-    rows3 = rows[:body].reshape(nb, b, m)
+    src = data.reshape(nb, b * m)
+    rows3, flat = rows.reshape(nb, b, m), rows.reshape(nb, b * m)
+    dinv = np.argsort(didx)
+    # the drifted rows are gathered batch by batch, span rows per take
+    span = max(1, min(b, _GATHER_INDICES // m))
+    # tables[i] multiplies by pick_x(i + 1), the x of row i of a batch
+    tables = MUL_TABLE[EXP_TABLE[_X_LOGS]]
     cur = np.empty((nb, m), dtype=np.uint8)
 
-    # sweep 1: each batch's last state from a zero entry state, whose first u is its first row
-    _in_parts(nb, rows.nbytes,
-              lambda lo, hi: _sweep(rows3[lo:hi, 1:], rows3[lo:hi, 0], parent_idx, 1, out=cur[lo:hi]))
+    def sweep1(lo: int, hi: int) -> None:
+        """Gather each batch's drifted rows, and leave its last state from zero in cur."""
+        pick = np.empty(span * m, dtype=np.intp)  # i * m + pi[Q_i] for span rows i
+        gidx = pi  # pi[Q_i]
+        for i0 in range(0, b, span):
+            i1 = min(i0 + span, b)
+            for i in range(i0, i1):
+                gidx = gidx.take(dinv)
+                np.add(gidx, i * m, out=pick[(i - i0) * m : (i - i0 + 1) * m])
+            for beta in range(lo, hi):
+                src[beta].take(pick[: (i1 - i0) * m], out=flat[beta, i0 * m : i1 * m], mode="clip")
+        scratch = np.empty((hi - lo, m), dtype=np.uint8)
+        state = cur[lo:hi]
+        state[...] = rows3[lo:hi, 0]
+        for i in range(1, b):
+            tables[i].take(state, out=scratch, mode="clip")
+            np.bitwise_xor(rows3[lo:hi, i], scratch, out=state)
+
+    def sweep2(lo: int, hi: int) -> None:
+        """Replay each batch from its entry state in cur, writing the fragment frame."""
+        state = cur[lo:hi]
+        scratch = np.empty((hi - lo, m), dtype=np.uint8)
+        widx = didx  # D^(i+1)
+        for i in range(b):
+            tables[i].take(state, out=scratch, mode="clip")
+            np.bitwise_xor(rows3[lo:hi, i], scratch, out=state)
+            state.take(widx, axis=1, out=rows3[lo:hi, i], mode="clip")
+            widx = widx.take(didx)
+
+    _in_parts(nb, rows.nbytes, sweep1)
 
     # boundary pass: true state entering each batch
-    didx = parent_idx[0]
-    dpow = didx  # D composed with itself b times
+    dpow = didx  # D^254
     for _ in range(b - 1):
         dpow = dpow.take(didx)
     scale = MUL_TABLE[EXP_TABLE[_X_LOGS.sum() % 255]]  # times the product of the b x values
     state = initial_state
     for beta in range(nb):  # cur[beta] becomes the entry state of batch beta
-        state, cur[beta] = cur[beta] ^ scale.take(state.take(dpow)), state
+        state, cur[beta] = (cur[beta] ^ scale.take(state)).take(dpow), state
 
-    # sweep 2: replay from the true entry states, overwriting every row
-    _in_parts(nb, rows.nbytes, lambda lo, hi: _sweep(rows3[lo:hi], cur[lo:hi], parent_idx, 0))
-
-    _sweep(rows[None, body:], rows[None, body - 1], parent_idx, body)
+    _in_parts(nb, rows.nbytes, sweep2)

@@ -51,31 +51,51 @@ from . import gf256, wire
 
 
 def write_files(files: dict[Path, bytes]) -> list[Path]:
-    """Write every file, creating missing directories, or leave all as they were: each
-    goes to a temporary name in its own directory, and only once all are written is
-    each renamed into place, in order, so the last one commits the set.  Returns the
-    directories it created, innermost first.  On failure it removes them again, and
-    the OSError names the file that could not be written, not its temporary name."""
+    """Write every file, creating missing directories, or leave all as they were.
+
+    The missing directories are made first.  Each file then goes to a temporary
+    name in its own directory, the files split into parts as by
+    ``gf256._map_in_parts``, and only once all are written is each renamed into
+    place, in order, so the last one commits the set.  Returns the directories it
+    created, innermost first.  On failure it removes the temporaries and those
+    directories again, and the OSError names the file that could not be written,
+    not its temporary name."""
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
     made: list[Path] = []
+
+    def write(path: Path) -> None:
+        with _naming(path):
+            temps[path].write_bytes(files[path])
+
     try:
-        for path, data in files.items():
-            missing = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
-            for directory in reversed(missing):
-                directory.mkdir()
-                made.insert(0, directory)
-            temps[path].write_bytes(data)
+        for path in files:
+            with _naming(path):
+                missing = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
+                for directory in reversed(missing):
+                    directory.mkdir()
+                    made.insert(0, directory)
+        gf256._map_in_parts(write, list(files), sum(map(len, files.values())))
         for path, tmp in temps.items():
-            os.replace(tmp, path)
-    except BaseException as exc:
+            with _naming(path):
+                os.replace(tmp, path)
+    except BaseException:
         for tmp in temps.values():
             with contextlib.suppress(OSError):  # NotADirectoryError too, under a file
                 tmp.unlink()
         _remove_dirs(made)
-        if isinstance(exc, OSError) and exc.errno is not None:
-            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
     return made
+
+
+@contextlib.contextmanager
+def _naming(path: Path):
+    """Re-raise an OSError of the block as one that names ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def read_file(path: Path) -> memoryview:

@@ -7,8 +7,9 @@ across builds.  Tables are built once at import; all operations are pure.
 ``_in_parts`` splits a loop into parts of at least _PART_MIN_BYTES, one
 thread per usable core (numpy releases the interpreter lock inside its table
 lookups and XORs); ``matmul`` and the codec's row loops use it.
-``_map_in_parts`` maps a function over a list the same way; the file reads
-and SHA-256 digests of ``dispersal`` use it (both release the lock too).
+``_map_in_parts`` maps a function over a list the same way; the file reads,
+writes and SHA-256 digests of ``dispersal`` and the dumps of ``kfrag split``
+use it (they release the lock too).
 """
 
 from __future__ import annotations
@@ -60,11 +61,14 @@ try:
     _CORES = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity API on this platform
     _CORES = os.cpu_count() or 1
-# A part covers at least this many bytes of rows.  Each codec scan sweep makes
-# 254 steps of three numpy calls per part, so a 4 MiB part makes calls of about
-# 16 KiB; with smaller calls the threads wait on the interpreter lock more
-# than they work: on a 2-core host the c == 2 encode of 5-6 MiB ran up to
-# 1.45x slower on two threads than on one (when each step made four calls).
+# A part covers at least this many bytes of rows.  The codec's c == 2 scan
+# makes two numpy calls per step and part in its first sweep and three in its
+# second, each over one row of every batch of the part, so a 4 MiB part makes
+# calls of about 16 KiB; with smaller calls the threads wait on the interpreter
+# lock more than they work.  One thread vs two parts, medians of 15 interleaved
+# encodes in each of two processes on a 2-core Xeon, at (4,2,250), (4,2,16)
+# and (16,2,250): two parts took 0.67-0.87x the one-thread time at 8 MiB, and
+# 0.74-1.05x at 5-6 MiB, so two parts start at 8 MiB.
 _PART_MIN_BYTES = 4 << 20
 # matmul's column chunk.  Medians of 9 interleaved calls in one process on a
 # 2-core Xeon, ms, for chunks of 8/16/32/64 KiB against the unblocked kernel
@@ -80,14 +84,17 @@ _PART_MIN_BYTES = 4 << 20
 _MATMUL_CHUNK = 32 << 10
 
 
-def _in_parts(n: int, nbytes: int, fn: Callable[[int, int], None]) -> None:
+def _in_parts(n: int, nbytes: int, fn: Callable[[int, int], None],
+              part_min: int | None = None) -> None:
     """Run fn(lo, hi) over contiguous parts of range(n), one thread per core.
 
-    A part covers at least _PART_MIN_BYTES of the nbytes the range covers.
-    The caller runs the first part itself and joins every thread before it
-    returns or re-raises the first exception a part raised.
+    A part covers at least ``part_min`` (by default _PART_MIN_BYTES) of the
+    nbytes the range covers.  The caller runs the first part itself and joins
+    every thread before it returns or re-raises the first exception a part
+    raised.
     """
-    parts = max(1, min(_CORES, n, nbytes // _PART_MIN_BYTES))
+    part_min = _PART_MIN_BYTES if part_min is None else part_min
+    parts = max(1, min(_CORES, n, nbytes // part_min))
     cuts = [n * i // parts for i in range(parts + 1)]
     errors: list[BaseException] = []
 

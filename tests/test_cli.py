@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import kfrag
-from kfrag import cli, dispersal, gf256
+from kfrag import cli, codec, dispersal, gf256
 from kfrag.cli import main
 from kfrag.corpus import text_sample
 
@@ -729,6 +729,8 @@ def test_files_under_8_mib_are_read_on_the_callers_thread(runner, tmp_path, monk
     payload = os.urandom(2 * gf256._PART_MIN_BYTES - (64 << 10))
     monkeypatch.setattr(gf256, "_CORES", 3)
     monkeypatch.setattr(gf256, "threading", NoThreads())
+    # the decode has a smaller part minimum of its own; this test is about the files
+    monkeypatch.setattr(codec, "_DECODE_PART_MIN_BYTES", gf256._PART_MIN_BYTES)
     _, out = _split(runner, tmp_path, payload)
     sites = f"{tmp_path / 's0'},{tmp_path / 's1'}"
     _invoke(runner, "disperse", "--manifest", str(out / "manifest.json"), "--sites", sites)

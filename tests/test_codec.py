@@ -357,16 +357,23 @@ def test_data_share_bit_flip_changes_output_silently(rng):
     assert len(out) == len(data)
 
 
-def test_scan_and_serial_paths_agree(monkeypatch, rng):
-    params = CodecParams(4, 2, 3)
-    for nf in (507, 508, 509, 510, 1016, 1017):
-        data = rng.randbytes(nf * params.group_size - 5)
-        scan, pas, ps = _forced_encode(data, params, rng)
-        with monkeypatch.context() as serial_only:
-            serial_only.setattr(codec, "_SCAN_MIN_ROWS", 10**9)
-            serial = codec._encode_with_permutations(data, params, pas, ps)
-        for fa, fb in zip(serial, scan):
-            assert np.array_equal(fa.shares, fb.shares)
+@pytest.mark.parametrize("k,bs,nf,short", [
+    *((4, 3, nf, 5) for nf in (507, 508, 509, 510, 1016, 1017)),
+    # for each shape: the payload ends exactly at the scan's body; its zero-padded
+    # last row would end the body; a tail of one row; a tail one byte long
+    *((k, bs, nf, short) for k, bs in ((4, 250), (4, 16), (16, 250))
+      for nf, short in ((508, 0), (508, 1), (762, k * bs // 2), (509, 0), (763, k * bs - 1))),
+])
+def test_scan_and_serial_paths_agree(k, bs, nf, short, monkeypatch, rng):
+    params = CodecParams(k, 2, bs)
+    data = rng.randbytes(nf * params.group_size - short)
+    scan, pas, ps = _forced_encode(data, params, rng)
+    with monkeypatch.context() as serial_only:
+        serial_only.setattr(codec, "_SCAN_MIN_ROWS", 10**9)
+        serial = codec._encode_with_permutations(data, params, pas, ps)
+    for fa, fb in zip(serial, scan):
+        assert np.array_equal(fa.shares, fb.shares)
+    assert decode_data(scan) == data
 
 
 # SHA-256 of each fragment's shares, recorded from the encoder when its serial and scan
@@ -399,8 +406,10 @@ def test_seeded_encode_matches_its_recorded_digests(k, c):
 
 
 @pytest.mark.parametrize("k,c", [(4, 2), (6, 3)])
-def test_encode_and_decode_hold_few_copies_of_the_payload(k, c, rng):
-    # 6 MiB runs as one part on any host; at c = 2 its 6291 rows take the scan
+def test_encode_and_decode_hold_few_copies_of_the_payload(k, c, monkeypatch, rng):
+    # 6 MiB encodes as one part; it decodes in two, as on a 2-core host, each
+    # with its own scratch rows.  At c = 2 its 6291 rows take the scan
+    monkeypatch.setattr(gf256, "_CORES", 2)
     params = CodecParams(k, c, 250)
     data = rng.randbytes(6 << 20)
     assert len(data) // params.group_size >= codec._SCAN_MIN_ROWS
@@ -422,7 +431,7 @@ def test_encode_and_decode_hold_few_copies_of_the_payload(k, c, rng):
     assert encode_peak <= 1.25 * len(data)
     # the encoded rows and the files
     assert dump_peak <= 2.25 * len(data)
-    # the output and the scratch rows of one part
+    # the output and the scratch rows of two parts
     assert decode_peak <= 1.25 * len(data)
 
 

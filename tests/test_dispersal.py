@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -254,6 +255,49 @@ def test_a_failed_write_files_removes_its_directories_and_names_its_target(tmp_p
         write_files({tmp_path / "d" / "e" / "f0.kfrg": b"new", target: b"{}"})
     assert err.value.filename == str(target)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["b"]
+
+
+_REFUSED_PARTS = """
+import json, resource, signal, sys, threading
+from pathlib import Path
+from types import SimpleNamespace
+from kfrag import gf256
+from kfrag.dispersal import write_files
+started = []
+
+class Counted(threading.Thread):
+    def start(self):
+        started.append(self)
+        super().start()
+
+gf256._CORES = 2
+gf256.threading = SimpleNamespace(Thread=Counted)
+root = Path(sys.argv[1])
+files = {root / "new" / "a" / "f0.kfrg": bytes(4 << 20), root / "new" / "b" / "f1.kfrg": bytes(6 << 20)}
+# set after the imports: a limit in force while they run truncates .pyc files
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (5 << 20, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    write_files(files)
+except OSError as exc:
+    print(json.dumps({"filename": exc.filename, "threads": len(started)}))
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_write_files_in_parts_writes_all_or_none(tmp_path):
+    # two parts on two threads: f0 (4 MiB) fits under the file-size limit, f1
+    # (6 MiB) is cut short at 5 MiB
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(kfrag.__file__).resolve().parent.parent)}
+    child = subprocess.run([sys.executable, "-c", _REFUSED_PARTS, str(tmp_path)],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert report == {"filename": str(tmp_path / "new" / "b" / "f1.kfrg"), "threads": 1}
+    # no temporary, no file and none of the directories it made
+    assert list(tmp_path.iterdir()) == []
 
 
 _DISK_WRITES = {"write_bytes", "write_text", "mkdir", "makedirs"}
