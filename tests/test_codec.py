@@ -357,23 +357,22 @@ def test_data_share_bit_flip_changes_output_silently(rng):
     assert len(out) == len(data)
 
 
-@pytest.mark.parametrize("k,bs,nf,short", [
-    *((4, 3, nf, 5) for nf in (507, 508, 509, 510, 1016, 1017)),
+def test_scan_and_serial_paths_agree(monkeypatch, rng):
+    cases = [(4, 3, nf, 5) for nf in (507, 508, 509, 510, 1016, 1017)]
     # for each shape: the payload ends exactly at the scan's body; its zero-padded
     # last row would end the body; a tail of one row; a tail one byte long
-    *((k, bs, nf, short) for k, bs in ((4, 250), (4, 16), (16, 250))
-      for nf, short in ((508, 0), (508, 1), (762, k * bs // 2), (509, 0), (763, k * bs - 1))),
-])
-def test_scan_and_serial_paths_agree(k, bs, nf, short, monkeypatch, rng):
-    params = CodecParams(k, 2, bs)
-    data = rng.randbytes(nf * params.group_size - short)
-    scan, pas, ps = _forced_encode(data, params, rng)
-    with monkeypatch.context() as serial_only:
-        serial_only.setattr(codec, "_SCAN_MIN_ROWS", 10**9)
-        serial = codec._encode_with_permutations(data, params, pas, ps)
-    for fa, fb in zip(serial, scan):
-        assert np.array_equal(fa.shares, fb.shares)
-    assert decode_data(scan) == data
+    cases += [(k, bs, nf, short) for k, bs in ((4, 250), (4, 16), (16, 250))
+              for nf, short in ((508, 0), (508, 1), (762, k * bs // 2), (509, 0), (763, k * bs - 1))]
+    for k, bs, nf, short in cases:
+        params = CodecParams(k, 2, bs)
+        data = rng.randbytes(nf * params.group_size - short)
+        scan, pas, ps = _forced_encode(data, params, rng)
+        with monkeypatch.context() as serial_only:
+            serial_only.setattr(codec, "_SCAN_MIN_ROWS", 10**9)
+            serial = codec._encode_with_permutations(data, params, pas, ps)
+        for fa, fb in zip(serial, scan):
+            assert np.array_equal(fa.shares, fb.shares), (k, bs, nf, short)
+        assert decode_data(scan) == data, (k, bs, nf, short)
 
 
 # SHA-256 of each fragment's shares, recorded from the encoder when its serial and scan
