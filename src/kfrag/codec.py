@@ -20,28 +20,28 @@ with the last row zero-padded: pi maps position w of fragment j's shares to
 the byte of block j that its permutation puts there.  The recurrence then
 overwrites each row in place, y_r ^= sum_t x_r^t * y_{r-1}[D_t], where
 D_t[q] = (pi[q] + t*bs) % m: the byte at position v of block j reads the
-previous share row of fragment (j+t) % k at position v.  The row before the
-first is the permutation shares.  Fragment j's shares are the column block j
-of y, a strided view, so the payload is held once.  One step, _sweep, runs
-the recurrence over one range of rows with c + 1 numpy calls per row
-whatever k and the block size, for any c.
-For c == 2 from 508 rows, a blocked scan encodes the whole batches of 254
-payload rows instead, exploiting the linearity of the recurrence to advance
-the batches at once.  It holds row i of a batch in the drifted frame
-Q_i = D^-(i+1), D = D_1, where the recurrence is elementwise, so each byte
-is gathered once from the payload and once back to the fragment frame, with
-no gather between rows; the boundary between batches is the one step
-specific to c == 2.  The rows after the last whole batch run through the
-gather and _sweep as one range.  Both paths produce bit-identical fragments.
+previous share row of fragment (j+t) % k at the same position v.  The row
+before the first is the permutation shares.  Fragment j's shares are the
+column block j of y, a strided view, so the payload is held once.  One step,
+_sweep, runs the recurrence over one range of rows with c + 1 numpy calls
+per row whatever k and the block size, for any c.  For c == 2 from 508
+rows, a blocked scan encodes the whole batches of 254 payload rows instead,
+exploiting the linearity of the recurrence to advance the batches at once.
+It holds row i of a batch in the drifted frame Q_i = D^-(i+1), D = D_1,
+where the recurrence is elementwise, so each byte is gathered once from the
+payload and once back to the fragment frame, with no gather between rows;
+the boundary between batches is the one step specific to c == 2.  The rows
+after the last whole batch run through the gather and _sweep as one range.
+Both paths produce bit-identical fragments.
 
 Decoding runs in the data frame, with one gather per fragment from its
 shares straight into the output rows, then adds the neighbor terms, which
 have no cross-row dependency, over many rows per numpy call.
 
 The scan's two sweeps and the gathers of both directions split into parts
-through gf256._in_parts, one thread per usable core (the decode from
-_DECODE_PART_MIN_BYTES); the one-range sweep runs on the caller's thread.  The bytes do not depend on the number of
-parts.
+through gf256._in_parts, one thread per usable core (the decode's from
+_DECODE_PART_MIN_BYTES); the one-range sweep runs on the caller's thread.
+The bytes do not depend on the number of parts.
 """
 
 from __future__ import annotations
