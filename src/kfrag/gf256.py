@@ -63,9 +63,9 @@ except AttributeError:  # no affinity API on this platform
     _CORES = os.cpu_count() or 1
 # A part covers at least this many bytes of rows.  The codec's c == 2 scan
 # makes two numpy calls per step and part in its first sweep and three in its
-# second, each over one row of every batch of the part, so a 4 MiB part makes
-# calls of about 16 KiB; with smaller calls the threads wait on the interpreter
-# lock more than they work.  One thread vs two parts, medians of 15 interleaved
+# second (and one m-element index step), each over one row of every batch of
+# the part, so a 4 MiB part makes calls of about 16 KiB; with smaller calls the
+# threads wait on the interpreter lock more than they work.  One thread vs two parts, medians of 15 interleaved
 # encodes in each of two processes on a 2-core Xeon, at (4,2,250), (4,2,16)
 # and (16,2,250): two parts took 0.67-0.87x the one-thread time at 8 MiB, and
 # 0.74-1.05x at 5-6 MiB, so two parts start at 8 MiB.
