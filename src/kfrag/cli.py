@@ -220,10 +220,10 @@ def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: in
     chosen = SchemeId(scheme)
     frags = split(chosen, data, k, n, c, block_size, rng_from_env())
     # the fragments hold the payload now: free the input before the files are
-    # dumped (in parts, as the files are written), and the fragments once they are
+    # dumped, and the fragments once they are
     payload_length = len(data)
     del data
-    blobs = gf256._map_in_parts(wire.dump_any, frags, payload_length)
+    blobs = [wire.dump_any(f) for f in frags]
     del frags
     proposed = chosen is SchemeId.PROPOSED
     if proposed and n > k:

@@ -38,10 +38,10 @@ Decoding runs in the data frame, with one gather per fragment from its
 shares straight into the output rows, then adds the neighbor terms, which
 have no cross-row dependency, over many rows per numpy call.
 
-The scan's two sweeps and the gathers of both directions split into parts
-through gf256._in_parts, one thread per usable core (the decode's from
-_DECODE_PART_MIN_BYTES); the one-range sweep runs on the caller's thread.
-The bytes do not depend on the number of parts.
+The scan's two sweeps and the gathers of both directions split into parts,
+one thread per usable core; the decode bounds its part count by the scratch
+each part holds, and the one-range sweep runs on the caller's thread.  The
+bytes do not depend on the number of parts.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ThresholdError
-from .gf256 import EXP_TABLE, LOG_TABLE, MUL_TABLE, _in_parts
+from .gf256 import EXP_TABLE, LOG_TABLE, MUL_TABLE, _in_parts, _run_parts
 from .permutation import (
     MAX_POSITIONS,
     PermutationArray,
@@ -77,6 +77,8 @@ _X_LOGS = LOG_TABLE[2 + np.arange(1, _X_PERIOD + 1) % _X_PERIOD].astype(np.intp)
 #              8 MiB 35.4 vs 20.3
 #   (8,4,16):  1 MiB 14.1 vs 8.4, 2 MiB 26.1 vs 15.4, 4 MiB 49.4 vs 28.8,
 #              8 MiB 72.2 vs 49.0
+# A part also covers at least five times its scratch (see _decode_rows), so
+# the scratch of all parts stays within a fifth of the output on any core count.
 _DECODE_PART_MIN_BYTES = 1 << 20
 # Indices per take of the scan's drifted gather.  From 16 Ki to 64 Ki the
 # gather ran as fast as the fragment-frame gather at m = 64, 1000 and 4000
@@ -333,7 +335,9 @@ def _decode_rows(frags: tuple[Fragment, ...], pas: list[PermutationArray], out: 
                     rows[a - r0 : n] ^= term[:na]
                 out[r0:r1, j] = rows[:n]
 
-    _in_parts(-(-nf // chunk), out.nbytes, chunks, _DECODE_PART_MIN_BYTES)
+    # rows, term and the intp lut: 10 bytes of scratch per part and byte of a chunk's share rows
+    part_min = max(_DECODE_PART_MIN_BYTES, 5 * 10 * chunk * bs)
+    _run_parts(-(-nf // chunk), out.nbytes // part_min, chunks)
 
 
 def _sweep(rows: np.ndarray, state: np.ndarray, parent_idx: np.ndarray, start: int) -> None:

@@ -6,10 +6,11 @@ across builds.  Tables are built once at import; all operations are pure.
 
 ``_in_parts`` splits a loop into parts of at least _PART_MIN_BYTES, one
 thread per usable core (numpy releases the interpreter lock inside its table
-lookups and XORs); ``matmul`` and the codec's row loops use it.
+lookups and XORs); ``matmul`` and the codec's row loops use it, and
+``_run_parts`` runs a loop in a part count its caller chose (the codec's
+decode bounds its own by its scratch).
 ``_map_in_parts`` maps a function over a list the same way; the file reads,
-writes and SHA-256 digests of ``dispersal`` and the dumps of ``kfrag split``
-use it (they release the lock too).
+writes and SHA-256 digests of ``dispersal`` use it (they release the lock too).
 """
 
 from __future__ import annotations
@@ -65,10 +66,11 @@ except AttributeError:  # no affinity API on this platform
 # makes two numpy calls per step and part in its first sweep and three in its
 # second (and one m-element index step), each over one row of every batch of
 # the part, so a 4 MiB part makes calls of about 16 KiB; with smaller calls the
-# threads wait on the interpreter lock more than they work.  One thread vs two parts, medians of 15 interleaved
-# encodes in each of two processes on a 2-core Xeon, at (4,2,250), (4,2,16)
-# and (16,2,250): two parts took 0.67-0.87x the one-thread time at 8 MiB, and
-# 0.74-1.05x at 5-6 MiB, so two parts start at 8 MiB.
+# threads wait on the interpreter lock more than they work.  One thread vs two
+# parts, medians of 15 interleaved encodes in each of two processes on a
+# 2-core Xeon, at (4,2,250), (4,2,16) and (16,2,250): two parts took
+# 0.67-0.87x the one-thread time at 8 MiB, and 0.74-1.05x at 5-6 MiB, so two
+# parts start at 8 MiB.
 _PART_MIN_BYTES = 4 << 20
 # matmul's column chunk.  Medians of 9 interleaved calls in one process on a
 # 2-core Xeon, ms, for chunks of 8/16/32/64 KiB against the unblocked kernel
@@ -84,17 +86,22 @@ _PART_MIN_BYTES = 4 << 20
 _MATMUL_CHUNK = 32 << 10
 
 
-def _in_parts(n: int, nbytes: int, fn: Callable[[int, int], None],
-              part_min: int | None = None) -> None:
+def _in_parts(n: int, nbytes: int, fn: Callable[[int, int], None]) -> None:
     """Run fn(lo, hi) over contiguous parts of range(n), one thread per core.
 
-    A part covers at least ``part_min`` (by default _PART_MIN_BYTES) of the
-    nbytes the range covers.  The caller runs the first part itself and joins
-    every thread before it returns or re-raises the first exception a part
-    raised.
+    A part covers at least _PART_MIN_BYTES of the nbytes the range covers.
     """
-    part_min = _PART_MIN_BYTES if part_min is None else part_min
-    parts = max(1, min(_CORES, n, nbytes // part_min))
+    _run_parts(n, nbytes // _PART_MIN_BYTES, fn)
+
+
+def _run_parts(n: int, parts: int, fn: Callable[[int, int], None]) -> None:
+    """Run fn(lo, hi) over up to ``parts`` contiguous parts of range(n), one thread each.
+
+    There is at least one part, and at most one per core and per item.  The
+    caller runs the first part itself and joins every thread before it
+    returns or re-raises the first exception a part raised.
+    """
+    parts = max(1, min(_CORES, n, parts))
     cuts = [n * i // parts for i in range(parts + 1)]
     errors: list[BaseException] = []
 
