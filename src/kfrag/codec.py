@@ -84,6 +84,8 @@ _DECODE_PART_MIN_BYTES = 1 << 20
 # gather ran as fast as the fragment-frame gather at m = 64, 1000 and 4000
 # (32 MiB, one core); at 4 Ki it was up to 1.5x slower.
 _GATHER_INDICES = 1 << 15
+# Rows per take of the scan's correction Λ_i * E.
+_LAMBDA_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -396,12 +398,15 @@ def _encode_rows_scan(data: np.ndarray, pi: np.ndarray, rows: np.ndarray,
     dinv = np.argsort(didx)
     # the drifted rows are gathered batch by batch, span rows per take
     span = max(1, min(b, _GATHER_INDICES // m))
-    # tables[i] multiplies by pick_x(i + 1), the x of row i of a batch
+    # tables[i] multiplies by pick_x(i + 1), the x of row i of a batch, and
+    # lambdas[i] by Λ_i, the product of the x of rows 0..i
     tables = MUL_TABLE[EXP_TABLE[_X_LOGS]]
+    lambdas = MUL_TABLE[EXP_TABLE[np.cumsum(_X_LOGS) % 255]]
     cur = np.empty((nb, m), dtype=np.uint8)
 
     def sweep1(lo: int, hi: int) -> None:
-        """Gather each batch's drifted rows, and leave its last state from zero in cur."""
+        """Gather each batch's drifted rows and run them from a zero entry state in
+        place; leave each batch's last state in cur."""
         pick = np.empty(span * m, dtype=np.intp)  # i * m + pi[Q_i] for span rows i
         gidx = pi  # pi[Q_i]
         for i0 in range(0, b, span):
@@ -412,22 +417,23 @@ def _encode_rows_scan(data: np.ndarray, pi: np.ndarray, rows: np.ndarray,
             for beta in range(lo, hi):
                 src[beta].take(pick[: (i1 - i0) * m], out=flat[beta, i0 * m : i1 * m], mode="clip")
         scratch = np.empty((hi - lo, m), dtype=np.uint8)
-        state = cur[lo:hi]
-        state[...] = rows3[lo:hi, 0]
         for i in range(1, b):
-            tables[i].take(state, out=scratch, mode="clip")
-            np.bitwise_xor(rows3[lo:hi, i], scratch, out=state)
+            tables[i].take(rows3[lo:hi, i - 1], out=scratch, mode="clip")
+            np.bitwise_xor(rows3[lo:hi, i], scratch, out=rows3[lo:hi, i])
+        cur[lo:hi] = rows3[lo:hi, b - 1]
 
-    def sweep2(lo: int, hi: int) -> None:
-        """Replay each batch from its entry state in cur, writing the fragment frame."""
-        state = cur[lo:hi]
+    def correct(lo: int, hi: int) -> None:
+        """Add Λ_i times each batch's entry state in cur to its rows, writing the fragment frame."""
+        fix = np.empty((_LAMBDA_ROWS, hi - lo, m), dtype=np.uint8)
         scratch = np.empty((hi - lo, m), dtype=np.uint8)
         widx = didx  # D^(i+1)
-        for i in range(b):
-            tables[i].take(state, out=scratch, mode="clip")
-            np.bitwise_xor(rows3[lo:hi, i], scratch, out=state)
-            state.take(widx, axis=1, out=rows3[lo:hi, i], mode="clip")
-            widx = widx.take(didx)
+        for i0 in range(0, b, _LAMBDA_ROWS):
+            i1 = min(i0 + _LAMBDA_ROWS, b)
+            lambdas[i0:i1].take(cur[lo:hi], axis=1, out=fix[: i1 - i0], mode="clip")
+            for i in range(i0, i1):
+                np.bitwise_xor(rows3[lo:hi, i], fix[i - i0], out=scratch)
+                scratch.take(widx, axis=1, out=rows3[lo:hi, i], mode="clip")
+                widx = widx.take(didx)
 
     _in_parts(nb, rows.nbytes, sweep1)
 
@@ -435,9 +441,9 @@ def _encode_rows_scan(data: np.ndarray, pi: np.ndarray, rows: np.ndarray,
     dpow = didx  # D^254
     for _ in range(b - 1):
         dpow = dpow.take(didx)
-    scale = MUL_TABLE[EXP_TABLE[_X_LOGS.sum() % 255]]  # times the product of the b x values
+    scale = lambdas[b - 1]  # times the product of the b x values
     state = initial_state
     for beta in range(nb):  # cur[beta] becomes the entry state of batch beta
         state, cur[beta] = (cur[beta] ^ scale.take(state)).take(dpow), state
 
-    _in_parts(nb, rows.nbytes, sweep2)
+    _in_parts(nb, rows.nbytes, correct)

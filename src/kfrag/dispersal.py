@@ -103,15 +103,27 @@ def read_file(path: Path) -> memoryview:
 
     A regular file is read into one numpy buffer sized from ``fstat``: numpy
     asks for huge pages for a large array where ``bytes`` would fault in 4 KiB
-    at a time.  A pipe or other non-regular file is read to its end."""
+    at a time.  ``os.preadv`` fills it from the one descriptor, in parts as by
+    ``gf256._in_parts``, so from 8 MiB on two threads; the bytes end where the
+    first part that came up short ended, so a file that shrank since ``fstat``
+    gives its bytes with no zero tail.  A pipe or other non-regular file is read
+    to its end."""
     with open(path, "rb", buffering=0) as fh:
         info = os.fstat(fh.fileno())
         if not stat.S_ISREG(info.st_mode):
             return memoryview(fh.read())
-        buf, got = np.empty(info.st_size, dtype=np.uint8), 0
-        while got < len(buf) and (n := fh.readinto(buf[got:])):
-            got += n
-    buf = buf[:got]  # shorter if the file shrank since fstat
+        buf = np.empty(info.st_size, dtype=np.uint8)
+        ends: dict[int, tuple[int, int]] = {}  # the start of each part: where it ended, where it should
+
+        def part(lo: int, hi: int) -> None:
+            at = lo
+            while at < hi and (n := os.preadv(fh.fileno(), [buf[at:hi]], at)):
+                at += n
+            ends[lo] = at, hi
+
+        gf256._in_parts(len(buf), len(buf), part)
+    got = next((at for _, (at, hi) in sorted(ends.items()) if at < hi), len(buf))
+    buf = buf[:got]
     buf.setflags(write=False)
     return memoryview(buf)
 
@@ -352,9 +364,11 @@ def store(
     Data fragment j goes to site j mod c and every parity file to one
     dedicated extra site appended after the c primary sites.  The returned
     manifest keeps the split manifest's digests and adds site and run id;
-    ``record`` is handed it to save it.  When a put or ``record`` fails, the
-    objects already written are removed, last first, with the directories
-    their puts created, and no manifest is produced.
+    ``record`` is handed it to save it.  The puts run in parts as by
+    ``gf256._in_parts``, each site directory's in order in one part.  When a
+    put or ``record`` fails, every part is let finish, the objects written are
+    removed, each site's last first, with the directories their puts created,
+    and no manifest is produced; the StorageError names the site whose put failed.
     """
     expected = site_count(manifest)
     if len(sites) != expected:
@@ -367,9 +381,18 @@ def store(
         for entry in manifest.fragments
     ]
 
+    # the puts of one site directory run in order in one part, so no two
+    # threads make the same run directory
+    groups: dict = {}
+    for entry, dest in zip(manifest.fragments, placed):
+        site = sites[dest.site]
+        key = site.root.resolve() if hasattr(site, "root") else id(site)
+        groups.setdefault(key, []).append((entry, dest))
+    groups = list(groups.values())
     written: list[ManifestEntry] = []
-    try:
-        for entry, dest in zip(manifest.fragments, placed):
+
+    def put(lo: int, hi: int) -> None:
+        for entry, dest in (pair for group in groups[lo:hi] for pair in group):
             try:
                 sites[dest.site].put(dest.name, blobs[entry])
             except StorageError as exc:
@@ -377,6 +400,9 @@ def store(
                     f"store failed at site {dest.site}: {exc}", site=dest.site
                 ) from exc
             written.append(dest)
+
+    try:
+        gf256._in_parts(len(groups), sum(len(blobs[e]) for e in manifest.fragments), put)
         stored = replace(manifest, fragments=placed, created=_now(), run_id=run)
         record(stored)
     except BaseException:

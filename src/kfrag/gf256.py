@@ -84,6 +84,8 @@ _PART_MIN_BYTES = 4 << 20
 # From 16 KiB the chunk hardly matters; 32 KiB keeps each part's scratch
 # at k * 256 KiB of widened indices plus one chunk.
 _MATMUL_CHUNK = 32 << 10
+# whether this thread is running a part of _run_parts
+_inside = threading.local()
 
 
 def _in_parts(n: int, nbytes: int, fn: Callable[[int, int], None]) -> None:
@@ -97,19 +99,25 @@ def _in_parts(n: int, nbytes: int, fn: Callable[[int, int], None]) -> None:
 def _run_parts(n: int, parts: int, fn: Callable[[int, int], None]) -> None:
     """Run fn(lo, hi) over up to ``parts`` contiguous parts of range(n), one thread each.
 
-    There is at least one part, and at most one per core and per item.  The
-    caller runs the first part itself and joins every thread before it
-    returns or re-raises the first exception a part raised.
+    There is at least one part, and at most one per core and per item; a
+    loop run from inside a part is one part, so nested loops never start more
+    threads than there are cores.  The caller runs the first part itself and
+    joins every thread before it returns or re-raises the first exception a
+    part raised.
     """
-    parts = max(1, min(_CORES, n, parts))
+    nested = getattr(_inside, "part", False)
+    parts = 1 if nested else max(1, min(_CORES, n, parts))
     cuts = [n * i // parts for i in range(parts + 1)]
     errors: list[BaseException] = []
 
     def run(lo: int, hi: int) -> None:
+        _inside.part = True
         try:
             fn(lo, hi)
         except BaseException as exc:  # re-raised on the caller below
             errors.append(exc)
+        finally:
+            _inside.part = nested
 
     threads = [
         threading.Thread(target=run, args=(cuts[i], cuts[i + 1]))

@@ -363,9 +363,16 @@ def test_scan_and_serial_paths_agree(monkeypatch, rng):
     # last row would end the body; a tail of one row; a tail one byte long
     cases += [(k, bs, nf, short) for k, bs in ((4, 250), (4, 16), (16, 250))
               for nf, short in ((508, 0), (508, 1), (762, k * bs // 2), (509, 0), (763, k * bs - 1))]
-    for k, bs, nf, short in cases:
+    # where the correction does all the work: every row of an all-zero payload of
+    # whole batches is its batch's entry state times Λ_i, and so is every row
+    # after the first batch of a payload that is zero after it
+    cases += [(k, bs, nf, 0, nonzero) for k, bs in ((4, 250), (16, 250)) for nf in (508, 762)
+              for nonzero in (0, 254)]
+    for k, bs, nf, short, *nonzero in cases:
         params = CodecParams(k, 2, bs)
         data = rng.randbytes(nf * params.group_size - short)
+        if nonzero:  # the payload's bytes after its first nonzero rows are zero
+            data = data[: nonzero[0] * params.group_size].ljust(len(data), b"\0")
         scan, pas, ps = _forced_encode(data, params, rng)
         with monkeypatch.context() as serial_only:
             serial_only.setattr(codec, "_SCAN_MIN_ROWS", 10**9)

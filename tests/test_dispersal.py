@@ -1,22 +1,27 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import kfrag
-from kfrag import wire
+from kfrag import dispersal, gf256, wire
 from kfrag.codec import CodecParams, decode_data, encode_data
 from kfrag.dispersal import (
     LocalDirectoryBackend,
     Manifest,
+    ManifestEntry,
     Violation,
     assign_sites,
     build_manifest,
     fetch,
+    read_file,
     store,
     validate_assignment,
     write_files,
@@ -54,6 +59,21 @@ def _split(fragset, n=None):
 
 def _decode(fetched):
     return decode_data([wire.load_fragment(b) for e, b in fetched.items() if e.kind == "data"])
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads ``gf256`` starts, on two cores."""
+    out = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            out.append(self)
+            super().start()
+
+    monkeypatch.setattr(gf256, "_CORES", 2)
+    monkeypatch.setattr(gf256, "threading", SimpleNamespace(Thread=Counted))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +225,28 @@ def test_store_duplicate_object_name(tmp_path, rng):
         store(split, blobs, sites, run_id="dup")
 
 
+def test_store_in_parts_removes_every_object_when_a_site_fails(tmp_path, rng, started):
+    # 9 MiB of files: two parts, site 0's puts on this thread and site 1's on another
+    data = rng.randbytes(9 << 20)
+    sites = _sites(tmp_path, 2)
+    split, blobs = _split(encode_data(data, CodecParams(4, 2, 250), rng))
+    started.clear()  # the encode's
+    manifest = store(split, blobs, sites, run_id="parts")
+    assert len(started) == 1
+    assert _decode(fetch(manifest, sites).blobs) == data
+    for entry in reversed(manifest.fragments):  # each run directory with its first object
+        sites[entry.site].delete(entry.name)
+
+    (sites[1].root / "blocked").write_bytes(b"")  # a file where site 1's run directory goes
+    started.clear()
+    with pytest.raises(StorageError, match="store failed at site 1") as err:
+        store(split, blobs, sites, run_id="blocked")
+    assert err.value.site == 1
+    assert len(started) == 1
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "site0", "site1", "site1/blocked"]
+
+
 _REFUSED_PUT = """
 import resource, signal, sys
 from kfrag.dispersal import LocalDirectoryBackend
@@ -354,6 +396,37 @@ def test_every_file_is_written_by_write_files():
               "def write_files(f):\n    f.write_bytes(b'')\n")
     assert _disk_writes(sample, allowed="write_files") == [1, 2, 4, 5, 6, 8]
     assert _disk_writes(sample) == [1, 2, 4, 5, 6, 8, 10]
+
+
+def test_read_file_reads_a_large_file_in_parts(tmp_path, started):
+    data = os.urandom((9 << 20) + 7)
+    (tmp_path / "f").write_bytes(data)
+    assert bytes(read_file(tmp_path / "f")) == data
+    assert len(started) == 1
+
+
+def test_read_file_inside_the_parts_of_read_starts_no_thread(tmp_path, started):
+    # two files of 9 MiB: read takes one in each of its two parts, and reads each whole
+    blobs = [os.urandom(9 << 20) for _ in range(2)]
+    entries = []
+    for i, blob in enumerate(blobs):
+        (tmp_path / f"f{i}").write_bytes(blob)
+        entries.append(ManifestEntry(i, None, f"f{i}", hashlib.sha256(blob).hexdigest()))
+    manifest = Manifest("proposed", 2, 2, 250, 2, sum(map(len, blobs)), "", "", entries)
+    got = dispersal.read(manifest, dispersal.local_files(tmp_path))
+    assert [bytes(blob) for blob in got] == blobs
+    assert len(started) == 1  # read's own second part
+
+
+@pytest.mark.parametrize("extra", [1 << 20, 10 << 20])  # the second part is short; the first
+def test_read_file_ends_at_the_first_short_part(tmp_path, monkeypatch, started, extra):
+    data = os.urandom((9 << 20) + 7)
+    (tmp_path / "f").write_bytes(data)
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(
+        st_mode=fstat(fd).st_mode, st_size=len(data) + extra))
+    assert bytes(read_file(tmp_path / "f")) == data
+    assert len(started) == 1
 
 
 def test_every_file_is_read_by_read_file():

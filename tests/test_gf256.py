@@ -137,6 +137,24 @@ def test_in_parts_covers_the_range_and_reraises_on_the_caller(bad_part, monkeypa
         assert sorted(seen) == parts
 
 
+def test_a_loop_run_inside_a_part_runs_as_one_part_on_its_thread(monkeypatch):
+    monkeypatch.setattr(gf256, "_CORES", 2)
+    inner = []  # (outer part, inner lo, inner hi, thread)
+
+    def part(lo, hi):
+        gf256._in_parts(10, 4 * gf256._PART_MIN_BYTES,
+                        lambda ilo, ihi: inner.append((lo, ilo, ihi, threading.current_thread())))
+
+    gf256._in_parts(2, 2 * gf256._PART_MIN_BYTES, part)
+    inner.sort(key=lambda call: call[0])
+    assert [call[:3] for call in inner] == [(0, 0, 10), (1, 0, 10)]  # each whole, once
+    assert inner[0][3] is threading.main_thread() is not inner[1][3]
+    # a loop run after them is in parts again
+    seen = []
+    gf256._in_parts(10, 4 * gf256._PART_MIN_BYTES, lambda lo, hi: seen.append((lo, hi)))
+    assert sorted(seen) == [(0, 5), (5, 10)]
+
+
 def test_matmul_in_parts_gives_the_bytes_of_one_core(monkeypatch):
     gen = np.random.default_rng(7)
     k, n = 6, 3
