@@ -29,19 +29,22 @@ rows, a blocked scan encodes the whole batches of 254 payload rows instead,
 exploiting the linearity of the recurrence to advance the batches at once.
 It holds row i of a batch in the drifted frame Q_i = D^-(i+1), D = D_1,
 where the recurrence is elementwise, so each byte is gathered once from the
-payload and once back to the fragment frame, with no gather between rows;
-the boundary between batches is the one step specific to c == 2.  The rows
-after the last whole batch run through the gather and _sweep as one range.
-Both paths produce bit-identical fragments.
+payload and once back to the fragment frame, with no gather between rows.
+The recurrence runs once, from a zero entry state in every batch; each row
+is then corrected by its batch's true entry state times Λ_i, the product of
+the x of the batch's rows up to i, a pass in which no row waits for the row
+before it.  The boundary between batches is the one step specific to
+c == 2.  The rows after the last whole batch run through the gather and
+_sweep as one range.  Both paths produce bit-identical fragments.
 
 Decoding runs in the data frame, with one gather per fragment from its
 shares straight into the output rows, then adds the neighbor terms, which
 have no cross-row dependency, over many rows per numpy call.
 
-The scan's two sweeps and the gathers of both directions split into parts,
-one thread per usable core; the decode bounds its part count by the scratch
-each part holds, and the one-range sweep runs on the caller's thread.  The
-bytes do not depend on the number of parts.
+The scan's sweep and correction and the gathers of both directions split
+into parts, one thread per usable core; the decode bounds its part count by
+the scratch each part holds, and the one-range sweep runs on the caller's
+thread.  The bytes do not depend on the number of parts.
 """
 
 from __future__ import annotations
@@ -84,7 +87,12 @@ _DECODE_PART_MIN_BYTES = 1 << 20
 # gather ran as fast as the fragment-frame gather at m = 64, 1000 and 4000
 # (32 MiB, one core); at 4 Ki it was up to 1.5x slower.
 _GATHER_INDICES = 1 << 15
-# Rows per take of the scan's correction Λ_i * E.
+# Rows per take of the scan's correction Λ_i * E, which casts the entry states
+# to intp once per take.  32 MiB (4,2,250), best of 5 in one process on a
+# 2-core Xeon, ms of the correction at 1/2/4/8/16 rows: one core
+# 54.1/49.9/48.3/46.4/47.0, two cores 29.7/27.8/25.2/24.8/25.9.  Each row of a
+# take adds one row of every batch to its scratch, so 4 rows keep it at 4/254
+# of the payload.
 _LAMBDA_ROWS = 4
 
 
@@ -380,15 +388,18 @@ def _encode_rows_scan(data: np.ndarray, pi: np.ndarray, rows: np.ndarray,
     batch is held in the drifted frame Q_i = D^-(i+1), in which the
     recurrence is elementwise: u~_i = y~_i ^ x_i * u~_{i-1}, where
     u~_i = u_i[Q_i] and y~_i = row_i[pi[Q_i]] is gathered straight from the
-    payload.  A first sweep computes each batch's last state Z from a zero
-    entry state (the mixing is linear over the field, so states superpose);
-    a short serial pass then propagates the true entry state E of each batch,
-    E_{b+1} = (Z_b ^ prod(x) * E_b)[D^254]; a second sweep replays the
-    recurrence from the true entry states and writes each row back to the
-    fragment frame with one gather by D^(i+1).  Q_i and D^(i+1) advance one
-    m-element take per step.  Both sweeps run over a contiguous range of
-    batches, one range per thread, so throughput does not depend on k or
-    the block size.
+    payload.  The sweep runs it once, in place, from a zero entry state in
+    every batch, leaving u0~_i.  The mixing is linear over the field, so
+    u~_i = u0~_i ^ Λ_i * E, with E the batch's true entry state and Λ_i the
+    product of x_0 .. x_i.  A short serial pass propagates E from batch to
+    batch, E_{b+1} = (u0~_253 ^ Λ_253 * E_b)[D^254]; the correction then
+    writes each row (u0~_i ^ Λ_i * E_b)[D^(i+1)] back to the fragment frame.
+    It takes Λ_i * E for _LAMBDA_ROWS rows at once from one 254 x 256
+    product table, so each byte makes one data-dependent lookup in all, and
+    no corrected row depends on the one before it.  Q_i and D^(i+1) advance
+    one m-element take per step.  The sweep and the correction run over a
+    contiguous range of batches, one range per thread, so throughput does
+    not depend on k or the block size.
     """
     nf, m = rows.shape
     b = _X_PERIOD

@@ -104,26 +104,25 @@ def read_file(path: Path) -> memoryview:
     A regular file is read into one numpy buffer sized from ``fstat``: numpy
     asks for huge pages for a large array where ``bytes`` would fault in 4 KiB
     at a time.  ``os.preadv`` fills it from the one descriptor, in parts as by
-    ``gf256._in_parts``, so from 8 MiB on two threads; the bytes end where the
-    first part that came up short ended, so a file that shrank since ``fstat``
-    gives its bytes with no zero tail.  A pipe or other non-regular file is read
-    to its end."""
+    ``gf256._in_parts``, so in two from 8 MiB; the bytes end where the first
+    part that came up short ended, so a file that shrank since ``fstat`` gives
+    its bytes with no zero tail.  A pipe or other non-regular file is read to
+    its end."""
     with open(path, "rb", buffering=0) as fh:
         info = os.fstat(fh.fileno())
         if not stat.S_ISREG(info.st_mode):
             return memoryview(fh.read())
         buf = np.empty(info.st_size, dtype=np.uint8)
-        ends: dict[int, tuple[int, int]] = {}  # the start of each part: where it ended, where it should
+        short: list[int] = []  # where each part that came up short ended
 
         def part(lo: int, hi: int) -> None:
-            at = lo
-            while at < hi and (n := os.preadv(fh.fileno(), [buf[at:hi]], at)):
-                at += n
-            ends[lo] = at, hi
+            while lo < hi and (n := os.preadv(fh.fileno(), [buf[lo:hi]], lo)):
+                lo += n
+            if lo < hi:
+                short.append(lo)
 
         gf256._in_parts(len(buf), len(buf), part)
-    got = next((at for _, (at, hi) in sorted(ends.items()) if at < hi), len(buf))
-    buf = buf[:got]
+    buf = buf[: min(short, default=len(buf))]  # the first short part ended first
     buf.setflags(write=False)
     return memoryview(buf)
 
@@ -365,10 +364,11 @@ def store(
     dedicated extra site appended after the c primary sites.  The returned
     manifest keeps the split manifest's digests and adds site and run id;
     ``record`` is handed it to save it.  The puts run in parts as by
-    ``gf256._in_parts``, each site directory's in order in one part.  When a
-    put or ``record`` fails, every part is let finish, the objects written are
-    removed, each site's last first, with the directories their puts created,
-    and no manifest is produced; the StorageError names the site whose put failed.
+    ``gf256._in_parts``, those of one site directory in order in one part.
+    When a put or ``record`` fails, once every part has ended the objects
+    written are removed, each site's last first, with the directories their
+    puts created, and no manifest is produced; a failed put is a
+    StorageError that names its site.
     """
     expected = site_count(manifest)
     if len(sites) != expected:
@@ -381,14 +381,12 @@ def store(
         for entry in manifest.fragments
     ]
 
-    # the puts of one site directory run in order in one part, so no two
-    # threads make the same run directory
-    groups: dict = {}
-    for entry, dest in zip(manifest.fragments, placed):
-        site = sites[dest.site]
-        key = site.root.resolve() if hasattr(site, "root") else id(site)
-        groups.setdefault(key, []).append((entry, dest))
-    groups = list(groups.values())
+    # one part per site directory, its puts in order: no two threads make one run directory
+    by_dir: dict = {}
+    for pair in zip(manifest.fragments, placed):
+        site = sites[pair[1].site]
+        by_dir.setdefault(site.root.resolve() if hasattr(site, "root") else site, []).append(pair)
+    groups = list(by_dir.values())
     written: list[ManifestEntry] = []
 
     def put(lo: int, hi: int) -> None:

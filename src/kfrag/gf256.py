@@ -10,7 +10,11 @@ lookups and XORs); ``matmul`` and the codec's row loops use it, and
 ``_run_parts`` runs a loop in a part count its caller chose (the codec's
 decode bounds its own by its scratch).
 ``_map_in_parts`` maps a function over a list the same way; the file reads,
-writes and SHA-256 digests of ``dispersal`` use it (they release the lock too).
+writes and SHA-256 digests of ``dispersal`` use it (they release the lock
+too), and ``dispersal`` reads one large file and stores a set's objects in
+parts as well.  A loop run from inside a part runs as one part, on that
+part's thread: a file that would be read in parts on its own is read whole
+by a part of a loop over files, so no more threads run than there are cores.
 """
 
 from __future__ import annotations
