@@ -104,10 +104,10 @@ def read_file(path: Path) -> memoryview:
     A regular file is read into one numpy buffer sized from ``fstat``: numpy
     asks for huge pages for a large array where ``bytes`` would fault in 4 KiB
     at a time.  ``os.preadv`` fills it from the one descriptor, in parts as by
-    ``gf256._in_parts``, so in two from 8 MiB; the bytes end where the first
-    part that came up short ended, so a file that shrank since ``fstat`` gives
-    its bytes with no zero tail.  A pipe or other non-regular file is read to
-    its end."""
+    ``gf256._in_parts``, so in two parts from 8 MiB; the bytes end where the
+    first part that came up short ended, so a file that shrank since ``fstat``
+    gives its bytes with no zero tail.  A pipe or other non-regular file is
+    read to its end."""
     with open(path, "rb", buffering=0) as fh:
         info = os.fstat(fh.fileno())
         if not stat.S_ISREG(info.st_mode):
