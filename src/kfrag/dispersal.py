@@ -38,7 +38,7 @@ import os
 import stat
 import time
 import uuid
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -50,10 +50,11 @@ from .errors import IntegrityError, ParameterError, StorageError, ThresholdError
 from . import gf256, wire
 
 
-def write_files(files: dict[Path, bytes]) -> list[Path]:
+def write_files(files: dict[Path, bytes], dirs: Iterable[Path] = ()) -> list[Path]:
     """Write every file, creating missing directories, or leave all as they were.
 
-    The missing directories are made first.  Each file then goes to a temporary
+    The missing directories are made first: any of ``dirs`` and their parents,
+    then those of each file.  Each file then goes to a temporary
     name in its own directory, the files split into parts as by
     ``gf256._map_in_parts``, and only once all are written is each renamed into
     place, in order, so the last one commits the set.  Returns the directories it
@@ -63,17 +64,22 @@ def write_files(files: dict[Path, bytes]) -> list[Path]:
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
     made: list[Path] = []
 
+    def make(directory: Path) -> None:
+        missing = [d for d in (directory, *directory.parents) if not d.exists()]
+        for d in reversed(missing):
+            d.mkdir()
+            made.insert(0, d)
+
     def write(path: Path) -> None:
         with _naming(path):
             temps[path].write_bytes(files[path])
 
     try:
+        for directory in dirs:
+            make(directory)
         for path in files:
             with _naming(path):
-                missing = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
-                for directory in reversed(missing):
-                    directory.mkdir()
-                    made.insert(0, directory)
+                make(path.parent)
         gf256._map_in_parts(write, list(files), sum(map(len, files.values())))
         for path, tmp in temps.items():
             with _naming(path):
@@ -363,12 +369,15 @@ def store(
     Data fragment j goes to site j mod c and every parity file to one
     dedicated extra site appended after the c primary sites.  The returned
     manifest keeps the split manifest's digests and adds site and run id;
-    ``record`` is handed it to save it.  The puts run in parts as by
-    ``gf256._in_parts``, those of one site directory in order in one part.
-    When a put or ``record`` fails, once every part has ended the objects
-    written are removed, each site's last first, with the directories their
-    puts created, and no manifest is produced; a failed put is a
-    StorageError that names its site.
+    ``record`` is handed it to save it.  Any missing site directory is made
+    first, with its missing parents, on the calling thread; the puts then run
+    in parts as by ``gf256._in_parts``, those of one site directory in order
+    in one part, so no two threads make one directory.  When a put or
+    ``record`` fails, once every part has ended the objects written are
+    removed, each site's last first, with the directories their puts created,
+    then the site directories made here, and no manifest is produced; a
+    failed put, or a site directory that cannot be made, is a StorageError
+    that names its site.
     """
     expected = site_count(manifest)
     if len(sites) != expected:
@@ -382,12 +391,13 @@ def store(
     ]
 
     # one part per site directory, its puts in order: no two threads make one run directory
-    by_dir: dict = {}
-    for pair in zip(manifest.fragments, placed):
-        site = sites[pair[1].site]
-        by_dir.setdefault(site.root.resolve() if hasattr(site, "root") else site, []).append(pair)
+    roots = [site.root.resolve() for site in sites]
+    by_dir: dict[Path, list[tuple[ManifestEntry, ManifestEntry]]] = {}
+    for entry, dest in zip(manifest.fragments, placed):
+        by_dir.setdefault(roots[dest.site], []).append((entry, dest))
     groups = list(by_dir.values())
     written: list[ManifestEntry] = []
+    made: list[Path] = []  # the site directories and their parents made here, innermost first
 
     def put(lo: int, hi: int) -> None:
         for entry, dest in (pair for group in groups[lo:hi] for pair in group):
@@ -400,12 +410,18 @@ def store(
             written.append(dest)
 
     try:
+        for i, root in enumerate(roots):  # here, so no two parts make a parent two sites share
+            try:
+                made[:0] = write_files({}, [root])
+            except OSError as exc:
+                raise StorageError(f"store failed at site {i}: {exc}", site=i) from exc
         gf256._in_parts(len(groups), sum(len(blobs[e]) for e in manifest.fragments), put)
         stored = replace(manifest, fragments=placed, created=_now(), run_id=run)
         record(stored)
     except BaseException:
         for dest in reversed(written):
             sites[dest.site].delete(dest.name)
+        _remove_dirs(made)
         raise
     return stored
 

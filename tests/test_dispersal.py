@@ -194,6 +194,18 @@ def test_store_unwritable_site_cleans_up(tmp_path, rng):
         store(*_split(fragset), sites, run_id="failrun")
     assert err.value.site == 1
     assert _objects(sites[0].root) == []  # partial writes removed
+    assert [p.name for p in tmp_path.iterdir()] == ["good"]  # and the site directory made
+
+
+def test_store_names_the_site_whose_directory_cannot_be_made(tmp_path, rng):
+    fragset = encode_data(rng.randbytes(500), CodecParams(4, 2, 16), rng)
+    (tmp_path / "file").write_bytes(b"")
+    sites = [LocalDirectoryBackend(tmp_path / "out" / "s0"),
+             LocalDirectoryBackend(tmp_path / "file" / "s1")]
+    with pytest.raises(StorageError, match="store failed at site 1") as err:
+        store(*_split(fragset), sites)
+    assert err.value.site == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]  # out/ and out/s0 removed
 
 
 def test_store_removes_its_objects_and_run_directories_when_record_fails(tmp_path, rng):
@@ -245,6 +257,41 @@ def test_store_in_parts_removes_every_object_when_a_site_fails(tmp_path, rng, st
     assert len(started) == 1
     assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
         "site0", "site1", "site1/blocked"]
+
+
+def test_store_in_parts_makes_a_parent_two_sites_share_on_the_callers_thread(
+        tmp_path, rng, started, monkeypatch):
+    # out/ and both site directories missing: two puts in parts must not both make out/
+    data = rng.randbytes(9 << 20)
+    sites = [LocalDirectoryBackend(tmp_path / "out" / f"s{i}") for i in range(2)]
+    split, blobs = _split(encode_data(data, CodecParams(4, 2, 250), rng))
+    made = []
+    mkdir = Path.mkdir
+
+    def recorded(self, *args, **kwargs):
+        mkdir(self, *args, **kwargs)
+        made.append((str(self.relative_to(tmp_path)), threading.current_thread().name))
+
+    monkeypatch.setattr(Path, "mkdir", recorded)
+    started.clear()  # the encode's
+    manifest = store(split, blobs, sites, run_id="shared")
+    assert len(started) == 1
+    caller = threading.current_thread().name
+    assert sorted(d for d, thread in made if thread == caller) == [
+        "out", "out/s0", "out/s0/shared", "out/s1"]
+    assert [d for d, thread in made if thread != caller] == ["out/s1/shared"]
+    assert _decode(fetch(manifest, sites).blobs) == data
+    for entry in reversed(manifest.fragments):
+        sites[entry.site].delete(entry.name)
+    for d in ("out/s1", "out/s0", "out"):
+        (tmp_path / d).rmdir()
+
+    def refuse(stored):
+        raise OSError(28, "No space left on device", "dispersal.json")
+
+    with pytest.raises(OSError):
+        store(split, blobs, sites, run_id="refused", record=refuse)
+    assert list(tmp_path.iterdir()) == []  # not even out/, whichever put ran first
 
 
 _REFUSED_PUT = """
