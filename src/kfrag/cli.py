@@ -9,10 +9,12 @@ to stderr.  Setting FRAG_RNG_SEED forces deterministic randomness
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import sys
-from collections.abc import Callable
+import threading
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path, PurePosixPath
 
@@ -20,7 +22,9 @@ import click
 
 from . import analysis, baselines, dispersal, gf256, wire
 from .baselines import SchemeId
-from .codec import CodecParams, Fragment, check_fragments, decode_data, encode_data
+from .codec import (
+    CodecParams, Fragment, check_fragments, decode_data, decode_segments, encode_data,
+)
 # rs_decode is unused here, but perfbench/tracing.py wraps this name, so it stays importable
 from .erasure import ParityParams, parity_fragments, rs_decode  # noqa: F401
 from .errors import (
@@ -170,9 +174,24 @@ def join(loaded: list) -> bytes:
     raise ParameterError(f"cannot join fragments of type {kind.__name__}")
 
 
-def join_files(blobs: list[bytes]) -> bytes:
-    """Reconstruct from the raw files of one scheme, as ``kfrag join --frags`` does;
-    parity files first rebuild the proposed scheme's lost fragment files."""
+def join_pieces(loaded: list) -> tuple[int, Iterable]:
+    """The length of what ``loaded`` joins to, and its bytes as a series of buffers.
+
+    The proposed scheme's come lazily, one ``decode_data`` call per range of
+    ``decode_segments``, each decoded on every core; a baseline's joined bytes
+    are one piece.  The fragment set is checked before any piece is decoded."""
+    if not all(isinstance(f, Fragment) for f in loaded):
+        data = join(loaded)
+        return len(data), [data]
+    check_fragments(loaded)
+    segments = decode_segments(loaded[0].params, loaded[0].num_shares)
+    # decode_data is looked up here at each call, where the traced benchmark wraps it
+    return loaded[0].payload_length, (decode_data(loaded, rows) for rows in segments)
+
+
+def load_files(blobs: list[bytes]) -> list:
+    """The fragments in the raw files of one scheme, as ``kfrag join --frags`` loads
+    them; parity files first rebuild the proposed scheme's lost fragment files."""
     parity = [blob for blob in blobs if blob[:4] == wire.MAGIC_PARITY]
     files = [blob for blob in blobs if blob[:4] != wire.MAGIC_PARITY]
     loaded = [wire.load_any(blob) for blob in files]
@@ -182,7 +201,7 @@ def join_files(blobs: list[bytes]) -> bytes:
         present = {f.index for f in loaded}
         rebuilt = dispersal.rebuild([(f.index, b) for f, b in zip(loaded, files)], parity)
         loaded += [wire.load_fragment(b) for i, b in enumerate(rebuilt) if i not in present]
-    return join(loaded)
+    return loaded
 
 
 def _write_split(out_dir: Path, manifest: dispersal.Manifest, blobs: list[bytes]) -> None:
@@ -264,7 +283,10 @@ def cmd_join(
 ):
     """Reassemble the original file; prints its SHA-256 digest.
 
-    Fragment files are given as ``--frags FILE [FILE ...]``.
+    Fragment files are given as ``--frags FILE [FILE ...]``.  The output is
+    written in the pieces of ``join_pieces``: each is decoded, then hashed
+    while it is written, then dropped, so the proposed scheme's join holds
+    its fragment files and one decode segment of output.
     """
     frag_paths = ((first_frag,) if first_frag else ()) + tuple(more_frags)
     if manifest_path is None and not frag_paths:
@@ -275,15 +297,44 @@ def cmd_join(
     if manifest_path is not None:
         manifest = dispersal.Manifest.load(manifest_path)
         blobs = _reported(dispersal.recover(manifest, dispersal.local_files(manifest_path.parent)))
-        data = join([wire.load_any(b) for e, b in blobs.items() if e.kind == "data"])
+        loaded = [wire.load_any(b) for e, b in blobs.items() if e.kind == "data"]
     else:
-        data = join_files([dispersal.read_file(path) for path in frag_paths])
-    # from 8 MiB the digest runs on this thread while a second one writes the file
-    jobs = [lambda: hashlib.sha256(data).hexdigest(),
-            lambda: dispersal.write_files({out_path: data})]
-    digest, _ = gf256._map_in_parts(lambda job: job(), jobs, len(data))
-    _note(f"wrote {len(data)} bytes to {out_path}")
-    click.echo(digest)
+        loaded = load_files([dispersal.read_file(path) for path in frag_paths])
+    length, pieces = join_pieces(loaded)
+    sha = hashlib.sha256()
+    # the digest runs beside the write whenever the output would take two parts
+    beside = gf256._part_count(2, length // gf256._PART_MIN_BYTES) == 2
+    with contextlib.closing(_hashed(pieces, sha, beside)) as hashed:  # joins its thread
+        dispersal.write_files({out_path: hashed})
+    _note(f"wrote {length} bytes to {out_path}")
+    click.echo(sha.hexdigest())
+
+
+def _hashed(pieces: Iterable, sha, beside: bool) -> Iterator:
+    """Each piece, fed to ``sha`` while the caller writes it: on a second thread
+    when ``beside``, else before it is handed on.  No piece is held past its write."""
+    for piece in pieces:
+        if beside:
+            errors: list[BaseException] = []
+            hashing = threading.Thread(target=_update, args=(sha, piece, errors))
+            hashing.start()
+            try:
+                yield piece
+            finally:
+                hashing.join()
+            if errors:
+                raise errors[0]
+        else:
+            sha.update(piece)
+            yield piece
+        del piece  # before the next piece is decoded
+
+
+def _update(sha, piece, errors: list[BaseException]) -> None:
+    try:
+        sha.update(piece)
+    except BaseException as exc:  # re-raised on the writer's thread
+        errors.append(exc)
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,16 @@ _sweep as one range.  Both paths produce bit-identical fragments.
 
 Decoding runs in the data frame, with one gather per fragment from its
 shares straight into the output rows, then adds the neighbor terms, which
-have no cross-row dependency, over many rows per numpy call.
+have no cross-row dependency, over many rows per numpy call.  So any range
+of share rows decodes on its own, from the share row before it (row 0 from
+the permutation shares): decode_segments cuts the rows into equal ranges
+that each still decode on every core, and a caller can decode, write and
+drop them one after another, holding one range of output at a time.
 
 The scan's sweep and correction and the gathers of both directions split
 into parts, one thread per usable core; the decode bounds its part count by
 the scratch each part holds, and the one-range sweep runs on the caller's
-thread.  The bytes do not depend on the number of parts.
+thread.  The bytes do not depend on the number of parts or ranges.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ThresholdError
+from . import gf256
 from .gf256 import EXP_TABLE, LOG_TABLE, MUL_TABLE, _in_parts, _run_parts
 from .permutation import (
     MAX_POSITIONS,
@@ -180,38 +185,56 @@ def encode_data(data: bytes, params: CodecParams, rng: random.Random) -> tuple[F
     return _encode_with_permutations(data, params, pas, ps)
 
 
-def decode_data(fragments: Iterable[Fragment]) -> memoryview:
-    """Reconstruct the original payload from all k fragments, as a read-only
-    memoryview of bytes decoded in place into one numpy buffer.
+def decode_data(fragments: Iterable[Fragment], rows: range | None = None) -> memoryview:
+    """Reconstruct the payload bytes of share rows ``rows`` (all rows by default)
+    from all k fragments, as a read-only memoryview of bytes decoded in place
+    into one numpy buffer.
 
+    The first row of a range reads the share row before it, row 0 the
+    permutation shares, so the pieces of consecutive ranges, joined, are the
+    payload; the piece that ends on the last row is cut at the payload length.
     Raises ThresholdError when any fragment is missing, ParameterError on
-    inconsistent fragment sets, and IntegrityError when the permutation
-    shares do not XOR back into valid permutations.
+    inconsistent fragment sets or a range outside the share rows, and
+    IntegrityError when the permutation shares do not XOR back into valid
+    permutations.
     """
     frags = tuple(fragments)
     check_fragments(frags)
     params = frags[0].params
-    k, c = params.k, params.c
+    k, c, m = params.k, params.c, params.group_size
     frags = tuple(sorted(frags, key=lambda f: f.index))
     payload_length = frags[0].payload_length
 
     nf = frags[0].num_shares
-    expected = padded_length(payload_length, params) // params.group_size
+    expected = padded_length(payload_length, params) // m
     if nf != expected:
         raise ParameterError(
             f"share count {nf} does not match payload length {payload_length}"
         )
+    rows = range(nf) if rows is None else rows
+    if rows.step != 1 or not 0 <= rows.start <= rows.stop <= nf:
+        raise ParameterError(f"{rows} is not a range of the {nf} share rows")
 
     pas = []
     for r in range(k // c):
         group = [frags[r * c + z].permutation_share for z in range(c)]
         pas.append(reconstruct_permutation(group, c))
 
-    out = np.empty(nf * params.group_size, dtype=np.uint8)
-    _decode_rows(frags, pas, out.reshape(nf, k, -1))
-    out = out[:payload_length]
+    out = np.empty(len(rows) * m, dtype=np.uint8)
+    _decode_rows(frags, pas, out.reshape(len(rows), k, params.block_size), rows.start)
+    out = out[: payload_length - rows.start * m]
     out.setflags(write=False)
     return memoryview(out)
+
+
+def decode_segments(params: CodecParams, num_shares: int) -> list[range]:
+    """Consecutive, equal ranges of the share rows, each long enough to decode on
+    every core: at least gf256._CORES decode parts, or all rows as one range."""
+    m = params.group_size
+    least = -(-gf256._CORES * _decode_part_min(params) // m)
+    count = max(1, num_shares // least)
+    cuts = [num_shares * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def check_fragments(frags: Sequence[Fragment]) -> None:
@@ -304,20 +327,35 @@ def _fragment_rows(data: np.ndarray, pi: np.ndarray, y: np.ndarray) -> None:
         last.take(pi, out=y[full], mode="clip")
 
 
-def _decode_rows(frags: tuple[Fragment, ...], pas: list[PermutationArray], out: np.ndarray) -> None:
-    """Write the (nf, k, bs) block rows: out[r, j] = s_j[r, pa_j] ^ sum_t x_r^t * s_{j+t}[r - 1].
+def _decode_chunk(params: CodecParams) -> int:
+    """Share rows per numpy call of the decode: about 256 KiB of output."""
+    return max(1, (1 << 18) // params.group_size)
+
+
+def _decode_part_min(params: CodecParams) -> int:
+    """The fewest output bytes a decode part covers: _DECODE_PART_MIN_BYTES, and
+    five times the part's scratch (rows, term and the intp lut: 10 bytes per
+    byte of a chunk's share rows of one fragment)."""
+    return max(_DECODE_PART_MIN_BYTES, 5 * 10 * _decode_chunk(params) * params.block_size)
+
+
+def _decode_rows(frags: tuple[Fragment, ...], pas: list[PermutationArray], out: np.ndarray,
+                 start: int) -> None:
+    """Write the (n, k, bs) block rows of share rows start .. start + n - 1:
+    out[r - start, j] = s_j[r, pa_j] ^ sum_t x_r^t * s_{j+t}[r - 1].
 
     The row before the first is each fragment's permutation share.  Each
     chunk of rows takes one gather per fragment from its share view, and one
     lookup per neighbor term into the flat product table, indexed
     x_r^t * 256 + s, since x changes from row to row.
     """
-    nf, k, bs = out.shape
-    c = frags[0].params.c
+    n, k, bs = out.shape
+    params = frags[0].params
+    c = params.c
     shares = [f.shares for f in frags]
     entries = [np.frombuffer(f.permutation_share.entries, dtype=np.uint8) for f in frags]
     perms = [np.frombuffer(pas[j % (k // c)].entries, dtype=np.uint8) for j in range(k)]
-    chunk = max(1, (1 << 18) // (k * bs))
+    chunk = _decode_chunk(params)
     # scales[t - 1][r % 254 + i] = 256 * x_{r+i}^t, for any chunk start r
     scales = [
         np.resize(EXP_TABLE[_X_LOGS * t % 255].astype(np.uint16) << 8, _X_PERIOD + chunk)
@@ -329,12 +367,12 @@ def _decode_rows(frags: tuple[Fragment, ...], pas: list[PermutationArray], out: 
         rows = np.empty((chunk, bs), dtype=np.uint8)
         term = np.empty((chunk, bs), dtype=np.uint8)
         lut = np.empty((chunk, bs), dtype=np.intp)  # the lookup's own index type
-        for r0 in range(lo * chunk, min(hi * chunk, nf), chunk):
-            r1 = min(r0 + chunk, nf)
+        for r0 in range(start + lo * chunk, start + min(hi * chunk, n), chunk):
+            r1 = min(r0 + chunk, start + n)
             a = max(r0, 1)  # the first row whose previous row is a share row
-            n, na = r1 - r0, r1 - a
+            nr, na = r1 - r0, r1 - a
             for j in range(k):
-                shares[j][r0:r1].take(perms[j], axis=1, out=rows[:n], mode="clip")
+                shares[j][r0:r1].take(perms[j], axis=1, out=rows[:nr], mode="clip")
                 for t, scale in enumerate(scales, 1):
                     parent = (j + t) % k
                     if r0 == 0:
@@ -342,12 +380,10 @@ def _decode_rows(frags: tuple[Fragment, ...], pas: list[PermutationArray], out: 
                     np.add(scale[a % _X_PERIOD :][:na, None], shares[parent][a - 1 : r1 - 1],
                            out=lut[:na])
                     products.take(lut[:na], out=term[:na], mode="clip")
-                    rows[a - r0 : n] ^= term[:na]
-                out[r0:r1, j] = rows[:n]
+                    rows[a - r0 : nr] ^= term[:na]
+                out[r0 - start : r1 - start, j] = rows[:nr]
 
-    # rows, term and the intp lut: 10 bytes of scratch per part and byte of a chunk's share rows
-    part_min = max(_DECODE_PART_MIN_BYTES, 5 * 10 * chunk * bs)
-    _run_parts(-(-nf // chunk), out.nbytes // part_min, chunks)
+    _run_parts(-(-n // chunk), out.nbytes // _decode_part_min(params), chunks)
 
 
 def _sweep(rows: np.ndarray, state: np.ndarray, parent_idx: np.ndarray, start: int) -> None:

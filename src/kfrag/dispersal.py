@@ -50,17 +50,21 @@ from .errors import IntegrityError, ParameterError, StorageError, ThresholdError
 from . import gf256, wire
 
 
-def write_files(files: dict[Path, bytes], dirs: Iterable[Path] = ()) -> list[Path]:
+def write_files(files: dict[Path, bytes | Iterable[bytes]],
+                dirs: Iterable[Path] = ()) -> list[Path]:
     """Write every file, creating missing directories, or leave all as they were.
 
-    The missing directories are made first: any of ``dirs`` and their parents,
-    then those of each file.  Each file then goes to a temporary
-    name in its own directory, the files split into parts as by
-    ``gf256._map_in_parts``, and only once all are written is each renamed into
-    place, in order, so the last one commits the set.  Returns the directories it
-    created, innermost first.  On failure it removes the temporaries and those
-    directories again, and the OSError names the file that could not be written,
-    not its temporary name."""
+    A file's content is one buffer, or an iterable of buffers written in order,
+    each let go of before the next is asked for.  The missing directories are
+    made first: any of ``dirs`` and their parents, then those of each file.
+    Each file then goes to a temporary name in its own directory, the files
+    split into parts as by ``gf256._map_in_parts`` by the bytes of their
+    single buffers, and only once all are written is each renamed into place,
+    in order, so the last one commits the set.  Returns the directories it
+    created, innermost first.  On failure, a content iterable's own error
+    included, it removes the temporaries and those directories again and
+    re-raises; an OSError names the file that could not be written, not its
+    temporary name."""
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
     made: list[Path] = []
 
@@ -71,8 +75,11 @@ def write_files(files: dict[Path, bytes], dirs: Iterable[Path] = ()) -> list[Pat
             made.insert(0, d)
 
     def write(path: Path) -> None:
-        with _naming(path):
-            temps[path].write_bytes(files[path])
+        content = files[path]
+        with _naming(path), open(temps[path], "wb") as fh:
+            for buf in [content] if _is_buffer(content) else content:
+                fh.write(buf)
+                del buf  # before the next buffer is made
 
     try:
         for directory in dirs:
@@ -80,7 +87,8 @@ def write_files(files: dict[Path, bytes], dirs: Iterable[Path] = ()) -> list[Pat
         for path in files:
             with _naming(path):
                 make(path.parent)
-        gf256._map_in_parts(write, list(files), sum(map(len, files.values())))
+        single = [len(content) for content in files.values() if _is_buffer(content)]
+        gf256._map_in_parts(write, list(files), sum(single))
         for path, tmp in temps.items():
             with _naming(path):
                 os.replace(tmp, path)
@@ -91,6 +99,15 @@ def write_files(files: dict[Path, bytes], dirs: Iterable[Path] = ()) -> list[Pat
         _remove_dirs(made)
         raise
     return made
+
+
+def _is_buffer(content) -> bool:
+    """Whether a file's content is one buffer, not an iterable of them."""
+    try:
+        memoryview(content)
+    except TypeError:
+        return False
+    return True
 
 
 @contextlib.contextmanager
@@ -145,7 +162,7 @@ class LocalDirectoryBackend:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._made: dict[str, list[Path]] = {}  # the directories each put created
+        self._made: list[Path] = []  # the directories puts created and no delete removed
 
     def _path(self, name: str) -> Path:
         path = (self.root / name).resolve()
@@ -158,7 +175,7 @@ class LocalDirectoryBackend:
         if path.exists():
             raise StorageError(f"object already exists: {name!r}")
         try:
-            self._made[name] = write_files({path: data})
+            self._made += write_files({path: data})
         except OSError as exc:
             raise StorageError(f"cannot write {name!r}: {exc}") from exc
 
@@ -169,11 +186,13 @@ class LocalDirectoryBackend:
         return read_file(path)
 
     def delete(self, name: str) -> None:
-        """Remove the object, and any directory its put created that is now empty."""
+        """Remove the object, and every directory a put created that is now empty,
+        whichever put created it."""
         path = self._path(name)
         if path.exists():
             path.unlink()
-        _remove_dirs(self._made.pop(name, []))
+        _remove_dirs(sorted(self._made, key=lambda d: len(d.parts), reverse=True))
+        self._made = [d for d in self._made if d.exists()]
 
 
 @dataclass(frozen=True)

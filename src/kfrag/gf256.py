@@ -12,9 +12,11 @@ decode bounds its own by its scratch).
 ``_map_in_parts`` maps a function over a list the same way; the file reads,
 writes and SHA-256 digests of ``dispersal`` use it (they release the lock
 too), and ``dispersal`` reads one large file and stores a set's objects in
-parts as well.  A loop run from inside a part runs as one part, on that
-part's thread: a file that would be read in parts on its own is read whole
-by a part of a loop over files, so no more threads run than there are cores.
+parts as well.  A loop run from inside one of two or more parts runs as one
+part, on that part's thread: a file that would be read in parts on its own
+is read whole by a part of a loop over files, so no more threads run than
+there are cores.  A loop run inside a lone part, such as the decode of a
+piece ``write_files`` writes as the only file, still runs in parts.
 """
 
 from __future__ import annotations
@@ -104,18 +106,19 @@ def _run_parts(n: int, parts: int, fn: Callable[[int, int], None]) -> None:
     """Run fn(lo, hi) over up to ``parts`` contiguous parts of range(n), one thread each.
 
     There is at least one part, and at most one per core and per item; a
-    loop run from inside a part is one part, so nested loops never start more
-    threads than there are cores.  The caller runs the first part itself and
-    joins every thread before it returns or re-raises the first exception a
-    part raised.
+    loop run from inside a part of a loop that runs in two or more parts is
+    one part, so nested loops never start more threads than there are cores,
+    while a loop inside a lone part may still use them all.  The caller runs
+    the first part itself and joins every thread before it returns or
+    re-raises the first exception a part raised.
     """
     nested = getattr(_inside, "part", False)
-    parts = 1 if nested else max(1, min(_CORES, n, parts))
+    parts = _part_count(n, parts)
     cuts = [n * i // parts for i in range(parts + 1)]
     errors: list[BaseException] = []
 
     def run(lo: int, hi: int) -> None:
-        _inside.part = True
+        _inside.part = nested or parts > 1
         try:
             fn(lo, hi)
         except BaseException as exc:  # re-raised on the caller below
@@ -134,6 +137,11 @@ def _run_parts(n: int, parts: int, fn: Callable[[int, int], None]) -> None:
         thread.join()
     if errors:
         raise errors[0]
+
+
+def _part_count(n: int, parts: int) -> int:
+    """The parts _run_parts runs range(n) in when asked for ``parts``."""
+    return 1 if getattr(_inside, "part", False) else max(1, min(_CORES, n, parts))
 
 
 def _map_in_parts(fn: Callable, items: list, nbytes: int) -> list:

@@ -616,29 +616,127 @@ def test_a_payload_that_does_not_fit_in_memory_exits_3_without_a_traceback(
     assert not (tmp_path / "again").exists() and not (tmp_path / "out.bin").exists()
 
 
-def test_a_join_from_8_mib_hashes_on_its_thread_while_another_writes(
+def test_a_join_from_8_mib_writes_on_its_thread_while_another_hashes(
     runner, tmp_path, monkeypatch
 ):
-    payload = os.urandom(2 * gf256._PART_MIN_BYTES + 5)
+    # 13 MiB at block 34 is two decode segments on two cores; each is written on
+    # this thread, where the next is decoded, while a second thread hashes it
     monkeypatch.setattr(gf256, "_CORES", 2)
-    _, out = _split(runner, tmp_path, payload)
-    threads = {}
+    hashed, writers = [], []
 
-    def on_thread(name, fn):
-        def wrapper(*args):
-            threads[name] = threading.current_thread()
-            return fn(*args)
-        return wrapper
+    class Sha256:
+        def __init__(self):
+            self.sha = hashlib.sha256()
 
-    monkeypatch.setattr(cli, "hashlib", SimpleNamespace(sha256=on_thread("hash", hashlib.sha256)))
-    monkeypatch.setattr(dispersal, "write_files", on_thread("write", dispersal.write_files))
-    joined = tmp_path / "back.bin"
-    result = _invoke(runner, "join", "--manifest", str(out / "manifest.json"),
-                     "--out", str(joined))
-    assert result.stdout.strip() == hashlib.sha256(payload).hexdigest()
-    assert joined.read_bytes() == payload
-    assert threads["hash"] is threading.main_thread()
-    assert threads["write"] is not threading.main_thread()
+        def update(self, piece):
+            hashed.append((len(piece), threading.current_thread()))
+            self.sha.update(piece)
+
+        def hexdigest(self):
+            return self.sha.hexdigest()
+
+    write_files = dispersal.write_files
+
+    def on_thread(*args):
+        writers.append(threading.current_thread())
+        return write_files(*args)
+
+    monkeypatch.setattr(cli, "hashlib", SimpleNamespace(sha256=Sha256))
+    monkeypatch.setattr(dispersal, "write_files", on_thread)
+    # below 8 MiB both stay on this thread, as the digest and the write did before
+    for size, beside in ((13 << 20, True), (2 * gf256._PART_MIN_BYTES - 1, False)):
+        payload = os.urandom(size)
+        where = tmp_path / str(size)
+        where.mkdir()
+        _, out = _split(runner, where, payload)
+        hashed.clear()
+        writers.clear()
+        joined = where / "back.bin"
+        result = _invoke(runner, "join", "--manifest", str(out / "manifest.json"),
+                         "--out", str(joined))
+        assert result.stdout.strip() == hashlib.sha256(payload).hexdigest()
+        assert joined.read_bytes() == payload
+        assert writers == [threading.main_thread()]
+        assert len(hashed) == (2 if beside else 1)
+        assert sum(n for n, _ in hashed) == size
+        assert all((thread is threading.main_thread()) is not beside for _, thread in hashed)
+
+
+def test_a_join_whose_write_fails_midway_leaves_no_file_and_no_thread(
+    runner, tmp_path, monkeypatch
+):
+    # the disk fills after the first of two segments, while a second thread hashes it;
+    # the thread is joined before the command ends (the autouse fixture checks)
+    monkeypatch.setattr(gf256, "_CORES", 2)
+    _, out = _split(runner, tmp_path, os.urandom(13 << 20))
+
+    class Full:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, buf):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(28, "No space left on device", "ignored")
+            return self.fh.write(buf)
+
+    def filling(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        return Full(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(dispersal, "open", filling, raising=False)
+    result = runner.invoke(main, ["join", "--manifest", str(out / "manifest.json"),
+                                  "--out", str(tmp_path / "new" / "back.bin")])
+    assert result.exit_code == 3
+    assert str(Path("new", "back.bin")) in result.stderr
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("k,c", [(4, 2), (6, 3), (8, 4)])
+def test_a_join_of_several_segments_gives_the_payload_and_its_digest(
+    runner, tmp_path, monkeypatch, k, c
+):
+    monkeypatch.setattr(gf256, "_CORES", 1)
+    payload = os.urandom((7 << 20) + 13)
+    src = tmp_path / "in.bin"
+    src.write_bytes(payload)
+    out = tmp_path / "frags"
+    _invoke(runner, "split", "--in", str(src), "--out", str(out), "--k", str(k), "--c", str(c),
+            "--block-size", "16")
+    params = codec.CodecParams(k, c, 16)
+    rows = codec.padded_length(len(payload), params) // params.group_size
+    assert len(codec.decode_segments(params, rows)) >= 2
+    digest = hashlib.sha256(payload).hexdigest()
+    for args in (["--manifest", str(out / "manifest.json")],
+                 ["--frags", *(str(out / f"f{j}.kfrg") for j in range(k))]):
+        joined = tmp_path / "back.bin"
+        result = _invoke(runner, "join", *args, "--out", str(joined))
+        assert result.stdout.strip() == digest
+        assert joined.read_bytes() == payload
+        joined.unlink()
+
+
+def test_join_holds_the_files_and_one_segment(runner, tmp_path, monkeypatch):
+    # 24 MiB on two cores: three segments of about 8 MiB; holding the whole
+    # output beside the files, as a join once did, would peak at twice the payload
+    monkeypatch.setattr(gf256, "_CORES", 2)
+    size = 24 << 20
+    (tmp_path / "in.bin").write_bytes(os.urandom(size))
+    _invoke(runner, "split", "--in", str(tmp_path / "in.bin"), "--out", str(tmp_path / "frags"))
+    tracemalloc.start()
+    try:
+        _invoke(runner, "join", "--manifest", str(tmp_path / "frags" / "manifest.json"),
+                "--out", str(tmp_path / "back.bin"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * size
 
 
 def test_a_failed_write_names_its_target_not_its_temporary_file(runner, tmp_path):

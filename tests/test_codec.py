@@ -441,6 +441,68 @@ def test_encode_and_decode_hold_few_copies_of_the_payload(k, c, monkeypatch, rng
     assert max(decode_peaks.values()) <= 1.25 * len(data), decode_peaks
 
 
+def _cuts(nf, body):
+    """Lists of row cuts, each covering range(nf): ranges from row 0, ranges ending
+    on the zero-padded last row, one-row ranges, and ranges either side of the
+    scan's last batch (``body``, 0 when the scan does not run)."""
+    cuts = [[0, nf], [0, 1, nf], [0, nf - 1, nf], [0, 1, 2, nf - 2, nf - 1, nf],
+            [0, nf // 3, 2 * nf // 3, nf]]
+    if body:
+        cuts += [[0, body, nf], [0, body - 1, body + 1, nf], [0, 1, body - 1, body, nf]]
+    return cuts
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+def test_decode_pieces_join_to_the_whole_payload(cores, monkeypatch, rng):
+    monkeypatch.setattr(gf256, "_CORES", cores)
+    # c = 2 with the scan (body > 0) and without, c = 3 and 4; each last row
+    # zero-padded; the last shape spans two decode parts from row 1 on
+    cases = [(4, 2, 16, 1000, 5), (4, 2, 16, 300, 1), (6, 3, 34, 700, 1),
+             (8, 4, 16, 530, 100), (4, 2, 250, 9000, 77)]
+    for k, c, bs, nf, short in cases:
+        params = CodecParams(k, c, bs)
+        m = params.group_size
+        data = rng.randbytes(nf * m - short)
+        frags = encode_data(data, params, rng)
+        body = len(data) // (254 * m) * 254 if c == 2 and nf >= codec._SCAN_MIN_ROWS else 0
+        assert body or (k, nf) != (4, 1000)
+        for cuts in [*_cuts(nf, body), [0, 1, nf - 1, nf]]:
+            pieces = [decode_data(frags, range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+            assert b"".join(pieces) == data, (k, c, bs, nf, cuts)
+            assert all(len(piece) == (hi - lo) * m
+                       for piece, lo, hi in zip(pieces, cuts, cuts[1:-1]))
+
+
+def test_decode_rejects_a_range_outside_the_share_rows(rng):
+    frags = encode_data(rng.randbytes(1000), CodecParams(2, 2, 16), rng)  # 32 rows
+    for rows in (range(0, 33), range(-1, 3), range(5, 3), range(0, 32, 2)):
+        with pytest.raises(ParameterError, match="share rows"):
+            decode_data(frags, rows)
+    assert decode_data(frags, range(32, 32)) == b""
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+def test_decode_segments_are_equal_and_each_decodes_on_every_core(cores, monkeypatch):
+    monkeypatch.setattr(gf256, "_CORES", cores)
+    for params in (CodecParams(4, 2, 250), CodecParams(8, 4, 16), CodecParams(16, 2, 250)):
+        m = params.group_size
+        least = -(-cores * codec._decode_part_min(params) // m)
+        for nf in (1, least - 1, least, 2 * least - 1, 2 * least, 7 * least + 3):
+            segments = codec.decode_segments(params, nf)
+            assert [r.start for r in segments[1:]] == [r.stop for r in segments[:-1]]
+            assert (segments[0].start, segments[-1].stop) == (0, nf)
+            lengths = {len(r) for r in segments}
+            assert max(lengths) - min(lengths) <= 1
+            if len(segments) > 1:
+                assert min(lengths) >= least
+            assert len(segments) == max(1, nf // least)
+            # so each segment's decode runs in as many parts as there are cores
+            assert min(lengths) * m // codec._decode_part_min(params) >= cores or nf < least
+    # (4,2,250) on 2 cores: 6.25 MiB segments
+    monkeypatch.setattr(gf256, "_CORES", 2)
+    assert 2 * codec._decode_part_min(CodecParams(4, 2, 250)) == 6_550_000
+
+
 # ---------------------------------------------------------------------------
 # threads
 # ---------------------------------------------------------------------------

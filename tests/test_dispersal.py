@@ -389,6 +389,80 @@ def test_write_files_in_parts_writes_all_or_none(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_backend_removes_a_run_directory_when_its_objects_are_deleted_first_stored_first(
+        tmp_path):
+    backend = LocalDirectoryBackend(tmp_path / "site")
+    backend.put("run/f0.kfrg", b"zero")  # makes site/ and run/
+    backend.put("run/f2.kfrg", b"two")
+    backend.put("other/f1.kfrg", b"one")
+    backend.delete("run/f0.kfrg")
+    assert (tmp_path / "site" / "run").is_dir()  # f2 is still in it
+    backend.delete("run/f2.kfrg")
+    assert _objects(tmp_path) == ["site/other/f1.kfrg"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["f1.kfrg", "other", "site"]
+    backend.delete("other/f1.kfrg")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_files_writes_a_series_of_buffers_in_order(tmp_path):
+    target = tmp_path / "new" / "out.bin"
+    pieces = [b"ab", memoryview(b"cde"), bytearray(b""), b"f"]
+    assert write_files({target: iter(pieces), tmp_path / "m.json": b"{}"}) == [tmp_path / "new"]
+    assert target.read_bytes() == b"abcdef"
+
+
+def test_write_files_leaves_nothing_when_a_series_of_buffers_raises(tmp_path):
+    old = tmp_path / "old.bin"
+    old.write_bytes(b"old")
+
+    def pieces():
+        yield b"first"
+        yield b"second"
+        raise ValueError("the producer failed")
+
+    with pytest.raises(ValueError, match="the producer failed"):
+        write_files({tmp_path / "a" / "b" / "out.bin": pieces(), old: b"new"})
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["old.bin"]
+    assert old.read_bytes() == b"old"
+
+
+_REFUSED_STREAM = """
+import json, resource, signal, sys
+from pathlib import Path
+from kfrag.dispersal import write_files
+root = Path(sys.argv[1])
+made = []
+
+def pieces():
+    for i in range(8):  # 8 MiB in pieces of 1 MiB
+        made.append(i)
+        yield bytes(1 << 20)
+
+# set after the imports: a limit in force while they run truncates .pyc files
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (5 << 20, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    write_files({root / "new" / "a" / "out.bin": pieces()})
+except OSError as exc:
+    print(json.dumps({"filename": exc.filename, "pieces": len(made)}))
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_write_files_of_a_series_of_buffers_cut_short_writes_none(tmp_path):
+    # the file-size limit refuses the sixth piece of 1 MiB
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(kfrag.__file__).resolve().parent.parent)}
+    child = subprocess.run([sys.executable, "-c", _REFUSED_STREAM, str(tmp_path)],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == {"filename": str(tmp_path / "new" / "a" / "out.bin"),
+                                        "pieces": 6}
+    # no temporary, no file and none of the directories it made
+    assert list(tmp_path.iterdir()) == []
+
+
 _DISK_WRITES = {"write_bytes", "write_text", "mkdir", "makedirs"}
 _DISK_READS = {"read_bytes", "read_text"}
 

@@ -2,7 +2,7 @@
 
 Every scheme's files, and the proposed scheme's parity files, are damaged by
 bit flips, truncation, header-byte overwrites, appended bytes and dropped
-files, then joined with ``cli.join_files``, as ``kfrag join --frags`` does:
+files, then loaded with ``cli.load_files`` and joined, as ``kfrag join --frags`` does:
 the parity files rebuild lost fragment files through ``dispersal.rebuild``,
 and the fragments join through the scheme table.  Files that no longer
 parse with ``wire.load_any`` are left out of the join, so the join also sees
@@ -71,6 +71,6 @@ def test_damaged_files_raise_only_fragmentation_errors(blobs):
             continue
         parsed.append(blob)
     try:
-        cli.join_files(parsed)
+        cli.join(cli.load_files(parsed))
     except FragmentationError:
         pass

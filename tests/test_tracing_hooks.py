@@ -11,7 +11,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from kfrag import cli, dispersal, wire
+from kfrag import cli, codec, dispersal, gf256, wire
 from kfrag.codec import CodecParams
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -65,3 +65,32 @@ def test_split_and_parity_join_run_through_the_traced_names(tmp_path):
     assert (rec.calls["wire.dump"], rec.calls["wire.load"]) == (6, 6), rec.calls
     for name in ("codec.encode", "codec.decode", "erasure.encode", "erasure.decode"):
         assert rec.calls[name] == 1, (name, rec.calls)
+
+
+def test_join_traces_one_decode_per_segment(tmp_path, monkeypatch):
+    # the traced codec.decode spans and bytes of a join add up over its segments
+    tracing = _tracing()
+    monkeypatch.setattr(gf256, "_CORES", 1)
+    size = 10 << 20
+    params = CodecParams(4, 2, 250)
+    segments = codec.decode_segments(params, codec.padded_length(size, params) // 1000)
+    assert len(segments) >= 3
+    src = tmp_path / "in.bin"
+    src.write_bytes(os.urandom(size))
+    out = tmp_path / "frags"
+    runner = CliRunner()
+
+    def kfrag(*args):
+        result = runner.invoke(cli.main, list(args), catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+
+    kfrag("split", "--in", str(src), "--out", str(out))
+    rec = tracing.Recorder()
+    with tracing.installed(rec):
+        kfrag("join", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / "back"))
+    assert (tmp_path / "back").read_bytes() == src.read_bytes()
+    spans = [span for span in rec.spans if span[0] == "codec.decode"]
+    assert len(spans) == rec.calls["codec.decode"] == len(segments)
+    assert rec.bytes["codec.decode"] == size
+    # one after another, on the join's thread
+    assert all(a[2] <= b[1] for a, b in zip(spans, spans[1:]))
