@@ -109,11 +109,10 @@ def reconstruct_permutation(shares: list[PermutationShare], c: int) -> Permutati
         raise ParameterError(f"shares belong to different arrays: {sorted(arrays)}")
     if sorted(s.share_index for s in shares) != list(range(c)):
         raise ParameterError("share indices must cover 0..c-1 exactly once")
-    acc = bytearray(len(shares[0]))
+    acc = 0  # the shares XORed as one big integer each
     for share in shares:
-        for i, b in enumerate(share.entries):
-            acc[i] ^= b
+        acc ^= int.from_bytes(share.entries, "big")
     try:
-        return PermutationArray(bytes(acc))
+        return PermutationArray(acc.to_bytes(len(shares[0]), "big"))
     except IntegrityError:
         raise IntegrityError("corrupted permutation shares") from None
