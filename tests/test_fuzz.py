@@ -2,9 +2,10 @@
 
 Every scheme's files, and the proposed scheme's parity files, are damaged by
 bit flips, truncation, header-byte overwrites, appended bytes and dropped
-files, then loaded with ``cli.load_files`` and joined, as ``kfrag join --frags`` does:
-the parity files rebuild lost fragment files through ``dispersal.rebuild``,
-and the fragments join through the scheme table.  Files that no longer
+files, then loaded with ``cli.load_files`` and joined with ``cli.join_pieces``, as
+``kfrag join --frags`` does: the parity files rebuild lost fragment files
+through ``dispersal.rebuild``, and the fragments join in decode segments, or
+through the scheme table for a baseline.  Files that no longer
 parse with ``wire.load_any`` are left out of the join, so the join also sees
 sets short of their threshold.  A damaged
 set may still join to wrong bytes: only fragments with a digest in the
@@ -71,6 +72,7 @@ def test_damaged_files_raise_only_fragmentation_errors(blobs):
             continue
         parsed.append(blob)
     try:
-        cli.join(cli.load_files(parsed))
+        _, pieces = cli.join_pieces(cli.load_files(parsed))
+        b"".join(pieces)
     except FragmentationError:
         pass

@@ -155,6 +155,22 @@ def test_a_loop_run_inside_a_part_runs_as_one_part_on_its_thread(monkeypatch):
     assert sorted(seen) == [(0, 5), (5, 10)]
 
 
+def test_a_loop_run_inside_a_lone_part_runs_in_parts(monkeypatch):
+    # as the decode of the one file write_files writes does: no other part's
+    # thread is running, so the inner loop may use every core
+    monkeypatch.setattr(gf256, "_CORES", 2)
+    inner = []
+
+    def part(lo, hi):
+        gf256._in_parts(10, 4 * gf256._PART_MIN_BYTES,
+                        lambda ilo, ihi: inner.append((ilo, ihi, threading.current_thread())))
+
+    gf256._in_parts(1, 4 * gf256._PART_MIN_BYTES, part)
+    inner.sort(key=lambda call: call[0])
+    assert [call[:2] for call in inner] == [(0, 5), (5, 10)]
+    assert inner[0][2] is threading.main_thread() is not inner[1][2]
+
+
 def test_matmul_in_parts_gives_the_bytes_of_one_core(monkeypatch):
     gen = np.random.default_rng(7)
     k, n = 6, 3
