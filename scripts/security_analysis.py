@@ -51,7 +51,8 @@ def main() -> None:
             reports = analysis.analyze_fragments(frags, data)
             path = args.out / f"report_{scheme}_s{s}.json"
             analysis.write_report_json(path, scheme, params, reports)
-            analysis.write_recurrence_csv(args.out / f"recurrence_{scheme}_s{s}.csv", reports[0])
+            pairs = analysis.recurrence(analysis.measurable_bytes(frags[0]))
+            analysis.write_recurrence_csv(args.out / f"recurrence_{scheme}_s{s}.csv", pairs)
             analysis.write_pdf_csv(args.out / f"pdf_{scheme}_s{s}.csv", reports[0])
             worst = max(reports, key=lambda r: r.chi2)
             print(f"{scheme:10s} {s:6d} {min(r.entropy for r in reports):9.4f} "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +112,6 @@ class SchemeReport:
     pdf: np.ndarray
     bit_difference: float
     correlations: list[float]
-    recurrence: list[tuple[int, int]] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -136,11 +135,7 @@ def measurable_bytes(fragment) -> bytes:
     return bytes(data)
 
 
-def analyze_fragments(
-    fragments,
-    original: bytes,
-    include_recurrence: bool = True,
-) -> list[SchemeReport]:
+def analyze_fragments(fragments, original: bytes) -> list[SchemeReport]:
     """Run every measurement on each fragment's data bytes.
 
     Bit difference against the original compares over the common prefix, as
@@ -167,7 +162,6 @@ def analyze_fragments(
                 pdf=pdf(blob),
                 bit_difference=bit_difference(blob[:cut], original[:cut]),
                 correlations=corr[i],
-                recurrence=recurrence(blob) if include_recurrence else None,
             )
         )
     return reports
@@ -179,11 +173,10 @@ def write_report_json(path: str | Path, scheme: str, params: dict, reports: list
     write_files({Path(path): json.dumps(doc, indent=2).encode()})
 
 
-def write_recurrence_csv(path: str | Path, report: SchemeReport) -> None:
-    if report.recurrence is None:
-        raise ParameterError("report carries no recurrence pairs")
+def write_recurrence_csv(path: str | Path, pairs: list[tuple[int, int]]) -> None:
+    """The pairs of ``recurrence``, one per line."""
     lines = ["value,delayed_value"]
-    lines += [f"{x},{y}" for x, y in report.recurrence]
+    lines += [f"{x},{y}" for x, y in pairs]
     write_files({Path(path): ("\n".join(lines) + "\n").encode()})
 
 

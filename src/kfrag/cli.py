@@ -3,18 +3,17 @@
 Exit codes form the scripting contract: 0 success, 2 parameter errors,
 3 I/O and backend errors and payloads that do not fit in memory, 4 threshold
 (missing fragments), 5 integrity failures.  Data goes to stdout, diagnostics
-to stderr.  Setting FRAG_RNG_SEED forces deterministic randomness
-(golden-file tests only).
+to stderr.  Every split draws its permutations from the operating system's
+CSPRNG (``random.SystemRandom``); nothing in the environment can seed it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
+import random
 import sys
-import threading
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path, PurePosixPath
 
@@ -30,7 +29,6 @@ from .erasure import ParityParams, parity_fragments, rs_decode  # noqa: F401
 from .errors import (
     FragmentationError, IntegrityError, ParameterError, StorageError, ThresholdError,
 )
-from .rng import rng_from_env
 
 EXIT_PARAMETER = 2
 EXIT_IO = 3
@@ -236,7 +234,7 @@ def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: in
     n = k if n is None else n
     data = dispersal.read_file(in_path)
     chosen = SchemeId(scheme)
-    frags = split(chosen, data, k, n, c, block_size, rng_from_env())
+    frags = split(chosen, data, k, n, c, block_size, random.SystemRandom())
     # the fragments hold the payload now: free the input before the files are
     # dumped, and the fragments once they are
     payload_length = len(data)
@@ -283,9 +281,11 @@ def cmd_join(
     """Reassemble the original file; prints its SHA-256 digest.
 
     Fragment files are given as ``--frags FILE [FILE ...]``.  The output is
-    written in the pieces of ``join_pieces``: each is decoded, then hashed
-    while it is written, then dropped, so the proposed scheme's join holds
-    its fragment files and one decode segment of output.
+    written in the pieces of ``join_pieces``: each is decoded, then written
+    on this thread and hashed, as the two items of one
+    ``gf256._map_in_parts`` (the hash runs on a second thread from 8 MiB of
+    output), then dropped, so the proposed scheme's join holds its fragment
+    files and one decode segment of output.
     """
     frag_paths = ((first_frag,) if first_frag else ()) + tuple(more_frags)
     if manifest_path is None and not frag_paths:
@@ -301,39 +301,15 @@ def cmd_join(
         loaded = load_files([dispersal.read_file(path) for path in frag_paths])
     length, pieces = join_pieces(loaded)
     sha = hashlib.sha256()
-    # the digest runs beside the write whenever the output would take two parts
-    beside = gf256._part_count(2, length // gf256._PART_MIN_BYTES) == 2
-    with contextlib.closing(_hashed(pieces, sha, beside)) as hashed:  # joins its thread
-        dispersal.write_files({out_path: hashed})
+
+    def write(fh) -> None:
+        for piece in pieces:
+            gf256._map_in_parts(lambda job: job(piece), [fh.write, sha.update], length)
+            del piece  # before the next piece is decoded
+
+    dispersal.write_files({out_path: write})
     _note(f"wrote {length} bytes to {out_path}")
     click.echo(sha.hexdigest())
-
-
-def _hashed(pieces: Iterable, sha, beside: bool) -> Iterator:
-    """Each piece, fed to ``sha`` while the caller writes it: on a second thread
-    when ``beside``, else before it is handed on.  No piece is held past its write."""
-    for piece in pieces:
-        if beside:
-            errors: list[BaseException] = []
-            hashing = threading.Thread(target=_update, args=(sha, piece, errors))
-            hashing.start()
-            try:
-                yield piece
-            finally:
-                hashing.join()
-            if errors:
-                raise errors[0]
-        else:
-            sha.update(piece)
-            yield piece
-        del piece  # before the next piece is decoded
-
-
-def _update(sha, piece, errors: list[BaseException]) -> None:
-    try:
-        sha.update(piece)
-    except BaseException as exc:  # re-raised on the writer's thread
-        errors.append(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +411,8 @@ def cmd_analyze(in_path: Path, scheme: str, k: int, c: int, block_size: int, n: 
     """Fragment a file in memory and measure fragment statistics."""
     data = dispersal.read_file(in_path)
     n = k if n is None else n
-    fragments = split(SchemeId(scheme), data, k, n, c, block_size, rng_from_env())
-    reports = analysis.analyze_fragments(fragments, data, include_recurrence=False)
+    fragments = split(SchemeId(scheme), data, k, n, c, block_size, random.SystemRandom())
+    reports = analysis.analyze_fragments(fragments, data)
     params = {"k": k, "c": c, "block_size": block_size, "n": n}
     analysis.write_report_json(report_path, scheme, params, reports)
     _note(f"report written to {report_path}")
@@ -488,6 +464,10 @@ def cmd_bench(grid_spec, schemes_spec, payload_mb, reps, warmup, out_path):
     """Measure fragmentation/defragmentation throughput on random payloads."""
     from . import bench  # bench reads the scheme table from this module
 
+    json_path = out_path.with_suffix(".json") if out_path else None
+    if out_path and json_path == out_path:
+        raise ParameterError(f"--out {out_path} is where the JSON results go;"
+                             " give the CSV another suffix")
     try:
         schemes = [SchemeId(s.strip()) for s in schemes_spec.split(",") if s.strip()]
     except ValueError as exc:
@@ -500,11 +480,7 @@ def cmd_bench(grid_spec, schemes_spec, payload_mb, reps, warmup, out_path):
         grid=_parse_grid(grid_spec) if grid_spec else list(bench.DEFAULT_GRID),
     )
     results = bench.run_bench(cfg)
-    csv_text = bench.emit_results(
-        results,
-        csv_path=out_path,
-        json_path=out_path.with_suffix(".json") if out_path else None,
-    )
+    csv_text = bench.emit_results(results, csv_path=out_path, json_path=json_path)
     if out_path:
         _note(f"results written to {out_path}")
     click.echo(csv_text, nl=False)

@@ -22,17 +22,21 @@ Every file it reads, but for the JSON manifests, comes in through ``read_file``:
 into one numpy buffer, filled in place and returned read-only.
 
 A site is its backend, and its index is its position in the list of sites.
-A local-directory backend ships by default; any object with put/get/delete
-can stand in for a real object store, as long as ``get`` may run on several
-threads at once (``fetch`` reads large sets in parts).  The manifest stays
-on the client: placing it at any provider would hand that provider the
-layout.
+A local-directory backend ships by default.  Another object with
+put/get/delete can stand in for a real object store as long as ``get`` may
+run on several threads at once (``fetch`` reads large sets in parts), and,
+for ``store``, as long as it has a ``root`` directory: ``store`` makes each
+site's root and refuses two sites whose roots are one directory or lie one
+inside the other, since one provider would then hold the rows of two sites.
+The manifest stays on the client: placing it at any provider would hand
+that provider the layout.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import stat
@@ -41,6 +45,7 @@ import uuid
 from collections.abc import Callable, Iterable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -50,21 +55,20 @@ from .errors import IntegrityError, ParameterError, StorageError, ThresholdError
 from . import gf256, wire
 
 
-def write_files(files: dict[Path, bytes | Iterable[bytes]],
+def write_files(files: dict[Path, bytes | Callable[[BinaryIO], object]],
                 dirs: Iterable[Path] = ()) -> list[Path]:
     """Write every file, creating missing directories, or leave all as they were.
 
-    A file's content is one buffer, or an iterable of buffers written in order,
-    each let go of before the next is asked for.  The missing directories are
-    made first: any of ``dirs`` and their parents, then those of each file.
-    Each file then goes to a temporary name in its own directory, the files
-    split into parts as by ``gf256._map_in_parts`` by the bytes of their
-    single buffers, and only once all are written is each renamed into place,
-    in order, so the last one commits the set.  Returns the directories it
-    created, innermost first.  On failure, a content iterable's own error
-    included, it removes the temporaries and those directories again and
-    re-raises; an OSError names the file that could not be written, not its
-    temporary name."""
+    A file's content is one buffer, or a function that writes the file into
+    the open temporary it is handed.  The missing directories are made first:
+    any of ``dirs`` and their parents, then those of each file.  Each file
+    then goes to a temporary name in its own directory, the files split into
+    parts as by ``gf256._map_in_parts`` by the bytes of their buffers, and
+    only once all are written is each renamed into place, in order, so the
+    last one commits the set.  Returns the directories it created, innermost
+    first.  On failure, a content function's own error included, it removes
+    the temporaries and those directories again and re-raises; an OSError
+    names the file that could not be written, not its temporary name."""
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
     made: list[Path] = []
 
@@ -77,9 +81,10 @@ def write_files(files: dict[Path, bytes | Iterable[bytes]],
     def write(path: Path) -> None:
         content = files[path]
         with _naming(path), open(temps[path], "wb") as fh:
-            for buf in [content] if _is_buffer(content) else content:
-                fh.write(buf)
-                del buf  # before the next buffer is made
+            if callable(content):
+                content(fh)
+            else:
+                fh.write(content)
 
     try:
         for directory in dirs:
@@ -87,8 +92,8 @@ def write_files(files: dict[Path, bytes | Iterable[bytes]],
         for path in files:
             with _naming(path):
                 make(path.parent)
-        single = [len(content) for content in files.values() if _is_buffer(content)]
-        gf256._map_in_parts(write, list(files), sum(single))
+        buffers = [len(content) for content in files.values() if not callable(content)]
+        gf256._map_in_parts(write, list(files), sum(buffers))
         for path, tmp in temps.items():
             with _naming(path):
                 os.replace(tmp, path)
@@ -99,15 +104,6 @@ def write_files(files: dict[Path, bytes | Iterable[bytes]],
         _remove_dirs(made)
         raise
     return made
-
-
-def _is_buffer(content) -> bool:
-    """Whether a file's content is one buffer, not an iterable of them."""
-    try:
-        memoryview(content)
-    except TypeError:
-        return False
-    return True
 
 
 @contextlib.contextmanager
@@ -388,10 +384,12 @@ def store(
     Data fragment j goes to site j mod c and every parity file to one
     dedicated extra site appended after the c primary sites.  The returned
     manifest keeps the split manifest's digests and adds site and run id;
-    ``record`` is handed it to save it.  Any missing site directory is made
-    first, with its missing parents, on the calling thread; the puts then run
-    in parts as by ``gf256._in_parts``, those of one site directory in order
-    in one part, so no two threads make one directory.  When a put or
+    ``record`` is handed it to save it.  Sites whose directories are one
+    directory or lie one inside the other are a ParameterError, before
+    anything is made.  Any missing site directory is made first, with its
+    missing parents, on the calling thread; the puts then run in parts as by
+    ``gf256._in_parts``, those of one site in order in one part, so no two
+    threads make one directory.  When a put or
     ``record`` fails, once every part has ended the objects written are
     removed, each site's last first, with the directories their puts created,
     then the site directories made here, and no manifest is produced; a
@@ -401,6 +399,11 @@ def store(
     expected = site_count(manifest)
     if len(sites) != expected:
         raise ParameterError(f"expected {expected} sites, got {len(sites)}")
+    roots = [site.root.resolve() for site in sites]
+    for (i, outer), (j, inner) in itertools.permutations(enumerate(roots), 2):
+        if inner.is_relative_to(outer):
+            raise ParameterError(f"sites {i} and {j} overlap: "
+                                 f"{sites[j].root} is or lies in {sites[i].root}")
     assignment = assign_sites(manifest.k, manifest.c)
     run = run_id or uuid.uuid4().hex[:12]
     placed = [
@@ -409,12 +412,9 @@ def store(
         for entry in manifest.fragments
     ]
 
-    # one part per site directory, its puts in order: no two threads make one run directory
-    roots = [site.root.resolve() for site in sites]
-    by_dir: dict[Path, list[tuple[ManifestEntry, ManifestEntry]]] = {}
-    for entry, dest in zip(manifest.fragments, placed):
-        by_dir.setdefault(roots[dest.site], []).append((entry, dest))
-    groups = list(by_dir.values())
+    # one part per site, its puts in order: no two threads make one run directory
+    pairs = list(zip(manifest.fragments, placed))
+    groups = [[(e, dest) for e, dest in pairs if dest.site == i] for i in range(len(sites))]
     written: list[ManifestEntry] = []
     made: list[Path] = []  # the site directories and their parents made here, innermost first
 

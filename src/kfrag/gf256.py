@@ -11,12 +11,14 @@ lookups and XORs); ``matmul`` and the codec's row loops use it, and
 decode bounds its own by its scratch).
 ``_map_in_parts`` maps a function over a list the same way; the file reads,
 writes and SHA-256 digests of ``dispersal`` use it (they release the lock
-too), and ``dispersal`` reads one large file and stores a set's objects in
-parts as well.  A loop run from inside one of two or more parts runs as one
+too), as does ``join``, which writes each piece of its output while a second
+part hashes it.  ``dispersal`` reads one large file and stores a set's objects
+in parts as well.  A loop run from inside one of two or more parts runs as one
 part, on that part's thread: a file that would be read in parts on its own
 is read whole by a part of a loop over files, so no more threads run than
 there are cores.  A loop run inside a lone part, such as the decode of a
-piece ``write_files`` writes as the only file, still runs in parts.
+piece ``write_files`` writes as the only file, still runs in parts.  Every
+thread kfrag starts is started here.
 """
 
 from __future__ import annotations
@@ -105,15 +107,16 @@ def _in_parts(n: int, nbytes: int, fn: Callable[[int, int], None]) -> None:
 def _run_parts(n: int, parts: int, fn: Callable[[int, int], None]) -> None:
     """Run fn(lo, hi) over up to ``parts`` contiguous parts of range(n), one thread each.
 
-    There is at least one part, and at most one per core and per item; a
-    loop run from inside a part of a loop that runs in two or more parts is
-    one part, so nested loops never start more threads than there are cores,
-    while a loop inside a lone part may still use them all.  The caller runs
-    the first part itself and joins every thread before it returns or
-    re-raises the first exception a part raised.
+    This is kfrag's one part policy.  There is at least one part, and at
+    most one per core and per item; a loop run from inside a part of a loop
+    that runs in two or more parts is one part, so nested loops never start
+    more threads than there are cores, while a loop inside a lone part may
+    still use them all.  The caller runs the first part itself and joins
+    every thread before it returns or re-raises the first exception a part
+    raised.
     """
     nested = getattr(_inside, "part", False)
-    parts = _part_count(n, parts)
+    parts = 1 if nested else max(1, min(_CORES, n, parts))
     cuts = [n * i // parts for i in range(parts + 1)]
     errors: list[BaseException] = []
 
@@ -137,11 +140,6 @@ def _run_parts(n: int, parts: int, fn: Callable[[int, int], None]) -> None:
         thread.join()
     if errors:
         raise errors[0]
-
-
-def _part_count(n: int, parts: int) -> int:
-    """The parts _run_parts runs range(n) in when asked for ``parts``."""
-    return 1 if getattr(_inside, "part", False) else max(1, min(_CORES, n, parts))
 
 
 def _map_in_parts(fn: Callable, items: list, nbytes: int) -> list:

@@ -201,7 +201,7 @@ def test_recurrence_of_text_is_banded(rng):
 def test_analyze_fragments_excludes_headers_and_permutation_share(rng):
     data = text_sample(50_000, seed=9)
     fragset = encode_data(data, CodecParams(2, 2, 34), rng)
-    reports = analyze_fragments(fragset, data, include_recurrence=False)
+    reports = analyze_fragments(fragset, data)
     for frag, report in zip(fragset, reports):
         direct = frag.shares.tobytes()
         assert report.entropy == pytest.approx(entropy(direct))
@@ -210,10 +210,10 @@ def test_analyze_fragments_excludes_headers_and_permutation_share(rng):
 
 def test_analyze_fragments_ida_fails_on_periodic_proposed_passes(rng):
     data = periodic_sample(60_000, period=32, seed=4)
-    ida_reports = analyze_fragments(ida_split(data, 4, 4), data, include_recurrence=False)
+    ida_reports = analyze_fragments(ida_split(data, 4, 4), data)
     assert all(not r.chi2_pass for r in ida_reports)
     proposed = encode_data(data, CodecParams(4, 2, 34), rng)
-    prop_reports = analyze_fragments(proposed, data, include_recurrence=False)
+    prop_reports = analyze_fragments(proposed, data)
     assert all(r.chi2_pass for r in prop_reports)
 
 
@@ -222,10 +222,8 @@ def test_entropy_comparable_to_encrypted_dispersal(rng):
     from kfrag.baselines import ssms_split
 
     data = text_sample(100_000, seed=15)
-    ours = analyze_fragments(
-        encode_data(data, CodecParams(4, 2, 34), rng), data, include_recurrence=False
-    )
-    theirs = analyze_fragments(ssms_split(data, 4, 4, rng), data, include_recurrence=False)
+    ours = analyze_fragments(encode_data(data, CodecParams(4, 2, 34), rng), data)
+    theirs = analyze_fragments(ssms_split(data, 4, 4, rng), data)
     assert abs(min(r.entropy for r in ours) - min(r.entropy for r in theirs)) < 0.05
 
 
@@ -235,7 +233,7 @@ def test_analyze_fragments_uniform_random_everything_passes(rng):
         encode_data(data, CodecParams(2, 2, 34), rng),
         ida_split(data, 2, 2),
     ):
-        for r in analyze_fragments(frags, data, include_recurrence=False):
+        for r in analyze_fragments(frags, data):
             assert r.chi2_pass
             assert r.entropy > 7.9
 
@@ -260,10 +258,12 @@ def test_report_json_and_csv(tmp_path, rng):
         assert len(entry["pdf"]) == 256
 
     csv_path = tmp_path / "rec.csv"
-    analysis.write_recurrence_csv(csv_path, reports[0])
+    pairs = analysis.recurrence(analysis.measurable_bytes(fragset[0]))
+    analysis.write_recurrence_csv(csv_path, pairs)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "value,delayed_value"
-    assert len(lines) == 1 + len(reports[0].recurrence)
+    assert len(lines) == 1 + len(pairs)
+    assert lines[1] == "{},{}".format(*pairs[0])
 
     pdf_path = tmp_path / "pdf.csv"
     analysis.write_pdf_csv(pdf_path, reports[0])
@@ -273,7 +273,7 @@ def test_report_json_and_csv(tmp_path, rng):
 def test_correlation_matrix_shape_and_symmetry(rng):
     data = text_sample(40_000, seed=13)
     fragset = encode_data(data, CodecParams(4, 2, 34), rng)
-    reports = analyze_fragments(fragset, data, include_recurrence=False)
+    reports = analyze_fragments(fragset, data)
     matrix = np.array([r.correlations for r in reports])
     assert matrix.shape == (4, 4)
     assert np.allclose(matrix, matrix.T)

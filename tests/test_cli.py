@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -29,6 +30,11 @@ def _invoke(runner, *args, code=0, env=None):
     result = runner.invoke(main, list(args), env=env, catch_exceptions=False)
     assert result.exit_code == code, (args, result.exit_code, result.output)
     return result
+
+
+def _seeded(monkeypatch, seed: int) -> None:
+    """Have ``split`` and ``analyze`` draw from a Mersenne Twister seeded with ``seed``."""
+    monkeypatch.setattr(cli, "random", SimpleNamespace(SystemRandom=lambda: random.Random(seed)))
 
 
 def _split(runner, tmp_path, payload: bytes, *extra, name="in.bin"):
@@ -129,6 +135,22 @@ def test_bench_rejects_a_bad_grid_point_before_building_the_payload(runner, monk
         result = _invoke(runner, "bench", "--schemes", scheme, "--grid", grid, code=2)
         assert message in result.output
         assert "Traceback" not in result.output
+
+
+def test_bench_refuses_an_out_path_its_json_results_would_overwrite(
+    runner, tmp_path, monkeypatch
+):
+    from kfrag import bench
+
+    def no_payload(cfg):
+        raise AssertionError("payload built before --out was checked")
+
+    monkeypatch.setattr(bench, "_payload", no_payload)
+    result = _invoke(runner, "bench", "--grid", "2,2,34", "--payload-mb", "1",
+                     "--out", str(tmp_path / "r.json"), code=2)
+    assert "r.json" in result.stderr
+    assert "Traceback" not in result.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def _manifest_json(**change) -> str:
@@ -286,6 +308,22 @@ def test_disperse_requires_matching_site_count(runner, tmp_path):
     assert "2" in result.output
 
 
+@pytest.mark.parametrize("names", ["a,b,a", "a,b,a/x", "a/x,b,a", "a,b,link"],
+                         ids=["same", "inside", "outside", "symlink"])
+def test_disperse_refuses_two_sites_in_one_directory(runner, tmp_path, names):
+    # one directory holding two sites' files hands one provider k rows
+    _, out = _split(runner, tmp_path, os.urandom(100_000), "--n", "6")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "a", target_is_directory=True)
+    before = _tree(tmp_path)
+    sites = ",".join(str(tmp_path / name) for name in names.split(","))
+    result = _invoke(runner, "disperse", "--manifest", str(out / "manifest.json"),
+                     "--sites", sites, code=2)
+    assert "overlap" in result.stderr
+    assert "Traceback" not in result.output
+    assert _tree(tmp_path) == before
+
+
 def test_disperse_fetch_round_trip(runner, tmp_path):
     payload = os.urandom(30_000)
     _, out = _split(runner, tmp_path, payload)
@@ -431,16 +469,16 @@ def test_a_rebuilt_file_must_match_its_recorded_digest(runner, tmp_path, command
     assert "digest mismatch for rebuilt" in failed.output and "f0.kfrg" in failed.output
 
 
-def test_analyze_writes_report_and_summary(runner, tmp_path):
+def test_analyze_writes_report_and_summary(runner, tmp_path, monkeypatch):
     src = tmp_path / "text.bin"
     src.write_bytes(text_sample(100_000, seed=77))
     report = tmp_path / "report.json"
     # seeded permutations: uniform fragments still fail chi-squared at alpha = 0.05
     # about one draw in ten, and this draw passes
+    _seeded(monkeypatch, 31337)
     result = _invoke(
         runner, "analyze", "--in", str(src), "--scheme", "proposed",
         "--k", "2", "--c", "2", "--block-size", "34", "--report", str(report),
-        env={"FRAG_RNG_SEED": "31337"},
     )
     doc = json.loads(report.read_text())
     assert doc["scheme"] == "proposed"
@@ -474,24 +512,17 @@ def test_bench_csv_schema_and_malformed_grid(runner, tmp_path):
     _invoke(runner, "bench", "--schemes", "made-up", code=2)
 
 
-def test_seeded_splits_are_bit_identical(runner, tmp_path):
-    payload = os.urandom(4096)
-    env = {"FRAG_RNG_SEED": "31337"}
+def test_splits_of_one_file_differ_with_frag_rng_seed_exported(runner, tmp_path):
+    # the permutations are the scheme's only secret: no variable once used to
+    # seed them in tests may make two splits of one file come out the same
     src = tmp_path / "in.bin"
-    src.write_bytes(payload)
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
+    src.write_bytes(os.urandom(4096))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
         _invoke(runner, "split", "--in", str(src), "--out", str(out),
-                "--k", "2", "--c", "2", "--block-size", "16", env=env)
-        outs.append(out)
+                "--k", "2", "--c", "2", "--block-size", "16", env={"FRAG_RNG_SEED": "1"})
     for fname in ("f0.kfrg", "f1.kfrg"):
-        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
-    # and a fresh unseeded split differs with overwhelming probability
-    out = tmp_path / "c"
-    _invoke(runner, "split", "--in", str(src), "--out", str(out),
-            "--k", "2", "--c", "2", "--block-size", "16")
-    assert (out / "f0.kfrg").read_bytes() != (outs[0] / "f0.kfrg").read_bytes()
+        assert (outs[0] / fname).read_bytes() != (outs[1] / fname).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +793,7 @@ def _cycle_and_damage(runner, tmp_path, payload):
     src = tmp_path / "in.bin"
     src.write_bytes(payload)
     out = tmp_path / "frags"
-    _invoke(runner, "split", "--in", str(src), "--out", str(out), "--n", "6",
-            env={"FRAG_RNG_SEED": "4242"})
+    _invoke(runner, "split", "--in", str(src), "--out", str(out), "--n", "6")
     sites = _disperse(runner, tmp_path, out)
     fetched = tmp_path / "fetched"
     _invoke(runner, "fetch", "--manifest", str(out / "dispersal.json"),
@@ -804,6 +834,7 @@ def test_file_reads_in_parts_give_the_bytes_and_errors_of_one_core(
     runner, tmp_path, monkeypatch
 ):
     payload = os.urandom(3 * gf256._PART_MIN_BYTES + 5)
+    _seeded(monkeypatch, 4242)  # the same fragments on one core and on three
     monkeypatch.setattr(gf256, "_CORES", 1)
     one_core = _cycle_and_damage(runner, tmp_path / "one", payload)
     monkeypatch.setattr(gf256, "_CORES", 3)

@@ -406,8 +406,12 @@ def test_backend_removes_a_run_directory_when_its_objects_are_deleted_first_stor
 
 def test_write_files_writes_a_series_of_buffers_in_order(tmp_path):
     target = tmp_path / "new" / "out.bin"
-    pieces = [b"ab", memoryview(b"cde"), bytearray(b""), b"f"]
-    assert write_files({target: iter(pieces), tmp_path / "m.json": b"{}"}) == [tmp_path / "new"]
+
+    def pieces(fh):
+        for piece in [b"ab", memoryview(b"cde"), bytearray(b""), b"f"]:
+            fh.write(piece)
+
+    assert write_files({target: pieces, tmp_path / "m.json": b"{}"}) == [tmp_path / "new"]
     assert target.read_bytes() == b"abcdef"
 
 
@@ -415,13 +419,13 @@ def test_write_files_leaves_nothing_when_a_series_of_buffers_raises(tmp_path):
     old = tmp_path / "old.bin"
     old.write_bytes(b"old")
 
-    def pieces():
-        yield b"first"
-        yield b"second"
+    def pieces(fh):
+        fh.write(b"first")
+        fh.write(b"second")
         raise ValueError("the producer failed")
 
     with pytest.raises(ValueError, match="the producer failed"):
-        write_files({tmp_path / "a" / "b" / "out.bin": pieces(), old: b"new"})
+        write_files({tmp_path / "a" / "b" / "out.bin": pieces, old: b"new"})
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["old.bin"]
     assert old.read_bytes() == b"old"
 
@@ -433,16 +437,16 @@ from kfrag.dispersal import write_files
 root = Path(sys.argv[1])
 made = []
 
-def pieces():
+def pieces(fh):
     for i in range(8):  # 8 MiB in pieces of 1 MiB
         made.append(i)
-        yield bytes(1 << 20)
+        fh.write(bytes(1 << 20))
 
 # set after the imports: a limit in force while they run truncates .pyc files
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 resource.setrlimit(resource.RLIMIT_FSIZE, (5 << 20, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
 try:
-    write_files({root / "new" / "a" / "out.bin": pieces()})
+    write_files({root / "new" / "a" / "out.bin": pieces})
 except OSError as exc:
     print(json.dumps({"filename": exc.filename, "pieces": len(made)}))
     sys.exit(0)
@@ -517,6 +521,33 @@ def test_every_file_is_written_by_write_files():
               "def write_files(f):\n    f.write_bytes(b'')\n")
     assert _disk_writes(sample, allowed="write_files") == [1, 2, 4, 5, 6, 8]
     assert _disk_writes(sample) == [1, 2, 4, 5, 6, 8, 10]
+
+
+_THREAD_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
+_THREAD_NAMES = {"Thread", "start_new_thread", "ThreadPoolExecutor"}
+
+
+def _thread_lines(source: str) -> list[int]:
+    """Lines of ``source`` that import a module that starts threads, or name a way to."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        name = getattr(node, "attr", getattr(node, "id", None))
+        if name in _THREAD_NAMES or any(m.split(".")[0] in _THREAD_MODULES for m in modules):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_every_thread_is_started_by_gf256():
+    package = Path(kfrag.__file__).parent
+    found = {path.name: _thread_lines(path.read_text()) for path in package.glob("*.py")}
+    assert [name for name, lines in found.items() if lines] == ["gf256.py"]
+    sample = ("import threading\nfrom concurrent.futures import wait\nt.Thread(target=f)\n"
+              "x = 1\nimport _thread as t\nimport os, threading\nThread()\n")
+    assert _thread_lines(sample) == [1, 2, 3, 5, 6, 7]
 
 
 def test_read_file_reads_a_large_file_in_parts(tmp_path, started):
