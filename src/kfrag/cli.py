@@ -5,10 +5,19 @@ Exit codes form the scripting contract: 0 success, 2 parameter errors,
 (missing fragments), 5 integrity failures.  Data goes to stdout, diagnostics
 to stderr.  Every split draws its permutations from the operating system's
 CSPRNG (``random.SystemRandom``); nothing in the environment can seed it.
+
+Recovery holds little of a large set at once.  ``fetch`` writes each data
+object as soon as it is fetched and verified, one object per part, and
+``join`` reads each fragment file a decode segment at a time, so it holds
+one segment of input and one of output.  Both fall back to reading the set
+whole, through ``dispersal.recover``, when a data file is missing, a digest
+does not match or anything else goes wrong, so what they print and the
+exit code are those of the whole-set path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import random
@@ -29,6 +38,7 @@ from .erasure import ParityParams, parity_fragments, rs_decode  # noqa: F401
 from .errors import (
     FragmentationError, IntegrityError, ParameterError, StorageError, ThresholdError,
 )
+from .permutation import MAX_POSITIONS
 
 EXIT_PARAMETER = 2
 EXIT_IO = 3
@@ -201,16 +211,18 @@ def load_files(blobs: list[bytes]) -> list:
     return loaded
 
 
-def _write_split(out_dir: Path, manifest: dispersal.Manifest, blobs: list[bytes]) -> None:
+def _write_split(out_dir: Path, manifest: dispersal.Manifest, blobs: list,
+                 nbytes: int | None = None) -> None:
     """Write the manifest's files, then the manifest, into ``out_dir``; refuses a
-    directory holding fragment files the manifest does not list."""
+    directory holding fragment files the manifest does not list.  A file's content
+    is its bytes or a function that writes them; ``nbytes`` is as for ``write_files``."""
     names = [entry.name for entry in manifest.fragments]
     stale = sorted(p.name for p in out_dir.glob("*")
                    if p.suffix in wire.EXTENSIONS.values() and p.name not in names)
     if stale:
         raise ParameterError(f"{out_dir} holds fragment files of another split: {', '.join(stale)}")
     files = {out_dir / name: blob for name, blob in zip(names, blobs)}
-    dispersal.write_files({**files, out_dir / "manifest.json": manifest.to_json()})
+    dispersal.write_files({**files, out_dir / "manifest.json": manifest.to_json()}, (), nbytes)
 
 
 @main.command("split")
@@ -266,6 +278,86 @@ def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: in
 # ---------------------------------------------------------------------------
 
 
+# the longest head of a fragment file: header, permutation share and share count
+_HEAD = wire.HEADER_SIZE + MAX_POSITIONS + 4
+
+
+def _write_join(loaded: list, out_path: Path, files: list[dispersal.SparseFile] = (),
+                digests: list[str] = ()) -> tuple[int, str]:
+    """Write what ``loaded`` joins to at ``out_path``; returns its length and SHA-256 digest.
+
+    The output is written in the pieces of ``join_pieces``: each is decoded,
+    then written on this thread and hashed, as the two parts of one
+    ``gf256._map_in_parts`` (the hash runs on a second thread from 8 MiB of
+    output), then dropped.  ``files`` are the SparseFiles ``loaded`` lies in,
+    with only their heads read: each part then also releases its half of the
+    files up to the row before the next segment and reads them on to its end,
+    the first segment in a parallel step of its own.  So a join holds one
+    segment of input and one of output, as many parallel steps per segment as
+    a join of files read whole.  Once all is written each file's digest must
+    be its one of ``digests``, if given, or the output is not committed.
+    """
+    length, pieces = join_pieces(loaded)
+    sha = hashlib.sha256()
+    halves = [files[: len(files) // 2], files[len(files) // 2 :]]
+    # the share rows of each piece; a file ends with its share rows
+    rows = decode_segments(loaded[0].params, loaded[0].num_shares) if files else []
+
+    def start(f: dispersal.SparseFile, row: int) -> int:
+        return len(f.buf) - (loaded[0].num_shares - row) * loaded[0].params.block_size
+
+    def ahead(i: int, part: int) -> None:
+        """Release the part's files up to the row before segment i and read them to its end."""
+        for f in halves[part]:
+            if i > 0:
+                f.release(start(f, rows[i - 1].stop - 1))
+            if i < len(rows):
+                f.fill(start(f, rows[i].stop))
+
+    def write(fh) -> None:
+        if files:
+            gf256._map_in_parts(lambda part: ahead(0, part), [0, 1], length)
+        i = 0  # the segment read next; not enumerate, which would hold each piece too
+        for piece in pieces:
+            i += 1
+
+            def job(part: int) -> None:
+                (fh.write, sha.update)[part](piece)
+                ahead(i, part)
+
+            gf256._map_in_parts(job, [0, 1], length)
+            del piece  # before the next piece is decoded
+        for f, digest in zip(files, digests):
+            if f.sha.hexdigest() != digest:
+                raise IntegrityError("digest mismatch in a joined file")
+
+    dispersal.write_files({out_path: write})
+    return length, sha.hexdigest()
+
+
+def _join_streamed(paths: list[Path], out_path: Path,
+                   digests: list[str] = ()) -> tuple[int, str] | None:
+    """``_write_join`` of the files at ``paths``, each read as it is decoded, if all are
+    regular files of the proposed scheme and the join succeeds; None otherwise, with
+    nothing written, for the caller to join the files read whole."""
+    if not all(path.is_file() for path in paths):
+        return None
+    with contextlib.ExitStack() as stack:
+        try:
+            files = []
+            for path in paths:
+                files.append(dispersal.read_file(path, sparse=True))
+                stack.callback(files[-1].close)
+            for f in files:
+                f.fill(min(len(f.buf), _HEAD))
+            if any(bytes(f.buf[:4]) != wire.MAGIC_PROPOSED for f in files):
+                return None
+            return _write_join([wire.load_fragment(f.buf) for f in files], out_path, files,
+                               digests)
+        except (FragmentationError, OSError):
+            return None  # the join of the files read whole meets it again and reports it
+
+
 @main.command("join")
 @click.option("--manifest", "manifest_path", type=click.Path(path_type=Path))
 @click.option("--frags", "first_frag", type=click.Path(path_type=Path))
@@ -280,12 +372,13 @@ def cmd_join(
 ):
     """Reassemble the original file; prints its SHA-256 digest.
 
-    Fragment files are given as ``--frags FILE [FILE ...]``.  The output is
-    written in the pieces of ``join_pieces``: each is decoded, then written
-    on this thread and hashed, as the two items of one
-    ``gf256._map_in_parts`` (the hash runs on a second thread from 8 MiB of
-    output), then dropped, so the proposed scheme's join holds its fragment
-    files and one decode segment of output.
+    Fragment files are given as ``--frags FILE [FILE ...]``.  The proposed
+    scheme's files are read as they are decoded (``_write_join``) when they
+    are regular files and, with ``--manifest``, every data file is there,
+    no parity file is damaged and each data file's digest matches.  Else,
+    and on any error, the files are read whole, through
+    ``dispersal.recover`` with ``--manifest``, which sets damaged files aside
+    and rebuilds from parity, and the error, if any, is reported from there.
     """
     frag_paths = ((first_frag,) if first_frag else ()) + tuple(more_frags)
     if manifest_path is None and not frag_paths:
@@ -295,21 +388,24 @@ def cmd_join(
 
     if manifest_path is not None:
         manifest = dispersal.Manifest.load(manifest_path)
-        blobs = _reported(dispersal.recover(manifest, dispersal.local_files(manifest_path.parent)))
-        loaded = [wire.load_any(b) for e, b in blobs.items() if e.kind == "data"]
+        base = manifest_path.parent
+        get = dispersal.local_files(base)
+        data = [e for e in manifest.fragments if e.kind == "data"]
+        joined = None
+        if manifest.scheme == SchemeId.PROPOSED.value and dispersal.streamable(
+                manifest, get, lambda entry: (base / entry.name).is_file()):
+            joined = _join_streamed([base / e.name for e in data], out_path,
+                                    [e.sha256 for e in data])
+        if joined is None:
+            blobs = _reported(dispersal.recover(manifest, get))
+            joined = _write_join([wire.load_any(b) for e, b in blobs.items() if e.kind == "data"],
+                                 out_path)
     else:
-        loaded = load_files([dispersal.read_file(path) for path in frag_paths])
-    length, pieces = join_pieces(loaded)
-    sha = hashlib.sha256()
-
-    def write(fh) -> None:
-        for piece in pieces:
-            gf256._map_in_parts(lambda job: job(piece), [fh.write, sha.update], length)
-            del piece  # before the next piece is decoded
-
-    dispersal.write_files({out_path: write})
+        joined = _join_streamed(list(frag_paths), out_path) or _write_join(
+            load_files([dispersal.read_file(path) for path in frag_paths]), out_path)
+    length, digest = joined
     _note(f"wrote {length} bytes to {out_path}")
-    click.echo(sha.hexdigest())
+    click.echo(digest)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +478,18 @@ def cmd_disperse(manifest_path: Path, sites_spec: str, manifest_out: Path | None
 def cmd_fetch(manifest_path: Path, sites_spec: str, out_dir: Path):
     """Retrieve dispersed fragments back into a local directory."""
     manifest = dispersal.Manifest.load(manifest_path)
-    blobs = _reported(dispersal.fetch(manifest, _parse_sites(sites_spec, manifest)))
-    data = [entry for entry in blobs if entry.kind == "data"]
+    data = [entry for entry in manifest.fragments if entry.kind == "data"]
     entries = [replace(e, site=None, name=PurePosixPath(e.name).name) for e in data]
     local = replace(manifest, fragments=entries)
-    _write_split(out_dir, local, [blobs[entry] for entry in data])
+
+    def write(recovered: dispersal.Recovered) -> None:
+        got = _reported(recovered)
+        blobs = [got[entry] for entry in data]
+        # a streamed fetch hands a function per file, each writing about a k-th of the payload
+        streamed = any(map(callable, blobs))
+        _write_split(out_dir, local, blobs, manifest.payload_length if streamed else None)
+
+    dispersal.fetch(manifest, _parse_sites(sites_spec, manifest), write)
     _note(f"fetched {len(entries)} fragments into {out_dir}")
     click.echo(str(out_dir / "manifest.json"))
 

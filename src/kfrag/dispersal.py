@@ -15,19 +15,26 @@ dispersal and fetched manifests carry the same digests.  One rule serves
 ``fetch`` and ``join``: a damaged file is set aside as if lost, lost data
 files are rebuilt from parity (n > k) and digest-checked too, and the damage
 is an integrity error only when fewer than k of the n files verify.  Both
-commands name each file set aside or rebuilt on stderr.  ``disperse`` reads
-the same way but refuses any lost or damaged file.  Every file kfrag writes
-goes through ``write_files``: all of a set or none, a command's manifest last.
-Every file it reads, but for the JSON manifests, comes in through ``read_file``:
-into one numpy buffer, filled in place and returned read-only.
+commands name each file set aside or rebuilt on stderr.  When ``streamable``
+holds (a stat finds every data file, and every parity file is lost or
+verifies), neither holds the set: ``fetch`` hands its caller a function per
+data object that gets, checks and writes it, and ``kfrag join`` reads each
+file a segment at a time through a ``SparseFile``, hashing it as it goes.
+Either pass goes back to ``recover`` on a digest mismatch, with nothing
+committed.  ``disperse`` reads like ``recover`` but refuses any lost or
+damaged file.  Every file kfrag writes goes through ``write_files``: all of a
+set or none, a command's manifest last.  Every file it reads, but for the
+JSON manifests, comes in through ``read_file``: into one numpy buffer, filled
+in place and returned read-only, or, sparse, as a SparseFile.
 
 A site is its backend, and its index is its position in the list of sites.
 A local-directory backend ships by default.  Another object with
-put/get/delete can stand in for a real object store as long as ``get`` may
-run on several threads at once (``fetch`` reads large sets in parts), and,
-for ``store``, as long as it has a ``root`` directory: ``store`` makes each
-site's root and refuses two sites whose roots are one directory or lie one
-inside the other, since one provider would then hold the rows of two sites.
+put/get/exists/delete can stand in for a real object store as long as
+``get`` may run on several threads at once (``fetch`` reads large sets in
+parts), and, for ``store``, as long as it has a ``root`` directory:
+``store`` makes each site's root and refuses two sites whose roots are one
+directory or lie one inside the other, since one provider would then hold
+the rows of two sites.
 The manifest stays on the client: placing it at any provider would hand
 that provider the layout.
 """
@@ -35,9 +42,11 @@ that provider the layout.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import itertools
 import json
+import mmap
 import os
 import stat
 import time
@@ -51,24 +60,28 @@ import numpy as np
 
 from .baselines import SchemeId
 from .erasure import ParityParams, rs_decode
-from .errors import IntegrityError, ParameterError, StorageError, ThresholdError
+from .errors import (
+    FragmentationError, IntegrityError, ParameterError, StorageError, ThresholdError,
+)
 from . import gf256, wire
 
 
 def write_files(files: dict[Path, bytes | Callable[[BinaryIO], object]],
-                dirs: Iterable[Path] = ()) -> list[Path]:
+                dirs: Iterable[Path] = (), nbytes: int | None = None) -> list[Path]:
     """Write every file, creating missing directories, or leave all as they were.
 
     A file's content is one buffer, or a function that writes the file into
     the open temporary it is handed.  The missing directories are made first:
     any of ``dirs`` and their parents, then those of each file.  Each file
     then goes to a temporary name in its own directory, the files split into
-    parts as by ``gf256._map_in_parts`` by the bytes of their buffers, and
-    only once all are written is each renamed into place, in order, so the
-    last one commits the set.  Returns the directories it created, innermost
-    first.  On failure, a content function's own error included, it removes
-    the temporaries and those directories again and re-raises; an OSError
-    names the file that could not be written, not its temporary name."""
+    parts as by ``gf256._map_in_parts`` by ``nbytes``, the bytes the files
+    hold (by default the bytes of their buffers: give it when functions write
+    them), and only once all are written is each renamed into place, in
+    order, so the last one commits the set.  Returns the directories it
+    created, innermost first.  On failure, a content function's own error
+    included, it removes the temporaries and those directories again and
+    re-raises; an OSError names the file that could not be written, not its
+    temporary name."""
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
     made: list[Path] = []
 
@@ -92,8 +105,9 @@ def write_files(files: dict[Path, bytes | Callable[[BinaryIO], object]],
         for path in files:
             with _naming(path):
                 make(path.parent)
-        buffers = [len(content) for content in files.values() if not callable(content)]
-        gf256._map_in_parts(write, list(files), sum(buffers))
+        if nbytes is None:
+            nbytes = sum(len(content) for content in files.values() if not callable(content))
+        gf256._map_in_parts(write, list(files), nbytes)
         for path, tmp in temps.items():
             with _naming(path):
                 os.replace(tmp, path)
@@ -117,7 +131,7 @@ def _naming(path: Path):
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
-def read_file(path: Path) -> memoryview:
+def read_file(path: Path, sparse: bool = False) -> memoryview | SparseFile:
     """The bytes of the file at ``path``, read-only.
 
     A regular file is read into one numpy buffer sized from ``fstat``: numpy
@@ -126,9 +140,15 @@ def read_file(path: Path) -> memoryview:
     ``gf256._in_parts``, so in two parts from 8 MiB; the bytes end where the
     first part that came up short ended, so a file that shrank since ``fstat``
     gives its bytes with no zero tail.  A pipe or other non-regular file is
-    read to its end."""
+    read to its end.  With ``sparse``, a regular file is not read here: it
+    comes back as a SparseFile, open, to be read piece by piece; any other
+    file is a StorageError."""
     with open(path, "rb", buffering=0) as fh:
         info = os.fstat(fh.fileno())
+        if sparse:
+            if not stat.S_ISREG(info.st_mode):
+                raise StorageError(f"not a regular file: {path}")
+            return SparseFile(os.dup(fh.fileno()), info.st_size)
         if not stat.S_ISREG(info.st_mode):
             return memoryview(fh.read())
         buf = np.empty(info.st_size, dtype=np.uint8)
@@ -144,6 +164,54 @@ def read_file(path: Path) -> memoryview:
     buf = buf[: min(short, default=len(buf))]  # the first short part ended first
     buf.setflags(write=False)
     return memoryview(buf)
+
+
+class SparseFile:
+    """A regular file read in file order, piece by piece, into an anonymous
+    mapping of its size, and hashed as it is read.
+
+    ``buf`` is the whole file, read-only: the bytes not read yet, and those
+    released, read as zeros and hold no memory.  ``fill(end)`` reads on from
+    where the last fill ended up to ``end`` and adds those bytes to ``sha``;
+    ``release(end)`` hands the pages that lie wholly before ``end`` back to
+    the system (``MADV_DONTNEED``).  A file that ends before a fill does is an
+    IntegrityError.  ``close`` closes the descriptor; the mapping lives as
+    long as ``buf`` or a view of it does."""
+
+    def __init__(self, fd: int, size: int):
+        self._fd = fd
+        try:
+            # private: MADV_DONTNEED frees its pages, where a shared mapping's would stay
+            self._map = mmap.mmap(-1, max(size, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        except OSError as exc:
+            os.close(fd)
+            if exc.errno == errno.ENOMEM:  # as numpy reports a buffer it cannot get
+                raise MemoryError(f"cannot map {size} bytes") from exc
+            raise
+        self._bytes = np.frombuffer(self._map, dtype=np.uint8, count=size)
+        view = self._bytes.view()
+        view.setflags(write=False)
+        self.buf = memoryview(view)
+        self.sha = hashlib.sha256()
+        self._read = self._released = 0
+
+    def fill(self, end: int) -> None:
+        start = self._read
+        while self._read < end:
+            n = os.preadv(self._fd, [self._bytes[self._read : end]], self._read)
+            if not n:
+                raise IntegrityError(f"file ended at byte {self._read} of {len(self.buf)}")
+            self._read += n
+        self.sha.update(self._bytes[start:end])
+
+    def release(self, end: int) -> None:
+        end -= end % mmap.PAGESIZE
+        if end > self._released:
+            self._map.madvise(mmap.MADV_DONTNEED, self._released, end - self._released)
+            self._released = end
+
+    def close(self) -> None:
+        os.close(self._fd)
 
 
 def _remove_dirs(dirs: list[Path]) -> None:
@@ -180,6 +248,9 @@ class LocalDirectoryBackend:
         if not path.exists():
             raise StorageError(f"object not found: {name!r}")
         return read_file(path)
+
+    def exists(self, name: str) -> bool:
+        return self._path(name).exists()
 
     def delete(self, name: str) -> None:
         """Remove the object, and every directory a put created that is now empty,
@@ -451,18 +522,24 @@ def read(manifest: Manifest, get: Callable[[ManifestEntry], bytes]) -> list:
     ``get(entry)`` raises StorageError or FileNotFoundError for a lost object.  The
     reads and digests run in parts; the caller checks the results in manifest order.
     """
+    return gf256._map_in_parts(lambda entry: _checked(entry, get), manifest.fragments,
+                               manifest.stored_bytes)
 
-    def one(entry: ManifestEntry):
-        try:
-            blob = get(entry)
-        except (StorageError, OSError) as exc:
-            return exc
-        if _sha256(blob) == entry.sha256:
-            return blob
-        site = "" if entry.site is None else f" at site {entry.site}"
-        return IntegrityError(f"digest mismatch for {entry.name!r}{site}")
 
-    return gf256._map_in_parts(one, manifest.fragments, manifest.stored_bytes)
+def _checked(entry: ManifestEntry, get: Callable[[ManifestEntry], bytes]):
+    """The entry's bytes, or the error reading them gave or the IntegrityError of a mismatch."""
+    try:
+        blob = get(entry)
+    except (StorageError, OSError) as exc:
+        return exc
+    if _sha256(blob) == entry.sha256:
+        return blob
+    site = "" if entry.site is None else f" at site {entry.site}"
+    return IntegrityError(f"digest mismatch for {entry.name!r}{site}")
+
+
+def _lost(got) -> bool:
+    return isinstance(got, (StorageError, FileNotFoundError))
 
 
 def local_files(base: Path) -> Callable[[ManifestEntry], bytes]:
@@ -481,10 +558,11 @@ def rebuild(data: list[tuple[int, bytes]], parity: list[bytes]) -> list[bytes]:
 
 @dataclass(frozen=True)
 class Recovered:
-    """Each entry that verified or was rebuilt, with its bytes, in manifest order;
-    the entries set aside for a digest mismatch, with that error; the ones rebuilt."""
+    """Each entry that verified or was rebuilt, with its bytes, in manifest order
+    (or, from a streamed ``fetch``, a function that writes them); the entries set
+    aside for a digest mismatch, with that error; the ones rebuilt."""
 
-    blobs: dict[ManifestEntry, bytes]
+    blobs: dict[ManifestEntry, bytes | Callable[[BinaryIO], object]]
     damaged: dict[ManifestEntry, IntegrityError]
     rebuilt: list[ManifestEntry]
 
@@ -503,7 +581,7 @@ def recover(manifest: Manifest, get: Callable[[ManifestEntry], bytes]) -> Recove
             damaged[entry] = got
         elif not isinstance(got, Exception):
             blobs[entry] = got
-        elif not isinstance(got, (StorageError, FileNotFoundError)):
+        elif not _lost(got):
             raise got  # neither lost nor damaged
     missing = [e for e in manifest.fragments if e.kind == "data" and e not in blobs]
     if missing and len(blobs) < manifest.k:
@@ -522,9 +600,66 @@ def recover(manifest: Manifest, get: Callable[[ManifestEntry], bytes]) -> Recove
     return Recovered({e: blobs[e] for e in manifest.fragments if e in blobs}, damaged, missing)
 
 
-def fetch(manifest: Manifest, sites: list[LocalDirectoryBackend]) -> Recovered:
-    """``recover`` from the sites the manifest places its entries on, site i being ``sites[i]``."""
+def streamable(manifest: Manifest, get: Callable[[ManifestEntry], bytes],
+               exists: Callable[[ManifestEntry], bool]) -> bool:
+    """Whether the data entries can be taken one at a time, with no parity rebuild
+    and no file set aside: ``exists`` finds every one, before anything is read, and
+    every parity entry is lost or verifies.  The parity entries are read and
+    checked in parts, each dropped once checked.  A stat that fails is a no, for
+    ``recover`` to meet the error again and report it."""
+    try:
+        if not all(exists(e) for e in manifest.fragments if e.kind == "data"):
+            return False
+    except (StorageError, OSError):
+        return False
+
+    def usable(entry: ManifestEntry) -> bool:
+        got = _checked(entry, get)
+        return _lost(got) or not isinstance(got, Exception)
+
+    parity = [e for e in manifest.fragments if e.kind == "parity"]
+    size = manifest.payload_length // max(manifest.k, 1)
+    return all(gf256._map_in_parts(usable, parity, len(parity) * size))
+
+
+def fetch(manifest: Manifest, sites: list[LocalDirectoryBackend],
+          write: Callable[[Recovered], object] | None = None) -> Recovered:
+    """``recover`` from the sites the manifest places its entries on, site i being
+    ``sites[i]``; with ``write``, hand what it recovers to ``write`` too.
+
+    When ``streamable`` holds, ``write`` gets no data bytes: the Recovered it is
+    handed maps each data entry to a function that gets the object, checks its
+    digest and writes it into the open file it is handed, so ``write_files``
+    holds one object per part.  Should that pass fail, a digest mismatch
+    included, ``write`` is left to remove what it wrote, and the entries are
+    fetched again through ``recover``, which sets aside, rebuilds and reports
+    as it always does."""
     for entry in manifest.fragments:
         if entry.site not in range(len(sites)):  # a negative index would pick a site from the end
             raise ParameterError(f"manifest references unknown site {entry.site}")
-    return recover(manifest, lambda entry: sites[entry.site].get(entry.name))
+
+    def get(entry: ManifestEntry) -> bytes:
+        return sites[entry.site].get(entry.name)
+
+    def writer(entry: ManifestEntry) -> Callable[[BinaryIO], object]:
+        def write_one(fh: BinaryIO) -> None:
+            got = _checked(entry, get)
+            if isinstance(got, Exception):
+                raise got
+            fh.write(got)
+
+        return write_one
+
+    if write is not None and streamable(manifest, get,
+                                        lambda entry: sites[entry.site].exists(entry.name)):
+        data = [e for e in manifest.fragments if e.kind == "data"]
+        streamed = Recovered({e: writer(e) for e in data}, {}, [])
+        try:
+            write(streamed)
+            return streamed
+        except (FragmentationError, OSError):
+            pass  # fetched again below, whole
+    recovered = recover(manifest, get)
+    if write is not None:
+        write(recovered)
+    return recovered

@@ -6,13 +6,14 @@ across builds.  Tables are built once at import; all operations are pure.
 
 ``_in_parts`` splits a loop into parts of at least _PART_MIN_BYTES, one
 thread per usable core (numpy releases the interpreter lock inside its table
-lookups and XORs); ``matmul`` and the codec's row loops use it, and
-``_run_parts`` runs a loop in a part count its caller chose (the codec's
-decode bounds its own by its scratch).
+lookups and XORs); the codec's row loops use it, and ``_run_parts`` runs a
+loop in a part count its caller chose (the codec's decode bounds its own by
+its scratch, ``matmul`` by its column chunk).
 ``_map_in_parts`` maps a function over a list the same way; the file reads,
 writes and SHA-256 digests of ``dispersal`` use it (they release the lock
 too), as does ``join``, which writes each piece of its output while a second
-part hashes it.  ``dispersal`` reads one large file and stores a set's objects
+part hashes it, each part then reading the next segment's rows of half the
+fragment files.  ``dispersal`` reads one large file and stores a set's objects
 in parts as well.  A loop run from inside one of two or more parts runs as one
 part, on that part's thread: a file that would be read in parts on its own
 is read whole by a part of a loop over files, so no more threads run than
@@ -71,14 +72,22 @@ try:
 except AttributeError:  # no affinity API on this platform
     _CORES = os.cpu_count() or 1
 # A part covers at least this many bytes of rows.  The codec's c == 2 scan
-# makes two numpy calls per step and part in its first sweep and three in its
-# second (and one m-element index step), each over one row of every batch of
-# the part, so a 4 MiB part makes calls of about 16 KiB; with smaller calls the
-# threads wait on the interpreter lock more than they work.  One thread vs two
-# parts, medians of 15 interleaved encodes in each of two processes on a
-# 2-core Xeon, at (4,2,250), (4,2,16) and (16,2,250): two parts took
-# 0.67-0.87x the one-thread time at 8 MiB, and 0.74-1.05x at 5-6 MiB, so two
-# parts start at 8 MiB.
+# makes two numpy calls per step and part in its sweep (a lookup and an XOR)
+# and, in its correction, one lookup per four steps and an XOR and a gather
+# per step, each over one row of every batch of the part, so a 4 MiB part
+# makes calls of about 16 KiB; with smaller calls the threads wait on the
+# interpreter lock more than they work.  One part vs two (forced), medians of
+# 15 interleaved encode_data calls in each of two processes on a 2-core Xeon,
+# ms, one part in the first/second process vs two parts in the first/second:
+#   (4,2,250):  4 MiB 21.4/20.3 vs 27.0/28.7, 5 MiB 23.6/26.0 vs 27.8/32.3,
+#               6 MiB 50.0/29.1 vs 40.2/34.8, 8 MiB 67.0/37.2 vs 49.4/34.4
+#   (4,2,16):   4 MiB 24.7/21.0 vs 32.8/30.8, 5 MiB 26.5/31.6 vs 29.9/34.2,
+#               6 MiB 35.2/33.5 vs 37.8/36.7, 8 MiB 68.8/66.5 vs 49.7/54.8
+#   (16,2,250): 4 MiB 38.2/36.4 vs 38.2/41.5, 5 MiB 46.3/47.4 vs 45.0/43.9,
+#               6 MiB 53.9/49.4 vs 50.2/44.9, 8 MiB 62.6/38.2 vs 52.0/45.1
+# Two parts lost at 4 MiB (1.00-1.47x), were mixed at 5-6 MiB (0.80-1.24x)
+# and mostly won at 8 MiB (0.72-0.93x, once 1.18x), so two parts start at
+# 8 MiB.
 _PART_MIN_BYTES = 4 << 20
 # matmul's column chunk.  Medians of 9 interleaved calls in one process on a
 # 2-core Xeon, ms, for chunks of 8/16/32/64 KiB against the unblocked kernel
@@ -91,6 +100,16 @@ _PART_MIN_BYTES = 4 << 20
 #                                       two cores 214/148/128/119 vs 275
 # From 16 KiB the chunk hardly matters; 32 KiB keeps each part's scratch
 # at k * 256 KiB of widened indices plus one chunk.
+#
+# matmul's calls cover a chunk of columns at any part count, so it takes its
+# part count from its own minimum: a part covers at least one chunk of
+# columns.  One part vs two (forced), medians of 41 interleaved calls in one
+# process on a 2-core Xeon, ms, on 6 rows of 16/32/48/64/96/128/256/512 KiB:
+#   2x6: one 0.51/0.88/1.22/1.45/2.16/2.87/5.86/11.5,
+#        two 0.73/0.90/1.12/1.12/1.65/2.01/3.98/7.06
+#   1x6: one 0.23/0.43/0.67/0.86/1.72/1.66/3.08/6.57,
+#        two 0.42/0.56/0.66/0.79/1.33/1.29/2.11/4.11
+# Two parts lost up to 32 KiB rows and won from 64 KiB (0.77x and 0.91x).
 _MATMUL_CHUNK = 32 << 10
 # whether this thread is running a part of _run_parts
 _inside = threading.local()
@@ -184,7 +203,8 @@ def matmul(a: np.ndarray, rows) -> np.ndarray:
     ones need no lookup.  The columns split into parts, and each part walks
     them in chunks of _MATMUL_CHUNK: it widens each input row's chunk to the
     lookup's index type once and reuses it for every output row, so its
-    scratch is k + 1 chunks whatever L.
+    scratch is k + 1 chunks whatever L.  A part covers at least one chunk, so
+    two parts start at rows of 64 KiB.
     """
     n, k = a.shape
     if len(rows) != k:
@@ -215,7 +235,7 @@ def matmul(a: np.ndarray, rows) -> np.ndarray:
                         MUL_TABLE[coeff].take(wide[t, :w], out=buf[:w], mode="clip")
                         dst ^= buf[:w]
 
-    _in_parts(length, k * length, columns)
+    _run_parts(length, length // _MATMUL_CHUNK, columns)
     return out
 
 

@@ -469,6 +469,57 @@ def test_a_rebuilt_file_must_match_its_recorded_digest(runner, tmp_path, command
     assert "digest mismatch for rebuilt" in failed.output and "f0.kfrg" in failed.output
 
 
+@pytest.mark.parametrize("command", ["fetch", "join"])
+def test_each_file_set_aside_or_rebuilt_is_named_once(runner, tmp_path, command):
+    payload = os.urandom(50_000)
+    _, out = _split(runner, tmp_path, payload, "--n", "6")
+    if command == "fetch":
+        sites = _disperse(runner, tmp_path, out)
+        where = functools.partial(_stored, tmp_path)
+        args = ["fetch", "--manifest", str(out / "dispersal.json"), "--sites", sites,
+                "--out", str(tmp_path / "fetched")]
+    else:
+        where = out.joinpath
+        args = ["join", "--manifest", str(out / "manifest.json"),
+                "--out", str(tmp_path / "back.bin")]
+    where("f0.kfrg").unlink()
+    _flip(where("p0.kpar"))
+    lines = _invoke(runner, *args).stderr.splitlines()
+    assert [line.split("/")[-1] for line in lines[:-1]] == [
+        "f0.kfrg: missing, rebuilt from parity", "p0.kpar: digest mismatch, set aside"]
+    assert lines[-1].startswith("fetched 4 fragments" if command == "fetch" else "wrote 50000")
+
+
+@pytest.mark.parametrize("command", ["fetch", "join"])
+def test_a_mismatch_found_once_the_files_are_streamed_leaves_no_output(
+    runner, tmp_path, monkeypatch, command
+):
+    # every file is there, so fetch and join take them one object or segment at
+    # a time; the last byte of the last file decides, once the rest is written
+    monkeypatch.setattr(gf256, "_CORES", 2)
+    _, out = _split(runner, tmp_path, os.urandom(13 << 20))
+    if command == "fetch":
+        sites = f"{tmp_path / 's0'},{tmp_path / 's1'}"
+        _invoke(runner, "disperse", "--manifest", str(out / "manifest.json"), "--sites", sites)
+        (victim,) = (tmp_path / "s1").rglob("f3.kfrg")
+        result = tmp_path / "new" / "fetched"
+        args = ["fetch", "--manifest", str(out / "dispersal.json"), "--sites", sites,
+                "--out", str(result)]
+    else:
+        victim = out / "f3.kfrg"
+        result = tmp_path / "new" / "back.bin"
+        args = ["join", "--manifest", str(out / "manifest.json"), "--out", str(result)]
+    _flip(victim)
+    writes = []
+    write_files = dispersal.write_files
+    monkeypatch.setattr(dispersal, "write_files", lambda *a: writes.append(a) or write_files(*a))
+    failed = _invoke(runner, *args, code=5)
+    assert "digest mismatch for" in failed.stderr and "f3.kfrg" in failed.stderr
+    assert failed.stdout == ""
+    assert not (tmp_path / "new").exists()
+    assert len(writes) == 1  # the streamed pass, undone; the set read whole is refused
+
+
 def test_analyze_writes_report_and_summary(runner, tmp_path, monkeypatch):
     src = tmp_path / "text.bin"
     src.write_bytes(text_sample(100_000, seed=77))
@@ -753,21 +804,50 @@ def test_a_join_of_several_segments_gives_the_payload_and_its_digest(
         joined.unlink()
 
 
-def test_join_holds_the_files_and_one_segment(runner, tmp_path, monkeypatch):
-    # 24 MiB on two cores: three segments of about 8 MiB; holding the whole
-    # output beside the files, as a join once did, would peak at twice the payload
-    monkeypatch.setattr(gf256, "_CORES", 2)
-    size = 24 << 20
-    (tmp_path / "in.bin").write_bytes(os.urandom(size))
-    _invoke(runner, "split", "--in", str(tmp_path / "in.bin"), "--out", str(tmp_path / "frags"))
-    tracemalloc.start()
-    try:
-        _invoke(runner, "join", "--manifest", str(tmp_path / "frags" / "manifest.json"),
-                "--out", str(tmp_path / "back.bin"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * size
+# runs a command with two parts, as on a 2-core host, and reports its peak RSS;
+# a child's ru_maxrss starts at its parent's high-water mark, so the command is
+# started from this small launcher, as perfbench/run.py does
+_PEAK = """
+import os, sys
+command = ("import sys; from kfrag import gf256; gf256._CORES = 2; "
+           "from kfrag.cli import main; main(sys.argv[1:], prog_name='kfrag')")
+pid = os.posix_spawn(sys.executable, [sys.executable, "-c", command, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux gives it")
+def test_join_and_fetch_hold_a_segment_and_an_object_per_part_whatever_the_payload(
+    runner, tmp_path
+):
+    # the peak RSS of each command, which counts the mappings a join reads its files
+    # into, at 16 and 48 MiB (4 data files of 4 and 12 MiB); holding every file, as
+    # join and fetch once did, would add the 32 MiB between them
+    env = {**os.environ, "PYTHONPATH": str(Path(kfrag.__file__).resolve().parent.parent)}
+    peaks = {}
+    for mib in (16, 48):
+        where = tmp_path / str(mib)
+        where.mkdir()
+        payload = os.urandom(mib << 20)
+        (where / "in.bin").write_bytes(payload)
+        _invoke(runner, "split", "--in", str(where / "in.bin"), "--out", str(where / "frags"))
+        sites = f"{where / 's0'},{where / 's1'}"
+        _invoke(runner, "disperse", "--manifest", str(where / "frags" / "manifest.json"),
+                "--sites", sites)
+        for command in (["join", "--manifest", "frags/manifest.json", "--out", "back.bin"],
+                        ["fetch", "--manifest", "frags/dispersal.json", "--sites", sites,
+                         "--out", "fetched"]):
+            child = subprocess.run([sys.executable, "-c", _PEAK, *command], cwd=where, env=env,
+                                   capture_output=True, timeout=120)
+            assert child.returncode == 0, child.stderr
+            peaks[command[0], mib] = int(child.stdout.split()[-1]) << 10  # KiB
+        assert (where / "back.bin").read_bytes() == payload
+        fetched = where / "fetched" / "f3.kfrg"
+        assert fetched.read_bytes() == (where / "frags" / "f3.kfrg").read_bytes()
+    assert peaks["join", 48] - peaks["join", 16] < 8 << 20, peaks
+    assert peaks["fetch", 48] - peaks["fetch", 16] < 2 * (12 << 20), peaks
 
 
 def test_a_failed_write_names_its_target_not_its_temporary_file(runner, tmp_path):

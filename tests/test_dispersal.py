@@ -430,6 +430,27 @@ def test_write_files_leaves_nothing_when_a_series_of_buffers_raises(tmp_path):
     assert old.read_bytes() == b"old"
 
 
+def test_write_files_parts_writer_files_by_the_bytes_it_is_given(tmp_path, monkeypatch):
+    # functions hold no bytes write_files can count: without nbytes two 8 MiB
+    # writer files go on this thread, with it on two threads, as two buffers would
+    monkeypatch.setattr(gf256, "_CORES", 2)
+    written = {}
+
+    def writer(name):
+        def write(fh):
+            written[name] = threading.current_thread()
+            fh.write(bytes(8 << 20))
+
+        return write
+
+    for nbytes, beside in ((None, False), (16 << 20, True)):
+        written.clear()
+        write_files({tmp_path / name: writer(name) for name in ("a", "b")}, nbytes=nbytes)
+        assert written["a"] is threading.main_thread()
+        assert (written["b"] is not threading.main_thread()) is beside
+        assert (tmp_path / "b").read_bytes() == bytes(8 << 20)
+
+
 _REFUSED_STREAM = """
 import json, resource, signal, sys
 from pathlib import Path

@@ -182,9 +182,11 @@ def test_matmul_in_parts_gives_the_bytes_of_one_core(monkeypatch):
     # the transposed view IDA passes: row t is every k-th byte of the payload
     ida_rows = rows.reshape(length, k).T
     chunk = gf256._MATMUL_CHUNK
-    # and rows ending at the edges of the column chunk, short enough for one part
+    # and rows ending at the edges of the column chunk, short enough for one
+    # part, and rows of two and three chunks and a bit, two and three parts
     inputs = [rows, list(rows), ida_rows,
-              *(rows[:, :edge] for edge in (1, chunk - 1, chunk, chunk + 1))]
+              *(rows[:, :edge] for edge in (1, chunk - 1, chunk, chunk + 1,
+                                            2 * chunk + 1, 3 * chunk + 5))]
     params = erasure.ParityParams(k=k, n=k + 2)
     primary = [row.tobytes() for row in rows]
 
@@ -196,12 +198,28 @@ def test_matmul_in_parts_gives_the_bytes_of_one_core(monkeypatch):
     monkeypatch.setattr(gf256, "_CORES", 1)
     one_core = run_all()
     monkeypatch.setattr(gf256, "_CORES", 3)
+    calls = []  # (n, the threads that ran its parts) for each matmul
+    run_parts = gf256._run_parts
+
+    def counted(n, parts, fn):
+        threads = set()
+
+        def part(lo, hi):
+            threads.add(threading.current_thread())
+            fn(lo, hi)
+
+        run_parts(n, parts, part)
+        calls.append((n, len(threads)))
+
+    monkeypatch.setattr(gf256, "_run_parts", counted)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the parts as finely as possible
     try:
         in_parts = run_all()
     finally:
         sys.setswitchinterval(switch)
+    for edge, parts in ((chunk + 1, 1), (2 * chunk + 1, 2), (3 * chunk + 5, 3), (length, 3)):
+        assert {threads for n, threads in calls if n == edge} == {parts}, edge
     for x, y in zip(one_core[0], in_parts[0]):
         assert np.array_equal(x, y)
     assert one_core[1] == in_parts[1]

@@ -94,3 +94,54 @@ def test_join_traces_one_decode_per_segment(tmp_path, monkeypatch):
     assert rec.bytes["codec.decode"] == size
     # one after another, on the join's thread
     assert all(a[2] <= b[1] for a, b in zip(spans, spans[1:]))
+
+
+def test_streamed_fetch_and_join_run_through_the_traced_names(tmp_path, monkeypatch):
+    # fetch writes each object as it gets it and join reads its files as it decodes
+    # them; the benchmark still sees every object, file and segment at its names
+    tracing = _tracing()
+    monkeypatch.setattr(gf256, "_CORES", 1)
+
+    def whole(*args):
+        raise AssertionError("a clean set is not read whole")
+
+    monkeypatch.setattr(dispersal, "recover", whole)
+    size = 10 << 20
+    params = CodecParams(4, 2, 250)
+    segments = codec.decode_segments(params, codec.padded_length(size, params) // 1000)
+    assert len(segments) >= 3
+    src = tmp_path / "in.bin"
+    src.write_bytes(os.urandom(size))
+    out, fetched = tmp_path / "frags", tmp_path / "fetched"
+    sites = ",".join(str(tmp_path / f"s{i}") for i in range(3))
+    runner = CliRunner()
+
+    def kfrag(*args):
+        result = runner.invoke(cli.main, list(args), catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+
+    kfrag("split", "--in", str(src), "--out", str(out), "--n", "6")
+    kfrag("disperse", "--manifest", str(out / "manifest.json"), "--sites", sites)
+    rec = tracing.Recorder()
+    with tracing.installed(rec):
+        kfrag("fetch", "--manifest", str(out / "dispersal.json"), "--sites", sites,
+              "--out", str(fetched))
+        traced = cli.hashlib
+        cli.hashlib = tracing._HashlibProxy(rec.wrap("cli.sha256", traced.sha256))
+        try:
+            kfrag("join", "--manifest", str(fetched / "manifest.json"),
+                  "--out", str(tmp_path / "back"))
+        finally:
+            cli.hashlib = traced
+    assert (tmp_path / "back").read_bytes() == src.read_bytes()
+    stored = [p.stat().st_size for p in tmp_path.glob("s*/*/*")]
+    assert len(stored) == 6
+    assert [span[0] for span in rec.spans].count("dispersal.fetch") == 1
+    assert (rec.calls["dispersal.get"], rec.bytes["dispersal.get"]) == (6, sum(stored))
+    files = [p.stat().st_size for p in fetched.glob("f*.kfrg")]
+    assert (rec.calls["wire.load"], rec.bytes["wire.load"]) == (4, sum(files))
+    assert (rec.calls["codec.decode"], rec.bytes["codec.decode"]) == (len(segments), size)
+    # each object fetched and each file joined is hashed through dispersal's hashlib,
+    # the joined output alone through cli's
+    assert rec.calls["cli.sha256"] == 1
+    assert rec.calls["digest.sha256"] == 6 + 4 + 1
