@@ -484,10 +484,8 @@ def cmd_fetch(manifest_path: Path, sites_spec: str, out_dir: Path):
 
     def write(recovered: dispersal.Recovered) -> None:
         got = _reported(recovered)
-        blobs = [got[entry] for entry in data]
-        # a streamed fetch hands a function per file, each writing about a k-th of the payload
-        streamed = any(map(callable, blobs))
-        _write_split(out_dir, local, blobs, manifest.payload_length if streamed else None)
+        # the data files hold about the payload, whether as bytes or as functions that write them
+        _write_split(out_dir, local, [got[entry] for entry in data], manifest.payload_length)
 
     dispersal.fetch(manifest, _parse_sites(sites_spec, manifest), write)
     _note(f"fetched {len(entries)} fragments into {out_dir}")
