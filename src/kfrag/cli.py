@@ -6,13 +6,17 @@ Exit codes form the scripting contract: 0 success, 2 parameter errors,
 to stderr.  Every split draws its permutations from the operating system's
 CSPRNG (``random.SystemRandom``); nothing in the environment can seed it.
 
-Recovery holds little of a large set at once.  ``fetch`` writes each data
-object as soon as it is fetched and verified, one object per part, and
-``join`` reads each fragment file a decode segment at a time, so it holds
-one segment of input and one of output.  Both fall back to reading the set
-whole, through ``dispersal.recover``, when a data file is missing, a digest
-does not match or anything else goes wrong, so what they print and the
-exit code are those of the whole-set path.
+No command holds a large payload or set at once.  ``split`` reads and
+encodes the proposed scheme's input a chunk of share rows at a time
+(``codec.encode_chunks``), writing and hashing each file's piece of a
+chunk, and its parity's, before the next, and ``disperse`` puts each file
+as it reads it, a piece at a time.  ``fetch`` writes each data object as
+soon as it is fetched and verified, one object per part, and ``join`` reads
+each fragment file a decode segment at a time, so it holds one segment of
+input and one of output.  Each falls back to reading its input whole (for
+``fetch`` and ``join`` through ``dispersal.recover``) when that pass fails,
+a digest mismatch included, with nothing written or stored, so what they
+print and the exit code are those of the whole-set path.
 """
 
 from __future__ import annotations
@@ -28,10 +32,11 @@ from pathlib import Path, PurePosixPath
 
 import click
 
-from . import analysis, baselines, dispersal, gf256, wire
+from . import baselines, dispersal, gf256, wire
 from .baselines import SchemeId
 from .codec import (
-    CodecParams, Fragment, check_fragments, decode_data, decode_segments, encode_data,
+    CodecParams, Fragment, check_fragments, decode_data, decode_segments, encode_chunks,
+    encode_data, rebuild_permutations,
 )
 # rs_decode is unused here, but perfbench/tracing.py wraps this name, so it stays importable
 from .erasure import ParityParams, parity_fragments, rs_decode  # noqa: F401
@@ -186,14 +191,17 @@ def join_pieces(loaded: list) -> tuple[int, Iterable]:
 
     The proposed scheme's come lazily, one ``decode_data`` call per range of
     ``decode_segments``, each decoded on every core; a baseline's joined bytes
-    are one piece.  The fragment set is checked before any piece is decoded."""
+    are one piece.  The fragment set is checked, and its permutations rebuilt,
+    once, before any piece is decoded."""
     if not all(isinstance(f, Fragment) for f in loaded):
         data = join(loaded)
         return len(data), [data]
     check_fragments(loaded)
+    permutations = rebuild_permutations(loaded)
     segments = decode_segments(loaded[0].params, loaded[0].num_shares)
     # decode_data is looked up here at each call, where the traced benchmark wraps it
-    return loaded[0].payload_length, (decode_data(loaded, rows) for rows in segments)
+    return loaded[0].payload_length, (decode_data(loaded, rows, permutations)
+                                      for rows in segments)
 
 
 def load_files(blobs: list[bytes]) -> list:
@@ -211,18 +219,86 @@ def load_files(blobs: list[bytes]) -> list:
     return loaded
 
 
-def _write_split(out_dir: Path, manifest: dispersal.Manifest, blobs: list,
-                 nbytes: int | None = None) -> None:
-    """Write the manifest's files, then the manifest, into ``out_dir``; refuses a
-    directory holding fragment files the manifest does not list.  A file's content
-    is its bytes or a function that writes them; ``nbytes`` is as for ``write_files``."""
-    names = [entry.name for entry in manifest.fragments]
+def _write_split(out_dir: Path, names: list[str], blobs: list, manifest,
+                 nbytes: int | None = None, fill: Callable | None = None) -> None:
+    """Write the files ``names``, then the manifest, into ``out_dir``; refuses a
+    directory holding fragment files not among ``names``.  Each content, the
+    manifest's too, and ``nbytes`` and ``fill`` are as for ``write_files``."""
     stale = sorted(p.name for p in out_dir.glob("*")
                    if p.suffix in wire.EXTENSIONS.values() and p.name not in names)
     if stale:
         raise ParameterError(f"{out_dir} holds fragment files of another split: {', '.join(stale)}")
     files = {out_dir / name: blob for name, blob in zip(names, blobs)}
-    dispersal.write_files({**files, out_dir / "manifest.json": manifest.to_json()}, (), nbytes)
+    dispersal.write_files({**files, out_dir / "manifest.json": manifest}, (), nbytes, fill)
+
+
+def _split_streamed(in_path: Path, k: int, n: int, c: int, block_size: int,
+                    out_dir: Path) -> bool:
+    """Split the regular file at ``in_path`` with the proposed scheme a chunk of share
+    rows at a time, and write its files; False when the input is not a regular
+    file or anything fails, with nothing written, for the caller to split the
+    input read whole, which meets the error again and reports it.
+
+    For each chunk of ``encode_chunks``, the input is read on, encoded through
+    ``encode_data`` (which continues the chunk before it) and released; then
+    each data file's piece of the chunk is dumped, its parity's RS-encoded
+    from those pieces, and each piece written and hashed, in parts, and
+    dropped.  So the split holds about two chunks (each of 8.4 to 16.8 MB of
+    input at 2 cores), whatever the payload; the manifest is written last.
+    """
+    with contextlib.ExitStack() as stack:
+        try:
+            src = dispersal.read_file(in_path, sparse=True, hashed=False)
+            stack.callback(src.close)
+            params = CodecParams(k=k, c=c, block_size=block_size)
+            size, m = len(src.buf), params.group_size
+            if not size or n < k:
+                return False  # refused by the split of the input read whole
+            chunks = encode_chunks(params, size)
+            parity = ParityParams(k=k, n=n) if n > k else None
+            magics = [wire.MAGIC_PROPOSED] * k + [wire.MAGIC_PARITY] * (n - k)
+            names = [dispersal.file_name(i, k, magic) for i, magic in enumerate(magics)]
+            shas = [hashlib.sha256() for _ in names]
+
+            def fill(appends: list[Callable]) -> None:
+                rng = random.SystemRandom()
+                after, offset, length = (), 0, None
+                for rows in chunks:
+                    end = min(rows.stop * m, size)
+                    src.fill(end)
+                    frags = encode_data(src.buf[rows.start * m : end], params, rng, after, size)
+                    src.release(end)
+                    # the data files' pieces, in a buffer whose pages go back once written
+                    dumped = dispersal.mapped(k * (_HEAD + len(rows) * block_size)).reshape(k, -1)
+                    pieces = [wire.dump_fragment(f, dumped[j]) for j, f in enumerate(frags)]
+                    # the next chunk reads the permutation shares and the last row alone
+                    after = [replace(f, shares=f.shares[-1:].copy(), first_row=rows.stop - 1)
+                             for f in frags]
+                    del frags
+                    if parity:
+                        # the length of a data file, for the head of its parity file
+                        length = length or len(pieces[0]) + (chunks[-1].stop - rows.stop) * block_size
+                        pieces += [wire.dump_parity_fragment(pf) for pf in
+                                   parity_fragments(pieces, parity, offset, length)]
+                        offset += len(pieces[0])
+
+                    def write(j: int) -> None:
+                        appends[j](pieces[j])
+                        shas[j].update(pieces[j])
+
+                    gf256._map_in_parts(write, list(range(n)), sum(map(len, pieces)))
+                    del pieces, dumped
+
+            def manifest(fh) -> None:
+                fh.write(dispersal.build_manifest(
+                    SchemeId.PROPOSED.value, k=k, c=c, block_size=block_size, n=n,
+                    payload_length=size, blobs=magics, sha256=[s.hexdigest() for s in shas],
+                ).to_json())
+
+            _write_split(out_dir, names, [None] * n, manifest, size * n // k, fill)
+            return True
+        except (FragmentationError, OSError):
+            return False
 
 
 @main.command("split")
@@ -244,8 +320,17 @@ def _write_split(out_dir: Path, manifest: dispersal.Manifest, blobs: list,
 def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: int | None, out_dir: Path):
     """Fragment a file into k (or n) fragment files plus a manifest."""
     n = k if n is None else n
-    data = dispersal.read_file(in_path)
     chosen = SchemeId(scheme)
+    if not (chosen is SchemeId.PROPOSED and _split_streamed(in_path, k, n, c, block_size, out_dir)):
+        _split_whole(in_path, chosen, k, n, c, block_size, out_dir)
+    _note(f"wrote {n} fragment files to {out_dir}")
+    click.echo(str(out_dir / "manifest.json"))
+
+
+def _split_whole(in_path: Path, chosen: SchemeId, k: int, n: int, c: int, block_size: int,
+                 out_dir: Path) -> None:
+    """Split the input read whole with any scheme and write its n files."""
+    data = dispersal.read_file(in_path)
     frags = split(chosen, data, k, n, c, block_size, random.SystemRandom())
     # the fragments hold the payload now: free the input before the files are
     # dumped, and the fragments once they are
@@ -258,7 +343,7 @@ def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: in
         parity = parity_fragments(blobs, ParityParams(k=k, n=n))
         blobs.extend(wire.dump_parity_fragment(pf) for pf in parity)
     manifest = dispersal.build_manifest(
-        scheme,
+        chosen.value,
         k=k,
         c=c if proposed else 0,
         block_size=block_size if proposed else 0,
@@ -268,9 +353,7 @@ def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: in
         cipher=SCHEMES[chosen].cipher,
         digest=SCHEMES[chosen].digest,
     )
-    _write_split(out_dir, manifest, blobs)
-    _note(f"wrote {len(blobs)} fragment files to {out_dir}")
-    click.echo(str(out_dir / "manifest.json"))
+    _write_split(out_dir, [entry.name for entry in manifest.fragments], blobs, manifest.to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +509,35 @@ def _parse_sites(spec: str, manifest: dispersal.Manifest) -> list[dispersal.Loca
     return sites
 
 
+def _disperse_streamed(manifest: dispersal.Manifest, base: Path, sites: list,
+                       record: Callable) -> dispersal.Manifest | None:
+    """``dispersal.store`` of the manifest's files in ``base``, each put as it is read
+    (``dispersal.Streamed``), one object per part; None when one is not a regular
+    file or anything fails, with nothing stored, for the caller to store the
+    files read whole, which meets the error again and reports it.
+
+    Every file's head is read and parsed first, and the data files checked as
+    one set, before anything is put; each file's digest is checked as it is
+    put, before the put commits."""
+    with contextlib.ExitStack() as stack:
+        try:
+            files, frags = {}, []
+            for entry in manifest.fragments:
+                f = files[entry] = dispersal.read_file(base / entry.name, sparse=True)
+                stack.callback(f.close)
+                f.fill(min(len(f.buf), _HEAD))
+                if entry.kind == "data":
+                    frags.append(wire.load_fragment(f.buf))
+                else:
+                    wire.load_parity_fragment(f.buf)  # parse check only
+            check_fragments(frags)
+            return dispersal.store(
+                manifest, {e: dispersal.Streamed(f, e.sha256, e.name) for e, f in files.items()},
+                sites, record=record)
+        except (FragmentationError, OSError):
+            return None  # what was stored is removed; the files read whole meet it again
+
+
 @main.command("disperse")
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(path_type=Path))
 @click.option("--sites", "sites_spec", required=True, help="Comma-separated site directories.")
@@ -447,22 +559,25 @@ def cmd_disperse(manifest_path: Path, sites_spec: str, manifest_out: Path | None
         )
     sites = _parse_sites(sites_spec, manifest)
     base = manifest_path.parent
-    blobs, frags = {}, []
-    read = dispersal.read(manifest, dispersal.local_files(base))
-    for entry, blob in zip(manifest.fragments, read):
-        if isinstance(blob, Exception):
-            raise blob  # any lost, unreadable or damaged file
-        if entry.kind == "data":
-            frags.append(wire.load_fragment(blob))
-        else:
-            wire.load_parity_fragment(blob)  # parse check only
-        blobs[entry] = blob
-    check_fragments(frags)
-
     out_path = manifest_out or (base / "dispersal.json")
-    stored = dispersal.store(
-        manifest, blobs, sites, record=lambda m: dispersal.write_files({out_path: m.to_json()})
-    )
+
+    def record(stored: dispersal.Manifest) -> None:
+        dispersal.write_files({out_path: stored.to_json()})
+
+    stored = _disperse_streamed(manifest, base, sites, record)
+    if stored is None:
+        blobs, frags = {}, []
+        read = dispersal.read(manifest, dispersal.local_files(base))
+        for entry, blob in zip(manifest.fragments, read):
+            if isinstance(blob, Exception):
+                raise blob  # any lost, unreadable or damaged file
+            if entry.kind == "data":
+                frags.append(wire.load_fragment(blob))
+            else:
+                wire.load_parity_fragment(blob)  # parse check only
+            blobs[entry] = blob
+        check_fragments(frags)
+        stored = dispersal.store(manifest, blobs, sites, record=record)
     _note(f"dispersal manifest written to {out_path}")
     click.echo("fragment\tsite")
     for entry in stored.fragments:
@@ -485,7 +600,8 @@ def cmd_fetch(manifest_path: Path, sites_spec: str, out_dir: Path):
     def write(recovered: dispersal.Recovered) -> None:
         got = _reported(recovered)
         # the data files hold about the payload, whether as bytes or as functions that write them
-        _write_split(out_dir, local, [got[entry] for entry in data], manifest.payload_length)
+        _write_split(out_dir, [entry.name for entry in entries], [got[entry] for entry in data],
+                     local.to_json(), manifest.payload_length)
 
     dispersal.fetch(manifest, _parse_sites(sites_spec, manifest), write)
     _note(f"fetched {len(entries)} fragments into {out_dir}")
@@ -510,6 +626,8 @@ def cmd_fetch(manifest_path: Path, sites_spec: str, out_dir: Path):
 @_guard
 def cmd_analyze(in_path: Path, scheme: str, k: int, c: int, block_size: int, n: int | None, report_path: Path):
     """Fragment a file in memory and measure fragment statistics."""
+    from . import analysis  # only this command needs it
+
     data = dispersal.read_file(in_path)
     n = k if n is None else n
     fragments = split(SchemeId(scheme), data, k, n, c, block_size, random.SystemRandom())

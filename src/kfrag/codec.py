@@ -37,6 +37,12 @@ before it.  The boundary between batches is the one step specific to
 c == 2.  The rows after the last whole batch run through the gather and
 _sweep as one range.  Both paths produce bit-identical fragments.
 
+A payload also encodes a chunk of rows at a time: encode_chunks cuts its
+share rows into ranges of whole 254-row batches (the last takes the rest),
+each long enough for the scan to run on every core, and each chunk takes
+the permutations and the last share row of the chunk before it.  The rows
+of the chunks, joined, are those of the whole payload.
+
 Decoding runs in the data frame, with one gather per fragment from its
 shares straight into the output rows, then adds the neighbor terms, which
 have no cross-row dependency, over many rows per numpy call.  So any range
@@ -92,13 +98,16 @@ _DECODE_PART_MIN_BYTES = 1 << 20
 # gather ran as fast as the fragment-frame gather at m = 64, 1000 and 4000
 # (32 MiB, one core); at 4 Ki it was up to 1.5x slower.
 _GATHER_INDICES = 1 << 15
-# Rows per take of the scan's correction Λ_i * E, which casts the entry states
-# to intp once per take.  32 MiB (4,2,250), best of 5 in one process on a
-# 2-core Xeon, ms of the correction at 1/2/4/8/16 rows: one core
-# 54.1/49.9/48.3/46.4/47.0, two cores 29.7/27.8/25.2/24.8/25.9.  Each row of a
-# take adds one row of every batch to its scratch, so 4 rows keep it at 4/254
-# of the payload.
-_LAMBDA_ROWS = 4
+# Rows per step of the scan's correction: one take of Λ_i * E, one XOR and one
+# write-back take cover this many rows of every batch of a part, so the
+# threads of a small part hand each other the interpreter lock less often.
+# Medians of 9 interleaved runs in one process on a 2-core Xeon, ms, 4 rows
+# vs 8: a 32 MiB (4,2,250) encode_data 133.1 vs 119.0 on two cores and
+# 222.0 vs 188.7 on one; the same payload in the three chunks of
+# encode_chunks 164.3 vs 135.1 and 204.1 vs 185.8.  Each row of a step adds
+# three rows of every batch of the part to its scratch (Λ_i * E, the XOR and
+# the write-back's buffer), 24/254 of the part's rows.
+_LAMBDA_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -132,7 +141,9 @@ class Fragment:
     """One of the k outputs: a permutation share plus a column of data shares.
 
     ``shares`` may be a strided view (encode_data returns column blocks of
-    one buffer), so take its bytes with ``shares.tobytes()``.
+    one buffer), so take its bytes with ``shares.tobytes()``.  A fragment of
+    one chunk of a payload's share rows (``encode_data``'s chunks) holds its
+    rows from ``first_row`` only, and the whole payload's length.
     """
 
     index: int
@@ -140,9 +151,12 @@ class Fragment:
     permutation_share: PermutationShare
     shares: np.ndarray  # (num_shares, block_size) uint8
     payload_length: int
+    first_row: int = 0
 
     def __post_init__(self) -> None:
         p = self.params
+        if self.first_row < 0:
+            raise ParameterError(f"first share row {self.first_row} is negative")
         if not 0 <= self.index < p.k:
             raise ParameterError(f"fragment index {self.index} out of range [0, {p.k})")
         ps = self.permutation_share
@@ -174,18 +188,64 @@ def padded_length(data_length: int, params: CodecParams) -> int:
     return ((data_length + group - 1) // group) * group
 
 
-def encode_data(data: bytes, params: CodecParams, rng: random.Random) -> tuple[Fragment, ...]:
-    """Transform data into the k fragments, in index order; all k are needed to get it back."""
+def encode_data(data: bytes, params: CodecParams, rng: random.Random,
+                after: Sequence[Fragment] = (),
+                payload_length: int | None = None) -> tuple[Fragment, ...]:
+    """Transform data into the k fragments, in index order; all k are needed to get it back.
+
+    A payload may also be encoded a chunk of share rows at a time, every
+    chunk but the last a whole number of 254-row batches (encode_chunks).
+    The first chunk takes the whole ``payload_length``.  Each next chunk
+    continues the fragments of the chunk before it, given as ``after``, of
+    which only the permutation shares and the last share row are read, as
+    decode_data decodes a range of rows from the row before it; ``rng`` is
+    not drawn from.  A chunk's fragments hold its own share rows, from
+    ``first_row``, and the whole payload's length; the rows of all chunks,
+    joined, are those of the fragments of the whole payload.
+    """
     if len(data) == 0:
         raise ParameterError("nothing to fragment")
-    pas = generate_permutations(params.k, params.c, params.block_size, rng)
-    # shares come back in share_index order, so share z of array r is fragment r*c + z's
-    ps = [share for r, pa in enumerate(pas)
-          for share in split_permutation(pa, params.c, rng, array_index=r)]
-    return _encode_with_permutations(data, params, pas, ps)
+    m = params.group_size
+    if after:
+        check_fragments(after)
+        after = sorted(after, key=lambda f: f.index)
+        if after[0].params != params:
+            raise ParameterError("a chunk's parameters differ from the fragments before it")
+        start, payload_length = after[0].first_row + after[0].num_shares, after[0].payload_length
+        pas = rebuild_permutations(after)
+        ps = [f.permutation_share for f in after]
+        state = np.concatenate([f.shares[-1] for f in after])
+    else:
+        start, state = 0, None
+        payload_length = len(data) if payload_length is None else payload_length
+        pas = generate_permutations(params.k, params.c, params.block_size, rng)
+        # shares come back in share_index order, so share z of array r is fragment r*c + z's
+        ps = [share for r, pa in enumerate(pas)
+              for share in split_permutation(pa, params.c, rng, array_index=r)]
+    end = start * m + len(data)
+    if start % _X_PERIOD or end > payload_length or (
+            end < payload_length and len(data) % (_X_PERIOD * m)):
+        raise ParameterError(f"{len(data)} bytes from share row {start} are not a chunk of"
+                             f" whole {_X_PERIOD}-row batches of a {payload_length}-byte payload")
+    return _encode_with_permutations(data, params, pas, ps, start, state, payload_length)
 
 
-def decode_data(fragments: Iterable[Fragment], rows: range | None = None) -> memoryview:
+def encode_chunks(params: CodecParams, payload_length: int) -> list[range]:
+    """Consecutive ranges of a payload's share rows to encode one after another, cut
+    as decode_segments cuts them: as many as hold gf256._CORES scan parts each, so
+    each still encodes on every core, of equal whole 254-row batches but for the
+    last, which also takes the rows after the last whole batch."""
+    m = params.group_size
+    nf = padded_length(payload_length, params) // m
+    batches = payload_length // (_X_PERIOD * m)  # whole ones
+    least = -(-gf256._CORES * gf256._PART_MIN_BYTES // (_X_PERIOD * m))
+    count = max(1, batches // least)
+    cuts = [batches * i // count * _X_PERIOD for i in range(count)] + [nf]
+    return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def decode_data(fragments: Iterable[Fragment], rows: range | None = None,
+                permutations: list[PermutationArray] | None = None) -> memoryview:
     """Reconstruct the payload bytes of share rows ``rows`` (all rows by default)
     from all k fragments, as a read-only memoryview of bytes decoded in place
     into one numpy buffer.
@@ -196,18 +256,20 @@ def decode_data(fragments: Iterable[Fragment], rows: range | None = None) -> mem
     Raises ThresholdError when any fragment is missing, ParameterError on
     inconsistent fragment sets or a range outside the share rows, and
     IntegrityError when the permutation shares do not XOR back into valid
-    permutations.
+    permutations.  A caller that decodes a set range by range checks it and
+    rebuilds its ``permutations`` once (rebuild_permutations) and passes them.
     """
     frags = tuple(fragments)
-    check_fragments(frags)
+    if permutations is None:
+        check_fragments(frags)
     params = frags[0].params
-    k, c, m = params.k, params.c, params.group_size
+    k, m = params.k, params.group_size
     frags = tuple(sorted(frags, key=lambda f: f.index))
     payload_length = frags[0].payload_length
 
     nf = frags[0].num_shares
     expected = padded_length(payload_length, params) // m
-    if nf != expected:
+    if nf != expected or frags[0].first_row:
         raise ParameterError(
             f"share count {nf} does not match payload length {payload_length}"
         )
@@ -215,11 +277,7 @@ def decode_data(fragments: Iterable[Fragment], rows: range | None = None) -> mem
     if rows.step != 1 or not 0 <= rows.start <= rows.stop <= nf:
         raise ParameterError(f"{rows} is not a range of the {nf} share rows")
 
-    pas = []
-    for r in range(k // c):
-        group = [frags[r * c + z].permutation_share for z in range(c)]
-        pas.append(reconstruct_permutation(group, c))
-
+    pas = rebuild_permutations(frags) if permutations is None else permutations
     out = np.empty(len(rows) * m, dtype=np.uint8)
     _decode_rows(frags, pas, out.reshape(len(rows), k, params.block_size), rows.start)
     out = out[: payload_length - rows.start * m]
@@ -235,6 +293,16 @@ def decode_segments(params: CodecParams, num_shares: int) -> list[range]:
     count = max(1, num_shares // least)
     cuts = [num_shares * i // count for i in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def rebuild_permutations(frags: Sequence[Fragment]) -> list[PermutationArray]:
+    """The k / c permutation arrays of a checked set of k fragments, each XORed back
+    from the c shares its fragments carry; IntegrityError when one is no permutation."""
+    params = frags[0].params
+    c = params.c
+    by_index = sorted(frags, key=lambda f: f.index)
+    return [reconstruct_permutation([f.permutation_share for f in by_index[r * c : (r + 1) * c]], c)
+            for r in range(params.k // c)]
 
 
 def check_fragments(frags: Sequence[Fragment]) -> None:
@@ -279,15 +347,20 @@ def _encode_with_permutations(
     params: CodecParams,
     pas: list[PermutationArray],
     ps: list[PermutationShare],
+    start: int = 0,
+    state: np.ndarray | None = None,
+    payload_length: int | None = None,
 ) -> tuple[Fragment, ...]:
-    """Encode with explicit permutations; the seam tests drive directly."""
+    """Encode with explicit permutations; the seam tests drive directly.  ``data``
+    are the payload's bytes from share row ``start``, a multiple of 254, and
+    ``state`` the share row before it (by default the permutation shares)."""
     k, bs, m = params.k, params.block_size, params.group_size
     nf = padded_length(len(data), params) // m
     pi = _flat_permutation_gather(pas, params)
     payload = np.frombuffer(data, dtype=np.uint8)
     y = np.empty((nf, m), dtype=np.uint8)  # encoded in place
-    # the row before the first: the permutation shares
-    state = np.frombuffer(b"".join(p.entries for p in ps), dtype=np.uint8)
+    if state is None:  # the row before the first: the permutation shares
+        state = np.frombuffer(b"".join(p.entries for p in ps), dtype=np.uint8)
     # D_t: the byte at position v of block j reads fragment (j+t) % k at position v
     parent_idx = np.stack([(pi + t * bs) % m for t in range(1, params.c)])
 
@@ -298,9 +371,10 @@ def _encode_with_permutations(
         _encode_rows_scan(payload[: body * m], pi, y[:body], state, parent_idx[0])
         state = y[body - 1]
     _fragment_rows(payload[body * m :], pi, y[body:])
-    _sweep(y[body:], state, parent_idx, body)
+    _sweep(y[body:], state, parent_idx, start + body)
 
-    return tuple(Fragment(j, params, ps[j], y[:, j * bs : (j + 1) * bs], len(data))
+    length = len(data) if payload_length is None else payload_length
+    return tuple(Fragment(j, params, ps[j], y[:, j * bs : (j + 1) * bs], length, start)
                  for j in range(k))
 
 
@@ -432,37 +506,52 @@ def _encode_rows_scan(data: np.ndarray, pi: np.ndarray, rows: np.ndarray,
     writes each row (u0~_i ^ Λ_i * E_b)[D^(i+1)] back to the fragment frame.
     It takes Λ_i * E for _LAMBDA_ROWS rows at once from one 254 x 256
     product table, so each byte makes one data-dependent lookup in all, and
-    no corrected row depends on the one before it.  Q_i and D^(i+1) advance
-    one m-element take per step.  The sweep and the correction run over a
-    contiguous range of batches, one range per thread, so throughput does
-    not depend on k or the block size.
+    no corrected row depends on the one before it.  The sweep and the
+    correction run over a contiguous range of batches, one range per
+    thread, so throughput does not depend on k or the block size.  Each
+    numpy call of a part may hand the interpreter lock to another part, so
+    a part advances Q_i and D^(i+1) a block of rows per take, and corrects
+    _LAMBDA_ROWS rows of its batches per XOR and per write-back take.
     """
     nf, m = rows.shape
     b = _X_PERIOD
     nb = nf // b
     src = data.reshape(nb, b * m)
     rows3, flat = rows.reshape(nb, b, m), rows.reshape(nb, b * m)
-    dinv = np.argsort(didx)
-    # the drifted rows are gathered batch by batch, span rows per take
+    # the drifted rows are gathered span rows per take
     span = max(1, min(b, _GATHER_INDICES // m))
     # tables[i] multiplies by pick_x(i + 1), the x of row i of a batch, and
     # lambdas[i] by Λ_i, the product of the x of rows 0..i
     tables = MUL_TABLE[EXP_TABLE[_X_LOGS]]
     lambdas = MUL_TABLE[EXP_TABLE[np.cumsum(_X_LOGS) % 255]]
+    # pi[Q_i] and D^(i+1) advance a block of rows per take: row r of a block is the
+    # row before the block taken at ahead[r] = D^-(r+1) (gather), or the block's
+    # first row taken at behind[r] = D^r (write-back)
+    dinv = np.argsort(didx)
+    ahead = np.empty((span, m), dtype=np.intp)  # D^-1 .. D^-span
+    behind = np.empty((_LAMBDA_ROWS + 1, m), dtype=np.intp)  # D^0 .. D^_LAMBDA_ROWS
+    ahead[0], behind[0] = dinv, np.arange(m)
+    for r in range(1, span):
+        ahead[r] = ahead[r - 1].take(dinv)
+    for r in range(1, _LAMBDA_ROWS + 1):
+        behind[r] = behind[r - 1].take(didx)
+    # the offset of each row of a gather block, and of each row of a correction take
+    row_at = np.arange(0, b * m, m)[:, None]
     cur = np.empty((nb, m), dtype=np.uint8)
 
     def sweep1(lo: int, hi: int) -> None:
         """Gather each batch's drifted rows and run them from a zero entry state in
         place; leave each batch's last state in cur."""
-        pick = np.empty(span * m, dtype=np.intp)  # i * m + pi[Q_i] for span rows i
-        gidx = pi  # pi[Q_i]
+        pick = np.empty((span, m), dtype=np.intp)  # i * m + pi[Q_i] for span rows i
+        gidx = pi  # pi[Q_(i0 - 1)]
         for i0 in range(0, b, span):
-            i1 = min(i0 + span, b)
-            for i in range(i0, i1):
-                gidx = gidx.take(dinv)
-                np.add(gidx, i * m, out=pick[(i - i0) * m : (i - i0 + 1) * m])
+            n = min(span, b - i0)
+            gidx.take(ahead[:n], out=pick[:n])
+            gidx = pick[n - 1].copy()
+            pick[:n] += row_at[i0 : i0 + n]
             for beta in range(lo, hi):
-                src[beta].take(pick[: (i1 - i0) * m], out=flat[beta, i0 * m : i1 * m], mode="clip")
+                src[beta].take(pick[:n].reshape(-1), out=flat[beta, i0 * m : (i0 + n) * m],
+                               mode="clip")
         scratch = np.empty((hi - lo, m), dtype=np.uint8)
         for i in range(1, b):
             tables[i].take(rows3[lo:hi, i - 1], out=scratch, mode="clip")
@@ -470,17 +559,22 @@ def _encode_rows_scan(data: np.ndarray, pi: np.ndarray, rows: np.ndarray,
         cur[lo:hi] = rows3[lo:hi, b - 1]
 
     def correct(lo: int, hi: int) -> None:
-        """Add Λ_i times each batch's entry state in cur to its rows, writing the fragment frame."""
+        """Add Λ_i times each batch's entry state in cur to its rows, writing the fragment
+        frame, _LAMBDA_ROWS rows of every batch at a time."""
         fix = np.empty((_LAMBDA_ROWS, hi - lo, m), dtype=np.uint8)
-        scratch = np.empty((hi - lo, m), dtype=np.uint8)
-        widx = didx  # D^(i+1)
+        scratch = np.empty((hi - lo, _LAMBDA_ROWS, m), dtype=np.uint8)
+        widx = np.empty((_LAMBDA_ROWS + 1, m), dtype=np.intp)  # D^(i+1) for each row, then the next
+        widx[_LAMBDA_ROWS] = didx
         for i0 in range(0, b, _LAMBDA_ROWS):
-            i1 = min(i0 + _LAMBDA_ROWS, b)
-            lambdas[i0:i1].take(cur[lo:hi], axis=1, out=fix[: i1 - i0], mode="clip")
-            for i in range(i0, i1):
-                np.bitwise_xor(rows3[lo:hi, i], fix[i - i0], out=scratch)
-                scratch.take(widx, axis=1, out=rows3[lo:hi, i], mode="clip")
-                widx = widx.take(didx)
+            n = min(_LAMBDA_ROWS, b - i0)
+            widx[_LAMBDA_ROWS].take(behind, out=widx)
+            widx[:n] += row_at[:n]
+            lambdas[i0 : i0 + n].take(cur[lo:hi], axis=1, out=fix[:n], mode="clip")
+            np.bitwise_xor(rows3[lo:hi, i0 : i0 + n], fix[:n].transpose(1, 0, 2),
+                           out=scratch[:, :n])
+            scratch.reshape(hi - lo, -1)[:, : n * m].take(
+                widx[:n].reshape(-1), axis=1, mode="clip",
+                out=rows3[lo:hi, i0 : i0 + n].reshape(hi - lo, n * m))
 
     _in_parts(nb, rows.nbytes, sweep1)
 

@@ -21,8 +21,10 @@ verifies), neither holds the set: ``fetch`` hands its caller a function per
 data object that gets, checks and writes it, and ``kfrag join`` reads each
 file a segment at a time through a ``SparseFile``, hashing it as it goes.
 Either pass goes back to ``recover`` on a digest mismatch, with nothing
-committed.  ``disperse`` reads like ``recover`` but refuses any lost or
-damaged file.  Every file kfrag writes goes through ``write_files``: all of a
+committed.  ``disperse`` refuses any lost or damaged file; ``kfrag disperse``
+puts each file as it reads it, a piece at a time (``Streamed``), and reads
+the set whole, as ``recover`` does, only when that pass fails, with what it
+put removed.  Every file kfrag writes goes through ``write_files``: all of a
 set or none, a command's manifest last.  Every file it reads, but for the
 JSON manifests, comes in through ``read_file``: into one numpy buffer, filled
 in place and returned read-only, or, sparse, as a SparseFile.
@@ -31,7 +33,8 @@ A site is its backend, and its index is its position in the list of sites.
 A local-directory backend ships by default.  Another object with
 put/get/exists/delete can stand in for a real object store as long as
 ``get`` may run on several threads at once (``fetch`` reads large sets in
-parts), and, for ``store``, as long as it has a ``root`` directory:
+parts), ``put`` takes an object's bytes or a function that writes them
+into an open file, and, for ``store``, as long as it has a ``root`` directory:
 ``store`` makes each site's root and refuses two sites whose roots are one
 directory or lie one inside the other, since one provider would then hold
 the rows of two sites.
@@ -66,22 +69,26 @@ from .errors import (
 from . import gf256, wire
 
 
-def write_files(files: dict[Path, bytes | Callable[[BinaryIO], object]],
-                dirs: Iterable[Path] = (), nbytes: int | None = None) -> list[Path]:
+def write_files(files: dict[Path, bytes | Callable[[BinaryIO], object] | None],
+                dirs: Iterable[Path] = (), nbytes: int | None = None,
+                fill: Callable[[list[Callable[[bytes], object]]], object] | None = None,
+                ) -> list[Path]:
     """Write every file, creating missing directories, or leave all as they were.
 
-    A file's content is one buffer, or a function that writes the file into
-    the open temporary it is handed.  The missing directories are made first:
-    any of ``dirs`` and their parents, then those of each file.  Each file
-    then goes to a temporary name in its own directory, the files split into
-    parts as by ``gf256._map_in_parts`` by ``nbytes``, the bytes the files
-    hold (by default the bytes of their buffers: give it when functions write
-    them), and only once all are written is each renamed into place, in
-    order, so the last one commits the set.  Returns the directories it
-    created, innermost first.  On failure, a content function's own error
-    included, it removes the temporaries and those directories again and
-    re-raises; an OSError names the file that could not be written, not its
-    temporary name."""
+    A file's content is one buffer, a function that writes the file into the
+    open temporary it is handed, or None: ``fill`` writes the files whose
+    content is None together, handed one function per file, in order, that
+    appends a buffer to it.  The missing directories are made first: any of
+    ``dirs`` and their parents, then those of each file.  Each file then goes
+    to a temporary name in its own directory: first ``fill``'s, on the calling
+    thread, then the others, split into parts as by ``gf256._map_in_parts``
+    by ``nbytes``, the bytes the files hold (by default the bytes of their
+    buffers: give it when functions write them), and only once all are
+    written is each renamed into place, in order, so the last one commits
+    the set.  Returns the directories it created, innermost first.  On
+    failure, a content function's own error included, it removes the
+    temporaries and those directories again and re-raises; an OSError names
+    the file that could not be written, not its temporary name."""
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
     made: list[Path] = []
 
@@ -99,15 +106,31 @@ def write_files(files: dict[Path, bytes | Callable[[BinaryIO], object]],
             else:
                 fh.write(content)
 
+    def appender(path: Path, fh: BinaryIO) -> Callable[[bytes], object]:
+        def append(buf: bytes) -> None:
+            with _naming(path):
+                fh.write(buf)
+
+        return append
+
     try:
         for directory in dirs:
             make(directory)
         for path in files:
             with _naming(path):
                 make(path.parent)
+        together = [path for path, content in files.items() if content is None]
+        if together:
+            with contextlib.ExitStack() as stack:
+                appends = []
+                for path in together:
+                    with _naming(path):
+                        appends.append(appender(path, stack.enter_context(open(temps[path], "wb"))))
+                fill(appends)
+        rest = [path for path, content in files.items() if content is not None]
         if nbytes is None:
-            nbytes = sum(len(content) for content in files.values() if not callable(content))
-        gf256._map_in_parts(write, list(files), nbytes)
+            nbytes = sum(len(files[path]) for path in rest if not callable(files[path]))
+        gf256._map_in_parts(write, rest, nbytes)
         for path, tmp in temps.items():
             with _naming(path):
                 os.replace(tmp, path)
@@ -131,7 +154,7 @@ def _naming(path: Path):
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
-def read_file(path: Path, sparse: bool = False) -> memoryview | SparseFile:
+def read_file(path: Path, sparse: bool = False, hashed: bool = True) -> memoryview | SparseFile:
     """The bytes of the file at ``path``, read-only.
 
     A regular file is read into one numpy buffer sized from ``fstat``: numpy
@@ -141,14 +164,14 @@ def read_file(path: Path, sparse: bool = False) -> memoryview | SparseFile:
     first part that came up short ended, so a file that shrank since ``fstat``
     gives its bytes with no zero tail.  A pipe or other non-regular file is
     read to its end.  With ``sparse``, a regular file is not read here: it
-    comes back as a SparseFile, open, to be read piece by piece; any other
-    file is a StorageError."""
+    comes back as a SparseFile, open, to be read piece by piece, and hashed
+    as it is unless not ``hashed``; any other file is a StorageError."""
     with open(path, "rb", buffering=0) as fh:
         info = os.fstat(fh.fileno())
         if sparse:
             if not stat.S_ISREG(info.st_mode):
                 raise StorageError(f"not a regular file: {path}")
-            return SparseFile(os.dup(fh.fileno()), info.st_size)
+            return SparseFile(os.dup(fh.fileno()), info.st_size, hashed)
         if not stat.S_ISREG(info.st_mode):
             return memoryview(fh.read())
         buf = np.empty(info.st_size, dtype=np.uint8)
@@ -166,43 +189,81 @@ def read_file(path: Path, sparse: bool = False) -> memoryview | SparseFile:
     return memoryview(buf)
 
 
+# a fill of this many bytes asks for huge pages, as numpy does for an array
+_HUGE_FILL = 4 << 20
+
+
+def _anonymous(size: int) -> mmap.mmap:
+    """A private anonymous mapping of ``size`` bytes: MADV_DONTNEED frees its pages,
+    where a shared mapping's would stay.  A MemoryError when there is no room."""
+    try:
+        return mmap.mmap(-1, max(size, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except OSError as exc:
+        if exc.errno == errno.ENOMEM:  # as numpy reports a buffer it cannot get
+            raise MemoryError(f"cannot map {size} bytes") from exc
+        raise
+
+
+def mapped(size: int) -> np.ndarray:
+    """A writable uint8 array of ``size`` bytes in an anonymous mapping of its own,
+    with huge pages from _HUGE_FILL bytes.  Its pages go back to the system once
+    it and every view of it are dropped, where the C heap may keep the pages of
+    a large numpy buffer it freed (once one such buffer has been freed, glibc
+    serves the next of at most its size from the heap), so a buffer made anew
+    at each step of a loop holds no more than one step's pages."""
+    area = _anonymous(size)
+    if size >= _HUGE_FILL:
+        area.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(area, dtype=np.uint8, count=size)
+
+
 class SparseFile:
     """A regular file read in file order, piece by piece, into an anonymous
     mapping of its size, and hashed as it is read.
 
     ``buf`` is the whole file, read-only: the bytes not read yet, and those
     released, read as zeros and hold no memory.  ``fill(end)`` reads on from
-    where the last fill ended up to ``end`` and adds those bytes to ``sha``;
-    ``release(end)`` hands the pages that lie wholly before ``end`` back to
-    the system (``MADV_DONTNEED``).  A file that ends before a fill does is an
-    IntegrityError.  ``close`` closes the descriptor; the mapping lives as
-    long as ``buf`` or a view of it does."""
+    where the last fill ended up to ``end``, in parts as by
+    ``gf256._in_parts``, and adds those bytes to ``sha``, if ``hashed``;
+    ``release(end)`` hands the pages that lie wholly before
+    ``end`` back to the system (``MADV_DONTNEED``).  A file that ends before a
+    fill does is an IntegrityError.  ``close`` closes the descriptor; the
+    mapping lives as long as ``buf`` or a view of it does."""
 
-    def __init__(self, fd: int, size: int):
+    def __init__(self, fd: int, size: int, hashed: bool = True):
         self._fd = fd
         try:
-            # private: MADV_DONTNEED frees its pages, where a shared mapping's would stay
-            self._map = mmap.mmap(-1, max(size, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        except OSError as exc:
+            self._map = _anonymous(size)
+        except BaseException:
             os.close(fd)
-            if exc.errno == errno.ENOMEM:  # as numpy reports a buffer it cannot get
-                raise MemoryError(f"cannot map {size} bytes") from exc
             raise
         self._bytes = np.frombuffer(self._map, dtype=np.uint8, count=size)
         view = self._bytes.view()
         view.setflags(write=False)
         self.buf = memoryview(view)
-        self.sha = hashlib.sha256()
+        self.sha = hashlib.sha256() if hashed else None
         self._read = self._released = 0
 
     def fill(self, end: int) -> None:
         start = self._read
-        while self._read < end:
-            n = os.preadv(self._fd, [self._bytes[self._read : end]], self._read)
-            if not n:
-                raise IntegrityError(f"file ended at byte {self._read} of {len(self.buf)}")
-            self._read += n
-        self.sha.update(self._bytes[start:end])
+        short: list[int] = []  # where each part that came up short ended
+
+        def part(lo: int, hi: int) -> None:
+            lo, hi = start + lo, start + hi
+            while lo < hi and (n := os.preadv(self._fd, [self._bytes[lo:hi]], lo)):
+                lo += n
+            if lo < hi:
+                short.append(lo)
+
+        if end - start >= _HUGE_FILL:
+            low = start - start % mmap.PAGESIZE
+            self._map.madvise(mmap.MADV_HUGEPAGE, low, end - low)
+        gf256._in_parts(end - start, end - start, part)
+        if short:
+            raise IntegrityError(f"file ended at byte {min(short)} of {len(self.buf)}")
+        self._read = max(start, end)
+        if self.sha is not None:
+            self.sha.update(self._bytes[start:end])
 
     def release(self, end: int) -> None:
         end -= end % mmap.PAGESIZE
@@ -210,8 +271,43 @@ class SparseFile:
             self._map.madvise(mmap.MADV_DONTNEED, self._released, end - self._released)
             self._released = end
 
+    def copy(self, fh: BinaryIO) -> None:
+        """Write the whole file into ``fh``: the bytes read so far, then the rest, read
+        on and hashed a piece at a time through one buffer, not into the mapping."""
+        fh.write(self.buf[: self._read])
+        piece = np.empty(min(_PIECE, len(self.buf)), dtype=np.uint8)
+        while self._read < len(self.buf):
+            n = os.preadv(self._fd, [piece[: len(self.buf) - self._read]], self._read)
+            if not n:
+                raise IntegrityError(f"file ended at byte {self._read} of {len(self.buf)}")
+            fh.write(piece[:n])
+            self.sha.update(piece[:n])
+            self._read += n
+
     def close(self) -> None:
         os.close(self._fd)
+
+
+# the bytes SparseFile.copy reads, hashes and writes at a time
+_PIECE = 1 << 20
+
+
+class Streamed:
+    """An object to ``put`` as it is read: called with the open file it goes to,
+    it copies the SparseFile ``file`` into it, then raises an IntegrityError
+    that names ``name`` unless the file's digest is ``sha256``, so a put of
+    a damaged file commits nothing.  Its length is the file's."""
+
+    def __init__(self, file: SparseFile, sha256: str, name: str):
+        self.file, self.sha256, self.name = file, sha256, name
+
+    def __len__(self) -> int:
+        return len(self.file.buf)
+
+    def __call__(self, fh: BinaryIO) -> None:
+        self.file.copy(fh)
+        if self.file.sha.hexdigest() != self.sha256:
+            raise IntegrityError(f"digest mismatch for {self.name!r}")
 
 
 def _remove_dirs(dirs: list[Path]) -> None:
@@ -234,7 +330,9 @@ class LocalDirectoryBackend:
             raise StorageError(f"object name escapes the site root: {name!r}")
         return path
 
-    def put(self, name: str, data: bytes) -> None:
+    def put(self, name: str, data: bytes | Callable[[BinaryIO], object]) -> None:
+        """Store ``data``, the object's bytes or a function that writes them into
+        the open file it is handed; its error leaves no object."""
         path = self._path(name)
         if path.exists():
             raise StorageError(f"object already exists: {name!r}")
@@ -404,23 +502,22 @@ def build_manifest(
     blobs: list[bytes],
     cipher: str | None = None,
     digest: str | None = None,
+    sha256: list[str] | None = None,
 ) -> Manifest:
     """The manifest of one split: an entry per serialized file, in order.
 
-    ``blobs`` holds the fragment files with any parity files after them.  The
-    magic of each file gives its kind and its extension: fragment i is named
-    ``f{i}.<ext>`` and parity row r, global index k + r, ``p{r}.kpar``.
+    ``blobs`` holds the fragment files with any parity files after them, each
+    hashed here, or, with their ``sha256`` digests, their first bytes.  The
+    magic of each file gives its kind and its extension (``file_name``).
     """
-    digests = gf256._map_in_parts(_sha256, blobs, sum(map(len, blobs)))
+    if sha256 is None:
+        sha256 = gf256._map_in_parts(_sha256, blobs, sum(map(len, blobs)))
     entries = []
-    for index, (blob, digest) in enumerate(zip(blobs, digests)):
+    for index, (blob, digest) in enumerate(zip(blobs, sha256)):
         magic = bytes(blob[:4])
         kind = "parity" if magic == wire.MAGIC_PARITY else "data"
-        stem = f"p{index - k}" if kind == "parity" else f"f{index}"
-        entries.append(
-            ManifestEntry(index=index, site=None, name=f"{stem}{wire.EXTENSIONS[magic]}",
-                          sha256=digest, kind=kind)
-        )
+        entries.append(ManifestEntry(index=index, site=None, name=file_name(index, k, magic),
+                                     sha256=digest, kind=kind))
     return Manifest(
         scheme=scheme,
         k=k,
@@ -434,6 +531,14 @@ def build_manifest(
         cipher=cipher,
         digest=digest,
     )
+
+
+def file_name(index: int, k: int, magic: bytes) -> str:
+    """The name of a split's file of global index ``index``, whose magic gives its
+    kind and extension: fragment i is ``f{i}.<ext>``, parity row r (index k + r)
+    ``p{r}.kpar``."""
+    stem = f"p{index - k}" if magic == wire.MAGIC_PARITY else f"f{index}"
+    return stem + wire.EXTENSIONS[magic]
 
 
 def site_count(manifest: Manifest) -> int:
@@ -451,7 +556,8 @@ def store(
     """Write each verified file to its site and return the dispersal manifest.
 
     ``blobs`` maps every entry of the split manifest to the bytes its digest
-    was checked against; each is written verbatim as ``{run}/{entry.name}``.
+    was checked against, or to a ``Streamed`` file that checks them as it is
+    put; each is written verbatim as ``{run}/{entry.name}``.
     Data fragment j goes to site j mod c and every parity file to one
     dedicated extra site appended after the c primary sites.  The returned
     manifest keeps the split manifest's digests and adds site and run id;

@@ -54,7 +54,9 @@ class ParityParams:
 
 @dataclass(frozen=True)
 class ParityFragment:
-    """One parity row: coefficients plus the combined bytes."""
+    """One parity row: coefficients plus the combined bytes.  A piece of a row
+    (``parity_fragments`` of pieces of the primaries) holds their combined bytes
+    from byte ``offset`` of sequences of ``primary_length`` bytes."""
 
     row_index: int
     coefficients: bytes
@@ -62,6 +64,7 @@ class ParityFragment:
     k: int
     n: int
     primary_length: int
+    offset: int = 0
 
     @property
     def index(self) -> int:
@@ -80,8 +83,11 @@ def rs_encode(primary: list[bytes], params: ParityParams) -> list[bytes]:
     return [row.tobytes() for row in matmul(params.rows, arrays)]
 
 
-def parity_fragments(primary: list[bytes], params: ParityParams) -> list[ParityFragment]:
-    """rs_encode wrapped with the coefficient metadata needed for recovery."""
+def parity_fragments(primary: list[bytes], params: ParityParams, offset: int = 0,
+                     length: int | None = None) -> list[ParityFragment]:
+    """rs_encode wrapped with the coefficient metadata needed for recovery.  Parity
+    works byte position by byte position, so ``primary`` may be the pieces from
+    ``offset`` of sequences of ``length`` bytes, and the rows pieces of theirs."""
     parity = rs_encode(primary, params)
     return [
         ParityFragment(
@@ -90,7 +96,8 @@ def parity_fragments(primary: list[bytes], params: ParityParams) -> list[ParityF
             data=data,
             k=params.k,
             n=params.n,
-            primary_length=len(primary[0]),
+            primary_length=len(primary[0]) if length is None else length,
+            offset=offset,
         )
         for p, data in enumerate(parity)
     ]

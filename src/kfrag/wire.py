@@ -9,7 +9,10 @@ The magic selects the scheme, and the file extension is "." plus the magic
 in lower case.  For the keyless codec ("KFRG") the header fields carry their
 literal meaning and the body is the permutation share followed by a u32
 share count and the raw shares; ``dump_fragment`` writes it and
-``load_fragment`` reads it back as a view of the file's bytes.
+``load_fragment`` reads it back as a view of the file's bytes.  A split
+that encodes its payload a chunk at a time dumps each file a piece at a
+time: the piece of a chunk's fragment, or of its parity row, is its bytes
+in the file, the head before the first.
 
 The baseline schemes (SSS, IDA, SSMS, AONT-RS) and the parity files
 ("KPAR", the coefficient row that combined the k primary files plus the
@@ -37,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import baselines
-from .codec import CodecParams, Fragment
+from .codec import CodecParams, Fragment, padded_length
 from .erasure import ParityFragment
 from .errors import ParameterError
 from .permutation import PermutationShare
@@ -96,23 +99,30 @@ class _Reader:
 # -- keyless codec fragments -------------------------------------------------
 
 
-def dump_fragment(frag: Fragment) -> memoryview:
-    """The fragment's file, read-only, in one numpy buffer filled in place."""
+def dump_fragment(frag: Fragment, out: np.ndarray | None = None) -> memoryview:
+    """The fragment's file, read-only, in one numpy buffer filled in place, or in the
+    start of the uint8 buffer ``out``; for a fragment of a chunk of share rows, the
+    piece of the file that holds them."""
     p = frag.params
     ps = frag.permutation_share
-    head = _HEADER.pack(
-        MAGIC_PROPOSED,
-        VERSION,
-        p.k,
-        p.c,
-        frag.index,
-        p.block_size,
-        frag.payload_length,
-        ps.array_index,
-        ps.share_index,
-    )
-    prefix = b"".join([head, ps.entries, frag.num_shares.to_bytes(4, "big")])
-    out = np.empty(len(prefix) + frag.shares.size, dtype=np.uint8)
+    prefix = b""
+    if frag.first_row == 0:
+        head = _HEADER.pack(
+            MAGIC_PROPOSED,
+            VERSION,
+            p.k,
+            p.c,
+            frag.index,
+            p.block_size,
+            frag.payload_length,
+            ps.array_index,
+            ps.share_index,
+        )
+        # the fragment of a first chunk holds fewer rows than its file
+        count = max(frag.num_shares, padded_length(frag.payload_length, p) // p.group_size)
+        prefix = b"".join([head, ps.entries, count.to_bytes(4, "big")])
+    size = len(prefix) + frag.shares.size
+    out = np.empty(size, dtype=np.uint8) if out is None else out[:size]
     out[: len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
     out[len(prefix) :].reshape(frag.shares.shape)[...] = frag.shares
     out.setflags(write=False)
@@ -168,8 +178,9 @@ _FORMATS = {
 _MAGICS = {fmt.cls: magic for magic, fmt in _FORMATS.items()}
 
 
-def dump(frag) -> bytes:
-    """Serialize a baseline or parity fragment through its table row."""
+def dump(frag, tail: int | None = None) -> bytes:
+    """Serialize a baseline or parity fragment through its table row; with ``tail``,
+    its last blob holds the first bytes of one of ``tail`` bytes, its length."""
     magic = _MAGICS[type(frag)]
     fmt = _FORMATS[magic]
     parts = [
@@ -182,7 +193,8 @@ def dump(frag) -> bytes:
         if kind == _INT:
             value = value.to_bytes(width, "big")
         elif kind == _BLOB:
-            parts.append(len(value).to_bytes(width, "big"))
+            last = tail is not None and name == fmt.body[-1][0]
+            parts.append((tail if last else len(value)).to_bytes(width, "big"))
         parts.append(value)
     return b"".join(parts)
 
@@ -209,7 +221,9 @@ def load(buf: bytes, magics=_FORMATS):
     return frag
 
 
-dump_parity_fragment = dump
+def dump_parity_fragment(frag: ParityFragment) -> bytes:
+    """A parity file; for a piece of a parity row, the piece of the file that holds it."""
+    return frag.data if frag.offset else dump(frag, frag.primary_length)
 
 
 def load_parity_fragment(buf: bytes) -> ParityFragment:
@@ -218,7 +232,8 @@ def load_parity_fragment(buf: bytes) -> ParityFragment:
 
 # dump_any and load_any look the functions up here, so that replacing an
 # entry reroutes every call of that format
-_DUMPERS = {Fragment: dump_fragment, **dict.fromkeys(_MAGICS, dump)}
+_DUMPERS = {**dict.fromkeys(_MAGICS, dump), Fragment: dump_fragment,
+            ParityFragment: dump_parity_fragment}
 _LOADERS = {
     MAGIC_PROPOSED: load_fragment,
     **dict.fromkeys(_FORMATS, load),

@@ -520,6 +520,66 @@ def test_a_mismatch_found_once_the_files_are_streamed_leaves_no_output(
     assert len(writes) == 1  # the streamed pass, undone; the set read whole is refused
 
 
+def test_a_disperse_of_a_damaged_file_stores_nothing(runner, tmp_path, monkeypatch):
+    # disperse puts each file as it reads it; the last byte of the last file decides,
+    # once the others are stored, and the set read whole reports it
+    _, out = _split(runner, tmp_path, os.urandom(3 << 20))
+    _flip(out / "f3.kfrg")
+    stores = []
+    store = dispersal.store
+    monkeypatch.setattr(dispersal, "store", lambda *a, **kw: stores.append(a) or store(*a, **kw))
+    sites = f"{tmp_path / 's0'},{tmp_path / 's1'}"
+    failed = _invoke(runner, "disperse", "--manifest", str(out / "manifest.json"),
+                     "--sites", sites, code=5)
+    assert failed.stderr == "error: digest mismatch for 'f3.kfrg'\n"
+    assert failed.stdout == ""
+    assert len(stores) == 1  # the streamed pass, undone; the set read whole is refused
+    assert not (tmp_path / "s0").exists() and not (tmp_path / "s1").exists()
+    assert not (out / "dispersal.json").exists()
+
+
+@pytest.mark.parametrize("k,c,bs,n", [(4, 2, 250, 4), (4, 2, 16, 4), (6, 3, 250, 8),
+                                      (8, 4, 16, 10)])
+def test_a_split_read_a_chunk_at_a_time_writes_the_files_of_the_payload_read_whole(
+    runner, tmp_path, monkeypatch, k, c, bs, n
+):
+    # parts of 512 KiB on one core: chunks of 762 rows at (4,2,250), so the scan
+    # runs in each chunk at c = 2; payloads of several chunks and a tail, and at a
+    # chunk boundary and a byte either side of it
+    monkeypatch.setattr(gf256, "_CORES", 1)
+    monkeypatch.setattr(gf256, "_PART_MIN_BYTES", 1 << 19)
+    params = codec.CodecParams(k, c, bs)
+    batches = -(-gf256._PART_MIN_BYTES // (254 * params.group_size))
+    boundary = 2 * batches * 254 * params.group_size
+    lengths = [boundary - 1, boundary, boundary + 1]
+    if (k, bs) == (4, 250):
+        lengths.append(3 * boundary // 2 + 4321)
+        assert len(codec.encode_chunks(params, lengths[-1])) >= 3
+    whole = cli._split_whole
+
+    def refused(*args):
+        raise AssertionError("the input was read whole")
+
+    monkeypatch.setattr(cli, "_split_whole", refused)
+    for length in lengths:
+        src = tmp_path / f"{length}.bin"
+        src.write_bytes(os.urandom(length))
+        streamed, reference = tmp_path / f"s{length}", tmp_path / f"w{length}"
+        _seeded(monkeypatch, length)
+        _invoke(runner, "split", "--in", str(src), "--out", str(streamed), "--k", str(k),
+                "--c", str(c), "--block-size", str(bs), "--n", str(n))
+        _seeded(monkeypatch, length)
+        whole(src, cli.SchemeId.PROPOSED, k, n, c, bs, reference)
+        files = sorted(p.name for p in reference.iterdir())
+        assert sorted(p.name for p in streamed.iterdir()) == files
+        for name in files:
+            if name != "manifest.json":
+                assert (streamed / name).read_bytes() == (reference / name).read_bytes(), name
+        entries = [json.loads((d / "manifest.json").read_text())["fragments"]
+                   for d in (streamed, reference)]
+        assert entries[0] == entries[1]
+
+
 def test_analyze_writes_report_and_summary(runner, tmp_path, monkeypatch):
     src = tmp_path / "text.bin"
     src.write_bytes(text_sample(100_000, seed=77))
@@ -646,6 +706,38 @@ def test_a_failed_command_leaves_the_files_as_they_were(
     assert child.returncode == code, child.stderr
     assert child.stdout == b""  # no manifest path, table or digest
     assert _tree(tmp_path) == {**before, **dict.fromkeys(created)}
+
+
+_LIMITED_SPLIT = """
+import atexit, resource, signal, sys
+from kfrag import cli, gf256
+# parts of 512 KiB on one core: chunks of 762 kB, pieces of 190 kB per file
+gf256._CORES, gf256._PART_MIN_BYTES = 1, 1 << 19
+encode, encoded = cli.encode_data, []
+cli.encode_data = lambda *args: encoded.append(1) or encode(*args)
+atexit.register(lambda: print(f"encoded {len(encoded)}", file=sys.stderr))
+# set after the imports: a limit in force while they run truncates .pyc files
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+cli.main(sys.argv[1:], prog_name="kfrag")
+"""
+
+
+def test_a_split_whose_write_fails_midway_leaves_no_file(tmp_path):
+    # 6 MiB at k = 4: each file passes the 1 MiB file-size limit in the sixth chunk,
+    # then again when the input read whole is split
+    (tmp_path / "in.bin").write_bytes(os.urandom(6 << 20))
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(kfrag.__file__).resolve().parent.parent)}
+    child = subprocess.run([sys.executable, "-c", _LIMITED_SPLIT, "split", "--in", "in.bin",
+                            "--out", "new/frags"], cwd=tmp_path, env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 3, child.stderr
+    error, encoded = child.stderr.splitlines()
+    assert re.fullmatch(r"error: \[Errno 27\] File too large: 'new/frags/f[0-3]\.kfrg'", error)
+    assert int(encoded.split()[1]) >= 6  # chunks, then the input read whole
+    assert child.stdout == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["in.bin"]
 
 
 @pytest.mark.parametrize("k,c,n", [(4, 2, 4), (6, 3, 8)])
@@ -822,9 +914,11 @@ sys.exit(os.waitstatus_to_exitcode(status))
 def test_join_and_fetch_hold_a_segment_and_an_object_per_part_whatever_the_payload(
     runner, tmp_path
 ):
-    # the peak RSS of each command, which counts the mappings a join reads its files
-    # into, at 16 and 48 MiB (4 data files of 4 and 12 MiB); holding every file, as
-    # join and fetch once did, would add the 32 MiB between them
+    # the peak RSS of each command, which counts the mappings split, join and disperse
+    # read their files into, at 16 and 48 MiB (4 data files of 4 and 12 MiB); holding
+    # the payload or every file, as each command once did, would add the 32 MiB
+    # between them.  split holds a chunk of input and of rows (one of 16.8 MB at
+    # 16 MiB, 10.2 MB at 48 MiB), disperse a piece of a file per part.
     env = {**os.environ, "PYTHONPATH": str(Path(kfrag.__file__).resolve().parent.parent)}
     peaks = {}
     for mib in (16, 48):
@@ -832,11 +926,10 @@ def test_join_and_fetch_hold_a_segment_and_an_object_per_part_whatever_the_paylo
         where.mkdir()
         payload = os.urandom(mib << 20)
         (where / "in.bin").write_bytes(payload)
-        _invoke(runner, "split", "--in", str(where / "in.bin"), "--out", str(where / "frags"))
         sites = f"{where / 's0'},{where / 's1'}"
-        _invoke(runner, "disperse", "--manifest", str(where / "frags" / "manifest.json"),
-                "--sites", sites)
-        for command in (["join", "--manifest", "frags/manifest.json", "--out", "back.bin"],
+        for command in (["split", "--in", "in.bin", "--out", "frags"],
+                        ["disperse", "--manifest", "frags/manifest.json", "--sites", sites],
+                        ["join", "--manifest", "frags/manifest.json", "--out", "back.bin"],
                         ["fetch", "--manifest", "frags/dispersal.json", "--sites", sites,
                          "--out", "fetched"]):
             child = subprocess.run([sys.executable, "-c", _PEAK, *command], cwd=where, env=env,
@@ -846,7 +939,8 @@ def test_join_and_fetch_hold_a_segment_and_an_object_per_part_whatever_the_paylo
         assert (where / "back.bin").read_bytes() == payload
         fetched = where / "fetched" / "f3.kfrg"
         assert fetched.read_bytes() == (where / "frags" / "f3.kfrg").read_bytes()
-    assert peaks["join", 48] - peaks["join", 16] < 8 << 20, peaks
+    for command in ("split", "disperse", "join"):
+        assert peaks[command, 48] - peaks[command, 16] < 8 << 20, peaks
     assert peaks["fetch", 48] - peaks["fetch", 16] < 2 * (12 << 20), peaks
 
 

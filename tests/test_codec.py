@@ -502,6 +502,73 @@ def test_decode_segments_are_equal_and_each_decodes_on_every_core(cores, monkeyp
     assert 2 * codec._decode_part_min(CodecParams(4, 2, 250)) == 6_550_000
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_encode_chunks_are_whole_batches_that_each_encode_on_every_core(cores, monkeypatch):
+    monkeypatch.setattr(gf256, "_CORES", cores)
+    for params in (CodecParams(4, 2, 250), CodecParams(8, 4, 16), CodecParams(16, 2, 250)):
+        m = params.group_size
+        batch = 254 * m
+        least = -(-cores * gf256._PART_MIN_BYTES // batch)  # batches
+        for length in (1, batch - 1, least * batch, 2 * least * batch - 1, 2 * least * batch,
+                       2 * least * batch + 1, 7 * least * batch + 3 * m + 5):
+            chunks = codec.encode_chunks(params, length)
+            assert [r.start for r in chunks[1:]] == [r.stop for r in chunks[:-1]]
+            assert (chunks[0].start, chunks[-1].stop) == (0, padded_length(length, params) // m)
+            assert all(len(r) % 254 == 0 for r in chunks[:-1])
+            batches = [len(r) // 254 for r in chunks]
+            assert len(chunks) == max(1, length // batch // least)
+            if len(chunks) > 1:  # each chunk's scan runs in as many parts as there are cores
+                assert min(batches) >= least and max(batches) - min(batches[:-1]) <= 1
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_chunks_continue_the_fragments_before_them(cores, monkeypatch, rng):
+    # parts of 512 KiB: chunks of at least 762 rows at (4,2,250), so the scan
+    # runs in each; at c >= 3 each chunk is one range of the recurrence
+    monkeypatch.setattr(gf256, "_CORES", cores)
+    monkeypatch.setattr(gf256, "_PART_MIN_BYTES", 1 << 19)
+    for k, c, bs in [(4, 2, 250), (4, 2, 16), (6, 3, 250), (8, 4, 16)]:
+        params = CodecParams(k, c, bs)
+        m = params.group_size
+        least = -(-cores * gf256._PART_MIN_BYTES // (254 * m)) * 254 * m  # bytes
+        for length in (3 * least + 12345, 2 * least - 1, 2 * least, 2 * least + 1, 1000):
+            data = rng.randbytes(length)
+            whole = encode_data(data, params, random.Random(length))
+            chunks = codec.encode_chunks(params, length)
+            assert len(chunks) >= 3 or length < 3 * least
+            draws, after, pieces = random.Random(length), (), []
+            for rows in chunks:
+                after = encode_data(data[rows.start * m : rows.stop * m], params, draws, after,
+                                    length)
+                assert {(f.first_row, f.num_shares, f.payload_length) for f in after} == {
+                    (rows.start, len(rows), length)}
+                pieces.append(after)
+            for j in range(k):
+                assert np.array_equal(np.concatenate([p[j].shares for p in pieces]),
+                                      whole[j].shares), (k, c, bs, length, j)
+                assert pieces[0][j].permutation_share == whole[j].permutation_share
+
+
+def test_a_chunk_must_continue_whole_batches_of_the_same_parameters(rng):
+    params = CodecParams(4, 2, 16)
+    batch = 254 * params.group_size
+    data = rng.randbytes(3 * batch)
+    with pytest.raises(ParameterError, match="whole 254-row batches"):
+        encode_data(data[: batch + 64], params, rng, payload_length=len(data))
+    # a payload encoded whole, of whole batches or not, has no rows after it
+    for end in (batch, batch + 10 * params.group_size):
+        with pytest.raises(ParameterError, match="whole 254-row batches"):
+            encode_data(data[end:], params, rng, encode_data(data[:end], params, rng))
+    first = encode_data(data[:batch], params, rng, payload_length=len(data))
+    with pytest.raises(ParameterError, match="parameters"):
+        encode_data(data[batch:], CodecParams(2, 2, 32), rng, first)
+    with pytest.raises(ThresholdError):
+        encode_data(data[batch:], params, rng, first[1:])
+    # fragments of a chunk are not a whole set
+    with pytest.raises(ParameterError, match="share count"):
+        decode_data(first)
+
+
 # ---------------------------------------------------------------------------
 # threads
 # ---------------------------------------------------------------------------

@@ -67,6 +67,37 @@ def test_split_and_parity_join_run_through_the_traced_names(tmp_path):
         assert rec.calls[name] == 1, (name, rec.calls)
 
 
+def test_split_traces_one_encode_per_chunk(tmp_path, monkeypatch):
+    # split encodes its input a chunk at a time; the traced codec.encode spans and
+    # bytes add up over the chunks, and each file is dumped a piece per chunk
+    tracing = _tracing()
+    monkeypatch.setattr(gf256, "_CORES", 1)
+    size = 13 << 20
+    chunks = codec.encode_chunks(CodecParams(4, 2, 250), size)
+    assert len(chunks) >= 3
+    src = tmp_path / "in.bin"
+    src.write_bytes(os.urandom(size))
+    out = tmp_path / "frags"
+    runner = CliRunner()
+
+    def kfrag(*args):
+        result = runner.invoke(cli.main, list(args), catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+
+    rec = tracing.Recorder()
+    with tracing.installed(rec):
+        kfrag("split", "--in", str(src), "--out", str(out))
+    spans = [span for span in rec.spans if span[0] == "codec.encode"]
+    assert len(spans) == rec.calls["codec.encode"] == len(chunks)
+    assert rec.bytes["codec.encode"] == size
+    # one after another, on the split's thread
+    assert all(a[2] <= b[1] for a, b in zip(spans, spans[1:]))
+    files = [p.stat().st_size for p in out.glob("f*.kfrg")]
+    assert (rec.calls["wire.dump"], rec.bytes["wire.dump"]) == (4 * len(chunks), sum(files))
+    kfrag("join", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / "back"))
+    assert (tmp_path / "back").read_bytes() == src.read_bytes()
+
+
 def test_join_traces_one_decode_per_segment(tmp_path, monkeypatch):
     # the traced codec.decode spans and bytes of a join add up over its segments
     tracing = _tracing()

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -250,3 +251,26 @@ def test_sss_x_consistency_check(rng):
     blob[wire.HEADER_SIZE] ^= 0x07  # corrupt the x byte
     with pytest.raises(ParameterError, match="x coordinate"):
         wire.load_any(bytes(blob))
+
+
+def test_the_pieces_of_a_payload_encoded_in_chunks_join_to_its_files(rng):
+    # two chunks of 254 rows and a tail of 101; parity over the data files, piece by piece
+    params = CodecParams(4, 2, 16)
+    m = params.group_size
+    data = rng.randbytes(2 * 254 * m + 100 * m + 7)
+    whole = encode_data(data, params, random.Random(3))
+    files = [wire.dump_fragment(f) for f in whole]
+    parity = ParityParams(4, 6)
+    parity_files = [wire.dump_parity_fragment(p) for p in parity_fragments(files, parity)]
+    draws, after, offset = random.Random(3), (), 0
+    pieces = [[] for _ in range(6)]
+    scratch = np.empty((4, 10 * m * 254), dtype=np.uint8)
+    for lo, hi in ((0, 254), (254, 508), (508, 609)):
+        after = encode_data(data[lo * m : hi * m], params, draws, after, len(data))
+        got = [wire.dump_fragment(f, scratch[j]) for j, f in enumerate(after)]
+        got += [wire.dump_parity_fragment(p)
+                for p in parity_fragments(got, parity, offset, len(files[0]))]
+        offset += len(got[0])
+        for piece, out in zip(got, pieces):
+            out.append(bytes(piece))
+    assert [b"".join(p) for p in pieces] == [bytes(f) for f in files + parity_files]
