@@ -243,7 +243,7 @@ def _split_streamed(in_path: Path, k: int, n: int, c: int, block_size: int,
     ``encode_data`` (which continues the chunk before it) and released; then
     each data file's piece of the chunk is dumped, its parity's RS-encoded
     from those pieces, and each piece written and hashed, in parts, and
-    dropped.  So the split holds about two chunks (each of 8.4 to 16.8 MB of
+    dropped.  So the split holds about two chunks (each of 8.6 to 17 MB of
     input at 2 cores), whatever the payload; the manifest is written last.
     """
     with contextlib.ExitStack() as stack:

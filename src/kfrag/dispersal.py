@@ -513,11 +513,11 @@ def build_manifest(
     if sha256 is None:
         sha256 = gf256._map_in_parts(_sha256, blobs, sum(map(len, blobs)))
     entries = []
-    for index, (blob, digest) in enumerate(zip(blobs, sha256)):
+    for index, (blob, sha) in enumerate(zip(blobs, sha256)):
         magic = bytes(blob[:4])
         kind = "parity" if magic == wire.MAGIC_PARITY else "data"
         entries.append(ManifestEntry(index=index, site=None, name=file_name(index, k, magic),
-                                     sha256=digest, kind=kind))
+                                     sha256=sha, kind=kind))
     return Manifest(
         scheme=scheme,
         k=k,

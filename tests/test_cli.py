@@ -237,6 +237,15 @@ def test_join_with_parity_replacing_lost_primary(runner, tmp_path):
     assert joined.read_bytes() == payload
 
 
+@pytest.mark.parametrize("scheme, cipher, digest", [("proposed", None, None),
+                                                   ("aont-rs", "aes-128-ctr", "sha-256")])
+def test_a_manifest_names_the_primitives_of_its_scheme(runner, tmp_path, scheme, cipher, digest):
+    # the manifest's cipher and digest name the scheme's primitives; no file's digest
+    _, out = _split(runner, tmp_path, os.urandom(5000), "--scheme", scheme, "--n", "6")
+    doc = json.loads((out / "manifest.json").read_text())
+    assert (doc.get("cipher"), doc.get("digest")) == (cipher, digest)
+
+
 def test_baseline_split_join(runner, tmp_path):
     payload = os.urandom(10_000)
     src = tmp_path / "in.bin"
