@@ -13,10 +13,12 @@ chunk, and its parity's, before the next, and ``disperse`` puts each file
 as it reads it, a piece at a time.  ``fetch`` writes each data object as
 soon as it is fetched and verified, one object per part, and ``join`` reads
 each fragment file a decode segment at a time, so it holds one segment of
-input and one of output.  Each falls back to reading its input whole (for
-``fetch`` and ``join`` through ``dispersal.recover``) when that pass fails,
-a digest mismatch included, with nothing written or stored, so what they
-print and the exit code are those of the whole-set path.
+input and one of output.  Only a ``split`` input that is not a regular file
+or is of a baseline scheme, and ``join --frags`` files that are not all
+regular files of the proposed scheme, are read whole.  An error of
+``split``, ``disperse`` or ``join --frags`` is reported as it is met, with
+nothing written or stored; ``fetch`` and ``join --manifest`` go back to the
+whole set (``dispersal.recover``), which can set damaged files aside.
 """
 
 from __future__ import annotations
@@ -163,12 +165,16 @@ SCHEMES: dict[SchemeId, Scheme] = {
 }
 
 
-def split(scheme: SchemeId, data: bytes, k: int, n: int, c: int, block_size: int, rng) -> list:
-    """Fragment data in memory with one scheme; returns its fragments, without parity."""
+def _check_counts(k: int, n: int) -> None:
     if k < 1:
         raise ParameterError("--k must be positive")
     if n < k:
         raise ParameterError("--n must be at least --k")
+
+
+def split(scheme: SchemeId, data: bytes, k: int, n: int, c: int, block_size: int, rng) -> list:
+    """Fragment data in memory with one scheme; returns its fragments, without parity."""
+    _check_counts(k, n)
     return SCHEMES[scheme].split(data, k, n, c, block_size, rng)
 
 
@@ -233,11 +239,11 @@ def _write_split(out_dir: Path, names: list[str], blobs: list, manifest,
 
 
 def _split_streamed(in_path: Path, k: int, n: int, c: int, block_size: int,
-                    out_dir: Path) -> bool:
+                    out_dir: Path) -> None:
     """Split the regular file at ``in_path`` with the proposed scheme a chunk of share
-    rows at a time, and write its files; False when the input is not a regular
-    file or anything fails, with nothing written, for the caller to split the
-    input read whole, which meets the error again and reports it.
+    rows at a time, and write its files; on an error, nothing is written.  The
+    input is opened first, then checked as ``split`` checks the input read
+    whole, in the same order.
 
     For each chunk of ``encode_chunks``, the input is read on, encoded through
     ``encode_data`` (which continues the chunk before it) and released; then
@@ -246,59 +252,52 @@ def _split_streamed(in_path: Path, k: int, n: int, c: int, block_size: int,
     dropped.  So the split holds about two chunks (each of 8.6 to 17 MB of
     input at 2 cores), whatever the payload; the manifest is written last.
     """
-    with contextlib.ExitStack() as stack:
-        try:
-            src = dispersal.read_file(in_path, sparse=True, hashed=False)
-            stack.callback(src.close)
-            params = CodecParams(k=k, c=c, block_size=block_size)
-            size, m = len(src.buf), params.group_size
-            if not size or n < k:
-                return False  # refused by the split of the input read whole
-            chunks = encode_chunks(params, size)
-            parity = ParityParams(k=k, n=n) if n > k else None
-            magics = [wire.MAGIC_PROPOSED] * k + [wire.MAGIC_PARITY] * (n - k)
-            names = [dispersal.file_name(i, k, magic) for i, magic in enumerate(magics)]
-            shas = [hashlib.sha256() for _ in names]
+    with contextlib.closing(dispersal.read_file(in_path, sparse=True, hashed=False)) as src:
+        _check_counts(k, n)
+        params = CodecParams(k=k, c=c, block_size=block_size)
+        size, m = len(src.buf), params.group_size
+        chunks = encode_chunks(params, size)
+        parity = ParityParams(k=k, n=n) if n > k else None
+        magics = [wire.MAGIC_PROPOSED] * k + [wire.MAGIC_PARITY] * (n - k)
+        names = [dispersal.file_name(i, k, magic) for i, magic in enumerate(magics)]
+        shas = [hashlib.sha256() for _ in names]
 
-            def fill(appends: list[Callable]) -> None:
-                rng = random.SystemRandom()
-                after, offset, length = (), 0, None
-                for rows in chunks:
-                    end = min(rows.stop * m, size)
-                    src.fill(end)
-                    frags = encode_data(src.buf[rows.start * m : end], params, rng, after, size)
-                    src.release(end)
-                    # the data files' pieces, in a buffer whose pages go back once written
-                    dumped = dispersal.mapped(k * (_HEAD + len(rows) * block_size)).reshape(k, -1)
-                    pieces = [wire.dump_fragment(f, dumped[j]) for j, f in enumerate(frags)]
-                    # the next chunk reads the permutation shares and the last row alone
-                    after = [replace(f, shares=f.shares[-1:].copy(), first_row=rows.stop - 1)
-                             for f in frags]
-                    del frags
-                    if parity:
-                        # the length of a data file, for the head of its parity file
-                        length = length or len(pieces[0]) + (chunks[-1].stop - rows.stop) * block_size
-                        pieces += [wire.dump_parity_fragment(pf) for pf in
-                                   parity_fragments(pieces, parity, offset, length)]
-                        offset += len(pieces[0])
+        def fill(appends: list[Callable]) -> None:
+            rng = random.SystemRandom()
+            after, offset, length = (), 0, None
+            for rows in chunks:
+                end = min(rows.stop * m, size)
+                src.fill(end)
+                frags = encode_data(src.buf[rows.start * m : end], params, rng, after, size)
+                src.release(end)
+                # the data files' pieces, in a buffer whose pages go back once written
+                dumped = dispersal.mapped(k * (_HEAD + len(rows) * block_size)).reshape(k, -1)
+                pieces = [wire.dump_fragment(f, dumped[j]) for j, f in enumerate(frags)]
+                # the next chunk reads the permutation shares and the last row alone
+                after = [replace(f, shares=f.shares[-1:].copy(), first_row=rows.stop - 1)
+                         for f in frags]
+                del frags
+                if parity:
+                    # the length of a data file, for the head of its parity file
+                    length = length or len(pieces[0]) + (chunks[-1].stop - rows.stop) * block_size
+                    pieces += [wire.dump_parity_fragment(pf) for pf in
+                               parity_fragments(pieces, parity, offset, length)]
+                    offset += len(pieces[0])
 
-                    def write(j: int) -> None:
-                        appends[j](pieces[j])
-                        shas[j].update(pieces[j])
+                def write(j: int) -> None:
+                    appends[j](pieces[j])
+                    shas[j].update(pieces[j])
 
-                    gf256._map_in_parts(write, list(range(n)), sum(map(len, pieces)))
-                    del pieces, dumped
+                gf256._map_in_parts(write, list(range(n)), sum(map(len, pieces)))
+                del pieces, dumped
 
-            def manifest(fh) -> None:
-                fh.write(dispersal.build_manifest(
-                    SchemeId.PROPOSED.value, k=k, c=c, block_size=block_size, n=n,
-                    payload_length=size, blobs=magics, sha256=[s.hexdigest() for s in shas],
-                ).to_json())
+        def manifest(fh) -> None:
+            fh.write(dispersal.build_manifest(
+                SchemeId.PROPOSED.value, k=k, c=c, block_size=block_size, n=n,
+                payload_length=size, blobs=magics, sha256=[s.hexdigest() for s in shas],
+            ).to_json())
 
-            _write_split(out_dir, names, [None] * n, manifest, size * n // k, fill)
-            return True
-        except (FragmentationError, OSError):
-            return False
+        _write_split(out_dir, names, [None] * n, manifest, size * n // k, fill)
 
 
 @main.command("split")
@@ -321,7 +320,9 @@ def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: in
     """Fragment a file into k (or n) fragment files plus a manifest."""
     n = k if n is None else n
     chosen = SchemeId(scheme)
-    if not (chosen is SchemeId.PROPOSED and _split_streamed(in_path, k, n, c, block_size, out_dir)):
+    if chosen is SchemeId.PROPOSED and in_path.is_file():
+        _split_streamed(in_path, k, n, c, block_size, out_dir)
+    else:
         _split_whole(in_path, chosen, k, n, c, block_size, out_dir)
     _note(f"wrote {n} fragment files to {out_dir}")
     click.echo(str(out_dir / "manifest.json"))
@@ -420,25 +421,20 @@ def _write_join(loaded: list, out_path: Path, files: list[dispersal.SparseFile] 
 
 def _join_streamed(paths: list[Path], out_path: Path,
                    digests: list[str] = ()) -> tuple[int, str] | None:
-    """``_write_join`` of the files at ``paths``, each read as it is decoded, if all are
-    regular files of the proposed scheme and the join succeeds; None otherwise, with
-    nothing written, for the caller to join the files read whole."""
+    """``_write_join`` of the files at ``paths``, each read as it is decoded; None, with
+    only their heads read, when one is not a regular file of the proposed scheme,
+    for the caller to join the files read whole.  Its errors are raised, with
+    nothing written."""
     if not all(path.is_file() for path in paths):
         return None
     with contextlib.ExitStack() as stack:
-        try:
-            files = []
-            for path in paths:
-                files.append(dispersal.read_file(path, sparse=True))
-                stack.callback(files[-1].close)
-            for f in files:
-                f.fill(min(len(f.buf), _HEAD))
-            if any(bytes(f.buf[:4]) != wire.MAGIC_PROPOSED for f in files):
-                return None
-            return _write_join([wire.load_fragment(f.buf) for f in files], out_path, files,
-                               digests)
-        except (FragmentationError, OSError):
-            return None  # the join of the files read whole meets it again and reports it
+        files = [stack.enter_context(contextlib.closing(dispersal.read_file(path, sparse=True)))
+                 for path in paths]
+        for f in files:
+            f.fill(min(len(f.buf), _HEAD))
+        if any(bytes(f.buf[:4]) != wire.MAGIC_PROPOSED for f in files):
+            return None
+        return _write_join([wire.load_fragment(f.buf) for f in files], out_path, files, digests)
 
 
 @main.command("join")
@@ -457,11 +453,12 @@ def cmd_join(
 
     Fragment files are given as ``--frags FILE [FILE ...]``.  The proposed
     scheme's files are read as they are decoded (``_write_join``) when they
-    are regular files and, with ``--manifest``, every data file is there,
-    no parity file is damaged and each data file's digest matches.  Else,
-    and on any error, the files are read whole, through
-    ``dispersal.recover`` with ``--manifest``, which sets damaged files aside
-    and rebuilds from parity, and the error, if any, is reported from there.
+    are regular files and, with ``--manifest``, every data file is there and
+    no parity file is damaged; other files are read whole.  An error of
+    ``--frags`` is reported as it is met.  With ``--manifest``, any error of
+    that pass, a digest mismatch included, sends the join to
+    ``dispersal.recover``, which reads the set whole, sets damaged files
+    aside, rebuilds from parity and reports what it cannot mend.
     """
     frag_paths = ((first_frag,) if first_frag else ()) + tuple(more_frags)
     if manifest_path is None and not frag_paths:
@@ -477,8 +474,9 @@ def cmd_join(
         joined = None
         if manifest.scheme == SchemeId.PROPOSED.value and dispersal.streamable(
                 manifest, get, lambda entry: (base / entry.name).is_file()):
-            joined = _join_streamed([base / e.name for e in data], out_path,
-                                    [e.sha256 for e in data])
+            with contextlib.suppress(FragmentationError, OSError):  # recover meets it again
+                joined = _join_streamed([base / e.name for e in data], out_path,
+                                        [e.sha256 for e in data])
         if joined is None:
             blobs = _reported(dispersal.recover(manifest, get))
             joined = _write_join([wire.load_any(b) for e, b in blobs.items() if e.kind == "data"],
@@ -510,15 +508,15 @@ def _parse_sites(spec: str, manifest: dispersal.Manifest) -> list[dispersal.Loca
 
 
 def _disperse_streamed(manifest: dispersal.Manifest, base: Path, sites: list,
-                       record: Callable) -> dispersal.Manifest | None:
+                       record: Callable) -> dispersal.Manifest:
     """``dispersal.store`` of the manifest's files in ``base``, each put as it is read
-    (``dispersal.Streamed``), one object per part; None when one is not a regular
-    file or anything fails, with nothing stored, for the caller to store the
-    files read whole, which meets the error again and reports it.
+    (``dispersal.Streamed``), one object per part.
 
     Every file's head is read and parsed first, and the data files checked as
     one set, before anything is put; each file's digest is checked as it is
-    put, before the put commits."""
+    put, before the put commits.  On an error nothing is stored, and the
+    error raised is that of the first file in manifest order that is lost or
+    damaged (``dispersal.check_files``), or, when all verify, the error met."""
     with contextlib.ExitStack() as stack:
         try:
             files, frags = {}, []
@@ -535,7 +533,8 @@ def _disperse_streamed(manifest: dispersal.Manifest, base: Path, sites: list,
                 manifest, {e: dispersal.Streamed(f, e.sha256, e.name) for e, f in files.items()},
                 sites, record=record)
         except (FragmentationError, OSError):
-            return None  # what was stored is removed; the files read whole meet it again
+            dispersal.check_files(manifest, base)
+            raise
 
 
 @main.command("disperse")
@@ -558,26 +557,12 @@ def cmd_disperse(manifest_path: Path, sites_spec: str, manifest_out: Path | None
             f"manifest is for {manifest.scheme!r}"
         )
     sites = _parse_sites(sites_spec, manifest)
-    base = manifest_path.parent
-    out_path = manifest_out or (base / "dispersal.json")
+    out_path = manifest_out or (manifest_path.parent / "dispersal.json")
 
     def record(stored: dispersal.Manifest) -> None:
         dispersal.write_files({out_path: stored.to_json()})
 
-    stored = _disperse_streamed(manifest, base, sites, record)
-    if stored is None:
-        blobs, frags = {}, []
-        read = dispersal.read(manifest, dispersal.local_files(base))
-        for entry, blob in zip(manifest.fragments, read):
-            if isinstance(blob, Exception):
-                raise blob  # any lost, unreadable or damaged file
-            if entry.kind == "data":
-                frags.append(wire.load_fragment(blob))
-            else:
-                wire.load_parity_fragment(blob)  # parse check only
-            blobs[entry] = blob
-        check_fragments(frags)
-        stored = dispersal.store(manifest, blobs, sites, record=record)
+    stored = _disperse_streamed(manifest, manifest_path.parent, sites, record)
     _note(f"dispersal manifest written to {out_path}")
     click.echo("fragment\tsite")
     for entry in stored.fragments:

@@ -22,12 +22,13 @@ data object that gets, checks and writes it, and ``kfrag join`` reads each
 file a segment at a time through a ``SparseFile``, hashing it as it goes.
 Either pass goes back to ``recover`` on a digest mismatch, with nothing
 committed.  ``disperse`` refuses any lost or damaged file; ``kfrag disperse``
-puts each file as it reads it, a piece at a time (``Streamed``), and reads
-the set whole, as ``recover`` does, only when that pass fails, with what it
-put removed.  Every file kfrag writes goes through ``write_files``: all of a
-set or none, a command's manifest last.  Every file it reads, but for the
-JSON manifests, comes in through ``read_file``: into one numpy buffer, filled
-in place and returned read-only, or, sparse, as a SparseFile.
+puts each file as it reads it, a piece at a time (``Streamed``), and never
+reads the set whole: when that pass fails, with what it put removed,
+``check_files`` names the first lost or damaged file as ``read`` would.
+Every file kfrag writes goes through ``write_files``: all of a set or none,
+a command's manifest last.  Every file it reads, but for the JSON
+manifests, comes in through ``read_file``: into one numpy buffer, filled in
+place and returned read-only, or, sparse, as a SparseFile.
 
 A site is its backend, and its index is its position in the list of sites.
 A local-directory backend ships by default.  Another object with
@@ -271,16 +272,18 @@ class SparseFile:
             self._map.madvise(mmap.MADV_DONTNEED, self._released, end - self._released)
             self._released = end
 
-    def copy(self, fh: BinaryIO) -> None:
-        """Write the whole file into ``fh``: the bytes read so far, then the rest, read
-        on and hashed a piece at a time through one buffer, not into the mapping."""
-        fh.write(self.buf[: self._read])
+    def copy(self, fh: BinaryIO | None) -> None:
+        """Write the whole file into ``fh``, or with None only hash it: the bytes read so
+        far, then the rest, read on and hashed a piece at a time through one buffer,
+        not into the mapping."""
+        write = fh.write if fh else lambda piece: None
+        write(self.buf[: self._read])
         piece = np.empty(min(_PIECE, len(self.buf)), dtype=np.uint8)
         while self._read < len(self.buf):
             n = os.preadv(self._fd, [piece[: len(self.buf) - self._read]], self._read)
             if not n:
                 raise IntegrityError(f"file ended at byte {self._read} of {len(self.buf)}")
-            fh.write(piece[:n])
+            write(piece[:n])
             self.sha.update(piece[:n])
             self._read += n
 
@@ -293,10 +296,10 @@ _PIECE = 1 << 20
 
 
 class Streamed:
-    """An object to ``put`` as it is read: called with the open file it goes to,
-    it copies the SparseFile ``file`` into it, then raises an IntegrityError
-    that names ``name`` unless the file's digest is ``sha256``, so a put of
-    a damaged file commits nothing.  Its length is the file's."""
+    """An object to ``put`` as it is read: called with the open file it goes to
+    (or None), it copies the SparseFile ``file`` into it, then raises an
+    IntegrityError that names ``name`` unless the file's digest is ``sha256``,
+    so a put of a damaged file commits nothing.  Its length is the file's."""
 
     def __init__(self, file: SparseFile, sha256: str, name: str):
         self.file, self.sha256, self.name = file, sha256, name
@@ -630,6 +633,14 @@ def read(manifest: Manifest, get: Callable[[ManifestEntry], bytes]) -> list:
     """
     return gf256._map_in_parts(lambda entry: _checked(entry, get), manifest.fragments,
                                manifest.stored_bytes)
+
+
+def check_files(manifest: Manifest, base: Path) -> None:
+    """Raise the first error in manifest order ``read`` would give for the files in
+    ``base``, each read and hashed a piece at a time (``Streamed``), not whole."""
+    for entry in manifest.fragments:
+        with contextlib.closing(read_file(base / entry.name, sparse=True)) as f:
+            Streamed(f, entry.sha256, entry.name)(None)
 
 
 def _checked(entry: ManifestEntry, get: Callable[[ManifestEntry], bytes]):

@@ -72,12 +72,14 @@ try:
 except AttributeError:  # no affinity API on this platform
     _CORES = os.cpu_count() or 1
 # A part covers at least this many bytes of rows.  The codec's c == 2 scan
-# makes two numpy calls per step and part in its sweep (a lookup and an XOR)
-# and, in its correction, one lookup per four steps and an XOR and a gather
-# per step, each over one row of every batch of the part, so a 4 MiB part
-# makes calls of about 16 KiB; with smaller calls the threads wait on the
-# interpreter lock more than they work.  One part vs two (forced), medians of
-# 15 interleaved encode_data calls in each of two processes on a 2-core Xeon,
+# makes two numpy calls per step and part in its sweep (a lookup and an XOR),
+# each over one row of every batch of the part, so a 4 MiB part makes calls
+# of about 16 KiB; its correction makes one lookup, one XOR and one
+# write-back take per _LAMBDA_ROWS = 8 rows of every batch of the part.  With
+# smaller calls the threads wait on the interpreter lock more than they work.
+# Measured when _LAMBDA_ROWS was 4 and the correction made an XOR and a
+# gather per row, before chunked splits: one part vs two (forced), medians of 15
+# interleaved encode_data calls in each of two processes on a 2-core Xeon,
 # ms, one part in the first/second process vs two parts in the first/second:
 #   (4,2,250):  4 MiB 21.4/20.3 vs 27.0/28.7, 5 MiB 23.6/26.0 vs 27.8/32.3,
 #               6 MiB 50.0/29.1 vs 40.2/34.8, 8 MiB 67.0/37.2 vs 49.4/34.4
@@ -131,34 +133,32 @@ def _run_parts(n: int, parts: int, fn: Callable[[int, int], None]) -> None:
     that runs in two or more parts is one part, so nested loops never start
     more threads than there are cores, while a loop inside a lone part may
     still use them all.  The caller runs the first part itself and joins
-    every thread before it returns or re-raises the first exception a part
-    raised.
+    every thread before it returns or re-raises the exception of the
+    lowest-numbered part that raised, so an error does not depend on which
+    thread met its own first.
     """
     nested = getattr(_inside, "part", False)
     parts = 1 if nested else max(1, min(_CORES, n, parts))
     cuts = [n * i // parts for i in range(parts + 1)]
-    errors: list[BaseException] = []
+    errors: dict[int, BaseException] = {}
 
-    def run(lo: int, hi: int) -> None:
+    def run(i: int) -> None:
         _inside.part = nested or parts > 1
         try:
-            fn(lo, hi)
+            fn(cuts[i], cuts[i + 1])
         except BaseException as exc:  # re-raised on the caller below
-            errors.append(exc)
+            errors[i] = exc
         finally:
             _inside.part = nested
 
-    threads = [
-        threading.Thread(target=run, args=(cuts[i], cuts[i + 1]))
-        for i in range(1, parts)
-    ]
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
     for thread in threads:
         thread.start()
-    run(cuts[0], cuts[1])
+    run(0)
     for thread in threads:
         thread.join()
     if errors:
-        raise errors[0]
+        raise errors[min(errors)]
 
 
 def _map_in_parts(fn: Callable, items: list, nbytes: int) -> list:

@@ -84,9 +84,10 @@ class _Reader:
         self.pos += n
         return self.pos - n
 
-    def bytes(self, n: int) -> bytes:
+    def bytes(self, n: int, view: bool = False) -> bytes | memoryview:
         start = self.skip(n)
-        return bytes(self.buf[start : start + n])  # bytes of any buffer kind
+        piece = memoryview(self.buf)[start : start + n]  # of any buffer kind
+        return piece if view else bytes(piece)
 
     def uint(self, width: int) -> int:
         return int.from_bytes(self.bytes(width), "big")
@@ -200,7 +201,8 @@ def dump(frag, tail: int | None = None) -> bytes:
 
 
 def load(buf: bytes, magics=_FORMATS):
-    """Deserialize a baseline or parity file whose magic is one of ``magics``."""
+    """Deserialize a baseline or parity file whose magic is one of ``magics``; its
+    ``data`` is a view of ``buf``, not a copy, as ``load_fragment``'s shares are."""
     magic, k, n, j, _, length, _, _ = _unpack_header(buf, magics)
     fmt = _FORMATS[magic]
     rd = _Reader(buf, HEADER_SIZE)
@@ -211,7 +213,7 @@ def load(buf: bytes, magics=_FORMATS):
         elif kind == _INT:
             values[name] = rd.uint(width)
         else:
-            values[name] = rd.bytes(rd.uint(width))
+            values[name] = rd.bytes(rd.uint(width), view=(name, kind, width) == _DATA)
     rd.done()
     if fmt.j in {f.name for f in fields(fmt.cls)}:
         values[fmt.j] = j

@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import kfrag
-from kfrag import cli, codec, dispersal, gf256
+from kfrag import cli, codec, dispersal, gf256, wire
 from kfrag.cli import main
 from kfrag.corpus import text_sample
 
@@ -382,9 +382,9 @@ def test_fetch_rejects_an_entry_on_a_site_outside_the_list(runner, tmp_path, sit
 # ---------------------------------------------------------------------------
 
 
-def _flip(path):
+def _flip(path, offset=-1):
     raw = bytearray(path.read_bytes())
-    raw[-1] ^= 0x01
+    raw[offset] ^= 0x01
     path.write_bytes(bytes(raw))
 
 
@@ -529,22 +529,75 @@ def test_a_mismatch_found_once_the_files_are_streamed_leaves_no_output(
     assert len(writes) == 1  # the streamed pass, undone; the set read whole is refused
 
 
-def test_a_disperse_of_a_damaged_file_stores_nothing(runner, tmp_path, monkeypatch):
-    # disperse puts each file as it reads it; the last byte of the last file decides,
-    # once the others are stored, and the set read whole reports it
-    _, out = _split(runner, tmp_path, os.urandom(3 << 20))
-    _flip(out / "f3.kfrg")
-    stores = []
-    store = dispersal.store
-    monkeypatch.setattr(dispersal, "store", lambda *a, **kw: stores.append(a) or store(*a, **kw))
-    sites = f"{tmp_path / 's0'},{tmp_path / 's1'}"
+def _cut(path):
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+def _swap(path, other):
+    a, b = path.read_bytes(), other.read_bytes()
+    path.write_bytes(b)
+    other.write_bytes(a)
+
+
+@pytest.mark.parametrize("damage, named, stores", [
+    # a digest decides as the file is stored: the last byte of the last data file,
+    # or f0 holding f1's bytes, which parse as a whole set
+    pytest.param(lambda out: _flip(out / "f3.kfrg"), "f3.kfrg", 1, id="last-byte-of-f3"),
+    pytest.param(lambda out: _swap(out / "f0.kfrg", out / "f1.kfrg"), "f0.kfrg", 1,
+                 id="f0-and-f1-swapped"),
+    # the others fail a parse or a read before anything is stored
+    pytest.param(lambda out: _flip(out / "f1.kfrg", 0), "f1.kfrg", 0, id="magic-of-f1"),
+    pytest.param(lambda out: _flip(out / "f1.kfrg", wire.HEADER_SIZE + 34 + 3), "f1.kfrg", 0,
+                 id="share-count-of-f1"),
+    pytest.param(lambda out: _cut(out / "f1.kfrg"), "f1.kfrg", 0, id="truncated-f1"),
+    pytest.param(lambda out: _cut(out / "p0.kpar"), "p0.kpar", 0, id="truncated-p0"),
+    pytest.param(lambda out: (_flip(out / "f0.kfrg"), (out / "f1.kfrg").unlink()), "f0.kfrg", 0,
+                 id="f1-lost-and-f0-damaged"),
+])
+def test_a_disperse_of_a_damaged_file_stores_nothing(
+    runner, tmp_path, monkeypatch, damage, named, stores
+):
+    # the error names the first file in manifest order that is lost or damaged, as a
+    # read of the whole set would, though no file is read whole
+    _, out = _split(runner, tmp_path, os.urandom(3 << 20), "--n", "6")
+    damage(out)
+    stored = []
+    store, read_file = dispersal.store, dispersal.read_file
+    monkeypatch.setattr(dispersal, "store", lambda *a, **kw: stored.append(a) or store(*a, **kw))
+
+    def sparse_only(path, sparse=False, hashed=True):
+        if not sparse:
+            raise AssertionError(f"{path} was read whole")
+        return read_file(path, sparse, hashed)
+
+    monkeypatch.setattr(dispersal, "read_file", sparse_only)
+    sites = ",".join(str(tmp_path / f"s{i}") for i in range(3))
     failed = _invoke(runner, "disperse", "--manifest", str(out / "manifest.json"),
                      "--sites", sites, code=5)
-    assert failed.stderr == "error: digest mismatch for 'f3.kfrg'\n"
+    assert failed.stderr == f"error: digest mismatch for '{named}'\n"
     assert failed.stdout == ""
-    assert len(stores) == 1  # the streamed pass, undone; the set read whole is refused
-    assert not (tmp_path / "s0").exists() and not (tmp_path / "s1").exists()
+    assert len(stored) == stores  # a store is undone
+    assert not any((tmp_path / f"s{i}").exists() for i in range(3))
     assert not (out / "dispersal.json").exists()
+
+
+@pytest.mark.parametrize("frags, out, code, message", [
+    (["f0.kfrg", "f1.kfrg", "f2.kfrg"], "back.bin", 4, "missing fragments [3]"),
+    (["f0.kfrg", "f1.kfrg", "f2.kfrg", "f3.kfrg"], "in.bin/back.bin", 3, "Not a directory"),
+], ids=["threshold", "output-under-a-file"])
+def test_a_failed_join_of_regular_fragment_files_reports_its_error_without_reading_them_whole(
+    runner, tmp_path, monkeypatch, frags, out, code, message
+):
+    _, split_out = _split(runner, tmp_path, os.urandom(1 << 20))
+
+    def refused(*args):
+        raise AssertionError("the files were read whole")
+
+    monkeypatch.setattr(cli, "load_files", refused)
+    failed = _invoke(runner, "join", "--frags", *(str(split_out / name) for name in frags),
+                     "--out", str(tmp_path / out), code=code)
+    assert message in failed.stderr
+    assert failed.stdout == ""
 
 
 @pytest.mark.parametrize("k,c,bs,n", [(4, 2, 250, 4), (4, 2, 16, 4), (6, 3, 250, 8),
@@ -734,7 +787,7 @@ cli.main(sys.argv[1:], prog_name="kfrag")
 
 def test_a_split_whose_write_fails_midway_leaves_no_file(tmp_path):
     # 6 MiB at k = 4: each file passes the 1 MiB file-size limit in the sixth chunk,
-    # then again when the input read whole is split
+    # and the error is reported then, with the input never read whole
     (tmp_path / "in.bin").write_bytes(os.urandom(6 << 20))
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(Path(kfrag.__file__).resolve().parent.parent)}
@@ -744,7 +797,7 @@ def test_a_split_whose_write_fails_midway_leaves_no_file(tmp_path):
     assert child.returncode == 3, child.stderr
     error, encoded = child.stderr.splitlines()
     assert re.fullmatch(r"error: \[Errno 27\] File too large: 'new/frags/f[0-3]\.kfrg'", error)
-    assert int(encoded.split()[1]) >= 6  # chunks, then the input read whole
+    assert int(encoded.split()[1]) == 6  # the chunks, and no encode of the input read whole
     assert child.stdout == ""
     assert [p.name for p in tmp_path.iterdir()] == ["in.bin"]
 

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +136,20 @@ def test_in_parts_covers_the_range_and_reraises_on_the_caller(bad_part, monkeypa
         seen.clear()
         gf256._in_parts(10, nbytes, lambda lo, hi: seen.append((lo, hi)))
         assert sorted(seen) == parts
+
+
+def test_the_error_of_the_lowest_numbered_part_is_reraised_whichever_fails_first(monkeypatch):
+    # part 1 fails at once, part 0 later: a command that writes a file per part
+    # names the same file every run
+    monkeypatch.setattr(gf256, "_CORES", 2)
+
+    def fn(lo, hi):
+        if lo == 0:
+            time.sleep(0.2)
+        raise ValueError(f"part {lo}")
+
+    with pytest.raises(ValueError, match="part 0"):
+        gf256._run_parts(2, 2, fn)
 
 
 def test_a_loop_run_inside_a_part_runs_as_one_part_on_its_thread(monkeypatch):

@@ -232,6 +232,23 @@ def test_load_fragment_views_the_shares_without_copying(rng):
     assert peak < frag.shares.nbytes // 4
 
 
+def test_a_parity_file_loads_its_data_as_a_view_without_copying(rng):
+    data = rng.randbytes(4 << 20)
+    row = ParityFragment(row_index=1, coefficients=bytes([1, 2, 3, 4]), data=data, k=4, n=6,
+                         primary_length=len(data))
+    blob = np.frombuffer(wire.dump_parity_fragment(row), dtype=np.uint8).copy()
+    blob.setflags(write=False)
+    tracemalloc.start()
+    try:
+        again = wire.load_parity_fragment(memoryview(blob))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(data) // 16
+    assert again == row
+    assert np.shares_memory(np.frombuffer(again.data, dtype=np.uint8), blob)
+
+
 def test_load_any_dispatch(rng):
     frag = list(encode_data(b"x" * 64, CodecParams(2, 2, 4), rng))[0]
     sss = baselines.sss_split(b"secret", 2, 3, rng)[0]
