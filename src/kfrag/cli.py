@@ -9,8 +9,9 @@ CSPRNG (``random.SystemRandom``); nothing in the environment can seed it.
 No command holds a large payload or set at once.  ``split`` reads and
 encodes the proposed scheme's input a chunk of share rows at a time
 (``codec.encode_chunks``), writing and hashing each file's piece of a
-chunk, and its parity's, before the next, and ``disperse`` puts each file
-as it reads it, a piece at a time.  ``fetch`` writes each data object as
+chunk, and its parity's, before the next, or, where the encode runs on one
+thread (c >= 3), while a second thread encodes the next.  ``disperse`` puts
+each file as it reads it, a piece at a time.  ``fetch`` writes each data object as
 soon as it is fetched and verified, one object per part, and ``join`` reads
 each fragment file a decode segment at a time, so it holds one segment of
 input and one of output.  Only a ``split`` input that is not a regular file
@@ -38,7 +39,7 @@ from . import baselines, dispersal, gf256, wire
 from .baselines import SchemeId
 from .codec import (
     CodecParams, Fragment, check_fragments, decode_data, decode_segments, encode_chunks,
-    encode_data, rebuild_permutations,
+    encode_data, encodes_on_one_thread, rebuild_permutations,
 )
 # rs_decode is unused here, but perfbench/tracing.py wraps this name, so it stays importable
 from .erasure import ParityParams, parity_fragments, rs_decode  # noqa: F401
@@ -249,8 +250,17 @@ def _split_streamed(in_path: Path, k: int, n: int, c: int, block_size: int,
     ``encode_data`` (which continues the chunk before it) and released; then
     each data file's piece of the chunk is dumped, its parity's RS-encoded
     from those pieces, and each piece written and hashed, in parts, and
-    dropped.  So the split holds about two chunks (each of 8.6 to 17 MB of
-    input at 2 cores), whatever the payload; the manifest is written last.
+    dropped.  A payload the scan encodes takes these steps one after another,
+    in chunks of 8.6 to 17 MB of input at 2 cores, each step on every core.
+    One that encodes on one thread (``codec.encodes_on_one_thread``: c >= 3,
+    or too few rows for the scan) is cut into chunks of about 1 MiB, and each
+    chunk but the first is read and encoded as the second of two parts of one
+    ``gf256._run_parts`` call while the first part, on this thread, dumps,
+    RS-encodes, writes and hashes the chunk before it; every loop inside
+    either part runs as one part, so the split runs on two threads.  Either way the split holds a few chunks,
+    whatever the payload, and writes the same bytes; the manifest is written
+    last.  An error of either part stops the split, that of the first part
+    when both fail.
     """
     with contextlib.closing(dispersal.read_file(in_path, sparse=True, hashed=False)) as src:
         _check_counts(k, n)
@@ -265,18 +275,26 @@ def _split_streamed(in_path: Path, k: int, n: int, c: int, block_size: int,
         def fill(appends: list[Callable]) -> None:
             rng = random.SystemRandom()
             after, offset, length = (), 0, None
-            for rows in chunks:
+
+            def encode(rows: range) -> list[Fragment]:
+                """Read the chunk of share rows ``rows`` on and encode it."""
+                nonlocal after
                 end = min(rows.stop * m, size)
                 src.fill(end)
                 frags = encode_data(src.buf[rows.start * m : end], params, rng, after, size)
                 src.release(end)
-                # the data files' pieces, in a buffer whose pages go back once written
-                dumped = dispersal.mapped(k * (_HEAD + len(rows) * block_size)).reshape(k, -1)
-                pieces = [wire.dump_fragment(f, dumped[j]) for j, f in enumerate(frags)]
                 # the next chunk reads the permutation shares and the last row alone
                 after = [replace(f, shares=f.shares[-1:].copy(), first_row=rows.stop - 1)
                          for f in frags]
-                del frags
+                return list(frags)
+
+            def write(rows: range, frags: list[Fragment]) -> None:
+                """Dump, RS-encode, append and hash the chunk ``rows``, emptying ``frags``."""
+                nonlocal offset, length
+                # the data files' pieces, in a buffer whose pages go back once written
+                dumped = dispersal.mapped(k * (_HEAD + len(rows) * block_size)).reshape(k, -1)
+                pieces = [wire.dump_fragment(f, dumped[j]) for j, f in enumerate(frags)]
+                frags.clear()
                 if parity:
                     # the length of a data file, for the head of its parity file
                     length = length or len(pieces[0]) + (chunks[-1].stop - rows.stop) * block_size
@@ -284,12 +302,24 @@ def _split_streamed(in_path: Path, k: int, n: int, c: int, block_size: int,
                                parity_fragments(pieces, parity, offset, length)]
                     offset += len(pieces[0])
 
-                def write(j: int) -> None:
+                def append(j: int) -> None:
                     appends[j](pieces[j])
                     shas[j].update(pieces[j])
 
-                gf256._map_in_parts(write, list(range(n)), sum(map(len, pieces)))
-                del pieces, dumped
+                gf256._map_in_parts(append, list(range(n)), sum(map(len, pieces)))
+
+            if not encodes_on_one_thread(params, size):
+                for rows in chunks:
+                    write(rows, encode(rows))
+                return
+            # the writes of each chunk on this thread while a second one encodes the next
+            frags = encode(chunks[0])
+            for done, rows in zip(chunks, chunks[1:]):
+                ahead: list[Fragment] = []
+                jobs = (lambda: write(done, frags), lambda: ahead.extend(encode(rows)))
+                gf256._run_parts(2, 2, lambda lo, hi: [job() for job in jobs[lo:hi]])
+                frags = ahead
+            write(chunks[-1], frags)
 
         def manifest(fh) -> None:
             fh.write(dispersal.build_manifest(

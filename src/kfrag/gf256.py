@@ -8,7 +8,9 @@ across builds.  Tables are built once at import; all operations are pure.
 thread per usable core (numpy releases the interpreter lock inside its table
 lookups and XORs); the codec's row loops use it, and ``_run_parts`` runs a
 loop in a part count its caller chose (the codec's decode bounds its own by
-its scratch, ``matmul`` by its column chunk).
+its scratch, ``matmul`` by its column chunk, and a ``split`` that encodes on
+one thread writes each chunk in a first part while a second part encodes
+the next).
 ``_map_in_parts`` maps a function over a list the same way; the file reads,
 writes and SHA-256 digests of ``dispersal`` use it (they release the lock
 too), as does ``join``, which writes each piece of its output while a second
@@ -77,20 +79,29 @@ except AttributeError:  # no affinity API on this platform
 # of about 16 KiB; its correction makes one lookup, one XOR and one
 # write-back take per _LAMBDA_ROWS = 8 rows of every batch of the part.  With
 # smaller calls the threads wait on the interpreter lock more than they work.
-# Measured when _LAMBDA_ROWS was 4 and the correction made an XOR and a
-# gather per row, before chunked splits: one part vs two (forced), medians of 15
-# interleaved encode_data calls in each of two processes on a 2-core Xeon,
-# ms, one part in the first/second process vs two parts in the first/second:
-#   (4,2,250):  4 MiB 21.4/20.3 vs 27.0/28.7, 5 MiB 23.6/26.0 vs 27.8/32.3,
-#               6 MiB 50.0/29.1 vs 40.2/34.8, 8 MiB 67.0/37.2 vs 49.4/34.4
-#   (4,2,16):   4 MiB 24.7/21.0 vs 32.8/30.8, 5 MiB 26.5/31.6 vs 29.9/34.2,
-#               6 MiB 35.2/33.5 vs 37.8/36.7, 8 MiB 68.8/66.5 vs 49.7/54.8
-#   (16,2,250): 4 MiB 38.2/36.4 vs 38.2/41.5, 5 MiB 46.3/47.4 vs 45.0/43.9,
-#               6 MiB 53.9/49.4 vs 50.2/44.9, 8 MiB 62.6/38.2 vs 52.0/45.1
-# Two parts lost at 4 MiB (1.00-1.47x), were mixed at 5-6 MiB (0.80-1.24x)
-# and mostly won at 8 MiB (0.72-0.93x, once 1.18x), so two parts start at
-# 8 MiB.
+# One part vs two (forced), medians of 15 interleaved encode_data calls in
+# each of two processes on a 2-core Xeon, ms, one part in the first/second
+# process vs two parts in the first/second:
+#   (4,2,250):  4 MiB 22.8/19.4 vs 23.5/19.5, 5 MiB 26.3/23.4 vs 27.5/25.0,
+#               6 MiB 30.9/28.4 vs 29.8/28.7, 8 MiB 39.4/40.7 vs 40.6/34.5
+#   (4,2,16):   4 MiB 31.5/24.7 vs 26.2/25.6, 5 MiB 38.4/33.9 vs 29.3/27.6,
+#               6 MiB 40.2/33.8 vs 32.1/31.7, 8 MiB 61.8/38.9 vs 42.1/37.3
+#   (16,2,250): 4 MiB 32.1/23.8 vs 29.6/27.0, 5 MiB 41.0/34.0 vs 32.4/31.9,
+#               6 MiB 43.2/36.7 vs 37.5/35.0, 8 MiB 50.0/38.8 vs 43.0/39.8
+# Two parts were mixed at 4 MiB (0.83-1.13x) and at 8 MiB (0.68-1.03x), and
+# lost at (4,2,250) at 4 and 5 MiB (1.00-1.07x), so two parts still start at
+# 8 MiB.  (When _LAMBDA_ROWS was 4, two parts lost at 4 MiB, 1.00-1.47x.)
 _PART_MIN_BYTES = 4 << 20
+# A chunk of a payload that encodes on one thread (codec.encode_chunks: c >= 3,
+# or too few rows for the scan) covers at least this many bytes, in whole
+# 254-row batches.  Its size bounds what a split holds, not a part's calls:
+# the split writes each chunk while a second thread encodes the next.  An
+# 8 MiB split at (6,3,250) with n = 8 on a 2-core Xeon, medians of 10
+# interleaved fresh processes of 7 in-process splits each, and peak RSS of
+# fresh processes, for chunks of at least 512 KiB / 1 MiB / 2 MiB (2, 3 and
+# 6 batches) against the scan's chunk rule (one chunk of 8 MiB, encoded, then
+# written): 78.5 / 71.6 / 69.4 vs 71.3 ms, 42.0 / 42.2 / 49.7 vs 51.3 MB.
+_SWEEP_CHUNK_BYTES = 1 << 20
 # matmul's column chunk.  Medians of 9 interleaved calls in one process on a
 # 2-core Xeon, ms, for chunks of 8/16/32/64 KiB against the unblocked kernel
 # (which widened each whole row once per output row):
@@ -112,6 +123,15 @@ _PART_MIN_BYTES = 4 << 20
 #   1x6: one 0.23/0.43/0.67/0.86/1.72/1.66/3.08/6.57,
 #        two 0.42/0.56/0.66/0.79/1.33/1.29/2.11/4.11
 # Two parts lost up to 32 KiB rows and won from 64 KiB (0.77x and 0.91x).
+#
+# Beside another part, short calls cost that part more than they save here:
+# each may hand it the interpreter lock.  A 5,600-row (6,3,250) codec._sweep,
+# medians of 15 interleaved runs in one process on a 2-core Xeon, ms, with a
+# loop of 2x6 RS calls on rows of 190 kB (a 1 MiB chunk's pieces of a split)
+# beside it: nothing 38.6; 32 KiB widened chunks 84.5; unwidened blocks of
+# 64 KiB 64.5, of 128 KiB 56.9; whole rows 50.1.  One such call alone took
+# 1.76, 2.37, 2.37 and 3.21 ms, but the loop beside the sweep did the most
+# calls per second with whole rows, so matmul beside a part takes whole rows.
 _MATMUL_CHUNK = 32 << 10
 # whether this thread is running a part of _run_parts
 _inside = threading.local()
@@ -204,7 +224,11 @@ def matmul(a: np.ndarray, rows) -> np.ndarray:
     them in chunks of _MATMUL_CHUNK: it widens each input row's chunk to the
     lookup's index type once and reuses it for every output row, so its
     scratch is k + 1 chunks whatever L.  A part covers at least one chunk, so
-    two parts start at rows of 64 KiB.
+    two parts start at rows of 64 KiB.  Run inside a part of a loop of two or
+    more parts, beside another part, it instead makes one lookup and one XOR
+    per term over whole rows, and its scratch is one row and the lookup's
+    widened copy of one row: each short call could hand the interpreter lock
+    to the other part (see _MATMUL_CHUNK).
     """
     n, k = a.shape
     if len(rows) != k:
@@ -215,13 +239,15 @@ def matmul(a: np.ndarray, rows) -> np.ndarray:
     (length,) = lengths
     out = np.zeros((n, length), dtype=np.uint8)
     coeffs = a.tolist()
-    looked_up = [t for t in range(k) if any(row[t] > 1 for row in coeffs)]
+    beside = getattr(_inside, "part", False)  # another part runs beside this one
+    chunk = max(length, 1) if beside else _MATMUL_CHUNK
+    looked_up = [] if beside else [t for t in range(k) if any(row[t] > 1 for row in coeffs)]
 
     def columns(lo: int, hi: int) -> None:
-        wide = np.empty((k, min(_MATMUL_CHUNK, hi - lo)), dtype=np.intp)
-        buf = np.empty(wide.shape[1], dtype=np.uint8)
-        for c0 in range(lo, hi, _MATMUL_CHUNK):
-            c1 = min(c0 + _MATMUL_CHUNK, hi)
+        wide = np.empty((k, min(chunk, hi - lo)), dtype=np.intp) if looked_up else None
+        buf = np.empty(min(chunk, hi - lo), dtype=np.uint8)
+        for c0 in range(lo, hi, chunk):
+            c1 = min(c0 + chunk, hi)
             w = c1 - c0
             for t in looked_up:
                 wide[t, :w] = rows[t][c0:c1]
@@ -232,7 +258,9 @@ def matmul(a: np.ndarray, rows) -> np.ndarray:
                     if coeff == 1:
                         dst ^= rows[t][c0:c1]
                     elif coeff:
-                        MUL_TABLE[coeff].take(wide[t, :w], out=buf[:w], mode="clip")
+                        # beside, take widens the whole row itself, inside the call
+                        index = rows[t][c0:c1] if beside else wide[t, :w]
+                        MUL_TABLE[coeff].take(index, out=buf[:w], mode="clip")
                         dst ^= buf[:w]
 
     _run_parts(length, length // _MATMUL_CHUNK, columns)

@@ -606,15 +606,18 @@ def test_a_split_read_a_chunk_at_a_time_writes_the_files_of_the_payload_read_who
     runner, tmp_path, monkeypatch, k, c, bs, n
 ):
     # parts of 512 KiB on one core: chunks of 762 rows at (4,2,250), so the scan
-    # runs in each chunk at c = 2; payloads of several chunks and a tail, and at a
-    # chunk boundary and a byte either side of it
-    monkeypatch.setattr(gf256, "_CORES", 1)
+    # runs in each chunk at c = 2; at c >= 3, chunks of about 1 MiB on two cores,
+    # each but the first encoded on a second thread while this one writes the one
+    # before; payloads of several chunks and a tail, and at a chunk boundary and a
+    # byte either side of it
+    monkeypatch.setattr(gf256, "_CORES", 1 if c == 2 else 2)
     monkeypatch.setattr(gf256, "_PART_MIN_BYTES", 1 << 19)
     params = codec.CodecParams(k, c, bs)
-    batches = -(-gf256._PART_MIN_BYTES // (254 * params.group_size))
+    least = gf256._PART_MIN_BYTES if c == 2 else gf256._SWEEP_CHUNK_BYTES
+    batches = -(-least // (254 * params.group_size))
     boundary = 2 * batches * 254 * params.group_size
     lengths = [boundary - 1, boundary, boundary + 1]
-    if (k, bs) == (4, 250):
+    if (k, bs) == (4, 250) or c > 2:
         lengths.append(3 * boundary // 2 + 4321)
         assert len(codec.encode_chunks(params, lengths[-1])) >= 3
     whole = cli._split_whole
@@ -802,6 +805,105 @@ def test_a_split_whose_write_fails_midway_leaves_no_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["in.bin"]
 
 
+def _split_c3(runner, tmp_path):
+    """``split --k 6 --c 3 --n 8`` of 3.5 MB, three chunks of about 1 MiB and a tail."""
+    src = tmp_path / "in.bin"
+    src.write_bytes(os.urandom(3_500_000))
+    assert len(codec.encode_chunks(codec.CodecParams(6, 3, 250), 3_500_000)) == 3
+    return runner.invoke(main, ["split", "--in", str(src), "--out", str(tmp_path / "new" / "frags"),
+                                "--k", "6", "--c", "3", "--n", "8"])
+
+
+def test_a_c3_split_writes_each_chunk_on_its_thread_while_a_second_encodes_the_next(
+    runner, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(gf256, "_CORES", 2)
+    calls, alive = [], []
+
+    def watched(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            alive.append(threading.active_count())
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(cli, "encode_data", watched("encode", cli.encode_data))
+    monkeypatch.setattr(wire, "dump_fragment", watched("dump", wire.dump_fragment))
+    monkeypatch.setattr(cli, "parity_fragments", watched("parity", cli.parity_fragments))
+    before = threading.active_count()
+    result = _split_c3(runner, tmp_path)
+    assert result.exit_code == 0, result.output
+    main_thread = threading.main_thread()
+    encodes = [thread for name, thread in calls if name == "encode"]
+    assert len(encodes) == 3 and encodes[0] is main_thread
+    assert all(thread is not main_thread for thread in encodes[1:])
+    # dumps, RS parity, appends and hashes stay on the split's thread
+    assert {thread for name, thread in calls if name != "encode"} == {main_thread}
+    assert len([name for name, _ in calls if name == "parity"]) == 3
+    assert max(alive) == before + 1  # two threads, whatever the loops inside each part
+    joined = tmp_path / "back.bin"
+    _invoke(runner, "join", "--manifest", str(tmp_path / "new" / "frags" / "manifest.json"),
+            "--out", str(joined))
+    assert joined.read_bytes() == (tmp_path / "in.bin").read_bytes()
+
+
+class _Full:
+    """An open file whose writes after the first fail as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, buf):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(28, "No space left on device", "ignored")
+        return self.fh.write(buf)
+
+
+def _filling(path, mode="r", **kwargs):
+    """``open``, but a file opened for writing is a _Full one."""
+    fh = open(path, mode, **kwargs)
+    return _Full(fh) if "w" in mode else fh
+
+
+@pytest.mark.parametrize("encode_fails, append_fails, message", [
+    # the second chunk's encode, on the second thread, as the first is written
+    (2, False, "error: out of memory in split on a payload of 3500000 bytes"),
+    # the second chunk's append to f0, as the third is encoded
+    (None, True, "error: [Errno 28] No space left on device: '{f0}'"),
+    # both in one step: the first part's error, the append's
+    (3, True, "error: [Errno 28] No space left on device: '{f0}'"),
+], ids=["encode", "append", "both"])
+def test_a_c3_split_that_fails_midway_leaves_no_file_and_no_thread(
+    runner, tmp_path, monkeypatch, encode_fails, append_fails, message
+):
+    monkeypatch.setattr(gf256, "_CORES", 2)
+    encode, encoded = cli.encode_data, []
+
+    def failing(*args):
+        encoded.append(threading.current_thread())
+        if len(encoded) == encode_fails:
+            raise MemoryError("no room for the chunk")
+        return encode(*args)
+
+    monkeypatch.setattr(cli, "encode_data", failing)
+    if append_fails:
+        monkeypatch.setattr(dispersal, "open", _filling, raising=False)
+    result = _split_c3(runner, tmp_path)
+    assert result.exit_code == 3, result.output
+    assert result.stderr == message.format(f0=tmp_path / "new" / "frags" / "f0.kfrg") + "\n"
+    assert result.stdout == ""
+    assert len(encoded) == (encode_fails or 3) and encoded[-1] is not threading.main_thread()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
+
+
 @pytest.mark.parametrize("k,c,n", [(4, 2, 4), (6, 3, 8)])
 def test_split_holds_two_copies_of_the_payload(runner, tmp_path, k, c, n):
     # 6 MiB runs as one part on any host; the peak is the input and the encoded
@@ -905,28 +1007,7 @@ def test_a_join_whose_write_fails_midway_leaves_no_file_and_no_thread(
     # the thread is joined before the command ends (the autouse fixture checks)
     monkeypatch.setattr(gf256, "_CORES", 2)
     _, out = _split(runner, tmp_path, os.urandom(13 << 20))
-
-    class Full:
-        def __init__(self, fh):
-            self.fh, self.writes = fh, 0
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, buf):
-            self.writes += 1
-            if self.writes > 1:
-                raise OSError(28, "No space left on device", "ignored")
-            return self.fh.write(buf)
-
-    def filling(path, mode="r", **kwargs):
-        fh = open(path, mode, **kwargs)
-        return Full(fh) if "w" in mode else fh
-
-    monkeypatch.setattr(dispersal, "open", filling, raising=False)
+    monkeypatch.setattr(dispersal, "open", _filling, raising=False)
     result = runner.invoke(main, ["join", "--manifest", str(out / "manifest.json"),
                                   "--out", str(tmp_path / "new" / "back.bin")])
     assert result.exit_code == 3
@@ -980,7 +1061,8 @@ def test_join_and_fetch_hold_a_segment_and_an_object_per_part_whatever_the_paylo
     # read their files into, at 16 and 48 MiB (4 data files of 4 and 12 MiB); holding
     # the payload or every file, as each command once did, would add the 32 MiB
     # between them.  split holds a chunk of input and of rows (one of 16.8 MB at
-    # 16 MiB, 10.2 MB at 48 MiB), disperse a piece of a file per part.
+    # 16 MiB, 10.2 MB at 48 MiB), disperse a piece of a file per part; at c = 3,
+    # split holds about three chunks of 1.1 to 1.5 MB, on two threads.
     env = {**os.environ, "PYTHONPATH": str(Path(kfrag.__file__).resolve().parent.parent)}
     peaks = {}
     for mib in (16, 48):
@@ -989,19 +1071,23 @@ def test_join_and_fetch_hold_a_segment_and_an_object_per_part_whatever_the_paylo
         payload = os.urandom(mib << 20)
         (where / "in.bin").write_bytes(payload)
         sites = f"{where / 's0'},{where / 's1'}"
-        for command in (["split", "--in", "in.bin", "--out", "frags"],
-                        ["disperse", "--manifest", "frags/manifest.json", "--sites", sites],
-                        ["join", "--manifest", "frags/manifest.json", "--out", "back.bin"],
-                        ["fetch", "--manifest", "frags/dispersal.json", "--sites", sites,
-                         "--out", "fetched"]):
+        for name, command in (
+            ("split", ["split", "--in", "in.bin", "--out", "frags"]),
+            ("disperse", ["disperse", "--manifest", "frags/manifest.json", "--sites", sites]),
+            ("join", ["join", "--manifest", "frags/manifest.json", "--out", "back.bin"]),
+            ("fetch", ["fetch", "--manifest", "frags/dispersal.json", "--sites", sites,
+                       "--out", "fetched"]),
+            ("split c3", ["split", "--in", "in.bin", "--out", "frags3", "--k", "6", "--c", "3",
+                          "--n", "8"]),
+        ):
             child = subprocess.run([sys.executable, "-c", _PEAK, *command], cwd=where, env=env,
                                    capture_output=True, timeout=120)
             assert child.returncode == 0, child.stderr
-            peaks[command[0], mib] = int(child.stdout.split()[-1]) << 10  # KiB
+            peaks[name, mib] = int(child.stdout.split()[-1]) << 10  # KiB
         assert (where / "back.bin").read_bytes() == payload
         fetched = where / "fetched" / "f3.kfrg"
         assert fetched.read_bytes() == (where / "frags" / "f3.kfrg").read_bytes()
-    for command in ("split", "disperse", "join"):
+    for command in ("split", "disperse", "join", "split c3"):
         assert peaks[command, 48] - peaks[command, 16] < 8 << 20, peaks
     assert peaks["fetch", 48] - peaks["fetch", 16] < 2 * (12 << 20), peaks
 

@@ -508,7 +508,10 @@ def test_encode_chunks_are_whole_batches_that_each_encode_on_every_core(cores, m
     for params in (CodecParams(4, 2, 250), CodecParams(8, 4, 16), CodecParams(16, 2, 250)):
         m = params.group_size
         batch = 254 * m
-        least = -(-cores * gf256._PART_MIN_BYTES // batch)  # batches
+        if params.c == 2:  # batches: a scan part per core
+            least = -(-cores * gf256._PART_MIN_BYTES // batch)
+        else:  # the one-range sweep runs on one thread: about 1 MiB on any core count
+            least = -(-gf256._SWEEP_CHUNK_BYTES // batch)
         for length in (1, batch - 1, least * batch, 2 * least * batch - 1, 2 * least * batch,
                        2 * least * batch + 1, 7 * least * batch + 3 * m + 5):
             chunks = codec.encode_chunks(params, length)
@@ -519,18 +522,23 @@ def test_encode_chunks_are_whole_batches_that_each_encode_on_every_core(cores, m
             assert len(chunks) == max(1, length // batch // least)
             if len(chunks) > 1:  # each chunk's scan runs in as many parts as there are cores
                 assert min(batches) >= least and max(batches) - min(batches[:-1]) <= 1
+    # (8,4,16): 33 batches of 32,512 bytes, whatever the cores
+    assert len(codec.encode_chunks(CodecParams(8, 4, 16), 7 << 20)) == 6
 
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_chunks_continue_the_fragments_before_them(cores, monkeypatch, rng):
     # parts of 512 KiB: chunks of at least 762 rows at (4,2,250), so the scan
-    # runs in each; at c >= 3 each chunk is one range of the recurrence
+    # runs in each; at c >= 3 each chunk of at least 512 KiB is one range of the
+    # recurrence
     monkeypatch.setattr(gf256, "_CORES", cores)
     monkeypatch.setattr(gf256, "_PART_MIN_BYTES", 1 << 19)
+    monkeypatch.setattr(gf256, "_SWEEP_CHUNK_BYTES", 1 << 19)
     for k, c, bs in [(4, 2, 250), (4, 2, 16), (6, 3, 250), (8, 4, 16)]:
         params = CodecParams(k, c, bs)
         m = params.group_size
-        least = -(-cores * gf256._PART_MIN_BYTES // (254 * m)) * 254 * m  # bytes
+        least = cores * gf256._PART_MIN_BYTES if c == 2 else gf256._SWEEP_CHUNK_BYTES
+        least = -(-least // (254 * m)) * 254 * m  # bytes
         for length in (3 * least + 12345, 2 * least - 1, 2 * least, 2 * least + 1, 1000):
             data = rng.randbytes(length)
             whole = encode_data(data, params, random.Random(length))
