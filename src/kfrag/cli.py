@@ -9,9 +9,9 @@ CSPRNG (``random.SystemRandom``); nothing in the environment can seed it.
 No command holds a large payload or set at once.  ``split`` reads and
 encodes the proposed scheme's input a chunk of share rows at a time
 (``codec.encode_chunks``), writing and hashing each file's piece of a
-chunk, and its parity's, before the next, or, where the encode runs on one
-thread (c >= 3), while a second thread encodes the next.  ``disperse`` puts
-each file as it reads it, a piece at a time.  ``fetch`` writes each data object as
+chunk, and its parity's, before the next, or, at c >= 3, while a second
+thread encodes the next.  ``disperse`` puts each file as it reads it, a
+piece at a time.  ``fetch`` writes each data object as
 soon as it is fetched and verified, one object per part, and ``join`` reads
 each fragment file a decode segment at a time, so it holds one segment of
 input and one of output.  Only a ``split`` input that is not a regular file
@@ -39,7 +39,7 @@ from . import baselines, dispersal, gf256, wire
 from .baselines import SchemeId
 from .codec import (
     CodecParams, Fragment, check_fragments, decode_data, decode_segments, encode_chunks,
-    encode_data, encodes_on_one_thread, rebuild_permutations,
+    encode_data, rebuild_permutations,
 )
 # rs_decode is unused here, but perfbench/tracing.py wraps this name, so it stays importable
 from .erasure import ParityParams, parity_fragments, rs_decode  # noqa: F401
@@ -250,17 +250,17 @@ def _split_streamed(in_path: Path, k: int, n: int, c: int, block_size: int,
     ``encode_data`` (which continues the chunk before it) and released; then
     each data file's piece of the chunk is dumped, its parity's RS-encoded
     from those pieces, and each piece written and hashed, in parts, and
-    dropped.  A payload the scan encodes takes these steps one after another,
-    in chunks of 8.6 to 17 MB of input at 2 cores, each step on every core.
-    One that encodes on one thread (``codec.encodes_on_one_thread``: c >= 3,
-    or too few rows for the scan) is cut into chunks of about 1 MiB, and each
-    chunk but the first is read and encoded as the second of two parts of one
-    ``gf256._run_parts`` call while the first part, on this thread, dumps,
-    RS-encodes, writes and hashes the chunk before it; every loop inside
-    either part runs as one part, so the split runs on two threads.  Either way the split holds a few chunks,
-    whatever the payload, and writes the same bytes; the manifest is written
-    last.  An error of either part stops the split, that of the first part
-    when both fail.
+    dropped.  Each step writes one chunk and then encodes the next, as the
+    two parts of one ``gf256._run_parts`` loop.  At c = 2, whose scan runs on
+    every core, the loop is one part, so the steps run one after another, in
+    chunks of 8.6 to 17 MB of input at 2 cores, and the split holds about two
+    chunks.  At c >= 3, whose sweep runs on one thread, chunks are of about
+    1 MiB and the loop is two parts: this thread writes chunk i while a
+    second thread encodes chunk i + 1, every loop inside either part runs
+    as one part, and the split holds about three chunks.  Either way the
+    bytes written are the same, whatever the payload; the manifest is
+    written last.  An error of either part stops the split, that of the
+    write when both fail.
     """
     with contextlib.closing(dispersal.read_file(in_path, sparse=True, hashed=False)) as src:
         _check_counts(k, n)
@@ -308,16 +308,13 @@ def _split_streamed(in_path: Path, k: int, n: int, c: int, block_size: int,
 
                 gf256._map_in_parts(append, list(range(n)), sum(map(len, pieces)))
 
-            if not encodes_on_one_thread(params, size):
-                for rows in chunks:
-                    write(rows, encode(rows))
-                return
-            # the writes of each chunk on this thread while a second one encodes the next
+            # each step writes one chunk, then encodes the next; at c >= 3, whose
+            # sweep runs on one thread, a second thread encodes it meanwhile
             frags = encode(chunks[0])
             for done, rows in zip(chunks, chunks[1:]):
                 ahead: list[Fragment] = []
                 jobs = (lambda: write(done, frags), lambda: ahead.extend(encode(rows)))
-                gf256._run_parts(2, 2, lambda lo, hi: [job() for job in jobs[lo:hi]])
+                gf256._run_parts(2, 2 if c > 2 else 1, lambda lo, hi: [job() for job in jobs[lo:hi]])
                 frags = ahead
             write(chunks[-1], frags)
 

@@ -41,11 +41,9 @@ A payload also encodes a chunk of rows at a time: encode_chunks cuts its
 share rows into ranges of whole 254-row batches (the last takes the rest),
 and each chunk takes the permutations and the last share row of the chunk
 before it.  The rows of the chunks, joined, are those of the whole payload.
-A payload the scan encodes is cut into chunks long enough for the scan to
-run on every core.  One that encodes on one thread (encodes_on_one_thread:
-c >= 3, or too few rows for the scan) is cut into chunks of about 1 MiB,
-so that a split holds little of it, and a second thread can encode the
-next chunk while the caller writes one.
+At c = 2 each chunk is long enough for the scan to run on every core; at
+c >= 3, whose sweep runs on one thread at any length, chunks are of about
+1 MiB, so that a split holds little of its payload.
 
 Decoding runs in the data frame, with one gather per fragment from its
 shares straight into the output rows, then adds the neighbor terms, which
@@ -234,28 +232,18 @@ def encode_data(data: bytes, params: CodecParams, rng: random.Random,
     return _encode_with_permutations(data, params, pas, ps, start, state, payload_length)
 
 
-def encodes_on_one_thread(params: CodecParams, payload_length: int) -> bool:
-    """Whether a payload (or a chunk) of ``payload_length`` bytes encodes through the
-    one-range sweep alone, on the caller's thread: at c >= 3, or with fewer share
-    rows than the c == 2 scan takes."""
-    rows = padded_length(payload_length, params) // params.group_size
-    return params.c > 2 or rows < _SCAN_MIN_ROWS
-
-
 def encode_chunks(params: CodecParams, payload_length: int) -> list[range]:
     """Consecutive ranges of a payload's share rows to encode one after another, cut
     as decode_segments cuts them, of equal whole 254-row batches but for the last,
-    which also takes the rows after the last whole batch.  A payload the scan
-    encodes is cut into as many as hold gf256._CORES scan parts each, so each
-    still encodes on every core; one that encodes on one thread into chunks of
-    at least gf256._SWEEP_CHUNK_BYTES, sized for memory alone."""
+    which also takes the rows after the last whole batch: at c == 2, as many as
+    hold gf256._CORES scan parts each, so each still encodes on every core; at
+    c >= 3, chunks of at least gf256._SWEEP_CHUNK_BYTES."""
     m = params.group_size
     nf = padded_length(payload_length, params) // m
     batches = payload_length // (_X_PERIOD * m)  # whole ones
-    if encodes_on_one_thread(params, payload_length):
-        least = -(-gf256._SWEEP_CHUNK_BYTES // (_X_PERIOD * m))
-    else:
-        least = -(-gf256._CORES * gf256._PART_MIN_BYTES // (_X_PERIOD * m))
+    # the c >= 3 sweep runs on one thread, so its chunks are sized for memory alone
+    chunk = gf256._SWEEP_CHUNK_BYTES if params.c > 2 else gf256._CORES * gf256._PART_MIN_BYTES
+    least = -(-chunk // (_X_PERIOD * m))
     count = max(1, batches // least)
     cuts = [batches * i // count * _X_PERIOD for i in range(count)] + [nf]
     return [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
@@ -383,7 +371,7 @@ def _encode_with_permutations(
 
     # the scan runs over whole batches of payload rows, the rest as one range
     body = 0
-    if not encodes_on_one_thread(params, len(data)):
+    if params.c == 2 and nf >= _SCAN_MIN_ROWS:
         body = len(data) // (_X_PERIOD * m) * _X_PERIOD
         _encode_rows_scan(payload[: body * m], pi, y[:body], state, parent_idx[0])
         state = y[body - 1]

@@ -8,9 +8,8 @@ across builds.  Tables are built once at import; all operations are pure.
 thread per usable core (numpy releases the interpreter lock inside its table
 lookups and XORs); the codec's row loops use it, and ``_run_parts`` runs a
 loop in a part count its caller chose (the codec's decode bounds its own by
-its scratch, ``matmul`` by its column chunk, and a ``split`` that encodes on
-one thread writes each chunk in a first part while a second part encodes
-the next).
+its scratch, ``matmul`` by its column chunk, and a c >= 3 ``split`` writes
+each chunk in a first part while a second part encodes the next).
 ``_map_in_parts`` maps a function over a list the same way; the file reads,
 writes and SHA-256 digests of ``dispersal`` use it (they release the lock
 too), as does ``join``, which writes each piece of its output while a second
@@ -92,15 +91,16 @@ except AttributeError:  # no affinity API on this platform
 # lost at (4,2,250) at 4 and 5 MiB (1.00-1.07x), so two parts still start at
 # 8 MiB.  (When _LAMBDA_ROWS was 4, two parts lost at 4 MiB, 1.00-1.47x.)
 _PART_MIN_BYTES = 4 << 20
-# A chunk of a payload that encodes on one thread (codec.encode_chunks: c >= 3,
-# or too few rows for the scan) covers at least this many bytes, in whole
-# 254-row batches.  Its size bounds what a split holds, not a part's calls:
-# the split writes each chunk while a second thread encodes the next.  An
-# 8 MiB split at (6,3,250) with n = 8 on a 2-core Xeon, medians of 10
-# interleaved fresh processes of 7 in-process splits each, and peak RSS of
-# fresh processes, for chunks of at least 512 KiB / 1 MiB / 2 MiB (2, 3 and
-# 6 batches) against the scan's chunk rule (one chunk of 8 MiB, encoded, then
-# written): 78.5 / 71.6 / 69.4 vs 71.3 ms, 42.0 / 42.2 / 49.7 vs 51.3 MB.
+# A chunk of a c >= 3 payload (codec.encode_chunks), whose sweep runs on one
+# thread, covers at least this many bytes, in whole 254-row batches.  Its
+# size bounds what a split holds, not a part's calls: the split writes each
+# chunk while a second thread encodes the next.  An 8 MiB split at (6,3,250)
+# with n = 8 on a 2-core Xeon, medians of 8 interleaved fresh processes of
+# 7 in-process splits each, and of the peak RSS of 8 fresh processes of one
+# split, for chunks of at least 512 KiB / 1 MiB / 2 MiB (2, 3 and 6 batches)
+# against the scan's chunk rule (one chunk of 8 MiB, encoded, then written):
+# 74.4 / 72.5 / 71.2 vs 69.7 ms, 42.2 / 44.7 / 51.6 vs 54.4 MB.  Chunks of
+# 1 MiB written one after another, with no second thread, took 85.2 ms.
 _SWEEP_CHUNK_BYTES = 1 << 20
 # matmul's column chunk.  Medians of 9 interleaved calls in one process on a
 # 2-core Xeon, ms, for chunks of 8/16/32/64 KiB against the unblocked kernel
@@ -123,15 +123,6 @@ _SWEEP_CHUNK_BYTES = 1 << 20
 #   1x6: one 0.23/0.43/0.67/0.86/1.72/1.66/3.08/6.57,
 #        two 0.42/0.56/0.66/0.79/1.33/1.29/2.11/4.11
 # Two parts lost up to 32 KiB rows and won from 64 KiB (0.77x and 0.91x).
-#
-# Beside another part, short calls cost that part more than they save here:
-# each may hand it the interpreter lock.  A 5,600-row (6,3,250) codec._sweep,
-# medians of 15 interleaved runs in one process on a 2-core Xeon, ms, with a
-# loop of 2x6 RS calls on rows of 190 kB (a 1 MiB chunk's pieces of a split)
-# beside it: nothing 38.6; 32 KiB widened chunks 84.5; unwidened blocks of
-# 64 KiB 64.5, of 128 KiB 56.9; whole rows 50.1.  One such call alone took
-# 1.76, 2.37, 2.37 and 3.21 ms, but the loop beside the sweep did the most
-# calls per second with whole rows, so matmul beside a part takes whole rows.
 _MATMUL_CHUNK = 32 << 10
 # whether this thread is running a part of _run_parts
 _inside = threading.local()
@@ -224,11 +215,7 @@ def matmul(a: np.ndarray, rows) -> np.ndarray:
     them in chunks of _MATMUL_CHUNK: it widens each input row's chunk to the
     lookup's index type once and reuses it for every output row, so its
     scratch is k + 1 chunks whatever L.  A part covers at least one chunk, so
-    two parts start at rows of 64 KiB.  Run inside a part of a loop of two or
-    more parts, beside another part, it instead makes one lookup and one XOR
-    per term over whole rows, and its scratch is one row and the lookup's
-    widened copy of one row: each short call could hand the interpreter lock
-    to the other part (see _MATMUL_CHUNK).
+    two parts start at rows of 64 KiB.
     """
     n, k = a.shape
     if len(rows) != k:
@@ -239,15 +226,13 @@ def matmul(a: np.ndarray, rows) -> np.ndarray:
     (length,) = lengths
     out = np.zeros((n, length), dtype=np.uint8)
     coeffs = a.tolist()
-    beside = getattr(_inside, "part", False)  # another part runs beside this one
-    chunk = max(length, 1) if beside else _MATMUL_CHUNK
-    looked_up = [] if beside else [t for t in range(k) if any(row[t] > 1 for row in coeffs)]
+    looked_up = [t for t in range(k) if any(row[t] > 1 for row in coeffs)]
 
     def columns(lo: int, hi: int) -> None:
-        wide = np.empty((k, min(chunk, hi - lo)), dtype=np.intp) if looked_up else None
-        buf = np.empty(min(chunk, hi - lo), dtype=np.uint8)
-        for c0 in range(lo, hi, chunk):
-            c1 = min(c0 + chunk, hi)
+        wide = np.empty((k, min(_MATMUL_CHUNK, hi - lo)), dtype=np.intp)
+        buf = np.empty(wide.shape[1], dtype=np.uint8)
+        for c0 in range(lo, hi, _MATMUL_CHUNK):
+            c1 = min(c0 + _MATMUL_CHUNK, hi)
             w = c1 - c0
             for t in looked_up:
                 wide[t, :w] = rows[t][c0:c1]
@@ -258,9 +243,7 @@ def matmul(a: np.ndarray, rows) -> np.ndarray:
                     if coeff == 1:
                         dst ^= rows[t][c0:c1]
                     elif coeff:
-                        # beside, take widens the whole row itself, inside the call
-                        index = rows[t][c0:c1] if beside else wide[t, :w]
-                        MUL_TABLE[coeff].take(index, out=buf[:w], mode="clip")
+                        MUL_TABLE[coeff].take(wide[t, :w], out=buf[:w], mode="clip")
                         dst ^= buf[:w]
 
     _run_parts(length, length // _MATMUL_CHUNK, columns)

@@ -906,8 +906,10 @@ def test_a_c3_split_that_fails_midway_leaves_no_file_and_no_thread(
 
 @pytest.mark.parametrize("k,c,n", [(4, 2, 4), (6, 3, 8)])
 def test_split_holds_two_copies_of_the_payload(runner, tmp_path, k, c, n):
-    # 6 MiB runs as one part on any host; the peak is the input and the encoded
-    # rows, then the rows and the files, then the files, the parity and its scratch
+    # at c = 2, 6 MiB is one chunk and runs as one part on any host; the peak is
+    # the input and the encoded rows, then the rows and the files, then the files,
+    # the parity and its scratch.  At c = 3 it is five chunks of about 1 MiB, each
+    # but the first encoded on a second thread from 2 cores on, and holds less.
     size = 6 << 20
     (tmp_path / "in.bin").write_bytes(os.urandom(size))
     tracemalloc.start()

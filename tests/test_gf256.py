@@ -239,28 +239,3 @@ def test_matmul_in_parts_gives_the_bytes_of_one_core(monkeypatch):
         assert np.array_equal(x, y)
     assert one_core[1] == in_parts[1]
     assert in_parts[2] == primary
-
-
-def test_matmul_beside_another_part_gives_the_bytes_of_its_own_parts(monkeypatch):
-    # inside a part of a loop of two parts, matmul looks up whole rows, on its thread
-    monkeypatch.setattr(gf256, "_CORES", 2)
-    gen = np.random.default_rng(11)
-    k, n = 6, 3
-    a = gen.integers(0, 256, size=(n, k), dtype=np.uint8)
-    a[0, 1], a[1, 2], a[2, 0], a[2, 3] = 0, 1, 0, 1  # zero and unit coefficients
-    chunk = gf256._MATMUL_CHUNK
-    rows = gen.integers(0, 256, size=(k, 3 * chunk + 5), dtype=np.uint8)
-    inputs = [rows, list(rows), rows.reshape(-1, k).T[:, : 2 * chunk],
-              *(rows[:, :edge] for edge in (0, 1, chunk - 1, chunk + 1))]
-    alone = [gf256.matmul(a, x) for x in inputs]
-    beside, threads = [], []
-
-    def part(lo, hi):
-        if lo == 0:
-            threads.append(threading.current_thread())
-            beside.extend(gf256.matmul(a, x) for x in inputs)
-
-    gf256._run_parts(2, 2, part)
-    assert threads == [threading.main_thread()]
-    for x, y in zip(alone, beside):
-        assert np.array_equal(x, y)
