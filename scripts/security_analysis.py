@@ -15,8 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from kfrag import analysis
-from kfrag.baselines import SchemeId
+from kfrag import analysis, wire
 from kfrag.cli import split
 from kfrag.corpus import text_sample
 
@@ -38,16 +37,16 @@ def main() -> None:
                      f"fragment holds the {analysis.CHI2_MIN_SAMPLES} bytes chi-squared needs")
 
     args.out.mkdir(parents=True, exist_ok=True)
-    schemes = ["proposed", "sss", "ida", "ssms", "aont-rs"]
     params = {"k": args.k, "c": args.c, "block_size": args.block_size, "n": args.k}
 
     print(f"{'scheme':10s} {'sample':>6s} {'entropy':>9s} {'chi2':>9s} "
           f"{'chi2_pass':>9s} {'bit_diff':>9s}")
-    for scheme in schemes:
+    for scheme_id in wire.SCHEMES:  # in the table's order, the proposed scheme first
+        scheme = scheme_id.value
         for s in range(args.samples):
             data = text_sample(args.size, seed=args.seed + s)
             rng = random.Random(args.seed * 1000 + s)
-            frags = split(SchemeId(scheme), data, args.k, args.k, args.c, args.block_size, rng)
+            frags = split(scheme_id, data, args.k, args.k, args.c, args.block_size, rng)
             reports = analysis.analyze_fragments(frags, data)
             path = args.out / f"report_{scheme}_s{s}.json"
             analysis.write_report_json(path, scheme, params, reports)

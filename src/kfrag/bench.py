@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import SchemeId
-from .cli import join, split
+from . import cli
 from .dispersal import write_files
 from .errors import ParameterError
 
@@ -56,10 +56,12 @@ class BenchConfig:
             raise ParameterError(f"payload must be at least 1 MB, got {self.payload_mb}")
         if not self.grid:
             raise ParameterError("empty grid")
+        if not self.schemes:
+            raise ParameterError("no schemes to measure")
         # one byte through every (scheme, point) rejects a bad point before the payload is built
         for scheme in self.schemes:
             for k, c, block_size in self.grid:
-                split(scheme, b"\0", k, k, c, block_size, random.Random(0))
+                cli.split(scheme, b"\0", k, k, c, block_size, random.Random(0))
 
 
 @dataclass
@@ -84,7 +86,9 @@ def run_bench(cfg: BenchConfig) -> list[BenchResult]:
 
     Repetitions are interleaved: each round times every point once, so a
     slow spell of the machine lands on all points alike instead of on one.
-    Each join reassembles the fragments of the split timed just before it.
+    Each join reassembles the fragments of the split timed just before it,
+    through ``cli.join_pieces`` as ``kfrag join`` does, each piece dropped as
+    it comes.
     """
     payload = _payload(cfg)
     size_mb = len(payload) / MB
@@ -93,10 +97,11 @@ def run_bench(cfg: BenchConfig) -> list[BenchResult]:
 
     def once(scheme, k, c, block_size) -> tuple[float, float]:
         t0 = time.perf_counter()
-        frags = split(scheme, payload, k, k, c, block_size, rng)  # baselines at n == k
+        frags = cli.split(scheme, payload, k, k, c, block_size, rng)  # baselines at n == k
         t1 = time.perf_counter()
         if cfg.measure_join:
-            join(frags)
+            for _ in cli.join_pieces(frags)[1]:
+                pass
         return t1 - t0, time.perf_counter() - t1
 
     for _ in range(cfg.warmup):

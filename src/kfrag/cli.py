@@ -30,12 +30,12 @@ import hashlib
 import random
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path, PurePosixPath
 
 import click
 
-from . import baselines, dispersal, gf256, wire
+from . import dispersal, gf256, wire
 from .baselines import SchemeId
 from .codec import (
     CodecParams, Fragment, check_fragments, decode_data, decode_segments, encode_chunks,
@@ -115,57 +115,6 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _split_proposed(data: bytes, k: int, n: int, c: int, block_size: int, rng) -> list:
-    return list(encode_data(data, CodecParams(k=k, c=c, block_size=block_size), rng))
-
-
-@dataclass(frozen=True)
-class Scheme:
-    """How one scheme splits data and joins its fragments back.
-
-    ``split(data, k, n, c, block_size, rng)`` returns the fragments without
-    parity; ``join(fragments)`` takes fragments of type ``fragment`` and
-    returns the data.  ``cipher`` and ``digest`` name the primitives the
-    manifest records.
-    """
-
-    split: Callable
-    join: Callable
-    fragment: type
-    cipher: str | None = None
-    digest: str | None = None
-
-
-# the baselines run with n fragments of which any k recover; c and the block
-# size belong to the proposed scheme alone
-SCHEMES: dict[SchemeId, Scheme] = {
-    SchemeId.PROPOSED: Scheme(_split_proposed, decode_data, Fragment),
-    SchemeId.SSS: Scheme(
-        lambda data, k, n, c, block_size, rng: baselines.sss_split(data, k, n, rng),
-        lambda frags: baselines.sss_reconstruct(frags, frags[0].k),
-        baselines.SssFragment,
-    ),
-    SchemeId.IDA: Scheme(
-        lambda data, k, n, c, block_size, rng: baselines.ida_split(data, k, n),
-        baselines.ida_reconstruct,
-        baselines.IdaFragment,
-    ),
-    SchemeId.SSMS: Scheme(
-        lambda data, k, n, c, block_size, rng: baselines.ssms_split(data, k, n, rng),
-        baselines.ssms_reconstruct,
-        baselines.SsmsFragment,
-        cipher="aes-128-ctr",
-    ),
-    SchemeId.AONT_RS: Scheme(
-        lambda data, k, n, c, block_size, rng: baselines.aont_rs_split(data, k, n, rng),
-        baselines.aont_rs_reconstruct,
-        baselines.AontFragment,
-        cipher="aes-128-ctr",
-        digest="sha-256",
-    ),
-}
-
-
 def _check_counts(k: int, n: int) -> None:
     if k < 1:
         raise ParameterError("--k must be positive")
@@ -176,32 +125,26 @@ def _check_counts(k: int, n: int) -> None:
 def split(scheme: SchemeId, data: bytes, k: int, n: int, c: int, block_size: int, rng) -> list:
     """Fragment data in memory with one scheme; returns its fragments, without parity."""
     _check_counts(k, n)
-    return SCHEMES[scheme].split(data, k, n, c, block_size, rng)
-
-
-def join(loaded: list) -> bytes:
-    """Reconstruct from deserialized fragments of any single scheme."""
-    if not loaded:
-        raise ThresholdError("k-of-k threshold not met: no fragments", missing=())
-    kinds = {type(f) for f in loaded}
-    if len(kinds) != 1:
-        raise ParameterError("cannot mix schemes in one join")
-    (kind,) = kinds
-    for scheme in SCHEMES.values():
-        if scheme.fragment is kind:
-            return scheme.join(loaded)
-    raise ParameterError(f"cannot join fragments of type {kind.__name__}")
+    return wire.SCHEMES[scheme].split(data, k, n, c, block_size, rng)
 
 
 def join_pieces(loaded: list) -> tuple[int, Iterable]:
-    """The length of what ``loaded`` joins to, and its bytes as a series of buffers.
+    """The length of what ``loaded``, fragments of one scheme, join to, and its bytes
+    as a series of buffers.
 
     The proposed scheme's come lazily, one ``decode_data`` call per range of
-    ``decode_segments``, each decoded on every core; a baseline's joined bytes
-    are one piece.  The fragment set is checked, and its permutations rebuilt,
-    once, before any piece is decoded."""
-    if not all(isinstance(f, Fragment) for f in loaded):
-        data = join(loaded)
+    ``decode_segments``, each decoded on every core; a baseline's are one
+    piece, joined by its row of the scheme table.  The fragment set is
+    checked, and its permutations rebuilt, once, before any piece is decoded."""
+    kinds = {type(f) for f in loaded} or {Fragment}  # no fragments: check_fragments says so
+    if len(kinds) > 1:
+        raise ParameterError("cannot mix schemes in one join")
+    (kind,) = kinds
+    row = wire.FORMAT_OF.get(kind)
+    if row is None or row.scheme is None:
+        raise ParameterError(f"cannot join fragments of type {kind.__name__}")
+    if row.join:
+        data = row.join(loaded)
         return len(data), [data]
     check_fragments(loaded)
     permutations = rebuild_permutations(loaded)
@@ -218,11 +161,11 @@ def load_files(blobs: list[bytes]) -> list:
     files = [blob for blob in blobs if blob[:4] != wire.MAGIC_PARITY]
     loaded = [wire.load_any(blob) for blob in files]
     if parity:
-        if not all(isinstance(f, Fragment) for f in loaded):
+        if not all(wire.FORMAT_OF[type(f)].parity for f in loaded):
             raise ParameterError("cannot mix schemes in one join")
         present = {f.index for f in loaded}
         rebuilt = dispersal.rebuild([(f.index, b) for f, b in zip(loaded, files)], parity)
-        loaded += [wire.load_fragment(b) for i, b in enumerate(rebuilt) if i not in present]
+        loaded += [wire.load_any(b) for i, b in enumerate(rebuilt) if i not in present]
     return loaded
 
 
@@ -358,6 +301,7 @@ def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: in
 def _split_whole(in_path: Path, chosen: SchemeId, k: int, n: int, c: int, block_size: int,
                  out_dir: Path) -> None:
     """Split the input read whole with any scheme and write its n files."""
+    row = wire.SCHEMES[chosen]
     data = dispersal.read_file(in_path)
     frags = split(chosen, data, k, n, c, block_size, random.SystemRandom())
     # the fragments hold the payload now: free the input before the files are
@@ -366,20 +310,21 @@ def _split_whole(in_path: Path, chosen: SchemeId, k: int, n: int, c: int, block_
     del data
     blobs = [wire.dump_any(f) for f in frags]
     del frags
-    proposed = chosen is SchemeId.PROPOSED
-    if proposed and n > k:
+    if row.parity and n > k:
         parity = parity_fragments(blobs, ParityParams(k=k, n=n))
         blobs.extend(wire.dump_parity_fragment(pf) for pf in parity)
+    if row.body is not None:  # c and the block size: only the keyless codec's files carry them
+        c = block_size = 0
     manifest = dispersal.build_manifest(
         chosen.value,
         k=k,
-        c=c if proposed else 0,
-        block_size=block_size if proposed else 0,
+        c=c,
+        block_size=block_size,
         n=n,
         payload_length=payload_length,
         blobs=blobs,
-        cipher=SCHEMES[chosen].cipher,
-        digest=SCHEMES[chosen].digest,
+        cipher=row.cipher,
+        digest=row.digest,
     )
     _write_split(out_dir, [entry.name for entry in manifest.fragments], blobs, manifest.to_json())
 
@@ -593,8 +538,7 @@ def cmd_disperse(manifest_path: Path, sites_spec: str, manifest_out: Path | None
     _note(f"dispersal manifest written to {out_path}")
     click.echo("fragment\tsite")
     for entry in stored.fragments:
-        label = f"p{entry.index - stored.k}" if entry.kind == "parity" else f"f{entry.index}"
-        click.echo(f"{label}\t{entry.site}")
+        click.echo(f"{PurePosixPath(entry.name).stem}\t{entry.site}")
 
 
 @main.command("fetch")
@@ -693,7 +637,7 @@ def _parse_grid(spec: str) -> list[tuple[int, int, int]]:
 @_guard
 def cmd_bench(grid_spec, schemes_spec, payload_mb, reps, warmup, out_path):
     """Measure fragmentation/defragmentation throughput on random payloads."""
-    from . import bench  # bench reads the scheme table from this module
+    from . import bench  # bench splits and joins through this module
 
     json_path = out_path.with_suffix(".json") if out_path else None
     if out_path and json_path == out_path:

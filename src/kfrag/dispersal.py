@@ -62,7 +62,6 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .baselines import SchemeId
 from .erasure import ParityParams, rs_decode
 from .errors import (
     FragmentationError, IntegrityError, ParameterError, StorageError, ThresholdError,
@@ -176,18 +175,26 @@ def read_file(path: Path, sparse: bool = False, hashed: bool = True) -> memoryvi
         if not stat.S_ISREG(info.st_mode):
             return memoryview(fh.read())
         buf = np.empty(info.st_size, dtype=np.uint8)
-        short: list[int] = []  # where each part that came up short ended
-
-        def part(lo: int, hi: int) -> None:
-            while lo < hi and (n := os.preadv(fh.fileno(), [buf[lo:hi]], lo)):
-                lo += n
-            if lo < hi:
-                short.append(lo)
-
-        gf256._in_parts(len(buf), len(buf), part)
-    buf = buf[: min(short, default=len(buf))]  # the first short part ended first
+        buf = buf[: _read_parts(fh.fileno(), buf, 0, len(buf))]
     buf.setflags(write=False)
     return memoryview(buf)
+
+
+def _read_parts(fd: int, buf: np.ndarray, start: int, end: int) -> int:
+    """Read the bytes ``start`` to ``end`` of the file ``fd`` into the same bytes of
+    ``buf`` with ``os.preadv``, in parts as by ``gf256._in_parts``; returns where
+    the first part that came up short ended, or ``end``."""
+    short: list[int] = []  # where each part that came up short ended
+
+    def part(lo: int, hi: int) -> None:
+        lo, hi = start + lo, start + hi
+        while lo < hi and (n := os.preadv(fd, [buf[lo:hi]], lo)):
+            lo += n
+        if lo < hi:
+            short.append(lo)
+
+    gf256._in_parts(end - start, end - start, part)
+    return min(short, default=end)  # the first short part ended first
 
 
 # a fill of this many bytes asks for huge pages, as numpy does for an array
@@ -247,21 +254,11 @@ class SparseFile:
 
     def fill(self, end: int) -> None:
         start = self._read
-        short: list[int] = []  # where each part that came up short ended
-
-        def part(lo: int, hi: int) -> None:
-            lo, hi = start + lo, start + hi
-            while lo < hi and (n := os.preadv(self._fd, [self._bytes[lo:hi]], lo)):
-                lo += n
-            if lo < hi:
-                short.append(lo)
-
         if end - start >= _HUGE_FILL:
             low = start - start % mmap.PAGESIZE
             self._map.madvise(mmap.MADV_HUGEPAGE, low, end - low)
-        gf256._in_parts(end - start, end - start, part)
-        if short:
-            raise IntegrityError(f"file ended at byte {min(short)} of {len(self.buf)}")
+        if (got := _read_parts(self._fd, self._bytes, start, end)) < end:
+            raise IntegrityError(f"file ended at byte {got} of {len(self.buf)}")
         self._read = max(start, end)
         if self.sha is not None:
             self.sha.update(self._bytes[start:end])
@@ -462,14 +459,16 @@ class Manifest:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Manifest":
-        """The manifest ``doc`` holds; entries are n distinct indices, parity from k on."""
+        """The manifest ``doc`` holds; entries are n distinct indices, parity from k on
+        for a scheme whose files parity may follow, and none for any other."""
         values = _fields_from(cls, doc)
         entries = [ManifestEntry(**_fields_from(ManifestEntry, e)) for e in values["fragments"]]
         k, n = values["k"], values["n"]
         indices = [e.index for e in entries]
         if len(set(indices)) != len(indices) or any(not 0 <= i < n for i in indices):
             raise ValueError(f"fragment indices {indices} must be distinct and in [0, {n})")
-        parity_from = k if values["scheme"] == SchemeId.PROPOSED else n  # the one with parity
+        row = wire.SCHEMES.get(values["scheme"])
+        parity_from = k if row and row.parity else n
         for e in entries:
             if e.kind != ("parity" if e.index >= parity_from else "data"):
                 raise ValueError(f"fragment {e.index} cannot be of kind {e.kind!r}")

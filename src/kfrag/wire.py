@@ -14,14 +14,21 @@ that encodes its payload a chunk at a time dumps each file a piece at a
 time: the piece of a chunk's fragment, or of its parity row, is its bytes
 in the file, the head before the first.
 
-The baseline schemes (SSS, IDA, SSMS, AONT-RS) and the parity files
-("KPAR", the coefficient row that combined the k primary files plus the
-combined bytes) are rows of one table, ``_FORMATS``, read by one ``dump``
-and one ``load``.  Each row names the fragment type, the attribute in the
-header's j slot (``index``, or ``row_index`` for parity) and in its length
-slot (``payload_length``, or ``primary_length`` for parity), and the body
-fields in file order.  The c slot carries the total fragment count n, and
-block_size, r and z are zero.  A body field is one of three kinds:
+``_FORMATS`` is the scheme table, one row per magic; ``SCHEMES`` indexes
+the rows of the five schemes by ``SchemeId``, and ``FORMAT_OF`` every row
+by its fragment type.  A row holds the fragment type, the body layout, the
+scheme (none for the parity files, "KPAR"), its ``split`` and ``join``, the
+cipher and digest its manifest records, and whether parity files may follow
+its files.  The keyless codec's row has no layout: ``dump_fragment`` and
+``load_fragment`` are the one exception to the table's ``dump`` and
+``load``, which write and read the baseline schemes (SSS, IDA, SSMS,
+AONT-RS) and the parity files (the coefficient row that combined the k
+primary files plus the combined bytes).  Each of their rows names the
+attribute in the header's j slot (``index``, or ``row_index`` for parity)
+and in its length slot (``payload_length``, or ``primary_length`` for
+parity), and the body fields in file order.  The c slot carries the total
+fragment count n, and block_size, r and z are zero.  A body field is one of
+three kinds:
 
 - ``_ROW``: k raw bytes (the dispersal-matrix row of IDA and SSMS);
 - ``_INT``, w: a w-byte big-endian unsigned integer;
@@ -34,13 +41,15 @@ a decode parameter error.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import baselines
-from .codec import CodecParams, Fragment, padded_length
+from .baselines import SchemeId
+from .codec import CodecParams, Fragment, encode_data, padded_length
 from .erasure import ParityFragment
 from .errors import ParameterError
 from .permutation import PermutationShare
@@ -148,35 +157,72 @@ def load_fragment(buf: bytes) -> Fragment:
     )
 
 
-# -- baseline and parity fragments: one table --------------------------------
+# -- the scheme table ----------------------------------------------------------
 
 _ROW, _INT, _BLOB = "row", "int", "blob"
 
 
 class _Format(NamedTuple):
     cls: type
-    body: list  # (attribute, kind, width) in file order
+    body: list | None  # (attribute, kind, width) in file order; None for the keyless codec
+    scheme: SchemeId | None = None  # None for the parity files
+    # split(data, k, n, c, block_size, rng) returns the fragments, without parity;
+    # join(fragments) returns the data, or is None where cli.join_pieces decodes
+    # the fragments a segment at a time
+    split: Callable | None = None
+    join: Callable | None = None
+    cipher: str | None = None  # the primitives the manifest records
+    digest: str | None = None
+    parity: bool = False  # whether parity files may follow the scheme's files
     j: str = "index"  # the attribute in the header's j slot
     length: str = "payload_length"  # the attribute in the header's length slot
 
 
+# the baselines run with n fragments of which any k recover; c and the block
+# size belong to the proposed scheme alone
 _DATA = ("data", _BLOB, 4)
 _FORMATS = {
-    MAGIC_SSS: _Format(baselines.SssFragment, [("x", _INT, 1), _DATA]),
-    MAGIC_IDA: _Format(baselines.IdaFragment, [("row", _ROW, 0), _DATA]),
+    MAGIC_PROPOSED: _Format(
+        Fragment, None, SchemeId.PROPOSED,
+        lambda data, k, n, c, block_size, rng: list(
+            encode_data(data, CodecParams(k=k, c=c, block_size=block_size), rng)),
+        parity=True,
+    ),
+    MAGIC_SSS: _Format(
+        baselines.SssFragment, [("x", _INT, 1), _DATA], SchemeId.SSS,
+        lambda data, k, n, c, block_size, rng: baselines.sss_split(data, k, n, rng),
+        lambda frags: baselines.sss_reconstruct(frags, frags[0].k),
+    ),
+    MAGIC_IDA: _Format(
+        baselines.IdaFragment, [("row", _ROW, 0), _DATA], SchemeId.IDA,
+        lambda data, k, n, c, block_size, rng: baselines.ida_split(data, k, n),
+        baselines.ida_reconstruct,
+    ),
     MAGIC_SSMS: _Format(
         baselines.SsmsFragment,
         [("row", _ROW, 0), ("key_x", _INT, 1), ("key_share", _BLOB, 2), ("nonce", _BLOB, 1), _DATA],
+        SchemeId.SSMS,
+        lambda data, k, n, c, block_size, rng: baselines.ssms_split(data, k, n, rng),
+        baselines.ssms_reconstruct,
+        cipher="aes-128-ctr",
     ),
     MAGIC_AONT: _Format(
         baselines.AontFragment,
         [("key_length", _INT, 2), ("package_length", _INT, 8), ("nonce", _BLOB, 1), _DATA],
+        SchemeId.AONT_RS,
+        lambda data, k, n, c, block_size, rng: baselines.aont_rs_split(data, k, n, rng),
+        baselines.aont_rs_reconstruct,
+        cipher="aes-128-ctr",
+        digest="sha-256",
     ),
     MAGIC_PARITY: _Format(
-        ParityFragment, [("coefficients", _BLOB, 2), _DATA], "row_index", "primary_length"
+        ParityFragment, [("coefficients", _BLOB, 2), _DATA], j="row_index", length="primary_length"
     ),
 }
 _MAGICS = {fmt.cls: magic for magic, fmt in _FORMATS.items()}
+# each fragment type's row, and each scheme's
+FORMAT_OF = {fmt.cls: fmt for fmt in _FORMATS.values()}
+SCHEMES = {fmt.scheme: fmt for fmt in _FORMATS.values() if fmt.scheme}
 
 
 def dump(frag, tail: int | None = None) -> bytes:
@@ -200,7 +246,7 @@ def dump(frag, tail: int | None = None) -> bytes:
     return b"".join(parts)
 
 
-def load(buf: bytes, magics=_FORMATS):
+def load(buf: bytes, magics=tuple(m for m, fmt in _FORMATS.items() if fmt.body)):
     """Deserialize a baseline or parity file whose magic is one of ``magics``; its
     ``data`` is a view of ``buf``, not a copy, as ``load_fragment``'s shares are."""
     magic, k, n, j, _, length, _, _ = _unpack_header(buf, magics)
@@ -236,11 +282,8 @@ def load_parity_fragment(buf: bytes) -> ParityFragment:
 # entry reroutes every call of that format
 _DUMPERS = {**dict.fromkeys(_MAGICS, dump), Fragment: dump_fragment,
             ParityFragment: dump_parity_fragment}
-_LOADERS = {
-    MAGIC_PROPOSED: load_fragment,
-    **dict.fromkeys(_FORMATS, load),
-    MAGIC_PARITY: load_parity_fragment,
-}
+_LOADERS = {**dict.fromkeys(_FORMATS, load), MAGIC_PROPOSED: load_fragment,
+            MAGIC_PARITY: load_parity_fragment}
 EXTENSIONS = {magic: "." + magic.decode().lower() for magic in _LOADERS}
 
 

@@ -10,7 +10,9 @@ from kfrag.bench import (
     emit_results,
     run_bench,
 )
-from kfrag.baselines import SchemeId
+from kfrag import cli
+from kfrag.baselines import IdaFragment, SchemeId
+from kfrag.codec import Fragment
 from kfrag.errors import ParameterError
 
 
@@ -41,6 +43,8 @@ def test_config_validation():
         _small_cfg(payload_mb=0)
     with pytest.raises(ParameterError):
         _small_cfg(grid=[])
+    with pytest.raises(ParameterError):
+        _small_cfg(schemes=[])
 
 
 def test_run_bench_smoke_rows_and_positive_throughput():
@@ -52,6 +56,21 @@ def test_run_bench_smoke_rows_and_positive_throughput():
         assert r.mb_per_s_median > 0
         assert r.scheme == "proposed"
         assert (r.k, r.c, r.block_size) == (4, 2, 250)
+
+
+def test_run_bench_joins_through_the_join_of_kfrag_join(monkeypatch):
+    # one join path for the command and the bench: each timed join is one call
+    calls, join_pieces = [], cli.join_pieces
+
+    def counted(loaded):
+        calls.append(type(loaded[0]))
+        return join_pieces(loaded)
+
+    monkeypatch.setattr(cli, "join_pieces", counted)
+    cfg = _small_cfg(schemes=[SchemeId.PROPOSED, SchemeId.IDA], warmup=1)
+    run_bench(cfg)
+    assert len(calls) == 2 * (cfg.warmup + cfg.repetitions)
+    assert set(calls) == {Fragment, IdaFragment}
 
 
 def test_run_bench_split_only_and_rows_scale_with_grid():

@@ -362,6 +362,15 @@ def test_disperse_fetch_round_trip(runner, tmp_path):
     assert digests[0] == digests[1] == digests[2]
 
 
+def test_disperse_labels_each_file_by_the_stem_of_its_name(runner, tmp_path):
+    _, out = _split(runner, tmp_path, os.urandom(30_000), "--n", "6")
+    sites = ",".join(str(tmp_path / f"s{i}") for i in range(3))
+    result = _invoke(runner, "disperse", "--manifest", str(out / "manifest.json"),
+                     "--sites", sites)
+    assert result.stdout.splitlines() == [
+        "fragment\tsite", "f0\t0", "f1\t1", "f2\t0", "f3\t1", "p0\t2", "p1\t2"]
+
+
 
 @pytest.mark.parametrize("site", [7, -1])
 def test_fetch_rejects_an_entry_on_a_site_outside_the_list(runner, tmp_path, site):

@@ -12,6 +12,7 @@ import pytest
 
 import kfrag
 from kfrag import dispersal, gf256, wire
+from kfrag.baselines import SchemeId
 from kfrag.codec import CodecParams, decode_data, encode_data
 from kfrag.dispersal import (
     LocalDirectoryBackend,
@@ -671,3 +672,16 @@ def test_backend_name_escape_rejected(tmp_path):
     (tmp_path / "root").mkdir()
     with pytest.raises(StorageError):
         backend.put("../outside.bin", b"x")
+
+
+@pytest.mark.parametrize("scheme", [s.value for s in SchemeId] + ["unknown"])
+def test_only_a_scheme_whose_files_parity_may_follow_has_parity_entries(scheme):
+    entries = [{"index": i, "site": None, "name": f"f{i}", "sha256": "0" * 64,
+                "kind": "data" if i < 2 else "parity"} for i in range(3)]
+    doc = {"scheme": scheme, "k": 2, "c": 2, "block_size": 16, "n": 3, "payload_length": 10,
+           "created": "", "run_id": "", "fragments": entries}
+    if scheme == SchemeId.PROPOSED:
+        assert [e.kind for e in Manifest.from_dict(doc).fragments] == ["data", "data", "parity"]
+    else:
+        with pytest.raises(ValueError, match="fragment 2 cannot be of kind 'parity'"):
+            Manifest.from_dict(doc)

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kfrag import baselines, wire
+from kfrag import baselines, cli, wire
+from kfrag.baselines import SchemeId
 from kfrag.codec import CodecParams, Fragment, encode_data, padded_length
 from kfrag.erasure import ParityFragment, ParityParams, parity_fragments
 from kfrag.errors import ParameterError
@@ -261,6 +262,30 @@ def test_load_any_dispatch(rng):
         again = wire.load_any(blob)
         assert type(again) is type(obj)
         assert wire.dump_any(again) == blob
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.value)
+def test_every_scheme_round_trips_through_its_row(rng, scheme):
+    # the path of kfrag split and join --frags: the row's split, the wire, the
+    # one join; the baselines from the last k of n files
+    data = rng.randbytes(5000)
+    k, n = (4, 4) if scheme is SchemeId.PROPOSED else (3, 5)
+    frags = cli.split(scheme, data, k, n, 2, 34, rng)
+    assert len(frags) == n and {type(f) for f in frags} == {wire.SCHEMES[scheme].cls}
+    loaded = [wire.load_any(wire.dump_any(f)) for f in frags]
+    length, pieces = cli.join_pieces(loaded[n - k :])
+    assert length == len(data)
+    assert b"".join(pieces) == data
+
+
+def test_the_dispatch_tables_cover_every_row():
+    assert set(wire.SCHEMES) == set(SchemeId)
+    assert all(fmt.scheme is scheme for scheme, fmt in wire.SCHEMES.items())
+    assert set(wire._LOADERS) == set(wire.EXTENSIONS) == set(wire._FORMATS)
+    assert set(wire._DUMPERS) == set(wire.FORMAT_OF) == {f.cls for f in wire._FORMATS.values()}
+    # the parity files belong to no scheme and follow only the proposed scheme's
+    assert wire._FORMATS[wire.MAGIC_PARITY].scheme is None
+    assert [s for s, fmt in wire.SCHEMES.items() if fmt.parity] == [SchemeId.PROPOSED]
 
 
 def test_sss_x_consistency_check(rng):
