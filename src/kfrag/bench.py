@@ -52,6 +52,8 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 3:
             raise ParameterError(f"repetitions must be at least 3, got {self.repetitions}")
+        if self.warmup < 0:
+            raise ParameterError(f"warm-up rounds must not be negative, got {self.warmup}")
         if self.payload_mb < 1:
             raise ParameterError(f"payload must be at least 1 MB, got {self.payload_mb}")
         if not self.grid:

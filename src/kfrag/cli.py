@@ -11,15 +11,15 @@ encodes the proposed scheme's input a chunk of share rows at a time
 (``codec.encode_chunks``), writing and hashing each file's piece of a
 chunk, and its parity's, before the next, or, at c >= 3, while a second
 thread encodes the next.  ``disperse`` puts each file as it reads it, a
-piece at a time.  ``fetch`` writes each data object as
-soon as it is fetched and verified, one object per part, and ``join`` reads
-each fragment file a decode segment at a time, so it holds one segment of
-input and one of output.  Only a ``split`` input that is not a regular file
-or is of a baseline scheme, and ``join --frags`` files that are not all
-regular files of the proposed scheme, are read whole.  An error of
-``split``, ``disperse`` or ``join --frags`` is reported as it is met, with
-nothing written or stored; ``fetch`` and ``join --manifest`` go back to the
-whole set (``dispersal.recover``), which can set damaged files aside.
+piece at a time.  ``fetch`` writes each object a piece at a time, and
+``join`` reads each file a decode segment at a time, so it holds one
+segment of input and one of output; both rebuild lost data files from
+parity as they go (``dispersal.read_set``).  Only a ``split`` input that is
+not a regular file or is of a baseline scheme, a baseline's set, and ``join
+--frags`` files that are not all regular files of the proposed scheme and
+its parity, are read whole.  An error of ``split``, ``disperse`` or ``join
+--frags`` is reported as it is met, with nothing written or stored;
+``fetch`` and ``join --manifest`` set damaged files aside and run again.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .erasure import ParityParams, parity_fragments, rs_decode  # noqa: F401
 from .errors import (
     FragmentationError, IntegrityError, ParameterError, StorageError, ThresholdError,
 )
-from .permutation import MAX_POSITIONS
 
 EXIT_PARAMETER = 2
 EXIT_IO = 3
@@ -58,13 +57,12 @@ def _note(msg: str) -> None:
     click.echo(msg, err=True)
 
 
-def _reported(recovered: dispersal.Recovered) -> dict:
-    """The recovered bytes, after one stderr line per file set aside or rebuilt from parity."""
+def _report(recovered: dispersal.Recovered) -> None:
+    """Write one stderr line per file set aside or rebuilt from parity."""
     for entry in sorted({*recovered.damaged, *recovered.rebuilt}, key=lambda e: e.index):
         fault = "digest mismatch" if entry in recovered.damaged else "missing"
         done = "rebuilt from parity" if entry in recovered.rebuilt else "set aside"
         _note(f"{entry.name}: {fault}, {done}")
-    return recovered.blobs
 
 
 def _payload_size(params: dict) -> str:
@@ -156,7 +154,8 @@ def join_pieces(loaded: list) -> tuple[int, Iterable]:
 
 def load_files(blobs: list[bytes]) -> list:
     """The fragments in the raw files of one scheme, as ``kfrag join --frags`` loads
-    them; parity files first rebuild the proposed scheme's lost fragment files."""
+    files that are not all regular files; parity files first rebuild the proposed
+    scheme's lost fragment files."""
     parity = [blob for blob in blobs if blob[:4] == wire.MAGIC_PARITY]
     files = [blob for blob in blobs if blob[:4] != wire.MAGIC_PARITY]
     loaded = [wire.load_any(blob) for blob in files]
@@ -235,7 +234,7 @@ def _split_streamed(in_path: Path, k: int, n: int, c: int, block_size: int,
                 """Dump, RS-encode, append and hash the chunk ``rows``, emptying ``frags``."""
                 nonlocal offset, length
                 # the data files' pieces, in a buffer whose pages go back once written
-                dumped = dispersal.mapped(k * (_HEAD + len(rows) * block_size)).reshape(k, -1)
+                dumped = dispersal.mapped(k * (wire.HEAD + len(rows) * block_size)).reshape(k, -1)
                 pieces = [wire.dump_fragment(f, dumped[j]) for j, f in enumerate(frags)]
                 frags.clear()
                 if parity:
@@ -334,37 +333,40 @@ def _split_whole(in_path: Path, chosen: SchemeId, k: int, n: int, c: int, block_
 # ---------------------------------------------------------------------------
 
 
-# the longest head of a fragment file: header, permutation share and share count
-_HEAD = wire.HEADER_SIZE + MAX_POSITIONS + 4
-
-
-def _write_join(loaded: list, out_path: Path, files: list[dispersal.SparseFile] = (),
-                digests: list[str] = ()) -> tuple[int, str]:
-    """Write what ``loaded`` joins to at ``out_path``; returns its length and SHA-256 digest.
+def _write_join(loaded: list | None, out_path: Path, files: list[dispersal.SparseFile] = (),
+                check: Callable[[], None] = lambda: None) -> tuple[int, str]:
+    """Write what ``loaded``, or with None the data files of ``files``, joins to at
+    ``out_path``; returns its length and SHA-256 digest.
 
     The output is written in the pieces of ``join_pieces``: each is decoded,
     then written on this thread and hashed, as the two parts of one
     ``gf256._map_in_parts`` (the hash runs on a second thread from 8 MiB of
-    output), then dropped.  ``files`` are the SparseFiles ``loaded`` lies in,
-    with only their heads read: each part then also releases its half of the
-    files up to the row before the next segment and reads them on to its end,
-    the first segment in a parallel step of its own.  So a join holds one
-    segment of input and one of output, as many parallel steps per segment as
-    a join of files read whole.  Once all is written each file's digest must
-    be its one of ``digests``, if given, or the output is not committed.
+    output), then dropped.  ``files`` are the SparseFiles of ``loaded``'s set,
+    data and parity, with only their heads read: each part then also releases
+    its half of the files read up to the row before the next segment and reads
+    them on to its end, the first segment in a parallel step of its own, and
+    the rebuilt ones are made after each step.  So a join holds one segment of
+    input and one of output, as many parallel steps per segment as a join of
+    files read whole.  The output is committed only if ``check`` returns.
     """
+    if loaded is None:
+        for f in files:
+            f.fill(min(len(f), wire.HEAD))  # a rebuilt file's first piece is made here
+        loaded = [wire.load_fragment(f.buf) for f in files if bytes(f.buf[:4]) != wire.MAGIC_PARITY]
     length, pieces = join_pieces(loaded)
     sha = hashlib.sha256()
-    halves = [files[: len(files) // 2], files[len(files) // 2 :]]
+    # the files read, in two halves, then the rebuilt ones
+    read = [f for f in files if not isinstance(f, dispersal.Rebuilt)]
+    groups = [read[: len(read) // 2], read[len(read) // 2 :], [f for f in files if f not in read]]
     # the share rows of each piece; a file ends with its share rows
     rows = decode_segments(loaded[0].params, loaded[0].num_shares) if files else []
 
     def start(f: dispersal.SparseFile, row: int) -> int:
         return len(f.buf) - (loaded[0].num_shares - row) * loaded[0].params.block_size
 
-    def ahead(i: int, part: int) -> None:
-        """Release the part's files up to the row before segment i and read them to its end."""
-        for f in halves[part]:
+    def ahead(i: int, group: int) -> None:
+        """Release the group's files up to the row before segment i and read them to its end."""
+        for f in groups[group]:
             if i > 0:
                 f.release(start(f, rows[i - 1].stop - 1))
             if i < len(rows):
@@ -373,6 +375,7 @@ def _write_join(loaded: list, out_path: Path, files: list[dispersal.SparseFile] 
     def write(fh) -> None:
         if files:
             gf256._map_in_parts(lambda part: ahead(0, part), [0, 1], length)
+            ahead(0, 2)
         i = 0  # the segment read next; not enumerate, which would hold each piece too
         for piece in pieces:
             i += 1
@@ -382,31 +385,33 @@ def _write_join(loaded: list, out_path: Path, files: list[dispersal.SparseFile] 
                 ahead(i, part)
 
             gf256._map_in_parts(job, [0, 1], length)
+            ahead(i, 2)
             del piece  # before the next piece is decoded
-        for f, digest in zip(files, digests):
-            if f.sha.hexdigest() != digest:
-                raise IntegrityError("digest mismatch in a joined file")
+        check()
 
     dispersal.write_files({out_path: write})
     return length, sha.hexdigest()
 
 
-def _join_streamed(paths: list[Path], out_path: Path,
-                   digests: list[str] = ()) -> tuple[int, str] | None:
-    """``_write_join`` of the files at ``paths``, each read as it is decoded; None, with
-    only their heads read, when one is not a regular file of the proposed scheme,
-    for the caller to join the files read whole.  Its errors are raised, with
-    nothing written."""
+def _join_streamed(paths: list[Path], out_path: Path) -> tuple[int, str] | None:
+    """``_write_join`` of the files at ``paths``, lost data files rebuilt from any parity
+    files among them; None, with only their heads read, when one is not a regular file
+    of the proposed scheme or its parity, for the caller to join the files read whole.
+    Its errors are raised, with nothing written."""
     if not all(path.is_file() for path in paths):
         return None
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(contextlib.closing(dispersal.read_file(path, sparse=True)))
-                 for path in paths]
+        files = [stack.enter_context(contextlib.closing(  # no digests to check them against
+            dispersal.read_file(path, sparse=True, hashed=False))) for path in paths]
         for f in files:
-            f.fill(min(len(f.buf), _HEAD))
-        if any(bytes(f.buf[:4]) != wire.MAGIC_PROPOSED for f in files):
+            f.fill(min(len(f), wire.HEAD))
+        parity = [f for f in files if bytes(f.buf[:4]) == wire.MAGIC_PARITY]
+        if any(bytes(f.buf[:4]) != wire.MAGIC_PROPOSED for f in files if f not in parity):
             return None
-        return _write_join([wire.load_fragment(f.buf) for f in files], out_path, files, digests)
+        if parity:
+            data = {wire.load_fragment(f.buf).index: f for f in files if f not in parity}
+            files += dispersal.rebuild_files(data, parity).values()
+        return _write_join(None, out_path, files)
 
 
 @main.command("join")
@@ -424,13 +429,12 @@ def cmd_join(
     """Reassemble the original file; prints its SHA-256 digest.
 
     Fragment files are given as ``--frags FILE [FILE ...]``.  The proposed
-    scheme's files are read as they are decoded (``_write_join``) when they
-    are regular files and, with ``--manifest``, every data file is there and
-    no parity file is damaged; other files are read whole.  An error of
-    ``--frags`` is reported as it is met.  With ``--manifest``, any error of
-    that pass, a digest mismatch included, sends the join to
-    ``dispersal.recover``, which reads the set whole, sets damaged files
-    aside, rebuilds from parity and reports what it cannot mend.
+    scheme's files, and its parity's, are read as they are decoded
+    (``_write_join``) when they are regular files, each lost data file
+    rebuilt from parity a piece at a time; other files are read whole.  An
+    error of ``--frags`` is reported as it is met.  With ``--manifest``, the
+    files go through ``dispersal.read_set``, which sets damaged files aside,
+    rebuilds from parity and reports what it cannot mend.
     """
     frag_paths = ((first_frag,) if first_frag else ()) + tuple(more_frags)
     if manifest_path is None and not frag_paths:
@@ -441,18 +445,19 @@ def cmd_join(
     if manifest_path is not None:
         manifest = dispersal.Manifest.load(manifest_path)
         base = manifest_path.parent
-        get = dispersal.local_files(base)
-        data = [e for e in manifest.fragments if e.kind == "data"]
-        joined = None
-        if manifest.scheme == SchemeId.PROPOSED.value and dispersal.streamable(
-                manifest, get, lambda entry: (base / entry.name).is_file()):
-            with contextlib.suppress(FragmentationError, OSError):  # recover meets it again
-                joined = _join_streamed([base / e.name for e in data], out_path,
-                                        [e.sha256 for e in data])
-        if joined is None:
-            blobs = _reported(dispersal.recover(manifest, get))
-            joined = _write_join([wire.load_any(b) for e, b in blobs.items() if e.kind == "data"],
-                                 out_path)
+
+        def join(recovered: dispersal.Recovered) -> tuple[int, str]:
+            files = list(recovered.files.values())
+            if manifest.scheme == SchemeId.PROPOSED.value:
+                return _write_join(None, out_path, files, recovered.check)
+            for f in files:  # a baseline's, which has no parity, read whole
+                f.fill(len(f))
+            recovered.check()
+            return _write_join([wire.load_any(f.buf) for f in files], out_path)
+
+        recovered, joined = dispersal.read_set(
+            manifest, lambda entry: dispersal.read_file(base / entry.name, sparse=True), join)
+        _report(recovered)
     else:
         joined = _join_streamed(list(frag_paths), out_path) or _write_join(
             load_files([dispersal.read_file(path) for path in frag_paths]), out_path)
@@ -495,7 +500,7 @@ def _disperse_streamed(manifest: dispersal.Manifest, base: Path, sites: list,
             for entry in manifest.fragments:
                 f = files[entry] = dispersal.read_file(base / entry.name, sparse=True)
                 stack.callback(f.close)
-                f.fill(min(len(f.buf), _HEAD))
+                f.fill(min(len(f.buf), wire.HEAD))
                 if entry.kind == "data":
                     frags.append(wire.load_fragment(f.buf))
                 else:
@@ -554,12 +559,11 @@ def cmd_fetch(manifest_path: Path, sites_spec: str, out_dir: Path):
     local = replace(manifest, fragments=entries)
 
     def write(recovered: dispersal.Recovered) -> None:
-        got = _reported(recovered)
-        # the data files hold about the payload, whether as bytes or as functions that write them
-        _write_split(out_dir, [entry.name for entry in entries], [got[entry] for entry in data],
-                     local.to_json(), manifest.payload_length)
+        # the data files read or rebuilt, in order: a baseline's lost ones stay lost
+        names = [PurePosixPath(e.name).name for e in recovered.files if e.kind == "data"]
+        _write_split(out_dir, names, [None] * len(names), local.to_json(), fill=recovered.copy)
 
-    dispersal.fetch(manifest, _parse_sites(sites_spec, manifest), write)
+    _report(dispersal.fetch(manifest, _parse_sites(sites_spec, manifest), write))
     _note(f"fetched {len(entries)} fragments into {out_dir}")
     click.echo(str(out_dir / "manifest.json"))
 

@@ -8,23 +8,20 @@ are validated before anything is written, and arbitrary (user-supplied)
 assignments can be checked for the exact violating pairs.
 
 Dispersal moves bytes, not fragments: ``store`` writes the files that
-``split`` serialized, verbatim, and ``recover`` reads them back, from the
-sites (``fetch``) or a local directory (``kfrag join --manifest``), checking
-each against the SHA-256 digest recorded at split time; so the split,
-dispersal and fetched manifests carry the same digests.  One rule serves
-``fetch`` and ``join``: a damaged file is set aside as if lost, lost data
-files are rebuilt from parity (n > k) and digest-checked too, and the damage
-is an integrity error only when fewer than k of the n files verify.  Both
-commands name each file set aside or rebuilt on stderr.  When ``streamable``
-holds (a stat finds every data file, and every parity file is lost or
-verifies), neither holds the set: ``fetch`` hands its caller a function per
-data object that gets, checks and writes it, and ``kfrag join`` reads each
-file a segment at a time through a ``SparseFile``, hashing it as it goes.
-Either pass goes back to ``recover`` on a digest mismatch, with nothing
-committed.  ``disperse`` refuses any lost or damaged file; ``kfrag disperse``
-puts each file as it reads it, a piece at a time (``Streamed``), and never
-reads the set whole: when that pass fails, with what it put removed,
-``check_files`` names the first lost or damaged file as ``read`` would.
+``split`` serialized, verbatim, and ``read_set`` reads them back, from the
+sites (``fetch``) or a local directory (``kfrag join --manifest``),
+checking each against the SHA-256 digest recorded at split time; so the
+split, dispersal and fetched manifests carry the same digests.  One pass
+serves ``fetch`` and ``join``, and reads no file whole: each file is read
+and hashed a piece at a time (``SparseFile``), and each lost data file is
+rebuilt from k files of its set as they are read (``Rebuilt``).  A digest
+mismatch, known once the pass has read its files, sets the file aside as if
+lost, and the pass runs again, nothing committed before; the damage is an
+integrity error only when fewer than k of the n files verify.  Both
+commands name each file set aside or rebuilt on stderr.  ``disperse``
+refuses any lost or damaged file; ``kfrag disperse`` puts each file as it
+reads it, a piece at a time (``Streamed``): when that pass fails, with what
+it put removed, ``check_files`` names the first lost or damaged file.
 Every file kfrag writes goes through ``write_files``: all of a set or none,
 a command's manifest last.  Every file it reads, but for the JSON
 manifests, comes in through ``read_file``: into one numpy buffer, filled in
@@ -32,10 +29,10 @@ place and returned read-only, or, sparse, as a SparseFile.
 
 A site is its backend, and its index is its position in the list of sites.
 A local-directory backend ships by default.  Another object with
-put/get/exists/delete can stand in for a real object store as long as
-``get`` may run on several threads at once (``fetch`` reads large sets in
-parts), ``put`` takes an object's bytes or a function that writes them
-into an open file, and, for ``store``, as long as it has a ``root`` directory:
+put/get/delete can stand in for a real object store as long as
+``get`` opens an object as a SparseFile, ``put`` may run on several threads
+at once and takes an object's bytes or a function that writes them into an
+open file, and, for ``store``, as long as it has a ``root`` directory:
 ``store`` makes each site's root and refuses two sites whose roots are one
 directory or lie one inside the other, since one provider would then hold
 the rows of two sites.
@@ -238,12 +235,12 @@ class SparseFile:
     fill does is an IntegrityError.  ``close`` closes the descriptor; the
     mapping lives as long as ``buf`` or a view of it does."""
 
-    def __init__(self, fd: int, size: int, hashed: bool = True):
+    def __init__(self, fd: int | None, size: int, hashed: bool = True):
         self._fd = fd
         try:
             self._map = _anonymous(size)
         except BaseException:
-            os.close(fd)
+            self.close()
             raise
         self._bytes = np.frombuffer(self._map, dtype=np.uint8, count=size)
         view = self._bytes.view()
@@ -252,16 +249,25 @@ class SparseFile:
         self.sha = hashlib.sha256() if hashed else None
         self._read = self._released = 0
 
+    def __len__(self) -> int:
+        return len(self.buf)
+
     def fill(self, end: int) -> None:
         start = self._read
+        if end <= start:
+            return
         if end - start >= _HUGE_FILL:
             low = start - start % mmap.PAGESIZE
             self._map.madvise(mmap.MADV_HUGEPAGE, low, end - low)
-        if (got := _read_parts(self._fd, self._bytes, start, end)) < end:
-            raise IntegrityError(f"file ended at byte {got} of {len(self.buf)}")
-        self._read = max(start, end)
+        self._read = end = self._take(start, end)
         if self.sha is not None:
             self.sha.update(self._bytes[start:end])
+
+    def _take(self, start: int, end: int) -> int:
+        """Read the bytes ``start`` to ``end`` into the mapping; returns where they end."""
+        if (got := _read_parts(self._fd, self._bytes, start, end)) < end:
+            raise IntegrityError(f"file ended at byte {got} of {len(self.buf)}")
+        return end
 
     def release(self, end: int) -> None:
         end -= end % mmap.PAGESIZE
@@ -269,11 +275,11 @@ class SparseFile:
             self._map.madvise(mmap.MADV_DONTNEED, self._released, end - self._released)
             self._released = end
 
-    def copy(self, fh: BinaryIO | None) -> None:
-        """Write the whole file into ``fh``, or with None only hash it: the bytes read so
+    def copy(self, write: Callable[[bytes], object] | None) -> None:
+        """Hand the whole file to ``write``, or with None only hash it: the bytes read so
         far, then the rest, read on and hashed a piece at a time through one buffer,
         not into the mapping."""
-        write = fh.write if fh else lambda piece: None
+        write = write or (lambda piece: None)
         write(self.buf[: self._read])
         piece = np.empty(min(_PIECE, len(self.buf)), dtype=np.uint8)
         while self._read < len(self.buf):
@@ -284,12 +290,53 @@ class SparseFile:
             self.sha.update(piece[:n])
             self._read += n
 
+    def digest(self) -> str:
+        """The file's SHA-256 digest, the rest hashed as by ``copy``."""
+        self.copy(None)
+        return self.sha.hexdigest()
+
     def close(self) -> None:
-        os.close(self._fd)
+        if self._fd is not None:
+            os.close(self._fd)
 
 
-# the bytes SparseFile.copy reads, hashes and writes at a time
+# the bytes SparseFile.copy reads, hashes and writes at a time, and the least
+# a Rebuilt file makes at a time
 _PIECE = 1 << 20
+
+
+class Rebuilt(SparseFile):
+    """Data file ``index`` of a parity set, made as it is filled from ``sources``, k
+    other files of the set as (index, SparseFile, where its bytes start), with one
+    ``rs_decode`` call per fill of at least _PIECE bytes or up to the file's end."""
+
+    def __init__(self, index: int, size: int, sources: list[tuple], params: ParityParams):
+        super().__init__(None, size)
+        self.index, self._sources, self._params = index, sources, params
+
+    def _take(self, start: int, end: int) -> int:
+        end = min(len(self.buf), max(end, start + _PIECE))
+        for _, f, at in self._sources:
+            f.fill(at + end)
+        rows = rs_decode([(i, f.buf[at + start : at + end]) for i, f, at in self._sources],
+                         self._params)
+        self._bytes[start:end] = np.frombuffer(rows[self.index], dtype=np.uint8)
+        return end
+
+
+def rebuild_files(data: dict[int, SparseFile], parity: list[SparseFile],
+                  k: int | None = None) -> dict[int, Rebuilt]:
+    """A Rebuilt for each data file of a parity set that ``data``, its data files by
+    index, lacks, from those then the ``parity`` files; the first names n, the length
+    of a data file and, unless given, k."""
+    for f in parity:
+        f.fill(min(len(f), wire.HEAD))
+    rows = [wire.load_parity_fragment(f.buf) for f in parity]
+    params, size = ParityParams(k=k or rows[0].k, n=rows[0].n), rows[0].primary_length
+    sources = [(i, f, 0) for i, f in data.items()]
+    sources += [(row.index, f, len(f) - size) for row, f in zip(rows, parity)]
+    return {i: Rebuilt(i, size, sources[: params.k], params)
+            for i in range(params.k) if i not in data}
 
 
 class Streamed:
@@ -302,10 +349,10 @@ class Streamed:
         self.file, self.sha256, self.name = file, sha256, name
 
     def __len__(self) -> int:
-        return len(self.file.buf)
+        return len(self.file)
 
-    def __call__(self, fh: BinaryIO) -> None:
-        self.file.copy(fh)
+    def __call__(self, fh: BinaryIO | None) -> None:
+        self.file.copy(fh and fh.write)
         if self.file.sha.hexdigest() != self.sha256:
             raise IntegrityError(f"digest mismatch for {self.name!r}")
 
@@ -341,14 +388,9 @@ class LocalDirectoryBackend:
         except OSError as exc:
             raise StorageError(f"cannot write {name!r}: {exc}") from exc
 
-    def get(self, name: str) -> memoryview:
-        path = self._path(name)
-        if not path.exists():
-            raise StorageError(f"object not found: {name!r}")
-        return read_file(path)
-
-    def exists(self, name: str) -> bool:
-        return self._path(name).exists()
+    def get(self, name: str) -> SparseFile:
+        """The object, as ``read_file(path, sparse=True)`` opens it."""
+        return read_file(self._path(name), sparse=True)
 
     def delete(self, name: str) -> None:
         """Remove the object, and every directory a put created that is now empty,
@@ -444,11 +486,6 @@ class Manifest:
     fragments: list[ManifestEntry]
     cipher: str | None = None
     digest: str | None = None
-
-    @property
-    def stored_bytes(self) -> int:
-        """About the bytes of the n files: n / k times the payload."""
-        return self.payload_length * self.n // max(self.k, 1)
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -624,43 +661,13 @@ def store(
     return stored
 
 
-def read(manifest: Manifest, get: Callable[[ManifestEntry], bytes]) -> list:
-    """Each entry's bytes, or the error reading it gave: a damaged one gives an IntegrityError.
-
-    ``get(entry)`` raises StorageError or FileNotFoundError for a lost object.  The
-    reads and digests run in parts; the caller checks the results in manifest order.
-    """
-    return gf256._map_in_parts(lambda entry: _checked(entry, get), manifest.fragments,
-                               manifest.stored_bytes)
-
-
 def check_files(manifest: Manifest, base: Path) -> None:
-    """Raise the first error in manifest order ``read`` would give for the files in
-    ``base``, each read and hashed a piece at a time (``Streamed``), not whole."""
+    """Raise the error of the first file in ``base``, in manifest order, that is lost
+    or whose digest is not its entry's, each read and hashed a piece at a time
+    (``Streamed``), not whole."""
     for entry in manifest.fragments:
         with contextlib.closing(read_file(base / entry.name, sparse=True)) as f:
             Streamed(f, entry.sha256, entry.name)(None)
-
-
-def _checked(entry: ManifestEntry, get: Callable[[ManifestEntry], bytes]):
-    """The entry's bytes, or the error reading them gave or the IntegrityError of a mismatch."""
-    try:
-        blob = get(entry)
-    except (StorageError, OSError) as exc:
-        return exc
-    if _sha256(blob) == entry.sha256:
-        return blob
-    site = "" if entry.site is None else f" at site {entry.site}"
-    return IntegrityError(f"digest mismatch for {entry.name!r}{site}")
-
-
-def _lost(got) -> bool:
-    return isinstance(got, (StorageError, FileNotFoundError))
-
-
-def local_files(base: Path) -> Callable[[ManifestEntry], bytes]:
-    """``get`` for the files a manifest names in directory ``base``."""
-    return lambda entry: read_file(base / entry.name)
 
 
 def rebuild(data: list[tuple[int, bytes]], parity: list[bytes]) -> list[bytes]:
@@ -674,108 +681,89 @@ def rebuild(data: list[tuple[int, bytes]], parity: list[bytes]) -> list[bytes]:
 
 @dataclass(frozen=True)
 class Recovered:
-    """Each entry that verified or was rebuilt, with its bytes, in manifest order
-    (or, from a streamed ``fetch``, a function that writes them); the entries set
-    aside for a digest mismatch, with that error; the ones rebuilt."""
+    """A pass of ``read_set``: each entry's file, opened or, lost or set aside, rebuilt,
+    in manifest order; the entries set aside, with their error; the ones rebuilt."""
 
-    blobs: dict[ManifestEntry, bytes | Callable[[BinaryIO], object]]
+    files: dict[ManifestEntry, SparseFile]
     damaged: dict[ManifestEntry, IntegrityError]
     rebuilt: list[ManifestEntry]
 
+    def check(self) -> None:
+        """Raise an IntegrityError unless each file has its entry's digest."""
+        for entry, f in self.files.items():
+            if f.digest() != entry.sha256:
+                rebuilt = "rebuilt " if entry in self.rebuilt else ""
+                raise IntegrityError(f"digest mismatch for {rebuilt}{entry.name!r}")
 
-def recover(manifest: Manifest, get: Callable[[ManifestEntry], bytes]) -> Recovered:
-    """Read back every entry, setting damaged ones aside and rebuilding lost data from parity.
+    def copy(self, appends: list[Callable[[bytes], object]]) -> None:
+        """Append each data file to its one of ``appends``, then ``check``, in parts over
+        the files: each copied whole (``SparseFile.copy``), or, with files rebuilt,
+        _PIECE bytes at a time, the rebuilt ones made on this thread."""
+        files = list(self.files.values())
+        data = [f for e, f in self.files.items() if e.kind == "data"]
+        nbytes, outputs = sum(map(len, files)), dict(zip(data, appends))
+        if not self.rebuilt:
+            gf256._map_in_parts(lambda f: f.copy(outputs.get(f)), files, nbytes)
+        else:
+            read = [f for e, f in self.files.items() if e not in self.rebuilt]
+            for lo in range(0, max(map(len, files)), _PIECE):
+                hi = lo + _PIECE
+                gf256._map_in_parts(lambda f: f.fill(min(len(f), hi)), read, nbytes)
+                for f in data:
+                    f.fill(min(len(f), hi))  # a rebuilt one is made here
+                gf256._map_in_parts(lambda f: outputs[f](f.buf[lo:hi]), data, nbytes)
+                for f in files:
+                    f.release(hi)
+        self.check()
 
-    When fewer than k entries verify, the first damaged one is an integrity
-    error, or, when none is damaged, the threshold error lists the data
-    entries that are gone.  Each rebuilt file is checked against its digest.
-    """
-    blobs: dict[ManifestEntry, bytes] = {}
+
+def read_set(manifest: Manifest, get: Callable[[ManifestEntry], SparseFile],
+             run: Callable[[Recovered], object]) -> tuple[Recovered, object]:
+    """Open every entry with ``get``, which raises StorageError or FileNotFoundError for
+    a lost one, rebuild each data entry lost or set aside from the first k files opened,
+    and hand the set to ``run``, which reads it a piece at a time and calls
+    ``Recovered.check`` before it commits; returns the set and what ``run`` returned.
+    Should ``run`` fail, the files whose digest fails, each hashed to its end, are set
+    aside and ``run`` runs again, or with none its error is raised.  With fewer than k
+    entries left, the first set aside is an IntegrityError, or a ThresholdError names
+    the data lost."""
     damaged: dict[ManifestEntry, IntegrityError] = {}
-    for entry, got in zip(manifest.fragments, read(manifest, get)):
-        if isinstance(got, IntegrityError):
-            damaged[entry] = got
-        elif not isinstance(got, Exception):
-            blobs[entry] = got
-        elif not _lost(got):
-            raise got  # neither lost nor damaged
-    missing = [e for e in manifest.fragments if e.kind == "data" and e not in blobs]
-    if missing and len(blobs) < manifest.k:
-        if damaged:
-            raise next(iter(damaged.values()))
-        lost = [e.index for e in missing]
-        raise ThresholdError(f"threshold not met: missing fragments {lost}", missing=lost)
-    parity = [blob for entry, blob in blobs.items() if entry.kind == "parity"]
-    if not (missing and parity):
-        return Recovered(blobs, damaged, [])
-    files = rebuild([(e.index, b) for e, b in blobs.items() if e.kind == "data"], parity)
-    for entry in missing:
-        if _sha256(files[entry.index]) != entry.sha256:
-            raise IntegrityError(f"digest mismatch for rebuilt {entry.name!r}")
-        blobs[entry] = files[entry.index]
-    return Recovered({e: blobs[e] for e in manifest.fragments if e in blobs}, damaged, missing)
-
-
-def streamable(manifest: Manifest, get: Callable[[ManifestEntry], bytes],
-               exists: Callable[[ManifestEntry], bool]) -> bool:
-    """Whether the data entries can be taken one at a time, with no parity rebuild
-    and no file set aside: ``exists`` finds every one, before anything is read, and
-    every parity entry is lost or verifies.  The parity entries are read and
-    checked in parts, each dropped once checked.  A stat that fails is a no, for
-    ``recover`` to meet the error again and report it."""
-    try:
-        if not all(exists(e) for e in manifest.fragments if e.kind == "data"):
-            return False
-    except (StorageError, OSError):
-        return False
-
-    def usable(entry: ManifestEntry) -> bool:
-        got = _checked(entry, get)
-        return _lost(got) or not isinstance(got, Exception)
-
-    parity = [e for e in manifest.fragments if e.kind == "parity"]
-    size = manifest.payload_length // max(manifest.k, 1)
-    return all(gf256._map_in_parts(usable, parity, len(parity) * size))
+    while True:
+        with contextlib.ExitStack() as stack:
+            read: dict[ManifestEntry, SparseFile] = {}
+            for entry in manifest.fragments:
+                if entry not in damaged:
+                    with contextlib.suppress(StorageError, FileNotFoundError):  # lost
+                        read[entry] = stack.enter_context(contextlib.closing(get(entry)))
+            missing = [e for e in manifest.fragments if e.kind == "data" and e not in read]
+            if missing and len(read) < manifest.k:
+                if damaged:
+                    raise damaged[min(damaged, key=lambda e: e.index)]
+                lost = [e.index for e in missing]
+                raise ThresholdError(f"threshold not met: missing fragments {lost}", missing=lost)
+            parity = [f for e, f in read.items() if e.kind == "parity"]
+            try:
+                made = rebuild_files({e.index: f for e, f in read.items() if e.kind == "data"},
+                                     parity, manifest.k) if missing and parity else {}
+                files = {e: read[e] if e in read else made[e.index] for e in manifest.fragments
+                         if e in read or e.index in made}
+                recovered = Recovered(files, dict(damaged), [e for e in missing if e in files])
+                return recovered, run(recovered)
+            except (FragmentationError, OSError):
+                bad = [e for e, f in read.items() if f.digest() != e.sha256]
+                if not bad:
+                    raise
+                for e in bad:
+                    site = "" if e.site is None else f" at site {e.site}"
+                    damaged[e] = IntegrityError(f"digest mismatch for {e.name!r}{site}")
+        read = made = files = recovered = parity = None  # the pages of this pass go back
 
 
 def fetch(manifest: Manifest, sites: list[LocalDirectoryBackend],
-          write: Callable[[Recovered], object] | None = None) -> Recovered:
-    """``recover`` from the sites the manifest places its entries on, site i being
-    ``sites[i]``; with ``write``, hand what it recovers to ``write`` too.
-
-    When ``streamable`` holds, ``write`` gets no data bytes: the Recovered it is
-    handed maps each data entry to a function that gets the object, checks its
-    digest and writes it into the open file it is handed, so ``write_files``
-    holds one object per part.  Should that pass fail, a digest mismatch
-    included, ``write`` is left to remove what it wrote, and the entries are
-    fetched again through ``recover``, which sets aside, rebuilds and reports
-    as it always does."""
+          write: Callable[[Recovered], object]) -> Recovered:
+    """``read_set`` from the sites the manifest places its entries on, site i being
+    ``sites[i]``, handing each pass to ``write``."""
     for entry in manifest.fragments:
         if entry.site not in range(len(sites)):  # a negative index would pick a site from the end
             raise ParameterError(f"manifest references unknown site {entry.site}")
-
-    def get(entry: ManifestEntry) -> bytes:
-        return sites[entry.site].get(entry.name)
-
-    def writer(entry: ManifestEntry) -> Callable[[BinaryIO], object]:
-        def write_one(fh: BinaryIO) -> None:
-            got = _checked(entry, get)
-            if isinstance(got, Exception):
-                raise got
-            fh.write(got)
-
-        return write_one
-
-    if write is not None and streamable(manifest, get,
-                                        lambda entry: sites[entry.site].exists(entry.name)):
-        data = [e for e in manifest.fragments if e.kind == "data"]
-        streamed = Recovered({e: writer(e) for e in data}, {}, [])
-        try:
-            write(streamed)
-            return streamed
-        except (FragmentationError, OSError):
-            pass  # fetched again below, whole
-    recovered = recover(manifest, get)
-    if write is not None:
-        write(recovered)
-    return recovered
+    return read_set(manifest, lambda entry: sites[entry.site].get(entry.name), write)[0]

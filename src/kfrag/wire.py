@@ -52,7 +52,7 @@ from .baselines import SchemeId
 from .codec import CodecParams, Fragment, encode_data, padded_length
 from .erasure import ParityFragment
 from .errors import ParameterError
-from .permutation import PermutationShare
+from .permutation import MAX_POSITIONS, PermutationShare
 
 MAGIC_PROPOSED = b"KFRG"
 MAGIC_SSS = b"KSSS"
@@ -65,6 +65,9 @@ VERSION = 1
 
 _HEADER = struct.Struct(">4sBHBHHQBB")
 HEADER_SIZE = _HEADER.size  # 22
+# the longest head of a fragment file: header, permutation share and share count;
+# a parity file's head, with its at most 254 coefficients, is no longer
+HEAD = HEADER_SIZE + MAX_POSITIONS + 4
 
 
 def _unpack_header(buf: bytes, magics) -> tuple:

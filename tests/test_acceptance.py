@@ -236,6 +236,8 @@ def test_c09_storage_overhead_exact():
 
 
 def test_c10_scalability():
+    """Times ``encode_data`` on whole in-memory payloads, through ``run_bench``;
+    ``kfrag split`` of a file runs ``encode_chunks`` instead, a chunk at a time."""
     with criterion(10, "throughput flat in k for ours, degrading for secret sharing"):
         ours = run_bench(
             BenchConfig(
@@ -274,6 +276,8 @@ def test_c10_scalability():
 
 
 def test_c11_block_size_plateau():
+    """Times ``encode_data`` on whole in-memory payloads, through ``run_bench``;
+    ``kfrag split`` of a file runs ``encode_chunks`` instead, a chunk at a time."""
     with criterion(11, "throughput at |b|=250 >= |b|=16 for c in {2, 3}"):
         for grid in ([(4, 2, 16), (4, 2, 250)], [(6, 3, 16), (6, 3, 250)]):
             results = run_bench(

@@ -45,6 +45,8 @@ def test_config_validation():
         _small_cfg(grid=[])
     with pytest.raises(ParameterError):
         _small_cfg(schemes=[])
+    with pytest.raises(ParameterError):
+        _small_cfg(warmup=-1)
 
 
 def test_run_bench_smoke_rows_and_positive_throughput():
@@ -103,6 +105,8 @@ def test_secret_sharing_throughput_decreases_with_k():
 
 
 def test_two_sites_at_least_as_fast_as_three():
+    """Times ``encode_data`` on whole in-memory payloads, through ``run_bench``;
+    ``kfrag split`` of a file runs ``encode_chunks`` instead, a chunk at a time."""
     # fewer parent multiplications per byte: c=2 must not lose to c=3
     # one warm-up round, so the first timed split does not pay for cold caches and pages
     cfg = _small_cfg(payload_mb=4, grid=[(6, 2, 250), (6, 3, 250)], measure_join=False, warmup=1)

@@ -538,6 +538,81 @@ def test_a_mismatch_found_once_the_files_are_streamed_leaves_no_output(
     assert len(writes) == 1  # the streamed pass, undone; the set read whole is refused
 
 
+@pytest.mark.parametrize("command", ["fetch", "join"])
+@pytest.mark.parametrize("lost, flipped, misrecorded, code, lines", [
+    pytest.param(["f1.kfrg"], [], [], 0, ["f1.kfrg: missing, rebuilt from parity"], id="lost"),
+    pytest.param([], ["f1.kfrg"], [], 0, ["f1.kfrg: digest mismatch, rebuilt from parity"],
+                 id="damaged"),
+    pytest.param([], ["p0.kpar"], [], 0, ["p0.kpar: digest mismatch, set aside"],
+                 id="unneeded-parity-damaged"),
+    pytest.param(["f0.kfrg"], ["p0.kpar"], [], 0, ["f0.kfrg: missing, rebuilt from parity",
+                                                  "p0.kpar: digest mismatch, set aside"],
+                 id="needed-parity-damaged"),
+    pytest.param(["f0.kfrg", "f2.kfrg"], ["f1.kfrg"], [], 5, ["digest mismatch for", "f1.kfrg'"],
+                 id="damage-beyond-parity"),
+    pytest.param(["f0.kfrg"], [], [0], 5, ["digest mismatch for rebuilt", "f0.kfrg'"],
+                 id="rebuilt-fails-its-digest"),
+])
+def test_join_and_fetch_read_no_file_whole_whatever_the_damage(
+    runner, tmp_path, monkeypatch, command, lost, flipped, misrecorded, code, lines
+):
+    # each case keeps its exit code and stderr lines, and no fragment or parity file
+    # is read whole: each is read and hashed a piece at a time, rebuilt ones too
+    payload = os.urandom(3 << 20)
+    _, out = _split(runner, tmp_path, payload, "--n", "6")
+    if command == "fetch":
+        sites = _disperse(runner, tmp_path, out)
+        where = functools.partial(_stored, tmp_path)
+        manifest = out / "dispersal.json"
+        args = ["fetch", "--sites", sites, "--out", str(tmp_path / "fetched")]
+    else:
+        where = out.joinpath
+        manifest = out / "manifest.json"
+        args = ["join", "--out", str(tmp_path / "back.bin")]
+    for name in flipped:
+        _flip(where(name), -1000)
+    for name in lost:
+        where(name).unlink()
+    doc = json.loads(manifest.read_text())
+    for index in misrecorded:
+        doc["fragments"][index]["sha256"] = hashlib.sha256(b"another file").hexdigest()
+    manifest.write_text(json.dumps(doc))
+    read_file = dispersal.read_file
+
+    def sparse_only(path, sparse=False, hashed=True):
+        if not sparse:
+            raise AssertionError(f"{path} was read whole")
+        return read_file(path, sparse, hashed)
+
+    monkeypatch.setattr(dispersal, "read_file", sparse_only)
+    result = _invoke(runner, *args, "--manifest", str(manifest), code=code)
+    if code:
+        assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
+        assert all(line in result.stderr for line in lines)
+        return
+    reported = [line.split("/")[-1] for line in result.stderr.splitlines()]
+    assert reported[:-1] == lines
+    if command == "fetch":
+        for name in ("f0.kfrg", "f1.kfrg", "f2.kfrg", "f3.kfrg"):
+            assert (tmp_path / "fetched" / name).read_bytes() == (out / name).read_bytes()
+    else:
+        assert (tmp_path / "back.bin").read_bytes() == payload
+
+
+def test_a_join_of_regular_files_with_parity_reads_none_whole(runner, tmp_path, monkeypatch):
+    payload = os.urandom(3 << 20)
+    _, out = _split(runner, tmp_path, payload, "--n", "6")
+    monkeypatch.setattr(cli, "load_files", lambda blobs: pytest.fail("files read whole"))
+    joined = tmp_path / "back.bin"
+    _invoke(runner, "join", "--frags", *(str(out / n) for n in ("f0.kfrg", "f2.kfrg", "f3.kfrg",
+                                                             "p0.kpar")), "--out", str(joined))
+    assert joined.read_bytes() == payload
+    failed = _invoke(runner, "join", "--frags", *(str(out / n) for n in ("f0.kfrg", "f2.kfrg",
+                                                                      "p1.kpar")),
+                     "--out", str(joined), code=4)
+    assert failed.stderr == "error: erasure threshold not met: need 4 fragments, got 3\n"
+
+
 def _cut(path):
     path.write_bytes(path.read_bytes()[:-1])
 
@@ -1026,9 +1101,14 @@ def test_a_join_whose_write_fails_midway_leaves_no_file_and_no_thread(
     assert not (tmp_path / "new").exists()
 
 
-@pytest.mark.parametrize("k,c", [(4, 2), (6, 3), (8, 4)])
+@pytest.mark.parametrize("k,c,n", [
+    pytest.param(4, 2, 4, id="4-2"), pytest.param(6, 3, 6, id="6-3"),
+    pytest.param(8, 4, 8, id="8-4"),
+    # f1 lost: rebuilt from parity a piece at a time, across the decode segments
+    pytest.param(4, 2, 6, id="4-2-f1-rebuilt"),
+])
 def test_a_join_of_several_segments_gives_the_payload_and_its_digest(
-    runner, tmp_path, monkeypatch, k, c
+    runner, tmp_path, monkeypatch, k, c, n
 ):
     monkeypatch.setattr(gf256, "_CORES", 1)
     payload = os.urandom((7 << 20) + 13)
@@ -1036,13 +1116,17 @@ def test_a_join_of_several_segments_gives_the_payload_and_its_digest(
     src.write_bytes(payload)
     out = tmp_path / "frags"
     _invoke(runner, "split", "--in", str(src), "--out", str(out), "--k", str(k), "--c", str(c),
-            "--block-size", "16")
+            "--block-size", "16", "--n", str(n))
     params = codec.CodecParams(k, c, 16)
     rows = codec.padded_length(len(payload), params) // params.group_size
     assert len(codec.decode_segments(params, rows)) >= 2
     digest = hashlib.sha256(payload).hexdigest()
+    names = [f"f{j}.kfrg" for j in range(k)]
+    if n > k:
+        (out / "f1.kfrg").unlink()
+        names[1] = "p0.kpar"
     for args in (["--manifest", str(out / "manifest.json")],
-                 ["--frags", *(str(out / f"f{j}.kfrg") for j in range(k))]):
+                 ["--frags", *(str(out / name) for name in names)]):
         joined = tmp_path / "back.bin"
         result = _invoke(runner, "join", *args, "--out", str(joined))
         assert result.stdout.strip() == digest
@@ -1101,6 +1185,56 @@ def test_join_and_fetch_hold_a_segment_and_an_object_per_part_whatever_the_paylo
     for command in ("split", "disperse", "join", "split c3"):
         assert peaks[command, 48] - peaks[command, 16] < 8 << 20, peaks
     assert peaks["fetch", 48] - peaks["fetch", 16] < 2 * (12 << 20), peaks
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux gives it")
+def test_join_and_fetch_rebuilding_from_parity_hold_a_piece_whatever_the_payload(
+    runner, tmp_path
+):
+    # as above, at k = 4 and n = 6 (data files of 4 and 12 MiB): with f1 lost, or
+    # damaged, which a first pass finds and a second rebuilds, and with f1 left out of
+    # join --frags; reading the whole set, as each command once did, would add the
+    # 48 MiB or more between them
+    env = {**os.environ, "PYTHONPATH": str(Path(kfrag.__file__).resolve().parent.parent)}
+    peaks = {}
+    for mib in (16, 48):
+        where = tmp_path / str(mib)
+        where.mkdir()
+        payload = os.urandom(mib << 20)
+        (where / "in.bin").write_bytes(payload)
+        out = where / "frags"
+        _invoke(runner, "split", "--in", str(where / "in.bin"), "--out", str(out), "--n", "6")
+        sites = _disperse(runner, where, out)
+        f1 = [out / "f1.kfrg", _stored(where, "f1.kfrg")]
+        original = f1[0].read_bytes()
+        for fault, damage, line in (("lost", Path.unlink, b"missing"),
+                                    ("damaged", _flip, b"digest mismatch")):
+            for path in f1:
+                damage(path)
+            for name, command in (
+                ("join", ["join", "--manifest", "frags/manifest.json", "--out", f"{fault}.bin"]),
+                ("fetch", ["fetch", "--manifest", "frags/dispersal.json", "--sites", sites,
+                           "--out", fault]),
+            ):
+                child = subprocess.run([sys.executable, "-c", _PEAK, *command], cwd=where,
+                                       env=env, capture_output=True, timeout=120)
+                assert child.returncode == 0, child.stderr
+                assert b"f1.kfrg: " + line + b", rebuilt from parity" in child.stderr
+                peaks[f"{name} {fault}", mib] = int(child.stdout.split()[-1]) << 10  # KiB
+            assert (where / f"{fault}.bin").read_bytes() == payload
+            assert (where / fault / "f1.kfrg").read_bytes() == original
+            for path in f1:
+                path.write_bytes(original)
+        (out / "f1.kfrg").unlink()
+        command = ["join", "--frags", *(f"frags/{n}" for n in ("f0.kfrg", "f2.kfrg", "f3.kfrg",
+                                                              "p0.kpar")), "--out", "frags.bin"]
+        child = subprocess.run([sys.executable, "-c", _PEAK, *command], cwd=where, env=env,
+                               capture_output=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        peaks["join --frags", mib] = int(child.stdout.split()[-1]) << 10
+        assert (where / "frags.bin").read_bytes() == payload
+    for command in ("join lost", "fetch lost", "join damaged", "fetch damaged", "join --frags"):
+        assert peaks[command, 48] - peaks[command, 16] < 8 << 20, peaks
 
 
 def test_a_failed_write_names_its_target_not_its_temporary_file(runner, tmp_path):
@@ -1181,6 +1315,31 @@ def test_file_reads_in_parts_give_the_bytes_and_errors_of_one_core(
     assert in_parts[0][2] == payload
     # f2 is the first bad entry in manifest order, so it decides every command
     assert in_parts[1] == one_core[1] == [(5, ["f2.kfrg"])] * 3
+
+
+def test_a_file_rebuilt_beside_reads_in_parts_has_the_bytes_of_one_core(
+    runner, tmp_path, monkeypatch
+):
+    # fetch reads each piece of the set in parts and join each segment, while the lost
+    # file is made from them on this thread; on three cores, finely interleaved
+    payload = os.urandom(3 * gf256._PART_MIN_BYTES + 5)
+    monkeypatch.setattr(gf256, "_CORES", 3)
+    _, out = _split(runner, tmp_path, payload, "--n", "6")
+    sites = _disperse(runner, tmp_path, out)
+    original = (out / "f1.kfrg").read_bytes()
+    _stored(tmp_path, "f1.kfrg").unlink()
+    (out / "f1.kfrg").unlink()
+    fetched, joined = tmp_path / "fetched", tmp_path / "back.bin"
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _invoke(runner, "fetch", "--manifest", str(out / "dispersal.json"), "--sites", sites,
+                "--out", str(fetched))
+        _invoke(runner, "join", "--manifest", str(out / "manifest.json"), "--out", str(joined))
+    finally:
+        sys.setswitchinterval(switch)
+    assert (fetched / "f1.kfrg").read_bytes() == original
+    assert joined.read_bytes() == payload
 
 
 def test_files_under_8_mib_are_read_on_the_callers_thread(runner, tmp_path, monkeypatch):

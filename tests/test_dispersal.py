@@ -1,11 +1,12 @@
 import ast
-import hashlib
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from types import SimpleNamespace
 
 import pytest
@@ -17,7 +18,6 @@ from kfrag.codec import CodecParams, decode_data, encode_data
 from kfrag.dispersal import (
     LocalDirectoryBackend,
     Manifest,
-    ManifestEntry,
     Violation,
     assign_sites,
     build_manifest,
@@ -56,6 +56,17 @@ def _split(fragset, n=None):
     manifest = build_manifest("proposed", p.k, p.c, p.block_size, n,
                               fragset[0].payload_length, blobs)
     return manifest, dict(zip(manifest.fragments, blobs))
+
+
+def _fetch(manifest, sites):
+    """``fetch`` the data files into a directory, as ``kfrag fetch`` writes them; returns
+    the pass and each data entry's fetched bytes, in manifest order."""
+    data = [e for e in manifest.fragments if e.kind == "data"]
+    with tempfile.TemporaryDirectory() as out:
+        paths = [Path(out, PurePosixPath(e.name).name) for e in data]
+        recovered = fetch(manifest, sites,
+                          lambda rec: write_files(dict.fromkeys(paths), fill=rec.copy))
+        return recovered, {e: p.read_bytes() for e, p in zip(data, paths)}
 
 
 def _decode(fetched):
@@ -151,8 +162,8 @@ def test_store_fetch_round_trip(tmp_path, rng):
     for i, site in enumerate(sites):
         assert len(_objects(site.root)) == 2, f"site {i} fragment count"
 
-    fetched = fetch(manifest, sites).blobs
-    assert [e for e in fetched if e.kind == "parity"] == []
+    recovered, fetched = _fetch(manifest, sites)
+    assert [e for e in recovered.files if e.kind == "parity"] == []
     assert list(fetched.values()) == list(blobs.values())
     assert _decode(fetched) == data
 
@@ -172,8 +183,8 @@ def test_store_with_parity_dedicated_site(tmp_path, rng):
     assert manifest.n == 6
     parity_entries = [e for e in manifest.fragments if e.kind == "parity"]
     assert {e.site for e in parity_entries} == {2}
-    fetched = fetch(manifest, sites).blobs
-    assert len([e for e in fetched if e.kind == "parity"]) == 2
+    recovered, _ = _fetch(manifest, sites)
+    assert len([e for e in recovered.files if e.kind == "parity"]) == 2
 
 
 def test_store_site_count_must_match(tmp_path, rng):
@@ -246,7 +257,7 @@ def test_store_in_parts_removes_every_object_when_a_site_fails(tmp_path, rng, st
     started.clear()  # the encode's
     manifest = store(split, blobs, sites, run_id="parts")
     assert len(started) == 1
-    assert _decode(fetch(manifest, sites).blobs) == data
+    assert _decode(_fetch(manifest, sites)[1]) == data
     for entry in reversed(manifest.fragments):  # each run directory with its first object
         sites[entry.site].delete(entry.name)
 
@@ -281,7 +292,7 @@ def test_store_in_parts_makes_a_parent_two_sites_share_on_the_callers_thread(
     assert sorted(d for d, thread in made if thread == caller) == [
         "out", "out/s0", "out/s0/shared", "out/s1"]
     assert [d for d, thread in made if thread != caller] == ["out/s1/shared"]
-    assert _decode(fetch(manifest, sites).blobs) == data
+    assert _decode(_fetch(manifest, sites)[1]) == data
     for entry in reversed(manifest.fragments):
         sites[entry.site].delete(entry.name)
     for d in ("out/s1", "out/s0", "out"):
@@ -321,7 +332,9 @@ def test_backend_put_cut_short_leaves_nothing(tmp_path):
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
     backend = LocalDirectoryBackend(tmp_path)
     backend.put("run/f0.kfrg", bytes(5000))  # a retry is not refused as existing
-    assert backend.get("run/f0.kfrg") == bytes(5000)
+    with contextlib.closing(backend.get("run/f0.kfrg")) as f:
+        f.fill(len(f))
+        assert bytes(f.buf) == bytes(5000)
     assert _objects(tmp_path) == ["run/f0.kfrg"]
 
 
@@ -579,19 +592,6 @@ def test_read_file_reads_a_large_file_in_parts(tmp_path, started):
     assert len(started) == 1
 
 
-def test_read_file_inside_the_parts_of_read_starts_no_thread(tmp_path, started):
-    # two files of 9 MiB: read takes one in each of its two parts, and reads each whole
-    blobs = [os.urandom(9 << 20) for _ in range(2)]
-    entries = []
-    for i, blob in enumerate(blobs):
-        (tmp_path / f"f{i}").write_bytes(blob)
-        entries.append(ManifestEntry(i, None, f"f{i}", hashlib.sha256(blob).hexdigest()))
-    manifest = Manifest("proposed", 2, 2, 250, 2, sum(map(len, blobs)), "", "", entries)
-    got = dispersal.read(manifest, dispersal.local_files(tmp_path))
-    assert [bytes(blob) for blob in got] == blobs
-    assert len(started) == 1  # read's own second part
-
-
 @pytest.mark.parametrize("extra", [1 << 20, 10 << 20])  # the second part is short; the first
 def test_read_file_ends_at_the_first_short_part(tmp_path, monkeypatch, started, extra):
     data = os.urandom((9 << 20) + 7)
@@ -625,7 +625,7 @@ def test_fetch_missing_object_threshold(tmp_path, rng):
     victim = manifest.fragments[2]
     sites[victim.site].delete(victim.name)
     with pytest.raises(ThresholdError) as err:
-        fetch(manifest, sites)
+        _fetch(manifest, sites)
     assert err.value.missing == (2,)
 
 
@@ -637,8 +637,9 @@ def test_fetch_missing_object_recovered_by_parity(tmp_path, rng):
     manifest = store(split, blobs, sites)
     victim = next(e for e in manifest.fragments if e.index == 1)
     sites[victim.site].delete(victim.name)
-    fetched = fetch(manifest, sites).blobs
-    assert list(fetched.values()) == list(blobs.values())  # rebuilt bytes included
+    _, fetched = _fetch(manifest, sites)
+    # rebuilt bytes included
+    assert list(fetched.values()) == [b for e, b in blobs.items() if e.kind == "data"]
     assert _decode(fetched) == data
 
 
@@ -654,7 +655,7 @@ def test_fetch_tampered_object_integrity(tmp_path, rng):
     raw[-1] ^= 0x80
     path.write_bytes(bytes(raw))
     with pytest.raises(IntegrityError):
-        fetch(manifest, sites)
+        _fetch(manifest, sites)
 
 
 def test_manifest_json_round_trip(tmp_path, rng):

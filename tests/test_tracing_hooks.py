@@ -133,10 +133,14 @@ def test_streamed_fetch_and_join_run_through_the_traced_names(tmp_path, monkeypa
     tracing = _tracing()
     monkeypatch.setattr(gf256, "_CORES", 1)
 
-    def whole(*args):
-        raise AssertionError("a clean set is not read whole")
+    read_file = dispersal.read_file
 
-    monkeypatch.setattr(dispersal, "recover", whole)
+    def sparse_only(path, sparse=False, hashed=True):
+        if not sparse:
+            raise AssertionError("a clean set is not read whole")
+        return read_file(path, sparse, hashed)
+
+    monkeypatch.setattr(dispersal, "read_file", sparse_only)
     size = 10 << 20
     params = CodecParams(4, 2, 250)
     segments = codec.decode_segments(params, codec.padded_length(size, params) // 1000)
