@@ -538,6 +538,18 @@ def test_a_mismatch_found_once_the_files_are_streamed_leaves_no_output(
     assert len(writes) == 1  # the streamed pass, undone; the set read whole is refused
 
 
+def _refuse_whole_reads(monkeypatch):
+    """Make ``dispersal.read_file`` refuse to read a file whole."""
+    read_file = dispersal.read_file
+
+    def sparse_only(path, sparse=False, hashed=True):
+        if not sparse:
+            raise AssertionError(f"{path} was read whole")
+        return read_file(path, sparse, hashed)
+
+    monkeypatch.setattr(dispersal, "read_file", sparse_only)
+
+
 @pytest.mark.parametrize("command", ["fetch", "join"])
 @pytest.mark.parametrize("lost, flipped, misrecorded, code, lines", [
     pytest.param(["f1.kfrg"], [], [], 0, ["f1.kfrg: missing, rebuilt from parity"], id="lost"),
@@ -577,14 +589,7 @@ def test_join_and_fetch_read_no_file_whole_whatever_the_damage(
     for index in misrecorded:
         doc["fragments"][index]["sha256"] = hashlib.sha256(b"another file").hexdigest()
     manifest.write_text(json.dumps(doc))
-    read_file = dispersal.read_file
-
-    def sparse_only(path, sparse=False, hashed=True):
-        if not sparse:
-            raise AssertionError(f"{path} was read whole")
-        return read_file(path, sparse, hashed)
-
-    monkeypatch.setattr(dispersal, "read_file", sparse_only)
+    _refuse_whole_reads(monkeypatch)
     result = _invoke(runner, *args, "--manifest", str(manifest), code=code)
     if code:
         assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
@@ -602,7 +607,7 @@ def test_join_and_fetch_read_no_file_whole_whatever_the_damage(
 def test_a_join_of_regular_files_with_parity_reads_none_whole(runner, tmp_path, monkeypatch):
     payload = os.urandom(3 << 20)
     _, out = _split(runner, tmp_path, payload, "--n", "6")
-    monkeypatch.setattr(cli, "load_files", lambda blobs: pytest.fail("files read whole"))
+    _refuse_whole_reads(monkeypatch)
     joined = tmp_path / "back.bin"
     _invoke(runner, "join", "--frags", *(str(out / n) for n in ("f0.kfrg", "f2.kfrg", "f3.kfrg",
                                                              "p0.kpar")), "--out", str(joined))
