@@ -41,8 +41,7 @@ from .codec import (
     CodecParams, Fragment, check_fragments, decode_data, decode_segments, encode_chunks,
     encode_data, rebuild_permutations,
 )
-# rs_decode is unused here, but perfbench/tracing.py wraps this name, so it stays importable
-from .erasure import ParityParams, parity_fragments, rs_decode  # noqa: F401
+from .erasure import ParityParams, parity_fragments, rs_decode
 from .errors import (
     FragmentationError, IntegrityError, ParameterError, StorageError, ThresholdError,
 )
@@ -162,8 +161,11 @@ def load_files(blobs: list[bytes]) -> list:
     if parity:
         if not all(wire.FORMAT_OF[type(f)].parity for f in loaded):
             raise ParameterError("cannot mix schemes in one join")
+        rows = [wire.load_parity_fragment(blob) for blob in parity]
         present = {f.index for f in loaded}
-        rebuilt = dispersal.rebuild([(f.index, b) for f, b in zip(loaded, files)], parity)
+        rebuilt = rs_decode([*((f.index, b) for f, b in zip(loaded, files)),
+                             *((row.index, row.data) for row in rows)],
+                            ParityParams(k=rows[0].k, n=rows[0].n))
         loaded += [wire.load_any(b) for i, b in enumerate(rebuilt) if i not in present]
     return loaded
 

@@ -306,36 +306,42 @@ _PIECE = 1 << 20
 
 
 class Rebuilt(SparseFile):
-    """Data file ``index`` of a parity set, made as it is filled from ``sources``, k
-    other files of the set as (index, SparseFile, where its bytes start), with one
-    ``rs_decode`` call per fill of at least _PIECE bytes or up to the file's end."""
+    """Data file ``index`` of a parity set, made as it is filled, at least _PIECE bytes
+    or up to its end at a time, from ``decode(start, end)``, the set's k data rows."""
 
-    def __init__(self, index: int, size: int, sources: list[tuple], params: ParityParams):
-        super().__init__(None, size)
-        self.index, self._sources, self._params = index, sources, params
+    def __init__(self, index: int, size: int, decode: Callable, hashed: bool):
+        super().__init__(None, size, hashed)
+        self.index, self._decode = index, decode
 
     def _take(self, start: int, end: int) -> int:
         end = min(len(self.buf), max(end, start + _PIECE))
-        for _, f, at in self._sources:
-            f.fill(at + end)
-        rows = rs_decode([(i, f.buf[at + start : at + end]) for i, f, at in self._sources],
-                         self._params)
-        self._bytes[start:end] = np.frombuffer(rows[self.index], dtype=np.uint8)
+        self._bytes[start:end] = np.frombuffer(self._decode(start, end)[self.index], np.uint8)
         return end
 
 
 def rebuild_files(data: dict[int, SparseFile], parity: list[SparseFile],
                   k: int | None = None) -> dict[int, Rebuilt]:
     """A Rebuilt for each data file of a parity set that ``data``, its data files by
-    index, lacks, from those then the ``parity`` files; the first names n, the length
-    of a data file and, unless given, k."""
+    index, lacks, made from those then the ``parity`` files with one ``rs_decode`` call
+    per piece for them all, and hashed if the parity files are.  The first parity file
+    gives n, k unless given, and, in the length of its data, that of a data file."""
     for f in parity:
         f.fill(min(len(f), wire.HEAD))
     rows = [wire.load_parity_fragment(f.buf) for f in parity]
-    params, size = ParityParams(k=k or rows[0].k, n=rows[0].n), rows[0].primary_length
-    sources = [(i, f, 0) for i, f in data.items()]
-    sources += [(row.index, f, len(f) - size) for row, f in zip(rows, parity)]
-    return {i: Rebuilt(i, size, sources[: params.k], params)
+    params, size = ParityParams(k=k or rows[0].k, n=rows[0].n), len(rows[0].data)
+    sources = ([(i, f, 0) for i, f in data.items()]
+               + [(row.index, f, len(f) - size) for row, f in zip(rows, parity)])[: params.k]
+    last: list = [None, None]  # the piece decoded last, and its rows
+
+    def decode(start: int, end: int) -> list[bytes]:
+        if last[0] != (start, end):
+            for _, f, at in sources:
+                f.fill(at + end)
+            last[:] = (start, end), rs_decode(
+                [(i, f.buf[at + start : at + end]) for i, f, at in sources], params)
+        return last[1]
+
+    return {i: Rebuilt(i, size, decode, parity[0].sha is not None)
             for i in range(params.k) if i not in data}
 
 
@@ -668,15 +674,6 @@ def check_files(manifest: Manifest, base: Path) -> None:
     for entry in manifest.fragments:
         with contextlib.closing(read_file(base / entry.name, sparse=True)) as f:
             Streamed(f, entry.sha256, entry.name)(None)
-
-
-def rebuild(data: list[tuple[int, bytes]], parity: list[bytes]) -> list[bytes]:
-    """The k data files of a parity set from any k of its files, data ones as (index, bytes).
-
-    Each parity file names k and n; the data files given come back as they are."""
-    rows = [wire.load_parity_fragment(blob) for blob in parity]
-    params = ParityParams(k=rows[0].k, n=rows[0].n)
-    return rs_decode([*data, *((row.index, row.data) for row in rows)], params)
 
 
 @dataclass(frozen=True)

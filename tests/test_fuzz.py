@@ -4,7 +4,7 @@ Every scheme's files, and the proposed scheme's parity files, are damaged by
 bit flips, truncation, header-byte overwrites, appended bytes and dropped
 files, then loaded with ``cli.load_files`` and joined with ``cli.join_pieces``, as
 ``kfrag join --frags`` does: the parity files rebuild lost fragment files
-through ``dispersal.rebuild``, and the fragments join in decode segments, or
+with one ``rs_decode`` call, and the fragments join in decode segments, or
 through the scheme table for a baseline.  Files that no longer
 parse with ``wire.load_any`` are left out of the join, so the join also sees
 sets short of their threshold.  A damaged
