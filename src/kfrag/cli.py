@@ -14,12 +14,11 @@ thread encodes the next.  ``disperse`` puts each file as it reads it, a
 piece at a time.  ``fetch`` writes each object a piece at a time, and
 ``join`` reads each file a decode segment at a time, so it holds one
 segment of input and one of output; both rebuild lost data files from
-parity as they go (``dispersal.read_set``).  Only a ``split`` input that is
-not a regular file or is of a baseline scheme, a baseline's set, and ``join
---frags`` files that are not all regular files of the proposed scheme and
-its parity, are read whole.  An error of ``split``, ``disperse`` or ``join
---frags`` is reported as it is met, with nothing written or stored;
-``fetch`` and ``join --manifest`` set damaged files aside and run again.
+parity as they go (``dispersal.read_set``).  Only a pipe, whose pages go
+back as the command goes past them, a baseline's input and a baseline's set
+are read whole.  An error of ``split``, ``disperse`` or ``join --frags`` is
+reported as it is met, with nothing written or stored; ``fetch`` and ``join
+--manifest`` set damaged files aside and run again.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from .codec import (
     CodecParams, Fragment, check_fragments, decode_data, decode_segments, encode_chunks,
     encode_data, rebuild_permutations,
 )
+# rs_decode is unused here, but perfbench/tracing.py wraps the name cli.rs_decode
 from .erasure import ParityParams, parity_fragments, rs_decode
 from .errors import (
     FragmentationError, IntegrityError, ParameterError, StorageError, ThresholdError,
@@ -151,25 +151,6 @@ def join_pieces(loaded: list) -> tuple[int, Iterable]:
                                       for rows in segments)
 
 
-def load_files(blobs: list[bytes]) -> list:
-    """The fragments in the raw files of one scheme, as ``kfrag join --frags`` loads
-    files that are not all regular files; parity files first rebuild the proposed
-    scheme's lost fragment files."""
-    parity = [blob for blob in blobs if blob[:4] == wire.MAGIC_PARITY]
-    files = [blob for blob in blobs if blob[:4] != wire.MAGIC_PARITY]
-    loaded = [wire.load_any(blob) for blob in files]
-    if parity:
-        if not all(wire.FORMAT_OF[type(f)].parity for f in loaded):
-            raise ParameterError("cannot mix schemes in one join")
-        rows = [wire.load_parity_fragment(blob) for blob in parity]
-        present = {f.index for f in loaded}
-        rebuilt = rs_decode([*((f.index, b) for f, b in zip(loaded, files)),
-                             *((row.index, row.data) for row in rows)],
-                            ParityParams(k=rows[0].k, n=rows[0].n))
-        loaded += [wire.load_any(b) for i, b in enumerate(rebuilt) if i not in present]
-    return loaded
-
-
 def _write_split(out_dir: Path, names: list[str], blobs: list, manifest,
                  nbytes: int | None = None, fill: Callable | None = None) -> None:
     """Write the files ``names``, then the manifest, into ``out_dir``; refuses a
@@ -185,10 +166,10 @@ def _write_split(out_dir: Path, names: list[str], blobs: list, manifest,
 
 def _split_streamed(in_path: Path, k: int, n: int, c: int, block_size: int,
                     out_dir: Path) -> None:
-    """Split the regular file at ``in_path`` with the proposed scheme a chunk of share
-    rows at a time, and write its files; on an error, nothing is written.  The
-    input is opened first, then checked as ``split`` checks the input read
-    whole, in the same order.
+    """Split the file at ``in_path`` with the proposed scheme a chunk of share rows at
+    a time, and write its files; on an error, nothing is written.  The input is
+    opened first (``read_file``, which reads a pipe to its end here), then checked
+    as ``split`` checks an input read whole, in the same order.
 
     For each chunk of ``encode_chunks``, the input is read on, encoded through
     ``encode_data`` (which continues the chunk before it) and released; then
@@ -291,7 +272,7 @@ def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: in
     """Fragment a file into k (or n) fragment files plus a manifest."""
     n = k if n is None else n
     chosen = SchemeId(scheme)
-    if chosen is SchemeId.PROPOSED and in_path.is_file():
+    if chosen is SchemeId.PROPOSED:
         _split_streamed(in_path, k, n, c, block_size, out_dir)
     else:
         _split_whole(in_path, chosen, k, n, c, block_size, out_dir)
@@ -301,7 +282,7 @@ def cmd_split(in_path: Path, k: int, c: int, block_size: int, scheme: str, n: in
 
 def _split_whole(in_path: Path, chosen: SchemeId, k: int, n: int, c: int, block_size: int,
                  out_dir: Path) -> None:
-    """Split the input read whole with any scheme and write its n files."""
+    """Split the input read whole with a baseline scheme and write its n files."""
     row = wire.SCHEMES[chosen]
     data = dispersal.read_file(in_path)
     frags = split(chosen, data, k, n, c, block_size, random.SystemRandom())
@@ -311,16 +292,11 @@ def _split_whole(in_path: Path, chosen: SchemeId, k: int, n: int, c: int, block_
     del data
     blobs = [wire.dump_any(f) for f in frags]
     del frags
-    if row.parity and n > k:
-        parity = parity_fragments(blobs, ParityParams(k=k, n=n))
-        blobs.extend(wire.dump_parity_fragment(pf) for pf in parity)
-    if row.body is not None:  # c and the block size: only the keyless codec's files carry them
-        c = block_size = 0
     manifest = dispersal.build_manifest(
         chosen.value,
         k=k,
-        c=c,
-        block_size=block_size,
+        c=0,  # c and the block size: only the keyless codec's files carry them
+        block_size=0,
         n=n,
         payload_length=payload_length,
         blobs=blobs,
@@ -335,26 +311,36 @@ def _split_whole(in_path: Path, chosen: SchemeId, k: int, n: int, c: int, block_
 # ---------------------------------------------------------------------------
 
 
-def _write_join(loaded: list | None, out_path: Path, files: list[dispersal.SparseFile] = (),
+def _write_join(out_path: Path, files: list[dispersal.SparseFile],
                 check: Callable[[], None] = lambda: None) -> tuple[int, str]:
-    """Write what ``loaded``, or with None the data files of ``files``, joins to at
-    ``out_path``; returns its length and SHA-256 digest.
+    """Write what the SparseFiles ``files`` join to at ``out_path``; returns its length
+    and SHA-256 digest.  The output is committed only if ``check`` returns.
 
-    The output is written in the pieces of ``join_pieces``: each is decoded,
-    then written on this thread and hashed, as the two parts of one
-    ``gf256._map_in_parts`` (the hash runs on a second thread from 8 MiB of
-    output), then dropped.  ``files`` are the SparseFiles of ``loaded``'s set,
-    data and parity, with only their heads read: each part then also releases
-    its half of the files read up to the row before the next segment and reads
-    them on to its end, the first segment in a parallel step of its own, and
-    the rebuilt ones are made after each step.  So a join holds one segment of
-    input and one of output, as many parallel steps per segment as a join of
-    files read whole.  The output is committed only if ``check`` returns.
+    Their heads are read first.  The proposed scheme's ``files``, data, parity
+    and rebuilt, are read as they are decoded: the output is written in the
+    pieces of ``join_pieces``, each decoded, then written on this thread and
+    hashed, as the two parts of one ``gf256._map_in_parts`` (the hash runs on a
+    second thread from 8 MiB of output), then dropped.  Each part then also
+    releases its half of the files read up to the row before the next segment
+    and reads them on to its end, the first segment in a parallel step of its
+    own, and the rebuilt ones are made after each step.  So a join holds one
+    segment of input and one of output, as many parallel steps per segment as
+    a join of files read whole.  A baseline's files are read whole and checked
+    first, then joined as one piece.
     """
-    if loaded is None:
+    for f in files:
+        f.fill(min(len(f), wire.HEAD))  # a rebuilt file's first piece is made here
+    data = [f for f in files if bytes(f.buf[:4]) != wire.MAGIC_PARITY]
+    if all(bytes(f.buf[:4]) == wire.MAGIC_PROPOSED for f in data):
+        loaded = [wire.load_fragment(f.buf) for f in data]
+    else:
         for f in files:
-            f.fill(min(len(f), wire.HEAD))  # a rebuilt file's first piece is made here
-        loaded = [wire.load_fragment(f.buf) for f in files if bytes(f.buf[:4]) != wire.MAGIC_PARITY]
+            f.fill(len(f))
+        check()
+        loaded = [wire.load_any(f.buf) for f in data]
+        if len(data) < len(files):  # a baseline's files have no parity
+            raise ParameterError("cannot mix schemes in one join")
+        files = []
     length, pieces = join_pieces(loaded)
     sha = hashlib.sha256()
     # the files read, in two halves, then the rebuilt ones
@@ -395,25 +381,21 @@ def _write_join(loaded: list | None, out_path: Path, files: list[dispersal.Spars
     return length, sha.hexdigest()
 
 
-def _join_streamed(paths: list[Path], out_path: Path) -> tuple[int, str] | None:
-    """``_write_join`` of the files at ``paths``, lost data files rebuilt from any parity
-    files among them; None, with only their heads read, when one is not a regular file
-    of the proposed scheme or its parity, for the caller to join the files read whole.
-    Its errors are raised, with nothing written."""
-    if not all(path.is_file() for path in paths):
-        return None
+def _join_frags(paths: list[Path], out_path: Path) -> tuple[int, str]:
+    """``_write_join`` of the files at ``paths``, the proposed scheme's lost data files
+    rebuilt from any parity files among them.  Its errors are raised, with nothing
+    written."""
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(contextlib.closing(  # no digests to check them against
             dispersal.read_file(path, sparse=True, hashed=False))) for path in paths]
         for f in files:
             f.fill(min(len(f), wire.HEAD))
         parity = [f for f in files if bytes(f.buf[:4]) == wire.MAGIC_PARITY]
-        if any(bytes(f.buf[:4]) != wire.MAGIC_PROPOSED for f in files if f not in parity):
-            return None
-        if parity:
-            data = {wire.load_fragment(f.buf).index: f for f in files if f not in parity}
-            files += dispersal.rebuild_files(data, parity).values()
-        return _write_join(None, out_path, files)
+        data = [f for f in files if f not in parity]
+        if parity and all(bytes(f.buf[:4]) == wire.MAGIC_PROPOSED for f in data):
+            files += dispersal.rebuild_files(
+                {wire.load_fragment(f.buf).index: f for f in data}, parity).values()
+        return _write_join(out_path, files)
 
 
 @main.command("join")
@@ -430,13 +412,13 @@ def cmd_join(
 ):
     """Reassemble the original file; prints its SHA-256 digest.
 
-    Fragment files are given as ``--frags FILE [FILE ...]``.  The proposed
-    scheme's files, and its parity's, are read as they are decoded
-    (``_write_join``) when they are regular files, each lost data file
-    rebuilt from parity a piece at a time; other files are read whole.  An
-    error of ``--frags`` is reported as it is met.  With ``--manifest``, the
-    files go through ``dispersal.read_set``, which sets damaged files aside,
-    rebuilds from parity and reports what it cannot mend.
+    Fragment files are given as ``--frags FILE [FILE ...]``; a pipe is read
+    whole first.  The proposed scheme's files, and its parity's, are read as
+    they are decoded (``_write_join``), each lost data file rebuilt from parity
+    a piece at a time; a baseline's files are read whole.  An error of
+    ``--frags`` is reported as it is met.  With ``--manifest``, the files go
+    through ``dispersal.read_set``, which sets damaged files aside, rebuilds
+    from parity and reports what it cannot mend.
     """
     frag_paths = ((first_frag,) if first_frag else ()) + tuple(more_frags)
     if manifest_path is None and not frag_paths:
@@ -447,22 +429,13 @@ def cmd_join(
     if manifest_path is not None:
         manifest = dispersal.Manifest.load(manifest_path)
         base = manifest_path.parent
-
-        def join(recovered: dispersal.Recovered) -> tuple[int, str]:
-            files = list(recovered.files.values())
-            if manifest.scheme == SchemeId.PROPOSED.value:
-                return _write_join(None, out_path, files, recovered.check)
-            for f in files:  # a baseline's, which has no parity, read whole
-                f.fill(len(f))
-            recovered.check()
-            return _write_join([wire.load_any(f.buf) for f in files], out_path)
-
         recovered, joined = dispersal.read_set(
-            manifest, lambda entry: dispersal.read_file(base / entry.name, sparse=True), join)
+            manifest, lambda entry: dispersal.read_file(base / entry.name, sparse=True),
+            lambda recovered: _write_join(out_path, list(recovered.files.values()),
+                                          recovered.check))
         _report(recovered)
     else:
-        joined = _join_streamed(list(frag_paths), out_path) or _write_join(
-            load_files([dispersal.read_file(path) for path in frag_paths]), out_path)
+        joined = _join_frags(list(frag_paths), out_path)
     length, digest = joined
     _note(f"wrote {length} bytes to {out_path}")
     click.echo(digest)

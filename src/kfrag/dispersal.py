@@ -25,7 +25,8 @@ it put removed, ``check_files`` names the first lost or damaged file.
 Every file kfrag writes goes through ``write_files``: all of a set or none,
 a command's manifest last.  Every file it reads, but for the JSON
 manifests, comes in through ``read_file``: into one numpy buffer, filled in
-place and returned read-only, or, sparse, as a SparseFile.
+place and returned read-only, or, sparse, as a SparseFile, which a pipe
+fills whole as it is opened.
 
 A site is its backend, and its index is its position in the list of sites.
 A local-directory backend ships by default.  Another object with
@@ -159,22 +160,38 @@ def read_file(path: Path, sparse: bool = False, hashed: bool = True) -> memoryvi
     at a time.  ``os.preadv`` fills it from the one descriptor, in parts as by
     ``gf256._in_parts``, so in two parts from 8 MiB; the bytes end where the
     first part that came up short ended, so a file that shrank since ``fstat``
-    gives its bytes with no zero tail.  A pipe or other non-regular file is
-    read to its end.  With ``sparse``, a regular file is not read here: it
-    comes back as a SparseFile, open, to be read piece by piece, and hashed
-    as it is unless not ``hashed``; any other file is a StorageError."""
+    gives its bytes with no zero tail.  With ``sparse``, a regular file is not
+    read here: it comes back as a SparseFile, open, to be read piece by piece,
+    and hashed as it is unless not ``hashed``.  A pipe or other non-regular
+    file is read to its end here, into the private anonymous mapping of a
+    SparseFile that comes back filled and hashed, with no descriptor left to
+    read, or, not ``sparse``, as that SparseFile's bytes."""
     with open(path, "rb", buffering=0) as fh:
         info = os.fstat(fh.fileno())
-        if sparse:
-            if not stat.S_ISREG(info.st_mode):
-                raise StorageError(f"not a regular file: {path}")
-            return SparseFile(os.dup(fh.fileno()), info.st_size, hashed)
         if not stat.S_ISREG(info.st_mode):
-            return memoryview(fh.read())
+            area, size = _read_stream(fh.fileno())
+            f = SparseFile(None, size, hashed and sparse, area)
+            return f if sparse else f.buf
+        if sparse:
+            return SparseFile(os.dup(fh.fileno()), info.st_size, hashed)
         buf = np.empty(info.st_size, dtype=np.uint8)
         buf = buf[: _read_parts(fh.fileno(), buf, 0, len(buf))]
     buf.setflags(write=False)
     return memoryview(buf)
+
+
+def _read_stream(fd: int) -> tuple[mmap.mmap, int]:
+    """Read the file ``fd`` to its end into a private anonymous mapping, doubled
+    whenever it is full; returns the mapping and the bytes read."""
+    area, size = _anonymous(_PIECE), 0
+    while True:
+        if size == len(area):
+            area = _anonymous(2 * size, area)
+        with memoryview(area) as view:
+            n = os.readv(fd, [view[size:]])
+        if not n:
+            return area, size
+        size += n
 
 
 def _read_parts(fd: int, buf: np.ndarray, start: int, end: int) -> int:
@@ -198,11 +215,16 @@ def _read_parts(fd: int, buf: np.ndarray, start: int, end: int) -> int:
 _HUGE_FILL = 4 << 20
 
 
-def _anonymous(size: int) -> mmap.mmap:
-    """A private anonymous mapping of ``size`` bytes: MADV_DONTNEED frees its pages,
-    where a shared mapping's would stay.  A MemoryError when there is no room."""
+def _anonymous(size: int, area: mmap.mmap | None = None) -> mmap.mmap:
+    """A private anonymous mapping of ``size`` bytes, or ``area`` resized to it
+    (``mremap``, which moves its pages without copying them): MADV_DONTNEED frees
+    its pages, where a shared mapping's would stay.  A MemoryError when there is
+    no room."""
     try:
-        return mmap.mmap(-1, max(size, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        if area is None:
+            return mmap.mmap(-1, max(size, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        area.resize(size)
+        return area
     except OSError as exc:
         if exc.errno == errno.ENOMEM:  # as numpy reports a buffer it cannot get
             raise MemoryError(f"cannot map {size} bytes") from exc
@@ -224,7 +246,8 @@ def mapped(size: int) -> np.ndarray:
 
 class SparseFile:
     """A regular file read in file order, piece by piece, into an anonymous
-    mapping of its size, and hashed as it is read.
+    mapping of its size, and hashed as it is read; or, given ``area``, a mapping
+    that already holds all ``size`` bytes of a file, that file, read and hashed.
 
     ``buf`` is the whole file, read-only: the bytes not read yet, and those
     released, read as zeros and hold no memory.  ``fill(end)`` reads on from
@@ -235,10 +258,11 @@ class SparseFile:
     fill does is an IntegrityError.  ``close`` closes the descriptor; the
     mapping lives as long as ``buf`` or a view of it does."""
 
-    def __init__(self, fd: int | None, size: int, hashed: bool = True):
+    def __init__(self, fd: int | None, size: int, hashed: bool = True,
+                 area: mmap.mmap | None = None):
         self._fd = fd
         try:
-            self._map = _anonymous(size)
+            self._map = _anonymous(size) if area is None else area
         except BaseException:
             self.close()
             raise
@@ -247,7 +271,9 @@ class SparseFile:
         view.setflags(write=False)
         self.buf = memoryview(view)
         self.sha = hashlib.sha256() if hashed else None
-        self._read = self._released = 0
+        self._read, self._released = (0 if area is None else size), 0
+        if self.sha is not None:
+            self.sha.update(self._bytes[: self._read])
 
     def __len__(self) -> int:
         return len(self.buf)

@@ -20,6 +20,7 @@ import kfrag
 from kfrag import cli, codec, dispersal, gf256, wire
 from kfrag.cli import main
 from kfrag.corpus import text_sample
+from kfrag.erasure import ParityParams, parity_fragments
 
 
 @pytest.fixture
@@ -86,6 +87,12 @@ def test_input_is_read_to_its_end_from_a_pipe(runner, tmp_path):
     payload = os.urandom(200_000)
     with _piped(payload) as path:
         assert dispersal.read_file(Path(path)) == payload
+    # a sparse read comes back filled and hashed, its 1 MiB mapping doubled twice
+    longer = os.urandom((3 << 20) + 1)
+    with _piped(longer) as path, contextlib.closing(
+            dispersal.read_file(Path(path), sparse=True)) as f:
+        assert len(f) == len(longer) and f.buf == longer
+        assert f.digest() == hashlib.sha256(longer).hexdigest()
     with _piped(payload) as path:
         _invoke(runner, "split", "--in", path, "--out", str(tmp_path / "frags"))
     _invoke(runner, "join", "--manifest", str(tmp_path / "frags" / "manifest.json"),
@@ -721,11 +728,7 @@ def test_a_failed_join_of_regular_fragment_files_reports_its_error_without_readi
     runner, tmp_path, monkeypatch, frags, out, code, message
 ):
     _, split_out = _split(runner, tmp_path, os.urandom(1 << 20))
-
-    def refused(*args):
-        raise AssertionError("the files were read whole")
-
-    monkeypatch.setattr(cli, "load_files", refused)
+    _refuse_whole_reads(monkeypatch)
     failed = _invoke(runner, "join", "--frags", *(str(split_out / name) for name in frags),
                      "--out", str(tmp_path / out), code=code)
     assert message in failed.stderr
@@ -752,29 +755,77 @@ def test_a_split_read_a_chunk_at_a_time_writes_the_files_of_the_payload_read_who
     if (k, bs) == (4, 250) or c > 2:
         lengths.append(3 * boundary // 2 + 4321)
         assert len(codec.encode_chunks(params, lengths[-1])) >= 3
-    whole = cli._split_whole
 
     def refused(*args):
         raise AssertionError("the input was read whole")
 
     monkeypatch.setattr(cli, "_split_whole", refused)
     for length in lengths:
+        payload = os.urandom(length)
         src = tmp_path / f"{length}.bin"
-        src.write_bytes(os.urandom(length))
-        streamed, reference = tmp_path / f"s{length}", tmp_path / f"w{length}"
-        _seeded(monkeypatch, length)
-        _invoke(runner, "split", "--in", str(src), "--out", str(streamed), "--k", str(k),
-                "--c", str(c), "--block-size", str(bs), "--n", str(n))
-        _seeded(monkeypatch, length)
-        whole(src, cli.SchemeId.PROPOSED, k, n, c, bs, reference)
-        files = sorted(p.name for p in reference.iterdir())
-        assert sorted(p.name for p in streamed.iterdir()) == files
-        for name in files:
-            if name != "manifest.json":
-                assert (streamed / name).read_bytes() == (reference / name).read_bytes(), name
-        entries = [json.loads((d / "manifest.json").read_text())["fragments"]
-                   for d in (streamed, reference)]
-        assert entries[0] == entries[1]
+        src.write_bytes(payload)
+        # the files of the payload split in memory, with the permutations the split draws
+        frags = cli.split(cli.SchemeId.PROPOSED, payload, k, n, c, bs, random.Random(length))
+        blobs = [wire.dump_any(f) for f in frags]
+        blobs += [wire.dump_parity_fragment(p) for p in
+                  parity_fragments(blobs, ParityParams(k=k, n=n))] if n > k else []
+        entries = dispersal.build_manifest("proposed", k=k, c=c, block_size=bs, n=n,
+                                           payload_length=length, blobs=blobs).to_dict()
+        files = {entry["name"]: blob for entry, blob in zip(entries["fragments"], blobs)}
+        for name in ("file", "pipe"):
+            out = tmp_path / f"{name}{length}"
+            _seeded(monkeypatch, length)
+            with _piped(payload) if name == "pipe" else contextlib.nullcontext(str(src)) as path:
+                _invoke(runner, "split", "--in", path, "--out", str(out), "--k", str(k),
+                        "--c", str(c), "--block-size", str(bs), "--n", str(n))
+            assert sorted(p.name for p in out.iterdir()) == sorted([*files, "manifest.json"])
+            for file, blob in files.items():
+                assert (out / file).read_bytes() == blob, (name, file)
+            doc = json.loads((out / "manifest.json").read_text())
+            assert doc["fragments"] == entries["fragments"]
+
+
+@pytest.mark.parametrize("given", [
+    pytest.param(["f0.kida", "f1.kida", "f0.kfrg"], id="ida-and-proposed"),
+    pytest.param(["f0.kida", "f1.kida", "p0.kpar"], id="ida-and-parity"),
+    pytest.param(["f0.kida", "f1.kida", "|f0.kfrg"], id="ida-and-piped-proposed"),
+])
+def test_a_join_that_mixes_schemes_is_a_usage_error(runner, tmp_path, given):
+    _, out = _split(runner, tmp_path, os.urandom(100_000), "--n", "6")
+    ida = tmp_path / "ida"
+    _invoke(runner, "split", "--in", str(tmp_path / "in.bin"), "--out", str(ida),
+            "--scheme", "ida", "--k", "2", "--n", "3")
+    with contextlib.ExitStack() as stack:
+        paths = [stack.enter_context(_piped((out / name[1:]).read_bytes())) if name[0] == "|"
+                 else str((ida if name.endswith(".kida") else out) / name) for name in given]
+        failed = _invoke(runner, "join", "--frags", *paths, "--out", str(tmp_path / "back.bin"),
+                         code=2)
+    assert failed.stderr == "error: cannot mix schemes in one join\n"
+    assert not (tmp_path / "back.bin").exists()
+
+
+def test_a_join_of_pipes_rebuilds_from_parity_and_fails_as_one_of_regular_files(
+    runner, tmp_path
+):
+    payload = os.urandom(3 << 20)
+    _, out = _split(runner, tmp_path, payload, "--n", "6")
+    given = [out / name for name in ("f0.kfrg", "f2.kfrg", "f3.kfrg", "p0.kpar")]
+
+    def join(piped: bool, code: int = 0):
+        with contextlib.ExitStack() as stack:
+            paths = [stack.enter_context(_piped(p.read_bytes())) if piped else str(p)
+                     for p in given]
+            return _invoke(runner, "join", "--frags", *paths, "--out",
+                           str(tmp_path / "back.bin"), code=code)
+
+    joined = join(piped=True)
+    assert (tmp_path / "back.bin").read_bytes() == payload
+    assert joined.stdout == hashlib.sha256(payload).hexdigest() + "\n"
+    (tmp_path / "back.bin").unlink()
+    given[1].write_bytes(given[1].read_bytes()[:500_000])
+    failed = [join(piped, code=2) for piped in (True, False)]
+    assert failed[0].stderr == failed[1].stderr == "error: truncated fragment: body incomplete\n"
+    assert not (tmp_path / "back.bin").exists()
 
 
 def test_analyze_writes_report_and_summary(runner, tmp_path, monkeypatch):

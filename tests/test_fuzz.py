@@ -1,25 +1,27 @@
-"""Damaged fragment files end in a FragmentationError, never in another exception.
+"""Damaged fragment files make ``kfrag join --frags`` exit with a documented code,
+never with a traceback.
 
 Every scheme's files, and the proposed scheme's parity files, are damaged by
 bit flips, truncation, header-byte overwrites, appended bytes and dropped
-files, then loaded with ``cli.load_files`` and joined with ``cli.join_pieces``, as
-``kfrag join --frags`` does: the parity files rebuild lost fragment files
-with one ``rs_decode`` call, and the fragments join in decode segments, or
-through the scheme table for a baseline.  Files that no longer
-parse with ``wire.load_any`` are left out of the join, so the join also sees
-sets short of their threshold.  A damaged
-set may still join to wrong bytes: only fragments with a digest in the
-manifest are checked for that.
+files, written to a directory and joined with ``kfrag join --frags`` through
+``cli.main``: the proposed scheme's files through the streamed join, its
+parity files rebuilding lost fragment files a piece at a time, and a
+baseline's through the scheme table.  A dropped file leaves a set short of
+its threshold.  Each join exits 0, 2, 3, 4 or 5, and raises nothing but
+``SystemExit``.  A damaged set may still join to wrong bytes: only fragments
+with a digest in the manifest are checked for that.
 """
 
 import random
+import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kfrag import cli, wire
 from kfrag.baselines import SchemeId
 from kfrag.erasure import ParityParams, parity_fragments
-from kfrag.errors import FragmentationError
 
 MUTATIONS = ("flip", "truncate", "header", "append", "drop")
 
@@ -63,16 +65,13 @@ def damaged_sets(draw) -> list[bytes]:
 
 @settings(max_examples=500)
 @given(damaged_sets())
-def test_damaged_files_raise_only_fragmentation_errors(blobs):
-    parsed = []
-    for blob in blobs:
-        try:
-            wire.load_any(blob)
-        except FragmentationError:
-            continue
-        parsed.append(blob)
-    try:
-        _, pieces = cli.join_pieces(cli.load_files(parsed))
-        b"".join(pieces)
-    except FragmentationError:
-        pass
+def test_damaged_files_exit_with_a_documented_code(blobs):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, blob in enumerate(blobs):
+            paths.append(Path(tmp, f"{i}.bin"))
+            paths[-1].write_bytes(blob)
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["join", "--frags", *map(str, paths), "--out", str(Path(tmp, "out.bin"))],
+                     prog_name="kfrag")
+    assert exited.value.code in (0, 2, 3, 4, 5)
