@@ -65,9 +65,10 @@ def _report(recovered: dispersal.Recovered) -> None:
 
 
 def _payload_size(params: dict) -> str:
-    """The size of the payload a command was given, for an out-of-memory message."""
+    """The size of the payload a command was given, for an out-of-memory message;
+    unknown for an input that is not a regular file, such as a pipe."""
     try:
-        if params.get("in_path"):
+        if params.get("in_path") and params["in_path"].is_file():
             return f"{params['in_path'].stat().st_size} bytes"
         if params.get("manifest_path"):
             return f"{dispersal.Manifest.load(params['manifest_path']).payload_length} bytes"
@@ -152,16 +153,16 @@ def join_pieces(loaded: list) -> tuple[int, Iterable]:
 
 
 def _write_split(out_dir: Path, names: list[str], blobs: list, manifest,
-                 nbytes: int | None = None, fill: Callable | None = None) -> None:
+                 fill: Callable | None = None) -> None:
     """Write the files ``names``, then the manifest, into ``out_dir``; refuses a
-    directory holding fragment files not among ``names``.  Each content, the
-    manifest's too, and ``nbytes`` and ``fill`` are as for ``write_files``."""
+    directory holding fragment files not among ``names``.  Each content, bytes
+    or None, the manifest's too, and ``fill`` are as for ``write_files``."""
     stale = sorted(p.name for p in out_dir.glob("*")
                    if p.suffix in wire.EXTENSIONS.values() and p.name not in names)
     if stale:
         raise ParameterError(f"{out_dir} holds fragment files of another split: {', '.join(stale)}")
     files = {out_dir / name: blob for name, blob in zip(names, blobs)}
-    dispersal.write_files({**files, out_dir / "manifest.json": manifest}, (), nbytes, fill)
+    dispersal.write_files({**files, out_dir / "manifest.json": manifest}, (), fill)
 
 
 def _split_streamed(in_path: Path, k: int, n: int, c: int, block_size: int,
@@ -183,9 +184,9 @@ def _split_streamed(in_path: Path, k: int, n: int, c: int, block_size: int,
     1 MiB and the loop is two parts: this thread writes chunk i while a
     second thread encodes chunk i + 1, every loop inside either part runs
     as one part, and the split holds about three chunks.  Either way the
-    bytes written are the same, whatever the payload; the manifest is
-    written last.  An error of either part stops the split, that of the
-    write when both fail.
+    bytes written are the same, whatever the payload.  All of it is the fill
+    of ``write_files``, the manifest its last file, appended last.  An error
+    of either part stops the split, that of the write when both fail.
     """
     with contextlib.closing(dispersal.read_file(in_path, sparse=True, hashed=False)) as src:
         _check_counts(k, n)
@@ -242,14 +243,12 @@ def _split_streamed(in_path: Path, k: int, n: int, c: int, block_size: int,
                 gf256._run_parts(2, 2 if c > 2 else 1, lambda lo, hi: [job() for job in jobs[lo:hi]])
                 frags = ahead
             write(chunks[-1], frags)
-
-        def manifest(fh) -> None:
-            fh.write(dispersal.build_manifest(
+            appends[n](dispersal.build_manifest(
                 SchemeId.PROPOSED.value, k=k, c=c, block_size=block_size, n=n,
                 payload_length=size, blobs=magics, sha256=[s.hexdigest() for s in shas],
             ).to_json())
 
-        _write_split(out_dir, names, [None] * n, manifest, size * n // k, fill)
+        _write_split(out_dir, names, [None] * n, None, fill)
 
 
 @main.command("split")
@@ -317,16 +316,17 @@ def _write_join(out_path: Path, files: list[dispersal.SparseFile],
     and SHA-256 digest.  The output is committed only if ``check`` returns.
 
     Their heads are read first.  The proposed scheme's ``files``, data, parity
-    and rebuilt, are read as they are decoded: the output is written in the
-    pieces of ``join_pieces``, each decoded, then written on this thread and
-    hashed, as the two parts of one ``gf256._map_in_parts`` (the hash runs on a
-    second thread from 8 MiB of output), then dropped.  Each part then also
-    releases its half of the files read up to the row before the next segment
-    and reads them on to its end, the first segment in a parallel step of its
-    own, and the rebuilt ones are made after each step.  So a join holds one
-    segment of input and one of output, as many parallel steps per segment as
-    a join of files read whole.  A baseline's files are read whole and checked
-    first, then joined as one piece.
+    and rebuilt, are read as they are decoded: the output, the one file of a
+    fill of ``write_files``, is appended in the pieces of ``join_pieces``, each
+    decoded, then appended on this thread and hashed, as the two parts of one
+    ``gf256._map_in_parts`` (the hash runs on a second thread from 8 MiB of
+    output), then dropped.  Each part then also releases its half of the files
+    read up to the row before the next segment and reads them on to its end,
+    the first segment in a parallel step of its own, and the rebuilt ones are
+    made after each step.  So a join holds one segment of input and one of
+    output, as many parallel steps per segment as a join of files read whole.
+    A baseline's files are read whole and checked first, then joined as one
+    piece.
     """
     for f in files:
         f.fill(min(len(f), wire.HEAD))  # a rebuilt file's first piece is made here
@@ -360,7 +360,7 @@ def _write_join(out_path: Path, files: list[dispersal.SparseFile],
             if i < len(rows):
                 f.fill(start(f, rows[i].stop))
 
-    def write(fh) -> None:
+    def write(appends: list[Callable]) -> None:
         if files:
             gf256._map_in_parts(lambda part: ahead(0, part), [0, 1], length)
             ahead(0, 2)
@@ -369,7 +369,7 @@ def _write_join(out_path: Path, files: list[dispersal.SparseFile],
             i += 1
 
             def job(part: int) -> None:
-                (fh.write, sha.update)[part](piece)
+                (appends[0], sha.update)[part](piece)
                 ahead(i, part)
 
             gf256._map_in_parts(job, [0, 1], length)
@@ -377,7 +377,7 @@ def _write_join(out_path: Path, files: list[dispersal.SparseFile],
             del piece  # before the next piece is decoded
         check()
 
-    dispersal.write_files({out_path: write})
+    dispersal.write_files({out_path: None}, (), write)
     return length, sha.hexdigest()
 
 

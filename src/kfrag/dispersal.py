@@ -22,18 +22,19 @@ commands name each file set aside or rebuilt on stderr.  ``disperse``
 refuses any lost or damaged file; ``kfrag disperse`` puts each file as it
 reads it, a piece at a time (``Streamed``): when that pass fails, with what
 it put removed, ``check_files`` names the first lost or damaged file.
-Every file kfrag writes goes through ``write_files``: all of a set or none,
-a command's manifest last.  Every file it reads, but for the JSON
-manifests, comes in through ``read_file``: into one numpy buffer, filled in
-place and returned read-only, or, sparse, as a SparseFile, which a pipe
-fills whole as it is opened.
+Every file kfrag writes goes through ``write_files``, as one buffer or
+appended to by a fill: all of a set or none, a command's manifest last.
+Every file it reads, but for the JSON manifests, comes in through
+``read_file``: into one numpy buffer, filled in place and returned
+read-only, or, sparse, as a SparseFile, which a pipe fills whole as it is
+opened.
 
 A site is its backend, and its index is its position in the list of sites.
 A local-directory backend ships by default.  Another object with
 put/get/delete can stand in for a real object store as long as
 ``get`` opens an object as a SparseFile, ``put`` may run on several threads
-at once and takes an object's bytes or a function that writes them into an
-open file, and, for ``store``, as long as it has a ``root`` directory:
+at once and takes an object's bytes or a fill that appends them, as for
+``write_files``, and, for ``store``, as long as it has a ``root`` directory:
 ``store`` makes each site's root and refuses two sites whose roots are one
 directory or lie one inside the other, since one provider would then hold
 the rows of two sites.
@@ -67,24 +68,20 @@ from .errors import (
 from . import gf256, wire
 
 
-def write_files(files: dict[Path, bytes | Callable[[BinaryIO], object] | None],
-                dirs: Iterable[Path] = (), nbytes: int | None = None,
+def write_files(files: dict[Path, bytes | None], dirs: Iterable[Path] = (),
                 fill: Callable[[list[Callable[[bytes], object]]], object] | None = None,
                 ) -> list[Path]:
     """Write every file, creating missing directories, or leave all as they were.
 
-    A file's content is one buffer, a function that writes the file into the
-    open temporary it is handed, or None: ``fill`` writes the files whose
-    content is None together, handed one function per file, in order, that
-    appends a buffer to it.  The missing directories are made first: any of
-    ``dirs`` and their parents, then those of each file.  Each file then goes
-    to a temporary name in its own directory: first ``fill``'s, on the calling
-    thread, then the others, split into parts as by ``gf256._map_in_parts``
-    by ``nbytes``, the bytes the files hold (by default the bytes of their
-    buffers: give it when functions write them), and only once all are
-    written is each renamed into place, in order, so the last one commits
-    the set.  Returns the directories it created, innermost first.  On
-    failure, a content function's own error included, it removes the
+    A file's content is one buffer, or None: ``fill`` writes the files whose
+    content is None, handed one function per file, in order, that appends a
+    buffer to it.  The missing directories are made first: any of ``dirs``
+    and their parents, then those of each file.  Each file then goes to a
+    temporary name in its own directory: first ``fill``'s, on the calling
+    thread, then the buffers, in parts as by ``gf256._map_in_parts``, and only
+    once all are written is each renamed into place, in order, so the last
+    one commits the set.  Returns the directories it created, innermost
+    first.  On failure, an error of ``fill`` included, it removes the
     temporaries and those directories again and re-raises; an OSError names
     the file that could not be written, not its temporary name."""
     temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in files}
@@ -97,12 +94,8 @@ def write_files(files: dict[Path, bytes | Callable[[BinaryIO], object] | None],
             made.insert(0, d)
 
     def write(path: Path) -> None:
-        content = files[path]
         with _naming(path), open(temps[path], "wb") as fh:
-            if callable(content):
-                content(fh)
-            else:
-                fh.write(content)
+            fh.write(files[path])
 
     def appender(path: Path, fh: BinaryIO) -> Callable[[bytes], object]:
         def append(buf: bytes) -> None:
@@ -126,9 +119,7 @@ def write_files(files: dict[Path, bytes | Callable[[BinaryIO], object] | None],
                         appends.append(appender(path, stack.enter_context(open(temps[path], "wb"))))
                 fill(appends)
         rest = [path for path, content in files.items() if content is not None]
-        if nbytes is None:
-            nbytes = sum(len(files[path]) for path in rest if not callable(files[path]))
-        gf256._map_in_parts(write, rest, nbytes)
+        gf256._map_in_parts(write, rest, sum(len(files[path]) for path in rest))
         for path, tmp in temps.items():
             with _naming(path):
                 os.replace(tmp, path)
@@ -372,10 +363,11 @@ def rebuild_files(data: dict[int, SparseFile], parity: list[SparseFile],
 
 
 class Streamed:
-    """An object to ``put`` as it is read: called with the open file it goes to
-    (or None), it copies the SparseFile ``file`` into it, then raises an
-    IntegrityError that names ``name`` unless the file's digest is ``sha256``,
-    so a put of a damaged file commits nothing.  Its length is the file's."""
+    """An object to ``put`` as it is read: a fill, called with the list of the one
+    append of the file it goes to (or None), it copies the SparseFile ``file``
+    through that append, then raises an IntegrityError that names ``name`` unless
+    the file's digest is ``sha256``, so a put of a damaged file commits nothing.
+    Its length is the file's."""
 
     def __init__(self, file: SparseFile, sha256: str, name: str):
         self.file, self.sha256, self.name = file, sha256, name
@@ -383,8 +375,8 @@ class Streamed:
     def __len__(self) -> int:
         return len(self.file)
 
-    def __call__(self, fh: BinaryIO | None) -> None:
-        self.file.copy(fh and fh.write)
+    def __call__(self, appends: list[Callable[[bytes], object]] | None) -> None:
+        self.file.copy(appends and appends[0])
         if self.file.sha.hexdigest() != self.sha256:
             raise IntegrityError(f"digest mismatch for {self.name!r}")
 
@@ -409,14 +401,15 @@ class LocalDirectoryBackend:
             raise StorageError(f"object name escapes the site root: {name!r}")
         return path
 
-    def put(self, name: str, data: bytes | Callable[[BinaryIO], object]) -> None:
-        """Store ``data``, the object's bytes or a function that writes them into
-        the open file it is handed; its error leaves no object."""
+    def put(self, name: str, data: bytes | Callable) -> None:
+        """Store ``data``, the object's bytes or a fill, as for ``write_files``, of its
+        one file; its error leaves no object."""
         path = self._path(name)
         if path.exists():
             raise StorageError(f"object already exists: {name!r}")
         try:
-            self._made += write_files({path: data})
+            content, fill = (None, data) if callable(data) else (data, None)
+            self._made += write_files({path: content}, (), fill)
         except OSError as exc:
             raise StorageError(f"cannot write {name!r}: {exc}") from exc
 

@@ -103,12 +103,12 @@ def parity_fragments(primary: list[bytes], params: ParityParams, offset: int = 0
     ]
 
 
-def rs_decode(available: list[tuple[int, bytes]], params: ParityParams) -> list[bytes]:
+def rs_decode(available: list[tuple[int, bytes]], params: ParityParams) -> list:
     """Recover the k primary sequences from any k of the n rows.
 
     ``available`` holds (index, data) pairs where indices < k name primary
     rows and indices >= k name parity rows.  Surviving primary rows are
-    returned as given.
+    returned as given, rebuilt ones as memoryviews of one array, not copied.
     """
     seen: dict[int, bytes] = {}
     for index, data in available:
@@ -137,4 +137,4 @@ def rs_decode(available: list[tuple[int, bytes]], params: ParityParams) -> list[
     lost = [s for s in range(params.k) if s not in seen]
     stack = [np.frombuffer(seen[idx], dtype=np.uint8) for idx in chosen]
     rebuilt = dict(zip(lost, matmul(invert_matrix(matrix)[lost], stack)))
-    return [seen[s] if s in seen else rebuilt[s].tobytes() for s in range(params.k)]
+    return [seen[s] if s in seen else rebuilt[s].data for s in range(params.k)]

@@ -18,9 +18,9 @@ fragment files.  ``dispersal`` reads one large file and stores a set's objects
 in parts as well.  A loop run from inside one of two or more parts runs as one
 part, on that part's thread: a file that would be read in parts on its own
 is read whole by a part of a loop over files, so no more threads run than
-there are cores.  A loop run inside a lone part, such as the decode of a
-piece ``write_files`` writes as the only file, still runs in parts.  Every
-thread kfrag starts is started here.
+there are cores.  A loop run inside a lone part, such as the scan that
+encodes a chunk of a c = 2 ``split``, still runs in parts.  Every thread
+kfrag starts is started here.
 """
 
 from __future__ import annotations

@@ -1087,6 +1087,22 @@ def test_a_c3_split_that_fails_midway_leaves_no_file_and_no_thread(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.bin"]
 
 
+def test_a_split_of_a_pipe_that_runs_out_of_memory_reports_an_unknown_size(
+    runner, tmp_path, monkeypatch
+):
+    # fstat gives a pipe size 0: the message must not claim a payload of 0 bytes
+    def failing(*args):
+        raise MemoryError("no room for the chunk")
+
+    monkeypatch.setattr(cli, "encode_data", failing)
+    with _piped(os.urandom(100_000)) as path:
+        result = runner.invoke(main, ["split", "--in", path, "--out", str(tmp_path / "frags")])
+    assert result.exit_code == 3, result.output
+    assert result.stderr == "error: out of memory in split on a payload of unknown size\n"
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("k,c,n", [(4, 2, 4), (6, 3, 8)])
 def test_split_holds_two_copies_of_the_payload(runner, tmp_path, k, c, n):
     # at c = 2, 6 MiB is one chunk and runs as one part on any host; the peak is

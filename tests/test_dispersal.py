@@ -421,11 +421,12 @@ def test_backend_removes_a_run_directory_when_its_objects_are_deleted_first_stor
 def test_write_files_writes_a_series_of_buffers_in_order(tmp_path):
     target = tmp_path / "new" / "out.bin"
 
-    def pieces(fh):
+    def pieces(appends):
         for piece in [b"ab", memoryview(b"cde"), bytearray(b""), b"f"]:
-            fh.write(piece)
+            appends[0](piece)
 
-    assert write_files({target: pieces, tmp_path / "m.json": b"{}"}) == [tmp_path / "new"]
+    made = write_files({target: None, tmp_path / "m.json": b"{}"}, (), pieces)
+    assert made == [tmp_path / "new"]
     assert target.read_bytes() == b"abcdef"
 
 
@@ -433,36 +434,15 @@ def test_write_files_leaves_nothing_when_a_series_of_buffers_raises(tmp_path):
     old = tmp_path / "old.bin"
     old.write_bytes(b"old")
 
-    def pieces(fh):
-        fh.write(b"first")
-        fh.write(b"second")
+    def pieces(appends):
+        appends[0](b"first")
+        appends[0](b"second")
         raise ValueError("the producer failed")
 
     with pytest.raises(ValueError, match="the producer failed"):
-        write_files({tmp_path / "a" / "b" / "out.bin": pieces, old: b"new"})
+        write_files({tmp_path / "a" / "b" / "out.bin": None, old: b"new"}, (), pieces)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["old.bin"]
     assert old.read_bytes() == b"old"
-
-
-def test_write_files_parts_writer_files_by_the_bytes_it_is_given(tmp_path, monkeypatch):
-    # functions hold no bytes write_files can count: without nbytes two 8 MiB
-    # writer files go on this thread, with it on two threads, as two buffers would
-    monkeypatch.setattr(gf256, "_CORES", 2)
-    written = {}
-
-    def writer(name):
-        def write(fh):
-            written[name] = threading.current_thread()
-            fh.write(bytes(8 << 20))
-
-        return write
-
-    for nbytes, beside in ((None, False), (16 << 20, True)):
-        written.clear()
-        write_files({tmp_path / name: writer(name) for name in ("a", "b")}, nbytes=nbytes)
-        assert written["a"] is threading.main_thread()
-        assert (written["b"] is not threading.main_thread()) is beside
-        assert (tmp_path / "b").read_bytes() == bytes(8 << 20)
 
 
 _REFUSED_STREAM = """
@@ -472,16 +452,16 @@ from kfrag.dispersal import write_files
 root = Path(sys.argv[1])
 made = []
 
-def pieces(fh):
+def pieces(appends):
     for i in range(8):  # 8 MiB in pieces of 1 MiB
         made.append(i)
-        fh.write(bytes(1 << 20))
+        appends[0](bytes(1 << 20))
 
 # set after the imports: a limit in force while they run truncates .pyc files
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 resource.setrlimit(resource.RLIMIT_FSIZE, (5 << 20, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
 try:
-    write_files({root / "new" / "a" / "out.bin": pieces})
+    write_files({root / "new" / "a" / "out.bin": None}, (), pieces)
 except OSError as exc:
     print(json.dumps({"filename": exc.filename, "pieces": len(made)}))
     sys.exit(0)
@@ -601,6 +581,20 @@ def test_read_file_ends_at_the_first_short_part(tmp_path, monkeypatch, started, 
         st_mode=fstat(fd).st_mode, st_size=len(data) + extra))
     assert bytes(read_file(tmp_path / "f")) == data
     assert len(started) == 1
+
+
+def test_a_sparse_file_that_ends_early_is_an_integrity_error(tmp_path, monkeypatch):
+    # fstat overstates the size by 10 bytes: both a fill and the rest of a digest
+    # read past the end of the file
+    data = os.urandom(3000)
+    (tmp_path / "f").write_bytes(data)
+    fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(
+        st_mode=fstat(fd).st_mode, st_size=len(data) + 10))
+    for read in (lambda f: f.fill(len(f)), lambda f: f.digest()):
+        with contextlib.closing(read_file(tmp_path / "f", sparse=True)) as f:
+            with pytest.raises(IntegrityError, match="^file ended at byte 3000 of 3010$"):
+                read(f)
 
 
 def test_every_file_is_read_by_read_file():

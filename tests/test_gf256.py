@@ -171,8 +171,7 @@ def test_a_loop_run_inside_a_part_runs_as_one_part_on_its_thread(monkeypatch):
 
 
 def test_a_loop_run_inside_a_lone_part_runs_in_parts(monkeypatch):
-    # as the decode of the one file write_files writes does: no other part's
-    # thread is running, so the inner loop may use every core
+    # no other part's thread is running, so the inner loop may use every core
     monkeypatch.setattr(gf256, "_CORES", 2)
     inner = []
 
